@@ -23,7 +23,7 @@ from repro.runtime.config import SweepConfig, resolve_legacy_config
 
 # canonical_detail moved next to the Event type it renders; re-exported
 # here (and from repro.runtime) for the existing import surface.
-from repro.uc.trace import canonical_detail
+from repro.uc.trace import NullEventLog, RenderMemo, canonical_detail
 
 
 def trace_digest(log) -> str:
@@ -37,16 +37,22 @@ def trace_digest(log) -> str:
     Returns ``""`` for a trace-off (``light``) log — a constant hash there
     would make distinct executions compare equal, which is exactly the
     false positive a digest consumer must never see.
-    """
-    from repro.uc.trace import NullEventLog
 
+    One render memo is shared by every event of the call, so a payload
+    recorded in many events (a composed session leaks and delivers each
+    time-lock ciphertext to every party) is rendered once.  It is freed
+    on return; the digest is byte-identical to rendering each event
+    alone.
+    """
     if isinstance(log, NullEventLog):
         return ""
     h = hashlib.sha256()
+    memo: RenderMemo = {}
     for event in log:
         h.update(
             canonical_detail(
-                (event.seq, event.time, event.kind, event.source, event.detail)
+                (event.seq, event.time, event.kind, event.source, event.detail),
+                memo,
             ).encode()
         )
     return h.hexdigest()

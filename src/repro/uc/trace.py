@@ -12,10 +12,18 @@ adversarial ``Allow``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+#: Renderings already produced within one digest (or one scan): ``id(obj)``
+#: maps to ``(obj, text)``.  See :func:`canonical_detail`.
+RenderMemo = Dict[int, Tuple[Any, str]]
+
+#: Exact types rendered by plain ``repr`` without touching the memo (a
+#: lookup costs more than the ``repr``).  ``bool`` is not exact ``int``.
+_PLAIN = (str, int)
 
 
-def canonical_detail(obj: Any) -> str:
+def canonical_detail(obj: Any, memo: Optional[RenderMemo] = None) -> str:
     """Canonical, cross-process-stable rendering of an event detail.
 
     ``repr`` is not canonical for dicts (insertion-ordered) or sets
@@ -25,23 +33,51 @@ def canonical_detail(obj: Any) -> str:
     else exactly as ``repr`` does — so digests over the historical
     int/bytes/str/tuple details are unchanged (the golden digests in
     ``tests/test_runtime.py`` still hold).
+
+    ``memo`` lets one caller render many details that share objects (a
+    composed trace delivers the same time-lock ciphertext to every
+    party) without re-rendering them.  It is keyed by identity, not by
+    value: ``(1,) == (True,) == (1.0,)`` yet the three render
+    differently.  Each entry keeps its object alive, so a temporary (the
+    ``set`` built for a frozenset) cannot hand its id on to a later
+    object.  The memo assumes nothing is mutated while it is in use:
+    share one across a single pass over a log, never across passes.
     """
-    if isinstance(obj, tuple):
-        inner = ", ".join(canonical_detail(item) for item in obj)
-        return f"({inner},)" if len(obj) == 1 else f"({inner})"
-    if isinstance(obj, list):
-        return "[" + ", ".join(canonical_detail(item) for item in obj) + "]"
-    if isinstance(obj, dict):
+    cls = type(obj)
+    if cls in _PLAIN:
+        return repr(obj)
+    if memo is None:
+        memo = {}
+    slot = id(obj)
+    entry = memo.get(slot)
+    if entry is not None:
+        return entry[1]
+    if cls is bytes:
+        text = repr(obj)
+    elif cls is tuple or isinstance(obj, tuple):
+        # Event tuples are mostly scalars: render those inline, sparing
+        # the call (the same text the fast path above returns).
+        inner = ", ".join([
+            repr(item) if type(item) in _PLAIN else canonical_detail(item, memo)
+            for item in obj
+        ])
+        text = f"({inner},)" if len(obj) == 1 else f"({inner})"
+    elif isinstance(obj, list):
+        text = "[" + ", ".join([canonical_detail(item, memo) for item in obj]) + "]"
+    elif isinstance(obj, dict):
         items = sorted(
-            (canonical_detail(key), canonical_detail(value))
+            (canonical_detail(key, memo), canonical_detail(value, memo))
             for key, value in obj.items()
         )
-        return "{" + ", ".join(f"{key}: {value}" for key, value in items) + "}"
-    if isinstance(obj, frozenset):
-        return "frozenset(" + canonical_detail(set(obj)) + ")" if obj else "frozenset()"
-    if isinstance(obj, set):
-        return "{" + ", ".join(sorted(canonical_detail(item) for item in obj)) + "}" if obj else "set()"
-    return repr(obj)
+        text = "{" + ", ".join([f"{key}: {value}" for key, value in items]) + "}"
+    elif isinstance(obj, frozenset):
+        text = "frozenset(" + canonical_detail(set(obj), memo) + ")" if obj else "frozenset()"
+    elif isinstance(obj, set):
+        text = "{" + ", ".join(sorted([canonical_detail(item, memo) for item in obj])) + "}" if obj else "set()"
+    else:
+        text = repr(obj)
+    memo[slot] = (obj, text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -119,10 +155,11 @@ class EventLog:
         """
         # b'scn:P0' -> scn:P0, escapes kept; bytes repr is deterministic.
         text = repr(needle)[2:-1].encode()
+        memo: RenderMemo = {}  # a payload shared by many events renders once
         for event in self.events:
             if kind is not None and event.kind != kind:
                 continue
-            if text and text in canonical_detail(event.detail).encode():
+            if text and text in canonical_detail(event.detail, memo).encode():
                 return event
         return None
 
