@@ -10,7 +10,9 @@ generation + verification).
 
 import random
 import time
+from functools import partial
 
+import pytest
 from conftest import emit, once
 
 from repro.crypto.groups import TEST_GROUP, SchnorrGroup
@@ -35,24 +37,34 @@ def _best_of(repeats, fn):
     return best, result
 
 
-def test_e15_fixed_base_speedup(benchmark):
+@pytest.mark.parametrize("base_kind", ("g", "registered"))
+def test_e15_fixed_base_speedup(benchmark, base_kind):
+    """``g`` uses its own table; a registered base (an election's ``w`` or
+    ``r``) uses the narrower per-base table behind :meth:`exp`."""
+
     def sweep():
         group = _fresh_group()
         rng = random.Random(15)
         exponents = [rng.randrange(1, group.q) for _ in range(2000)]
+        if base_kind == "g":
+            base, op = group.g, "power_of_g"
+            warm, windowed = group.precompute_fixed_base, group.power_of_g
+        else:
+            base, op = group.power_of_g(rng.randrange(1, group.q)), "exp"
+            warm = partial(group.register_fixed_base, base)
+            windowed = partial(group.exp, base)
 
-        naive_s, naive = _best_of(
-            3, lambda: [pow(group.g, e, group.p) for e in exponents]
-        )
-        group.precompute_fixed_base()
-        fast_s, fast = _best_of(3, lambda: [group.power_of_g(e) for e in exponents])
+        naive_s, naive = _best_of(3, lambda: [pow(base, e, group.p) for e in exponents])
+        warm()
+        fast_s, fast = _best_of(3, lambda: [windowed(e) for e in exponents])
 
         assert naive == fast  # bit-identical results
         speedup = naive_s / fast_s
-        assert speedup >= 3.0, f"fixed-base speedup only {speedup:.2f}x"
+        assert speedup >= 3.0, f"fixed-base speedup only {speedup:.2f}x ({base_kind})"
         return [
             {
-                "op": "power_of_g",
+                "op": op,
+                "base": base_kind,
                 "exps": len(exponents),
                 "naive_us": round(naive_s / len(exponents) * 1e6, 2),
                 "windowed_us": round(fast_s / len(exponents) * 1e6, 2),
@@ -61,14 +73,18 @@ def test_e15_fixed_base_speedup(benchmark):
         ]
 
     rows = once(benchmark, sweep)
+    if base_kind == "g":
+        experiment, title = "E15", "Fixed-base window table: >= 3x over naive pow, bit-identical"
+    else:
+        experiment, title = "E15d", "Registered-base window table: >= 3x over naive pow, bit-identical"
     emit(
-        "E15",
-        "Fixed-base window table: >= 3x over naive pow, bit-identical",
+        experiment,
+        title,
         rows,
         protocol="crypto-groups",
         n=None,
         rounds=None,
-        op="power_of_g",
+        op=rows[0]["op"],
     )
 
 

@@ -16,7 +16,7 @@ Two parameter sets ship:
 Acceleration layer
 ------------------
 
-The group carries three caches, all mathematically transparent (every
+The group carries four caches, all mathematically transparent (every
 accelerated path returns bit-identical values to the naive formulas, so
 seeded executions are unaffected):
 
@@ -25,6 +25,17 @@ seeded executions are unaffected):
   :math:`g^{d \\cdot 2^{wi}}` digits (built lazily; small groups build it
   on first use, large groups after :data:`FIXED_BASE_AUTO_CALLS` uses or
   via an explicit :meth:`precompute_fixed_base`);
+* **registered bases** — other long-lived public bases (the election's
+  verification-key base ``w`` and ballot seed ``r``, proved and checked
+  against once per OR-proof branch and per verifier) get a table of the
+  same shape via :meth:`register_fixed_base`, which :meth:`exp` consults
+  before falling back to ``pow``.  The window is
+  :data:`FIXED_BASE_REGISTERED_WINDOW` (4: at 256 bits a table costs
+  about 4.8 exponentiations to build, and width 5 would save only 0.2 ms
+  more per ~70-use election for 60% more memory).  At most
+  :data:`FIXED_BASE_REGISTERED_MAX` tables live per group (16: two bases
+  per election, so eight concurrent elections); the oldest is evicted
+  first, and an evicted base just goes back to ``pow``;
 * **simultaneous multi-exponentiation** — :meth:`multi_exp` evaluates
   :math:`\\prod b_i^{e_i}` sharing the squaring ladder between bases
   (Straus interleaving) when the modulus is large enough for Python-level
@@ -67,6 +78,16 @@ FIXED_BASE_AUTO_BITS = 512
 #: Larger moduli (e.g. the 2048-bit MODP group) amortise the table build
 #: only across repeated use; they switch after this many ``g``-powers.
 FIXED_BASE_AUTO_CALLS = 32
+
+#: Digit width of the tables :meth:`SchnorrGroup.register_fixed_base`
+#: builds.  These bases live for one election (~70 uses), not for the
+#: process like ``g``, so a narrower window than ``g``'s keeps the build
+#: cheap: at 256 bits, 4 breaks even after ~5 uses.
+FIXED_BASE_REGISTERED_WINDOW = 4
+
+#: Registered-base tables kept per group, oldest evicted first: the two
+#: public bases (``w``, ``r``) of eight concurrent elections.
+FIXED_BASE_REGISTERED_MAX = 16
 
 #: Interleaved multi-exponentiation beats repeated C ``pow`` only once the
 #: per-multiplication cost dwarfs interpreter overhead; below this modulus
@@ -242,6 +263,49 @@ def _init_arith_from_env() -> None:
 _init_arith_from_env()
 
 
+# -- fixed-base window tables ------------------------------------------------
+
+
+def _window_table(base: int, p: int, bits: int, window: int) -> List[List[int]]:
+    """Rows ``i`` of :math:`base^{d \\cdot 2^{wi}}` for digits ``d < 2^w``.
+
+    Enough rows cover any ``bits``-bit exponent.  Built in the backend's
+    native type, stored as plain ints: table entries feed
+    ``element_to_bytes``-style encoders and the RPM1 material
+    serializer, which require ``int``.
+    """
+    arith = _ARITH
+    p = arith.to_native(p)
+    b = arith.to_native(base)
+    table: List[List[int]] = []
+    for _ in range((bits + window - 1) // window):
+        row = [1] * (1 << window)
+        acc = arith.to_native(1)
+        for digit in range(1, 1 << window):
+            acc = acc * b % p
+            row[digit] = int(acc)
+        table.append(row)
+        b = acc * b % p  # b ** (2 ** window)
+    return table
+
+
+def _window_pow(state: Tuple[int, List[List[int]]], e: int, p: int) -> int:
+    """``base ** e mod p`` from ``state = (window, table)`` built on ``base``."""
+    w, table = state
+    mask = (1 << w) - 1
+    arith = _ARITH
+    p = arith.to_native(p)
+    result = arith.to_native(1)
+    index = 0
+    while e:
+        digit = e & mask
+        if digit:
+            result = result * table[index][digit] % p
+        e >>= w
+        index += 1
+    return int(result)
+
+
 @dataclass(frozen=True)
 class SchnorrGroup:
     """A cyclic group of prime order ``q`` inside Z_p^* with generator ``g``.
@@ -266,11 +330,13 @@ class SchnorrGroup:
         # Acceleration state (not dataclass fields: excluded from eq/hash/repr).
         # A group instance is shared across SessionPool thread workers, so
         # lazy population of these caches is guarded by ``_accel_lock``;
-        # reads stay lock-free (once set, the table never changes, and the
-        # encoding cache only ever gains idempotently-computed entries).
+        # reads stay lock-free (once set, the table never changes, the
+        # encoding cache only ever gains idempotently-computed entries,
+        # and a registered base's table is immutable while it is mapped).
         object.__setattr__(self, "_width", (self.p.bit_length() + 7) // 8)
         object.__setattr__(self, "_fb_state", None)
         object.__setattr__(self, "_fb_calls", 0)
+        object.__setattr__(self, "_fb_bases", {})
         object.__setattr__(self, "_encoding_cache", {})
         object.__setattr__(self, "_accel_lock", threading.Lock())
 
@@ -292,6 +358,9 @@ class SchnorrGroup:
         """``base ** exponent mod p`` (exponent reduced mod q)."""
         if base == self.g:
             return self.power_of_g(exponent)
+        state = self._fb_bases.get(base)
+        if state is not None:
+            return _window_pow(state, exponent % self.q, self.p)
         return _ARITH.powmod(base, exponent % self.q, self.p)
 
     def power_of_g(self, exponent: int) -> int:
@@ -307,7 +376,7 @@ class SchnorrGroup:
                     object.__setattr__(self, "_fb_calls", self._fb_calls + 1)
                 return _ARITH.powmod(self.g, e, self.p)
             self.precompute_fixed_base()
-        return self._fixed_base_pow(e)
+        return _window_pow(self._fb_state, e, self.p)
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication."""
@@ -428,22 +497,7 @@ class SchnorrGroup:
             state = self._fb_state
             if state is not None and w == state[0]:
                 return
-            windows = (self.q.bit_length() + w - 1) // w
-            arith = _ARITH
-            p = arith.to_native(self.p)
-            table: List[List[int]] = []
-            base = arith.to_native(self.g)
-            for _ in range(windows):
-                # Build in the backend's native type, store plain ints:
-                # table entries feed ``element_to_bytes``-style encoders
-                # and the RPM1 material serializer, which require ``int``.
-                row = [1] * (1 << w)
-                acc = arith.to_native(1)
-                for digit in range(1, 1 << w):
-                    acc = acc * base % p
-                    row[digit] = int(acc)
-                table.append(row)
-                base = acc * base % p  # base ** (2 ** w)
+            table = _window_table(self.g, self.p, self.q.bit_length(), w)
             object.__setattr__(self, "_fb_state", (w, table))
 
     def install_fixed_base(self, table: List[List[int]], window: int) -> None:
@@ -487,21 +541,27 @@ class SchnorrGroup:
         with self._accel_lock:
             object.__setattr__(self, "_fb_state", (window, [list(row) for row in table]))
 
-    def _fixed_base_pow(self, e: int) -> int:
-        """``g ** e`` via the window table (``e`` already reduced mod q)."""
-        w, table = self._fb_state
-        mask = (1 << w) - 1
-        arith = _ARITH
-        p = arith.to_native(self.p)
-        result = arith.to_native(1)
-        index = 0
-        while e:
-            digit = e & mask
-            if digit:
-                result = result * table[index][digit] % p
-            e >>= w
-            index += 1
-        return int(result)
+    def register_fixed_base(self, base: int) -> None:
+        """Build a window table for a long-lived base other than ``g``.
+
+        :meth:`exp` then serves ``base`` from the table instead of a
+        full-width ``pow``.  Idempotent by value (``g`` is a no-op: it has
+        its own table) and thread-safe.  At most
+        :data:`FIXED_BASE_REGISTERED_MAX` tables are kept, the oldest
+        evicted first; an evicted base goes back to ``pow`` with the same
+        values.
+        """
+        if base == self.g or base in self._fb_bases:
+            return
+        with self._accel_lock:
+            if base in self._fb_bases:
+                return
+            table = _window_table(
+                base, self.p, self.q.bit_length(), FIXED_BASE_REGISTERED_WINDOW
+            )
+            if len(self._fb_bases) >= FIXED_BASE_REGISTERED_MAX:
+                self._fb_bases.pop(next(iter(self._fb_bases)))
+            self._fb_bases[base] = (FIXED_BASE_REGISTERED_WINDOW, table)
 
     # -- simultaneous multi-exponentiation ----------------------------------
 

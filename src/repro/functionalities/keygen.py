@@ -69,6 +69,7 @@ class AuthorityKeyGen(Functionality):
         super().__init__(session, fid)
         self.group = group
         self.w: int = group.random_element(session.rng)
+        group.register_fixed_base(self.w)
         self.record("setup", ("w", self.w % 1000))
 
     def parameters(self) -> Tuple[SchnorrGroup, int]:

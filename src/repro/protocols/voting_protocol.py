@@ -259,7 +259,9 @@ class VoterParty(Party):
         """The public random seed ``r`` (a group element from the RO)."""
         digest = self.oracle.query(b"election-seed:" + self.session.sid.encode(), self.pid)
         exponent = hash_to_int(digest, modulus=self.group.q, domain=b"seed")
-        return self.group.power_of_g(exponent)
+        seed = self.group.power_of_g(exponent)
+        self.group.register_fixed_base(seed)
+        return seed
 
     def vote(self, candidate: str) -> None:
         """``Vote`` input: build, prove, sign and cast the ballot via SBC."""

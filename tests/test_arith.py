@@ -153,6 +153,9 @@ def test_group_ops_identical_across_backends(name, rng):
     )
     assert actual == expected
     assert all(type(value) is int for value in actual)
+    group.register_fixed_base(h)  # exp(h, .) now walks a registered-base table
+    registered = group.exp(h, x)
+    assert registered == expected[1] and type(registered) is int
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
+from repro.crypto.groups import (
+    FIXED_BASE_REGISTERED_MAX,
+    GROUP_2048,
+    TEST_GROUP,
+    SchnorrGroup,
+)
 
 
 def _is_probable_prime(n: int, rounds: int = 30) -> bool:
@@ -105,12 +110,15 @@ def _cold_group() -> SchnorrGroup:
 
 def test_lazy_caches_thread_safe_under_stress():
     # One cold group hammered by 8 threads released simultaneously: the
-    # fixed-base table build and the encoding-cache population race on
-    # first use, and every accelerated result must still be exact.
+    # fixed-base table build, the encoding-cache population and the
+    # registered-base map (inserts and FIFO evictions) race on first use,
+    # and every accelerated result must still be exact.
     import random
     import threading
 
     group = _cold_group()
+    # More shared bases than the map holds, so threads also race evictions.
+    bases = [pow(group.g, 1000 + i, group.p) for i in range(FIXED_BASE_REGISTERED_MAX + 4)]
     barrier = threading.Barrier(8)
     failures = []
 
@@ -125,6 +133,10 @@ def test_lazy_caches_thread_safe_under_stress():
             encoded = group.element_to_bytes(value)
             if int.from_bytes(encoded, "big") != value:
                 failures.append(("encode", seed, e))
+            base = rng.choice(bases)
+            group.register_fixed_base(base)
+            if group.exp(base, e) != pow(base, e, group.p):
+                failures.append(("registered", seed, e))
 
     threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
     for thread in threads:
@@ -133,6 +145,7 @@ def test_lazy_caches_thread_safe_under_stress():
         thread.join()
     assert not failures
     assert group._fb_table is not None  # the table was built exactly once
+    assert len(group._fb_bases) == FIXED_BASE_REGISTERED_MAX  # bound held
 
 
 def test_warm_up_idempotent_and_concurrent():
@@ -157,9 +170,11 @@ def test_group_pickles_without_acceleration_state():
 
     group = _cold_group()
     group.warm_up()
+    group.register_fixed_base(pow(group.g, 7, group.p))
     clone = pickle.loads(pickle.dumps(group))
     assert clone == group
     assert clone._fb_table is None  # caches did not travel
+    assert clone._fb_bases == {}  # nor did registered-base tables
     assert clone.power_of_g(12345) == group.power_of_g(12345)
     clone.warm_up()
     assert clone._fb_table is not None
@@ -218,3 +233,52 @@ def test_install_fixed_base_accepts_only_matching_tables():
     mangled[-1][1] = mangled[-1][2]  # break the base ladder in the top row
     with pytest.raises(ValueError, match="chain"):
         _cold_group().install_fixed_base(mangled, window)
+
+
+# ---------------------------------------------------------------------------
+# Registered fixed bases (exp's table path for bases other than g)
+# ---------------------------------------------------------------------------
+
+
+_Q = TEST_GROUP.q
+_MEMBER = pow(TEST_GROUP.g, 0x5EED, TEST_GROUP.p)
+
+
+@pytest.mark.parametrize(
+    "base",
+    (_MEMBER, 1, TEST_GROUP.p - 1, _MEMBER + TEST_GROUP.p),
+    ids=("random-element", "one", "non-member-p-1", "unreduced-b+p"),
+)
+def test_registered_base_exp_is_exact(base):
+    group = _cold_group()
+    group.register_fixed_base(base)
+    assert base in group._fb_bases
+    for e in (0, 1, _Q - 1, _Q, _Q + 1, -1, 2 * _Q + 5):
+        assert group.exp(base, e) == pow(base, e % _Q, group.p), e
+
+
+def test_registering_g_is_a_noop():
+    group = _cold_group()
+    group.register_fixed_base(group.g)
+    assert group._fb_bases == {}
+    assert group.exp(group.g, _Q + 3) == pow(group.g, 3, group.p)
+
+
+def test_registration_is_idempotent_by_value():
+    group = _cold_group()
+    group.register_fixed_base(_MEMBER)
+    state = group._fb_bases[_MEMBER]
+    group.register_fixed_base(int(str(_MEMBER)))  # equal value, new object
+    assert group._fb_bases[_MEMBER] is state
+    assert len(group._fb_bases) == 1
+
+
+def test_registration_past_the_bound_evicts_the_oldest():
+    group = _cold_group()
+    bases = [pow(group.g, 100 + i, group.p) for i in range(FIXED_BASE_REGISTERED_MAX + 1)]
+    for base in bases:
+        group.register_fixed_base(base)
+    assert list(group._fb_bases) == bases[1:]  # FIFO: the first one went
+    oldest = bases[0]
+    for e in (0, 1, _Q - 1, _Q + 1, -1):
+        assert group.exp(oldest, e) == pow(oldest, e % _Q, group.p)

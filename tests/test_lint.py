@@ -259,6 +259,19 @@ def test_rpr004_flags_unlocked_object_setattr():
     assert rule_ids(findings) == ["RPR004"]
 
 
+def test_rpr004_flags_unlocked_registered_base_insert():
+    findings, _ = findings_for(
+        """
+        class SchnorrGroup:
+            def register_fixed_base(self, base):
+                self._fb_bases[base] = (4, [])
+        """,
+        "crypto/groups.py",
+    )
+    assert rule_ids(findings) == ["RPR004"]
+    assert "_fb_bases" in findings[0].message
+
+
 def test_rpr004_flags_replenisher_registry():
     findings, _ = findings_for(
         """

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import build_voting_stack
-from repro.crypto.groups import TEST_GROUP
+from repro.crypto.groups import TEST_GROUP, SchnorrGroup
 from repro.functionalities.voting import VotingSystem, plurality_tally
 from repro.protocols.voting_protocol import Election, decrypt_share, encrypt_share
 from repro.uc.environment import Environment
@@ -76,6 +76,28 @@ def test_setup_verifies_share_consistency():
     # and the exponents sum to zero:
     total = sum(v.secret_exponent for v in stack.parties.values()) % TEST_GROUP.q
     assert total == 0
+
+
+def test_hybrid_election_registers_exactly_w_and_r(monkeypatch):
+    """FSKG's ``w`` and the ballot seed ``r`` get fixed-base tables.
+
+    Pins the hit path of ``SchnorrGroup.exp``: digests stay equal whether
+    or not the tables exist, so only this check notices a lost registration.
+    """
+    import repro.core.stacks as stacks
+    from repro.functionalities.keygen import AuthorityKeyGen
+
+    cold = SchnorrGroup(p=TEST_GROUP.p, q=TEST_GROUP.q, g=TEST_GROUP.g)
+    monkeypatch.setattr(
+        stacks, "AuthorityKeyGen", lambda session: AuthorityKeyGen(session, group=cold)
+    )
+    stack = build_voting_stack(voters=3, mode="hybrid", seed=30)
+    results = _drive(stack, [("V0", "yes"), ("V1", "no"), ("V2", "yes")])
+    assert all(r == {"yes": 2, "no": 1} for r in results.values())
+    registered = set(cold._fb_bases)  # before the seed is derived again below
+    voter = stack.parties["V0"]
+    assert voter.group is cold
+    assert registered == {voter.w, voter._seed()}
 
 
 def test_vote_before_setup_queued():
