@@ -18,10 +18,10 @@ Usage::
 
 Every protocol command accepts ``--backend`` to pick the execution
 backend (``sequential`` is the reference engine; ``pooled`` / ``batched``
-are the runtime's throughput drivers; ``async`` is the event-driven
-engine behind ``serve``).  The top-level ``--arith`` flag selects the
-big-integer arithmetic tier (``auto`` picks gmpy2 when installed;
-results are identical across tiers, only speed changes), and
+are the runtime's throughput drivers; ``async`` yields to the event loop
+between rounds and runs ``serve``).  The top-level ``--arith`` flag
+selects the big-integer arithmetic tier (``auto`` picks gmpy2 when
+installed; results are identical across tiers, only speed changes), and
 ``--batch-verify`` on the sweep/bench/scenario/election commands batches
 verification rounds through random-linear-combination multi-exps.
 
@@ -673,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="service mode: host N concurrent sessions on one asyncio "
-             "loop (the event-driven `async` backend)",
+             "loop (the `async` backend: sessions take turns per round)",
     )
     common(p)
     p.add_argument("--sessions", type=int, default=64,

@@ -84,6 +84,14 @@ class _BaseStack:
         """Advance ``count`` empty rounds."""
         return self.env.run_rounds(count)
 
+    def honest_outputs_done(self, session: Session) -> bool:
+        """Completion predicate: every honest party has produced an output."""
+        return all(
+            party.outputs
+            for pid, party in self.parties.items()
+            if not session.is_corrupted(pid)
+        )
+
 
 def _modes(mode: str, allowed: Sequence[str]) -> None:
     if mode not in allowed:
@@ -220,18 +228,15 @@ class SBCStack(_BaseStack):
         """Round at which outputs appear, assuming the period opens at 0."""
         return self.phi + self.delta
 
+    def delivery_budget(self, slack: int = 2) -> int:
+        """Round budget for :meth:`run_until_delivery`."""
+        return self.delivery_round + slack + 20
+
     def run_until_delivery(self, slack: int = 2) -> int:
         """Run rounds until every honest party has produced an output."""
-        target = self.delivery_round + slack
-
-        def done(session: Session) -> bool:
-            return all(
-                party.outputs
-                for pid, party in self.parties.items()
-                if not session.is_corrupted(pid)
-            )
-
-        return self.env.run_until(done, max_rounds=target + 20)
+        return self.env.run_until(
+            self.honest_outputs_done, max_rounds=self.delivery_budget(slack)
+        )
 
     def delivered(self) -> Dict[str, List[Any]]:
         """pid -> the delivered message batch (last Broadcast output)."""
@@ -433,15 +438,12 @@ class VotingStack(_BaseStack):
             out[pid] = values[-1] if values else None
         return out
 
-    def run_until_result(self) -> int:
-        def done(session: Session) -> bool:
-            return all(
-                party.outputs
-                for pid, party in self.parties.items()
-                if not session.is_corrupted(pid)
-            )
+    def result_budget(self) -> int:
+        """Round budget for :meth:`run_until_result`."""
+        return self.phi + self.delta + 30
 
-        return self.env.run_until(done, max_rounds=self.phi + self.delta + 30)
+    def run_until_result(self) -> int:
+        return self.env.run_until(self.honest_outputs_done, max_rounds=self.result_budget())
 
 
 def build_voting_stack(

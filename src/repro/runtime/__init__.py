@@ -5,7 +5,7 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
 
 * :class:`~repro.runtime.backend.ExecutionBackend` — a named bundle of
   round driver, scheduler drain policy and trace mode (``sequential``,
-  ``pooled``, ``batched``);
+  ``pooled``, ``batched``, ``async``);
 * :class:`~repro.runtime.driver.RoundDriver` — the round loop behind
   :class:`~repro.uc.environment.Environment` and every stack builder;
 * :class:`~repro.runtime.scheduler.BatchScheduler` — per-round message
@@ -13,7 +13,9 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
 * :class:`~repro.runtime.pool.SessionPool` — N independent sessions
   (seed sweeps, repeated executions) through one driver, inline or via
   ``concurrent.futures`` workers with chunked dispatch and per-worker
-  crypto warm-up;
+  crypto warm-up; each workload's session body is written once there
+  and run either blocking (``run_*_trial``) or awaited
+  (``async_*_session``);
 * :class:`~repro.runtime.sweep.ParallelSweep` — the multi-core sweep
   driver: plans worker/chunk shape for any ``(runner, task list)``
   workload and verifies digest equality against the inline reference;
@@ -27,27 +29,22 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
   ``run_matrix``, ``AsyncSessionHost``, the CLI) builds its execution
   knobs from;
 * :class:`~repro.runtime.aio.AsyncSessionHost` — service mode: N
-  concurrent sessions on one asyncio loop under the event-driven
-  ``async`` backend (:class:`~repro.runtime.aio.AsyncRoundDriver`),
-  digest-equal to ``sequential``.
+  concurrent sessions on one asyncio loop under the ``async`` backend,
+  whose :class:`~repro.runtime.driver.AsyncRoundDriver` runs the
+  sequential round and yields at each round boundary (digest-equal to
+  ``sequential``).
 
 The ``sequential`` backend is the default everywhere and reproduces the
 pre-runtime engine byte-for-byte (same seed, same trace).
 """
 
 from repro.runtime.aio import (
-    ASYNC,
-    AsyncExecutionBackend,
-    AsyncRoundDriver,
     AsyncSessionHost,
     HostReport,
-    VirtualClock,
-    async_sbc_session,
-    async_voting_session,
     online_ranges_disjoint,
 )
-
 from repro.runtime.backend import (
+    ASYNC,
     BATCHED,
     POOLED,
     SEQUENTIAL,
@@ -56,15 +53,16 @@ from repro.runtime.backend import (
     get_backend,
     register_backend,
 )
-from repro.runtime.driver import (
-    BatchedRoundDriver,
-    RoundDriver,
-    SequentialRoundDriver,
-)
 from repro.runtime.config import (
     SweepConfig,
     add_sweep_options,
     resolve_legacy_config,
+)
+from repro.runtime.driver import (
+    AsyncRoundDriver,
+    BatchedRoundDriver,
+    RoundDriver,
+    SequentialRoundDriver,
 )
 from repro.runtime.material import (
     MATERIAL_SOURCES,
@@ -92,6 +90,8 @@ from repro.runtime.pool import (
     TraceDigestUnavailable,
     TrialDisagreement,
     TrialResult,
+    async_sbc_session,
+    async_voting_session,
     auto_chunksize,
     canonical_detail,
     compare_trace_digests,
@@ -120,7 +120,6 @@ from repro.runtime.sweep import ParallelSweep, SweepPlan, SweepVerification
 
 __all__ = [
     "ASYNC",
-    "AsyncExecutionBackend",
     "AsyncRoundDriver",
     "AsyncSessionHost",
     "BATCHED",
@@ -158,7 +157,6 @@ __all__ = [
     "TraceDigestUnavailable",
     "TrialDisagreement",
     "TrialResult",
-    "VirtualClock",
     "add_sweep_options",
     "async_sbc_session",
     "async_voting_session",

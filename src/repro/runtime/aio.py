@@ -1,603 +1,51 @@
-"""Asyncio event-driven execution backend and session host.
+"""Service mode: many concurrent sessions on one asyncio event loop.
 
-The synchronous drivers *poll*: every round, :class:`SequentialRoundDriver`
-walks the activation order and each functionality drains its scheduler
-queues wholesale.  This module turns the same round structure into an
-*event-driven* engine:
-
-* every party owns an :class:`asyncio.Queue` mailbox; message deliveries
-  are mirrored into it by the scheduler's enqueue listener, so a party's
-  step coroutine *awaits* its wake-up instead of being polled;
-* round timing runs on a :class:`VirtualClock` — ``FaultPlan``-style
-  delays and per-step ordering become ``await`` points on a heap of
-  virtual deadlines, never wall-clock sleeps, so digests stay
-  deterministic and a thousand concurrent sessions cost no idle time;
-* CPU-bound session work can be offloaded through
-  ``loop.run_in_executor`` to warmed thread/process pools
-  (:class:`AsyncSessionHost`), reusing the same ``_warm_worker``
-  initializer the sweep engine ships.
-
-The digest contract is the whole point: :class:`AsyncRoundDriver` fires
-its virtual deadlines in strict step order, one step at a time, so the
-observable event sequence — input actions in global order, then
-activations in activation order, with the same corruption re-checks — is
-byte-identical to :class:`SequentialRoundDriver` for any fixed seed.
-The differential suite enforces this for every stack builder.
+The paper's synchrony is a global clock (Katz et al., TCC 2013): parties
+act inside a round and observe one another only when the clock advances.
+A host running many sessions therefore only needs to switch between them
+at round boundaries, and that is all the ``async`` backend does — its
+:class:`~repro.runtime.driver.AsyncRoundDriver` runs the sequential
+round body, then yields once to the loop.  Each session's trace stays
+byte-identical to ``sequential``; the differential suite enforces it.
 
 :class:`AsyncSessionHost` is the service-mode entry point (``repro
 serve``): it hosts N sessions concurrently on one loop — as coroutines
-(:func:`async_sbc_session` / :func:`async_voting_session`) or as
-executor-offloaded sync trials — and leases each session a disjoint
-online-pool slot through
-:class:`~repro.runtime.material.HostSlotAllocator`, so concurrent
-sessions can never double-spend preprocessed randomness.
+(:func:`~repro.runtime.pool.async_sbc_session` /
+:func:`~repro.runtime.pool.async_voting_session`, which share their
+session bodies with the sync trial runners) or as executor-offloaded
+sync trials — and leases each session a disjoint online-pool slot
+through :class:`~repro.runtime.material.HostSlotAllocator`, so
+concurrent sessions can never double-spend preprocessed randomness.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import heapq
 import inspect
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.runtime.backend import ExecutionBackend, get_backend, register_backend
+from repro.runtime.backend import ASYNC, get_backend
 from repro.runtime.config import SweepConfig
-from repro.runtime.driver import Action, RoundDriver
+from repro.runtime.driver import AsyncRoundDriver
 from repro.runtime.pool import (
-    TrialResult,
-    ensure_agreement,
-    record_online_spend,
+    async_sbc_session,
+    async_voting_session,
     trace_digest,
 )
 
 __all__ = [
     "ASYNC",
-    "AsyncExecutionBackend",
     "AsyncRoundDriver",
     "AsyncSessionHost",
     "HostReport",
-    "VirtualClock",
     "async_sbc_session",
     "async_voting_session",
     "online_ranges_disjoint",
+    "trace_digest",
 ]
-
-
-#: Wall-clock bound on any single awaited step/wake-up.  The conductor
-#: fires deadlines promptly, so in a healthy run these never trip; they
-#: exist so a wedged session (a step that never signals completion, a
-#: mailbox that never fills) fails loudly instead of hanging the host.
-STEP_TIMEOUT_S = 300.0
-
-
-class VirtualClock:
-    """A deterministic virtual clock: a heap of awaitable deadlines.
-
-    ``sleep(delay)`` registers a future at ``now + delay`` and returns
-    it; nothing resolves until the owner calls :meth:`fire_next`, which
-    pops the earliest deadline, advances virtual time to it and resolves
-    its future.  No wall-clock timers are involved, so a million virtual
-    seconds cost nothing and the firing order is a pure function of the
-    registered delays (ties break by registration order) — the property
-    that keeps event digests deterministic.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, "asyncio.Future[float]"]] = []
-        self._seq = itertools.count()
-        #: Current virtual time (monotonic across rounds).
-        self.time = 0.0
-
-    def sleep(self, delay: float) -> "asyncio.Future[float]":
-        """An awaitable resolving when virtual time reaches ``now + delay``."""
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[float]" = loop.create_future()
-        heapq.heappush(self._heap, (self.time + delay, next(self._seq), future))
-        return future
-
-    def fire_next(self) -> bool:
-        """Advance to the earliest pending deadline and resolve it.
-
-        Cancelled waiters (e.g. steps torn down after a mid-round
-        failure) are skipped.  Returns whether anything fired.
-        """
-        while self._heap:
-            deadline, _, future = heapq.heappop(self._heap)
-            if future.done():
-                continue
-            self.time = max(self.time, deadline)
-            future.set_result(deadline)
-            return True
-        return False
-
-    @property
-    def pending(self) -> int:
-        """Number of registered, unfired deadlines."""
-        return len(self._heap)
-
-    def discard_pending(self) -> None:
-        """Cancel and drop every unfired deadline (teardown/rebind path)."""
-        while self._heap:
-            _, _, future = heapq.heappop(self._heap)
-            if not future.done():
-                try:
-                    future.cancel()
-                except RuntimeError:  # repro: allow[RPR005] loop closed
-                    # The owning loop is already closed; the future can
-                    # never be awaited again, dropping it is enough.
-                    pass
-
-
-class AsyncRoundDriver(RoundDriver):
-    """Event-driven round driver, digest-equal to the sequential reference.
-
-    One UC round becomes a list of *steps* — one per input action (in
-    global order) and one per activation-order party.  Each step is a
-    coroutine that sleeps on the :class:`VirtualClock` until its turn,
-    then awaits its party's mailbox for the wake-up payload (draining
-    any mirrored network tokens first), executes, and signals the
-    conductor.  The conductor fires exactly one virtual deadline at a
-    time and waits for the step to finish before firing the next, so
-    steps execute in *strictly* the sequential reference order and the
-    event trace is byte-identical for any fixed seed — concurrency
-    lives between sessions (a host interleaves many drivers on one
-    loop), never inside a round.
-
-    The synchronous :meth:`run_round` facade drives a privately owned
-    event loop, so the driver drops into every existing synchronous
-    call site (stack builders, ``SessionPool``, the differential
-    suite); inside a running loop it refuses and directs callers to
-    :meth:`run_round_async`.
-    """
-
-    name = "async"
-
-    def __init__(self, session, order: Optional[Sequence[str]] = None) -> None:
-        super().__init__(session, order)
-        self.clock = VirtualClock()
-        #: Mirrored delivery wake-ups consumed by steps so far — evidence
-        #: the event-driven path (not polling) observed the traffic.
-        self.net_tokens = 0
-        # Buffered wake-up counts per recipient pid.  Plain ints, not
-        # queue items: the scheduler listener may fire outside any
-        # running loop (inputs are queued between rounds), and plain
-        # counts survive a loop rebind where bound queues cannot.
-        self._net_buffer: Dict[Any, int] = {}
-        self._mailboxes: Dict[Any, "asyncio.Queue[Tuple[str, Any]]"] = {}
-        self._done: Optional["asyncio.Queue[Optional[BaseException]]"] = None
-        self._bound_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None  # owned, lazy
-        self._listener = self._on_enqueue  # stable bound method for identity
-
-    # -- scheduler mirroring ----------------------------------------------
-
-    def _on_enqueue(self, channel: str, key: Any, item: Any) -> None:
-        """Scheduler listener: mirror one delivery as a mailbox wake-up.
-
-        Must stay deterministic and side-effect-free beyond counting —
-        it runs inside the digest-pinned round loop.
-        """
-        self._net_buffer[key] = self._net_buffer.get(key, 0) + 1
-
-    def _install_listener(self) -> None:
-        # Re-install every round: FaultPlan.install swaps the session's
-        # scheduler for a FaultyScheduler, which starts listener-less.
-        scheduler = getattr(self.session, "scheduler", None)
-        if scheduler is not None and scheduler.listener is not self._listener:
-            scheduler.listener = self._listener
-
-    def _flush_net_tokens(self) -> None:
-        """Move buffered wake-up counts into the bound party mailboxes."""
-        if not self._net_buffer:
-            return
-        parties = self.session.parties
-        for pid, count in self._net_buffer.items():
-            if pid in parties:
-                box = self._mailbox(pid)
-                for _ in range(count):
-                    box.put_nowait(("net", None))
-        self._net_buffer.clear()
-
-    # -- loop / queue binding ---------------------------------------------
-
-    def _mailbox(self, pid: Any) -> "asyncio.Queue[Tuple[str, Any]]":
-        box = self._mailboxes.get(pid)
-        if box is None:
-            box = asyncio.Queue()
-            self._mailboxes[pid] = box
-        return box
-
-    def _bind(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._bound_loop is loop:
-            return
-        # Rebinding (a host moved the session to a fresh loop) drops only
-        # mirrored wake-up tokens still sitting in old mailboxes — they
-        # are counters, not messages, so dropping them is semantics- and
-        # digest-neutral.  Real traffic lives in the scheduler queues.
-        self.clock.discard_pending()
-        self._mailboxes = {}
-        self._done = asyncio.Queue()
-        self._bound_loop = loop
-
-    def _own_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None or self._loop.is_closed():
-            self._loop = asyncio.new_event_loop()
-        return self._loop
-
-    # -- the round loop ----------------------------------------------------
-
-    def run_round(
-        self,
-        actions: Iterable[Action] = (),
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        """Synchronous facade over :meth:`run_round_async`.
-
-        Drives a privately owned event loop so the async driver is a
-        drop-in backend for every synchronous call site.
-
-        Raises:
-            RuntimeError: called from inside a running event loop —
-                hosted sessions must ``await run_round_async`` instead.
-        """
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:  # repro: allow[RPR005] no loop == happy path
-            pass
-        else:
-            raise RuntimeError(
-                "AsyncRoundDriver.run_round() called inside a running event "
-                "loop; await run_round_async()/run_until_async() instead "
-                "(see async_sbc_session/async_voting_session)"
-            )
-        loop = self._own_loop()
-        return loop.run_until_complete(self.run_round_async(actions, order=order))
-
-    async def run_round_async(
-        self,
-        actions: Iterable[Action] = (),
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        """Run one full round as awaited steps; return the new clock time.
-
-        Every step awaits a virtual deadline and its party's mailbox;
-        the conductor fires deadlines one at a time and waits for each
-        step's completion signal, so execution order — hence the event
-        trace — is exactly the sequential reference's.
-        """
-        session = self.session
-        loop = asyncio.get_running_loop()
-        self._bind(loop)
-        self._install_listener()
-        steps: List[Tuple[str, Any, Any]] = [
-            ("deliver", pid, action) for pid, action in actions
-        ]
-        steps.extend(
-            ("activate", pid, None) for pid in self.activation_order(order)
-        )
-        self._flush_net_tokens()
-        for kind, pid, action in steps:
-            self._mailbox(pid).put_nowait((kind, action))
-        tasks = [
-            loop.create_task(self._step(position, pid))
-            for position, (_kind, pid, _action) in enumerate(steps)
-        ]
-        done = self._done
-        assert done is not None
-        try:
-            # Let every step task run its first segment and register its
-            # virtual deadline before any deadline fires; a step that is
-            # slow to register (spurious loop scheduling) is covered by
-            # the fire-retry loop below.
-            await asyncio.sleep(0)
-            for _ in steps:
-                while not self.clock.fire_next():
-                    await asyncio.sleep(0)
-                err = await asyncio.wait_for(done.get(), timeout=STEP_TIMEOUT_S)
-                if err is not None:
-                    raise err
-        finally:
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            self.clock.discard_pending()
-        return session.clock.time
-
-    async def _step(self, position: int, pid: Any) -> None:
-        """One awaited step: virtual-deadline turn, mailbox wake-up, work."""
-        await asyncio.wait_for(self.clock.sleep(position), timeout=STEP_TIMEOUT_S)
-        box = self._mailbox(pid)
-        kind, action = await asyncio.wait_for(box.get(), timeout=STEP_TIMEOUT_S)
-        while kind == "net":
-            self.net_tokens += 1
-            kind, action = await asyncio.wait_for(
-                box.get(), timeout=STEP_TIMEOUT_S
-            )
-        err: Optional[BaseException] = None
-        try:
-            self._execute(kind, pid, action)
-        except BaseException as exc:  # signal the conductor, then re-raise
-            err = exc
-        done = self._done
-        assert done is not None
-        done.put_nowait(err)
-        if err is not None:
-            raise err
-
-    def _execute(self, kind: str, pid: Any, action: Any) -> None:
-        # The exact SequentialRoundDriver.run_round body, one step at a
-        # time — including the post-hook corruption re-check.  Any drift
-        # here breaks digest equality with the reference engine.
-        session = self.session
-        party = session.party(pid)
-        if party.corrupted:
-            return
-        if kind == "deliver":
-            action(party)
-            return
-        session.adversary.on_party_activated(party)
-        if party.corrupted:
-            # on_party_activated may have corrupted it.
-            return
-        party.advance_clock()
-
-    # -- async run helpers -------------------------------------------------
-
-    async def run_rounds_async(
-        self, count: int, order: Optional[Sequence[str]] = None
-    ) -> int:
-        """Async counterpart of :meth:`RoundDriver.run_rounds`."""
-        for _ in range(count):
-            await self.run_round_async((), order=order)
-        return self.session.clock.time
-
-    async def run_until_async(
-        self,
-        predicate: Callable[[Any], bool],
-        max_rounds: int = 1000,
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        """Async counterpart of :meth:`RoundDriver.run_until`.
-
-        Raises:
-            RuntimeError: the predicate is still false after
-                ``max_rounds`` rounds.
-        """
-        for _ in range(max_rounds):
-            if predicate(self.session):
-                return self.session.clock.time
-            await self.run_round_async((), order=order)
-        if predicate(self.session):
-            return self.session.clock.time
-        raise RuntimeError(f"predicate not satisfied within {max_rounds} rounds")
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Cancel pending waiters, detach the listener, close the owned loop."""
-        self.clock.discard_pending()
-        scheduler = getattr(self.session, "scheduler", None)
-        if scheduler is not None and scheduler.listener is self._listener:
-            scheduler.listener = None
-        self._net_buffer.clear()
-        self._mailboxes = {}
-        self._done = None
-        self._bound_loop = None
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.close()
-        self._loop = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:  # repro: allow[RPR005] GC teardown must not raise
-            pass
-
-
-@dataclass(frozen=True)
-class AsyncExecutionBackend(ExecutionBackend):
-    """The ``async`` backend: event-driven rounds, full trace, fifo drains.
-
-    Same scheduler policy and trace mode as ``sequential`` — the driver
-    is the only moving part, and it is digest-equal by construction (the
-    differential suite holds it to that).
-    """
-
-    name: str = "async"
-    driver_cls: Type[RoundDriver] = AsyncRoundDriver
-    scheduler_policy: str = "fifo"
-    trace: str = "full"
-    description: str = (
-        "event-driven asyncio engine: awaited mailboxes, virtual-clock "
-        "rounds, digest-equal to sequential; powers `repro serve`"
-    )
-
-
-#: Registered at import; :func:`repro.runtime.backend.available_backends`
-#: imports this module lazily so registry reads always see it.
-ASYNC = register_backend(AsyncExecutionBackend())
-
-
-# ---------------------------------------------------------------------------
-# Coroutine session runners (the host's inline workload)
-# ---------------------------------------------------------------------------
-
-
-def _honest_outputs_done(parties: Dict[str, Any]) -> Callable[[Any], bool]:
-    """The stacks' shared completion predicate: every honest party output."""
-
-    def done(session: Any) -> bool:
-        return all(
-            party.outputs
-            for pid, party in parties.items()
-            if not session.is_corrupted(pid)
-        )
-
-    return done
-
-
-async def _drive_until(stack: Any, predicate: Callable[[Any], bool], max_rounds: int) -> int:
-    """Drive a stack to ``predicate`` cooperatively when the driver allows.
-
-    An :class:`AsyncRoundDriver` is awaited (other hosted sessions
-    interleave at every step); any other driver runs its synchronous
-    loop — correct, just not cooperative — so the host accepts every
-    registered backend.
-    """
-    driver = stack.env.driver
-    if isinstance(driver, AsyncRoundDriver):
-        return await driver.run_until_async(predicate, max_rounds=max_rounds)
-    return driver.run_until(predicate, max_rounds=max_rounds)
-
-
-async def _drive_rounds(stack: Any, count: int) -> int:
-    driver = stack.env.driver
-    if isinstance(driver, AsyncRoundDriver):
-        return await driver.run_rounds_async(count)
-    return driver.run_rounds(count)
-
-
-async def async_sbc_session(
-    seed: int,
-    n: int = 3,
-    mode: str = "hybrid",
-    phi: int = 4,
-    delta: int = 2,
-    senders: int = 1,
-    backend: Any = "async",
-    trace: Optional[str] = None,
-    online: Optional[Any] = None,
-    batch: Optional[Any] = None,
-) -> TrialResult:
-    """Coroutine mirror of :func:`~repro.runtime.pool.run_sbc_trial`.
-
-    Identical protocol flow and summary — same seed, same digest — but
-    rounds are awaited on the hosting loop, so N of these interleave in
-    one thread under :class:`AsyncSessionHost`.  The ambient randomness
-    and batching seams are context-local (:mod:`contextvars`), so each
-    session's ``spending`` cursor stays isolated however the sessions
-    interleave.
-    """
-    from repro.core.stacks import build_sbc_stack
-    from repro.crypto.batch import batching
-    from repro.crypto.randomness import spending
-
-    cursor = online.open(seed) if online is not None else None
-    start = time.perf_counter()
-    with spending(cursor), batching(batch):
-        stack = build_sbc_stack(
-            n=n, mode=mode, seed=seed, phi=phi, delta=delta, backend=backend,
-            trace=trace,
-        )
-        for index in range(senders):
-            stack.parties[f"P{index % n}"].broadcast(f"m{seed}-{index}".encode())
-        # run_until_delivery(slack=2) inlined: target + 20 round budget.
-        await _drive_until(
-            stack,
-            _honest_outputs_done(stack.parties),
-            max_rounds=stack.delivery_round + 2 + 20,
-        )
-    online_record = record_online_spend(stack.session, cursor)
-    elapsed = time.perf_counter() - start
-    delivered = stack.delivered()
-    honest_views = {
-        pid: view
-        for pid, view in delivered.items()
-        if not stack.session.is_corrupted(pid)
-    }
-    agreed = ensure_agreement(honest_views, seed=seed)
-    stack.env.driver.close()
-    return TrialResult(
-        seed=seed,
-        wall_time_s=elapsed,
-        rounds=stack.session.metrics.get("rounds.advanced"),
-        messages=stack.session.metrics.get("messages.total"),
-        digest=trace_digest(stack.session.log),
-        outputs=repr(agreed),
-        online=online_record,
-    )
-
-
-async def async_voting_session(
-    seed: int,
-    voters: int = 3,
-    candidates: Tuple[str, ...] = ("yes", "no"),
-    mode: str = "hybrid",
-    backend: Any = "async",
-    trace: Optional[str] = None,
-    online: Optional[Any] = None,
-    batch: Optional[Any] = None,
-) -> TrialResult:
-    """Coroutine mirror of :func:`~repro.runtime.pool.run_voting_trial`.
-
-    The election workload is the host's proof-of-spend: every hosted
-    session burns real nonces, so the 1000-session bench can check that
-    leased pool slices never overlap (zero double-spend).
-    """
-    from repro.core.stacks import build_voting_stack
-    from repro.crypto.batch import batching
-    from repro.crypto.randomness import spending
-
-    candidates = tuple(candidates)
-    cursor = online.open(seed) if online is not None else None
-    start = time.perf_counter()
-    with spending(cursor), batching(batch):
-        stack = build_voting_stack(
-            voters=voters, mode=mode, seed=seed, candidates=candidates,
-            backend=backend, trace=trace,
-        )
-        if mode == "ideal":
-            stack.service.init()
-        else:
-            for authority in stack.authorities.values():
-                authority.deal()
-            await _drive_rounds(stack, 1)
-        for index in range(voters):
-            stack.parties[f"V{index}"].vote(candidates[index % len(candidates)])
-        await _drive_until(
-            stack,
-            _honest_outputs_done(stack.parties),
-            max_rounds=stack.phi + stack.delta + 30,
-        )
-    online_record = record_online_spend(stack.session, cursor)
-    elapsed = time.perf_counter() - start
-    honest_tallies = {
-        pid: tuple(sorted(tally.items()))
-        for pid, tally in stack.results().items()
-        if not stack.session.is_corrupted(pid)
-    }
-    agreed = ensure_agreement(honest_tallies, seed=seed)
-    stack.env.driver.close()
-    return TrialResult(
-        seed=seed,
-        wall_time_s=elapsed,
-        rounds=stack.session.metrics.get("rounds.advanced"),
-        messages=stack.session.metrics.get("messages.total"),
-        digest=trace_digest(stack.session.log),
-        outputs=repr(agreed),
-        online=online_record,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Service mode: host N concurrent sessions on one loop
-# ---------------------------------------------------------------------------
 
 
 def online_ranges_disjoint(results: Sequence[Any]) -> Tuple[bool, int]:
@@ -699,8 +147,8 @@ class AsyncSessionHost:
         runner: Per-session workload, called as ``runner(seed,
             **kwargs)``.  A coroutine function (the default
             :func:`async_voting_session`) runs inline on the host loop
-            and interleaves with every other session at each awaited
-            round step; a plain function under ``executor="thread"`` /
+            and interleaves with every other session at each round
+            boundary; a plain function under ``executor="thread"`` /
             ``"process"`` is offloaded through ``run_in_executor`` to a
             warmed pool (it must be picklable for processes — the sweep
             trial runners qualify).

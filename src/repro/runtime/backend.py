@@ -8,7 +8,7 @@ apart from protocol logic:
   drains per-round message queues (``fifo`` vs ``grouped``);
 * how much of the event trace is kept (``full`` vs ``light``).
 
-Three backends ship:
+Four backends ship:
 
 ========== ============ ========= ======= ==========================================
 name       driver       drain     trace   contract
@@ -21,6 +21,10 @@ pooled     batched      fifo      full    traces identical to ``sequential``;
 batched    batched      grouped   light   maximum throughput; per-recipient batch
                                           delivery, tracing off; protocol outputs
                                           equal, trace interleaving differs
+async      async        fifo      full    the sequential round plus a yield at
+                                          each round boundary, so sessions hosted
+                                          on one event loop interleave; traces
+                                          identical to ``sequential``
 ========== ============ ========= ======= ==========================================
 
 Stack builders and the CLI accept either a backend name or an
@@ -32,7 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Type, Union
 
-from repro.runtime.driver import BatchedRoundDriver, RoundDriver, SequentialRoundDriver
+from repro.runtime.driver import (
+    AsyncRoundDriver,
+    BatchedRoundDriver,
+    RoundDriver,
+    SequentialRoundDriver,
+)
 
 #: Trace modes: ``full`` keeps the whole EventLog, ``light`` disables it.
 TRACE_MODES = ("full", "light")
@@ -140,6 +149,13 @@ BATCHED = ExecutionBackend(
     description="throughput engine: grouped batch delivery, tracing off",
 )
 
+ASYNC = ExecutionBackend(
+    name="async",
+    driver_cls=AsyncRoundDriver,
+    description="sequential rounds that yield to the event loop between "
+    "rounds; powers `repro serve`",
+)
+
 _REGISTRY: Dict[str, ExecutionBackend] = {}
 
 
@@ -149,26 +165,12 @@ def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
     return backend
 
 
-for _backend in (SEQUENTIAL, POOLED, BATCHED):
+for _backend in (SEQUENTIAL, POOLED, BATCHED, ASYNC):
     register_backend(_backend)
-
-
-def _ensure_builtin_backends() -> None:
-    """Finish registering the built-ins that live in their own modules.
-
-    The ``async`` backend's module pulls in the whole asyncio machinery
-    and imports this module in turn, so it registers itself on import
-    rather than being constructed here; importing it lazily at the
-    first registry *read* keeps ``import repro.runtime.backend`` light
-    while guaranteeing lookups and ``--backend`` choices always see the
-    full set.
-    """
-    import repro.runtime.aio  # noqa: F401  (import registers "async")
 
 
 def available_backends() -> Dict[str, ExecutionBackend]:
     """Name -> backend for every registered backend."""
-    _ensure_builtin_backends()
     return dict(_REGISTRY)
 
 
@@ -182,8 +184,6 @@ def get_backend(backend: Union[str, ExecutionBackend, None]) -> ExecutionBackend
         return SEQUENTIAL
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend not in _REGISTRY:
-        _ensure_builtin_backends()
     try:
         return _REGISTRY[backend]
     except KeyError:

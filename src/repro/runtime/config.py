@@ -8,9 +8,8 @@ before anyone noticed).  :class:`SweepConfig` is the single source of
 truth: a frozen dataclass holding every knob, with *all* validation in
 :meth:`SweepConfig.__post_init__`, an argparse bridge
 (:func:`add_sweep_options` / :meth:`SweepConfig.from_args`) shared by
-``bench``/``sweep``/``scenarios``/``serve``, and back-compat shims in
-the entry points that build a config from legacy keyword arguments
-(warning on positional use).
+``bench``/``sweep``/``scenarios``/``serve``, and a back-compat shim in
+the entry points that builds a config from individual keyword knobs.
 
 The knobs themselves are documented once, on :class:`SweepConfig`'s
 fields below; ``SessionPool``'s docstring points here.
@@ -19,7 +18,6 @@ fields below; ``SessionPool``'s docstring points here.
 from __future__ import annotations
 
 import argparse
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Sequence, Tuple, Union
 
@@ -259,82 +257,33 @@ class SweepConfig:
         return cls(**kwargs)
 
 
-#: The pre-``SweepConfig`` positional parameter order of
-#: ``SessionPool.__init__``/``ParallelSweep.__init__`` — the shim maps
-#: stray positional arguments onto it so old call sites keep working
-#: (with a :class:`DeprecationWarning`).
-LEGACY_KNOB_ORDER: Tuple[str, ...] = (
-    "backend",
-    "executor",
-    "workers",
-    "chunksize",
-    "max_tasks_per_child",
-    "warmup",
-    "material",
-    "material_groups",
-    "adaptive",
-    "online",
-    "consume_forward",
-    "batch_verify",
-    "retry",
-    "deadline",
-    "chaos",
-    "journal",
-    "resume",
-    "trace",
-)
-
-
 def resolve_legacy_config(
     config: Optional[SweepConfig],
-    legacy: Tuple[Any, ...],
     kwargs: "dict",
     *,
     defaults: Optional["dict"] = None,
     owner: str = "SessionPool",
 ) -> Tuple[SweepConfig, "dict"]:
-    """Back-compat bridge from the legacy keyword API to ``config=``.
+    """Back-compat bridge from individual keyword knobs to ``config=``.
 
-    ``legacy`` holds stray positional arguments (mapped onto
-    :data:`LEGACY_KNOB_ORDER`, with a :class:`DeprecationWarning` —
-    the old signature took every knob positionally, which is exactly
-    the drift-prone surface this redesign retires).  Knob names are
-    popped out of ``kwargs``; the remainder is returned untouched as
-    runner kwargs.  ``defaults`` carries the owner's historical
-    defaults (``ParallelSweep`` fans out to processes, ``SessionPool``
-    stays inline).  Passing ``config=`` together with individual knobs
-    is ambiguous and refused.
+    Knob names (:meth:`SweepConfig.knob_names`) are popped out of
+    ``kwargs``; the remainder is returned untouched as runner kwargs.
+    ``defaults`` carries the owner's historical defaults
+    (``ParallelSweep`` fans out to processes, ``SessionPool`` stays
+    inline).  Passing ``config=`` together with individual knobs is
+    ambiguous and refused.
     """
-    if len(legacy) > len(LEGACY_KNOB_ORDER):
-        raise TypeError(
-            f"{owner}() takes at most {len(LEGACY_KNOB_ORDER)} positional "
-            f"execution knobs ({len(legacy)} given)"
-        )
-    if legacy:
-        warnings.warn(
-            f"passing {owner} execution knobs positionally is deprecated; "
-            "pass config=SweepConfig(...) (or name the keywords)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    positional = dict(zip(LEGACY_KNOB_ORDER, legacy))
     knob_kwargs = {
-        name: kwargs.pop(name) for name in LEGACY_KNOB_ORDER if name in kwargs
+        name: kwargs.pop(name) for name in SweepConfig.knob_names() if name in kwargs
     }
-    overlap = sorted(set(positional) & set(knob_kwargs))
-    if overlap:
-        raise TypeError(f"{owner}() got multiple values for {', '.join(overlap)}")
-    knobs = dict(defaults or {})
-    knobs.update(positional)
-    knobs.update(knob_kwargs)
     if config is not None:
-        if positional or knob_kwargs:
+        if knob_kwargs:
             raise TypeError(
                 f"{owner}: pass either config=SweepConfig(...) or individual "
                 "execution knobs, not both"
             )
         return config, kwargs
-    return SweepConfig(**knobs), kwargs
+    return SweepConfig(**{**(defaults or {}), **knob_kwargs}), kwargs
 
 
 def add_sweep_options(

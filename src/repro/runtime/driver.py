@@ -14,10 +14,16 @@ code:
   the session's ``topology_epoch``) and elides the per-party adversary
   activation hook when the installed adversary does not override it.  Both
   elisions are trace-neutral: they skip only work that records nothing.
+* :class:`AsyncRoundDriver` — the reference round, awaitable.  Its
+  :meth:`~AsyncRoundDriver.run_round_async` runs the sequential round body
+  and then yields to the event loop once, so sessions hosted on one loop
+  take turns at round boundaries, the only points where the global clock
+  lets parties observe one another.
 """
 
 from __future__ import annotations
 
+import asyncio
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,15 +125,33 @@ class RoundDriver:
             return self.session.clock.time
         raise RuntimeError(f"predicate not satisfied within {max_rounds} rounds")
 
-    # -- lifecycle ---------------------------------------------------------
 
-    def close(self) -> None:
-        """Release driver-held resources.
+def _reference_round(
+    driver: RoundDriver,
+    actions: Iterable[Action],
+    order: Optional[Sequence[str]],
+) -> int:
+    """The reference round body: inputs in order, then activations.
 
-        The synchronous drivers hold none, so this is a no-op; the
-        asyncio driver overrides it to cancel pending step tasks and
-        close its private event loop.  Safe to call more than once.
-        """
+    Shared by :class:`SequentialRoundDriver` and :class:`AsyncRoundDriver`,
+    which is why their traces are byte-identical.
+    """
+    session = driver.session
+    for pid, action in actions:
+        party = session.party(pid)
+        if party.corrupted:
+            continue
+        action(party)
+    for pid in driver.activation_order(order):
+        party = session.party(pid)
+        if party.corrupted:
+            continue
+        session.adversary.on_party_activated(party)
+        if party.corrupted:
+            # on_party_activated may have corrupted it.
+            continue
+        party.advance_clock()
+    return session.clock.time
 
 
 class SequentialRoundDriver(RoundDriver):
@@ -144,22 +168,54 @@ class SequentialRoundDriver(RoundDriver):
         actions: Iterable[Action] = (),
         order: Optional[Sequence[str]] = None,
     ) -> int:
-        session = self.session
-        for pid, action in actions:
-            party = session.party(pid)
-            if party.corrupted:
-                continue
-            action(party)
-        for pid in self.activation_order(order):
-            party = session.party(pid)
-            if party.corrupted:
-                continue
-            session.adversary.on_party_activated(party)
-            if party.corrupted:
-                # on_party_activated may have corrupted it.
-                continue
-            party.advance_clock()
-        return session.clock.time
+        return _reference_round(self, actions, order)
+
+
+class AsyncRoundDriver(SequentialRoundDriver):
+    """The reference round with a yield at each round boundary.
+
+    The synchronous :meth:`run_round` is the sequential one, so it runs
+    inside a running event loop or outside one alike.
+    :meth:`run_round_async` runs the same body directly (not through
+    :meth:`run_round`, so a round has one entry point) and then yields
+    once: sessions on one loop interleave round by round while each
+    trace stays digest-equal to ``sequential``.
+    """
+
+    name = "async"
+
+    async def run_round_async(
+        self,
+        actions: Iterable[Action] = (),
+        order: Optional[Sequence[str]] = None,
+    ) -> int:
+        """Run one round, then yield once to the event loop."""
+        time = _reference_round(self, actions, order)
+        await asyncio.sleep(0)
+        return time
+
+    async def run_rounds_async(
+        self, count: int, order: Optional[Sequence[str]] = None
+    ) -> int:
+        """Awaitable :meth:`run_rounds`."""
+        for _ in range(count):
+            await self.run_round_async((), order=order)
+        return self.session.clock.time
+
+    async def run_until_async(
+        self,
+        predicate: Callable[["Session"], bool],
+        max_rounds: int = 1000,
+        order: Optional[Sequence[str]] = None,
+    ) -> int:
+        """Awaitable :meth:`run_until` (same budget, same error)."""
+        for _ in range(max_rounds):
+            if predicate(self.session):
+                return self.session.clock.time
+            await self.run_round_async((), order=order)
+        if predicate(self.session):
+            return self.session.clock.time
+        raise RuntimeError(f"predicate not satisfied within {max_rounds} rounds")
 
 
 class BatchedRoundDriver(RoundDriver):

@@ -7,6 +7,14 @@ over a seed list, either inline (one driver, warm interpreter and crypto
 tables) or via ``concurrent.futures`` workers, and collects uniform
 :class:`TrialResult` records including a deterministic trace digest so
 pooled and sequential runs can be byte-compared.
+
+Each workload's session is written once, as a generator body that yields
+a :class:`Drive` request wherever it advances rounds and returns its
+:class:`TrialResult`.  The sync trial runners (:func:`run_sbc_trial`,
+:func:`run_voting_trial`) answer each request with the driver's blocking
+loop; their coroutine twins (:func:`async_sbc_session`,
+:func:`async_voting_session`) await it, so hosted sessions interleave at
+round boundaries.
 """
 
 from __future__ import annotations
@@ -16,10 +24,23 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.runtime.backend import ExecutionBackend, get_backend
 from repro.runtime.config import SweepConfig, resolve_legacy_config
+from repro.runtime.driver import AsyncRoundDriver, RoundDriver
 
 # canonical_detail moved next to the Event type it renders; re-exported
 # here (and from repro.runtime) for the existing import surface.
@@ -200,6 +221,169 @@ def record_online_spend(session, cursor) -> Optional[Dict[str, Any]]:
     return summary
 
 
+class Drive(NamedTuple):
+    """A session body's request to advance its session's rounds.
+
+    ``until`` is the completion predicate and ``rounds`` its budget;
+    ``until=None`` asks for exactly ``rounds`` empty rounds.
+    """
+
+    driver: RoundDriver
+    until: Optional[Callable[[Any], bool]]
+    rounds: int
+
+    def run(self) -> int:
+        """Answer with the driver's blocking loop."""
+        if self.until is None:
+            return self.driver.run_rounds(self.rounds)
+        return self.driver.run_until(self.until, max_rounds=self.rounds)
+
+    async def run_async(self) -> int:
+        """Answer by awaiting the rounds of an ``async`` driver.
+
+        That driver yields at every round boundary, so hosted sessions
+        interleave; any other driver runs its blocking loop — correct,
+        just not cooperative.
+        """
+        driver = self.driver
+        if not isinstance(driver, AsyncRoundDriver):
+            return self.run()
+        if self.until is None:
+            return await driver.run_rounds_async(self.rounds)
+        return await driver.run_until_async(self.until, max_rounds=self.rounds)
+
+
+#: A session body: yields :class:`Drive` requests, returns the result.
+SessionBody = Generator[Drive, None, TrialResult]
+
+
+def _drive_sync(body: SessionBody) -> TrialResult:
+    """Run a session body, answering each request with :meth:`Drive.run`."""
+    try:
+        request = next(body)
+        while True:
+            request.run()
+            request = body.send(None)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        # A failed drive exits the body's ``with`` blocks here, in the
+        # caller's context, before the error propagates.
+        body.close()
+
+
+async def _drive_async(body: SessionBody) -> TrialResult:
+    """Run a session body, awaiting :meth:`Drive.run_async` per request."""
+    try:
+        request = next(body)
+        while True:
+            await request.run_async()
+            request = body.send(None)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        body.close()
+
+
+def _trial_result(
+    stack: Any,
+    seed: int,
+    honest_views: Dict[str, Any],
+    elapsed: float,
+    online: Optional[Dict[str, Any]],
+) -> TrialResult:
+    """Summarise a finished session once its honest views agree."""
+    agreed = ensure_agreement(honest_views, seed=seed)
+    return TrialResult(
+        seed=seed,
+        wall_time_s=elapsed,
+        rounds=stack.session.metrics.get("rounds.advanced"),
+        messages=stack.session.metrics.get("messages.total"),
+        digest=trace_digest(stack.session.log),
+        outputs=repr(agreed),
+        online=online,
+    )
+
+
+def _sbc_session(
+    seed: int,
+    n: int,
+    mode: str,
+    phi: int,
+    delta: int,
+    senders: int,
+    backend: Union[str, ExecutionBackend],
+    trace: Optional[str],
+    online: Optional[Any],
+    batch: Optional[Any],
+) -> SessionBody:
+    """The SBC session body behind :func:`run_sbc_trial`/:func:`async_sbc_session`."""
+    from repro.core.stacks import build_sbc_stack
+    from repro.crypto.batch import batching
+    from repro.crypto.randomness import spending
+
+    cursor = online.open(seed) if online is not None else None
+    start = time.perf_counter()
+    with spending(cursor), batching(batch):
+        stack = build_sbc_stack(
+            n=n, mode=mode, seed=seed, phi=phi, delta=delta, backend=backend,
+            trace=trace,
+        )
+        for index in range(senders):
+            stack.parties[f"P{index % n}"].broadcast(f"m{seed}-{index}".encode())
+        yield Drive(stack.env.driver, stack.honest_outputs_done, stack.delivery_budget())
+    online_record = record_online_spend(stack.session, cursor)
+    elapsed = time.perf_counter() - start
+    honest_views = {
+        pid: view
+        for pid, view in stack.delivered().items()
+        if not stack.session.is_corrupted(pid)
+    }
+    return _trial_result(stack, seed, honest_views, elapsed, online_record)
+
+
+def _voting_session(
+    seed: int,
+    voters: int,
+    candidates: Tuple[str, ...],
+    mode: str,
+    backend: Union[str, ExecutionBackend],
+    trace: Optional[str],
+    online: Optional[Any],
+    batch: Optional[Any],
+) -> SessionBody:
+    """The election body behind :func:`run_voting_trial`/:func:`async_voting_session`."""
+    from repro.core.stacks import build_voting_stack
+    from repro.crypto.batch import batching
+    from repro.crypto.randomness import spending
+
+    candidates = tuple(candidates)
+    cursor = online.open(seed) if online is not None else None
+    start = time.perf_counter()
+    with spending(cursor), batching(batch):
+        stack = build_voting_stack(
+            voters=voters, mode=mode, seed=seed, candidates=candidates,
+            backend=backend, trace=trace,
+        )
+        if mode == "ideal":
+            stack.service.init()
+        else:
+            for authority in stack.authorities.values():
+                authority.deal()
+            yield Drive(stack.env.driver, None, 1)
+        for index in range(voters):
+            stack.parties[f"V{index}"].vote(candidates[index % len(candidates)])
+        yield Drive(stack.env.driver, stack.honest_outputs_done, stack.result_budget())
+    online_record = record_online_spend(stack.session, cursor)
+    elapsed = time.perf_counter() - start
+    honest_tallies = {
+        pid: tuple(sorted(tally.items()))
+        for pid, tally in stack.results().items()
+        if not stack.session.is_corrupted(pid)
+    }
+    return _trial_result(stack, seed, honest_tallies, elapsed, online_record)
+
+
 def run_sbc_trial(
     seed: int,
     n: int = 3,
@@ -222,37 +406,8 @@ def run_sbc_trial(
     :class:`~repro.crypto.batch.BatchPolicy`) verification-heavy rounds
     batch their checks through one random-linear-combination multi-exp.
     """
-    from repro.core.stacks import build_sbc_stack
-    from repro.crypto.batch import batching
-    from repro.crypto.randomness import spending
-
-    cursor = online.open(seed) if online is not None else None
-    start = time.perf_counter()
-    with spending(cursor), batching(batch):
-        stack = build_sbc_stack(
-            n=n, mode=mode, seed=seed, phi=phi, delta=delta, backend=backend,
-            trace=trace,
-        )
-        for index in range(senders):
-            stack.parties[f"P{index % n}"].broadcast(f"m{seed}-{index}".encode())
-        stack.run_until_delivery()
-    online_record = record_online_spend(stack.session, cursor)
-    elapsed = time.perf_counter() - start
-    delivered = stack.delivered()
-    honest_views = {
-        pid: batch
-        for pid, batch in delivered.items()
-        if not stack.session.is_corrupted(pid)
-    }
-    agreed = ensure_agreement(honest_views, seed=seed)
-    return TrialResult(
-        seed=seed,
-        wall_time_s=elapsed,
-        rounds=stack.session.metrics.get("rounds.advanced"),
-        messages=stack.session.metrics.get("messages.total"),
-        digest=trace_digest(stack.session.log),
-        outputs=repr(agreed),
-        online=online_record,
+    return _drive_sync(
+        _sbc_session(seed, n, mode, phi, delta, senders, backend, trace, online, batch)
     )
 
 
@@ -278,43 +433,53 @@ def run_voting_trial(
     round verifies certificates and ballot proofs through one
     random-linear-combination batch per voter.
     """
-    from repro.core.stacks import build_voting_stack
-    from repro.crypto.batch import batching
-    from repro.crypto.randomness import spending
+    return _drive_sync(
+        _voting_session(seed, voters, candidates, mode, backend, trace, online, batch)
+    )
 
-    candidates = tuple(candidates)
-    cursor = online.open(seed) if online is not None else None
-    start = time.perf_counter()
-    with spending(cursor), batching(batch):
-        stack = build_voting_stack(
-            voters=voters, mode=mode, seed=seed, candidates=candidates,
-            backend=backend, trace=trace,
-        )
-        if mode == "ideal":
-            stack.service.init()
-        else:
-            for authority in stack.authorities.values():
-                authority.deal()
-            stack.run_rounds(1)
-        for index in range(voters):
-            stack.parties[f"V{index}"].vote(candidates[index % len(candidates)])
-        stack.run_until_result()
-    online_record = record_online_spend(stack.session, cursor)
-    elapsed = time.perf_counter() - start
-    honest_tallies = {
-        pid: tuple(sorted(tally.items()))
-        for pid, tally in stack.results().items()
-        if not stack.session.is_corrupted(pid)
-    }
-    agreed = ensure_agreement(honest_tallies, seed=seed)
-    return TrialResult(
-        seed=seed,
-        wall_time_s=elapsed,
-        rounds=stack.session.metrics.get("rounds.advanced"),
-        messages=stack.session.metrics.get("messages.total"),
-        digest=trace_digest(stack.session.log),
-        outputs=repr(agreed),
-        online=online_record,
+
+async def async_sbc_session(
+    seed: int,
+    n: int = 3,
+    mode: str = "hybrid",
+    phi: int = 4,
+    delta: int = 2,
+    senders: int = 1,
+    backend: Union[str, ExecutionBackend] = "async",
+    trace: Optional[str] = None,
+    online: Optional[Any] = None,
+    batch: Optional[Any] = None,
+) -> TrialResult:
+    """:func:`run_sbc_trial` with its rounds awaited on the running loop.
+
+    Same body, same seed, same digest.  The randomness and batching
+    seams are context-local (:mod:`contextvars`), so each hosted
+    session's ``spending`` cursor stays its own however sessions
+    interleave.
+    """
+    return await _drive_async(
+        _sbc_session(seed, n, mode, phi, delta, senders, backend, trace, online, batch)
+    )
+
+
+async def async_voting_session(
+    seed: int,
+    voters: int = 3,
+    candidates: Tuple[str, ...] = ("yes", "no"),
+    mode: str = "hybrid",
+    backend: Union[str, ExecutionBackend] = "async",
+    trace: Optional[str] = None,
+    online: Optional[Any] = None,
+    batch: Optional[Any] = None,
+) -> TrialResult:
+    """:func:`run_voting_trial` with its rounds awaited on the running loop.
+
+    The host's default workload: every hosted session burns real
+    nonces, so a host run can check that leased pool slices never
+    overlap.
+    """
+    return await _drive_async(
+        _voting_session(seed, voters, candidates, mode, backend, trace, online, batch)
     )
 
 
@@ -534,19 +699,17 @@ class SessionPool:
             trial.  For back compatibility the execution knobs are also
             accepted as individual keywords (``executor="process"``,
             ``online=True``, ...); they build a config internally.
-            Passing them positionally is deprecated and warns.
     """
 
     def __init__(
         self,
         runner: Callable[..., TrialResult] = run_sbc_trial,
-        *legacy: Any,
+        *,
         config: Optional[SweepConfig] = None,
         **runner_kwargs: Any,
     ) -> None:
         config, runner_kwargs = resolve_legacy_config(
             config,
-            legacy,
             runner_kwargs,
             defaults={"backend": "pooled", "executor": "inline"},
             owner="SessionPool",

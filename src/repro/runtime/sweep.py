@@ -123,13 +123,13 @@ class ParallelSweep:
         runner_kwargs: Extra keyword arguments forwarded to the runner
             (e.g. ``specs=`` for the scenario-cell runner).  The
             execution knobs are also accepted as individual keywords for
-            back compatibility; positional use is deprecated and warns.
+            back compatibility.
     """
 
     def __init__(
         self,
         runner: Callable[..., TrialResult] = run_sbc_trial,
-        *legacy: Any,
+        *,
         config: Optional[SweepConfig] = None,
         **runner_kwargs: Any,
     ) -> None:
@@ -138,7 +138,6 @@ class ParallelSweep:
         # sweep fails at construction, not mid-fan-out.
         config, runner_kwargs = resolve_legacy_config(
             config,
-            legacy,
             runner_kwargs,
             defaults={"backend": "pooled", "executor": "process"},
             owner="ParallelSweep",

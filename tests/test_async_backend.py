@@ -1,10 +1,11 @@
 """Async backend and service host: concurrency, cancellation, leasing.
 
 The differential suite pins the ``async`` driver's digest contract;
-this module covers the *service* half of the tentpole: a thousand
-coroutine sessions interleaving on one loop, cancellation tearing a
-round down without leaking tasks, per-session online-pool leases that
-can never overlap, and the sync facades refusing misuse.
+this module covers the service half: a thousand coroutine sessions
+interleaving on one loop, hosted sessions taking turns round by round,
+cancellation between rounds without leaking tasks, per-session
+online-pool leases that can never overlap, and the sync facades inside
+a running loop.
 """
 
 import asyncio
@@ -20,10 +21,12 @@ from repro.runtime import (
     HostSlotAllocator,
     OnlinePlan,
     SweepConfig,
-    VirtualClock,
+    async_sbc_session,
     async_voting_session,
     online_ranges_disjoint,
+    run_sbc_trial,
     run_voting_trial,
+    trace_digest,
 )
 
 
@@ -71,17 +74,48 @@ def test_duration_bounds_admission_not_completion():
         report.summary()
 
 
-def test_hosted_voting_sessions_match_sync_reference():
-    host = AsyncSessionHost(
-        async_voting_session,
-        config=SweepConfig(backend="async", executor="inline"),
+def _async_host(runner, **params):
+    return AsyncSessionHost(
+        runner, config=SweepConfig(backend="async", executor="inline"), **params
     )
-    report = host.run(range(4))
+
+
+@pytest.mark.parametrize(
+    "runner, reference, params",
+    [
+        (async_voting_session, run_voting_trial, dict(mode="hybrid")),
+        (async_sbc_session, run_sbc_trial, dict(mode="composed", phi=5, delta=3)),
+    ],
+    ids=["voting-hybrid", "sbc-composed"],
+)
+def test_hosted_sessions_match_sync_reference(runner, reference, params):
+    # One session body per workload: hosted (awaited) and sync (blocking)
+    # runs of the same seed must agree byte for byte.
+    report = _async_host(runner, **params).run(range(4))
     assert report.sessions == 4
     for seed, result in zip(range(4), report.results):
-        reference = run_voting_trial(seed)
-        assert result.digest == reference.digest
-        assert result.outputs == reference.outputs
+        expected = reference(seed, **params)
+        assert result.digest == expected.digest
+        assert result.outputs == expected.outputs
+
+
+def test_hosted_sessions_interleave_round_by_round(monkeypatch):
+    run_round_async = AsyncRoundDriver.run_round_async
+    sessions = {}
+    rounds_run = []
+
+    async def recording(driver, *args, **kwargs):
+        index = sessions.setdefault(id(driver.session), len(sessions))
+        rounds_run.append((index, driver.session.clock.time))
+        return await run_round_async(driver, *args, **kwargs)
+
+    monkeypatch.setattr(AsyncRoundDriver, "run_round_async", recording)
+    report = _async_host(async_voting_session).run(range(4))
+    rounds = report.results[0].rounds
+    assert rounds > 1
+    assert [result.rounds for result in report.results] == [rounds] * 4
+    # One entry per round, and the four sessions take turns every round.
+    assert rounds_run == [(index, time) for time in range(rounds) for index in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +135,14 @@ def test_cancellation_mid_round_leaves_no_leaked_tasks():
         task.cancel()
         with pytest.raises(asyncio.CancelledError):
             await task
-        # The conductor's teardown reaped every step task before the
-        # cancellation propagated: nothing else is left on the loop.
+        # A round runs to completion before the driver yields, so the
+        # cancellation lands between rounds: nothing is left on the loop.
         leaked = [
             other
             for other in asyncio.all_tasks()
             if other is not asyncio.current_task() and not other.done()
         ]
         assert leaked == []
-        assert driver.clock.pending == 0
-        driver.close()
 
     asyncio.run(scenario())
 
@@ -119,59 +151,22 @@ def test_sync_facades_refuse_inside_a_running_loop():
     async def scenario():
         with pytest.raises(RuntimeError, match="serve"):
             _toy_host().run([1])
-        stack = build_voting_stack(voters=3, mode="hybrid", seed=3, backend="async")
-        with pytest.raises(RuntimeError, match="run_round_async"):
-            stack.env.driver.run_round()
-        stack.env.driver.close()
 
     asyncio.run(scenario())
 
 
-def test_driver_consumes_mirrored_network_tokens():
-    # The event-driven evidence: scheduler deliveries reach steps as
-    # awaited mailbox wake-ups, not polling.  Dolev–Strong is the
-    # workload that routes through SyncNetwork (hence the scheduler).
-    from repro.protocols.dolev_strong import make_dolev_strong_instance
-    from repro.uc.environment import Environment
-    from repro.uc.session import Session
+def test_driver_run_round_runs_inside_a_running_loop():
+    def first_round_digest(backend):
+        stack = build_voting_stack(voters=3, mode="hybrid", seed=3, backend=backend)
+        for authority in stack.authorities.values():
+            authority.deal()
+        stack.env.driver.run_round()
+        return trace_digest(stack.session.log)
 
-    session = Session(seed=1, backend="async")
-    parties = make_dolev_strong_instance(
-        session, ["P0", "P1", "P2", "P3"], "P0", t=2
-    )
-    env = Environment(session)
-    assert isinstance(env.driver, AsyncRoundDriver)
-    for party in parties.values():
-        party.arm(session.clock.time)
-    parties["P0"].broadcast(b"token-proof")
-    env.run_rounds(4)
-    assert env.driver.net_tokens > 0
-    env.driver.close()
-
-
-def test_virtual_clock_fires_in_deadline_then_registration_order():
     async def scenario():
-        clock = VirtualClock()
-        order = []
+        return first_round_digest("async")
 
-        async def waiter(future, tag):
-            await future
-            order.append(tag)
-
-        loop = asyncio.get_running_loop()
-        tasks = [
-            loop.create_task(waiter(clock.sleep(delay), tag))
-            for delay, tag in ((2.0, "late"), (1.0, "early"), (1.0, "tie"))
-        ]
-        await asyncio.sleep(0)  # register all three deadlines
-        while clock.fire_next():
-            await asyncio.sleep(0)
-        await asyncio.gather(*tasks)
-        assert order == ["early", "tie", "late"]
-        assert clock.time == 2.0
-        assert clock.pending == 0
-
-    asyncio.run(scenario())
+    assert asyncio.run(scenario()) == first_round_digest("sequential")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each stack builder in :mod:`repro.core.stacks` runs one canonical script
 under every registered backend.  The ``sequential`` run is the golden
-reference: ``pooled`` and the event-driven ``async`` engine must match
+reference: ``pooled`` and the round-yielding ``async`` driver must match
 it digest-for-digest (via the guarded
 :func:`~repro.runtime.pool.compare_trace_digests`, so a vacuous
 empty-vs-empty comparison can never slip through), and ``batched``
@@ -111,11 +111,11 @@ def test_pooled_matches_sequential_golden(name, golden):
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_async_matches_sequential_golden(name, golden):
-    """The asyncio engine's core contract: byte-identical event traces.
+    """The async driver's core contract: byte-identical event traces.
 
-    The async driver executes rounds as awaited virtual-clock steps, but
-    the conductor sequences them strictly — so every builder's canonical
-    script must digest-equal the sequential reference, seed for seed.
+    It runs the sequential round body and only adds a yield between
+    rounds, so every builder's canonical script must digest-equal the
+    sequential reference, seed for seed.
     """
     reference_digest, reference_outputs = golden[name]
     session, outputs = DRIVERS[name]("async")

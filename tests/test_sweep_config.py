@@ -2,10 +2,9 @@
 
 The api_redesign contract: every execution knob lives on one frozen
 dataclass, validation fires at construction (with the legacy error
-messages), the back-compat shim warns on positional use and refuses
-ambiguous mixes, and — the drift regression that motivated the redesign
-— ``SessionPool``, ``ParallelSweep`` and ``run_matrix`` accept the
-identical knob set.
+messages), the keyword back-compat shim refuses ambiguous mixes, and
+— the drift regression that motivated the redesign — ``SessionPool``,
+``ParallelSweep`` and ``run_matrix`` accept the identical knob set.
 """
 
 import argparse
@@ -20,11 +19,7 @@ from repro.runtime import (
     SweepConfig,
     run_sbc_trial,
 )
-from repro.runtime.config import (
-    EXECUTORS,
-    LEGACY_KNOB_ORDER,
-    add_sweep_options,
-)
+from repro.runtime.config import EXECUTORS, add_sweep_options
 from repro.runtime.supervisor import ChaosPlan, RetryPolicy
 
 
@@ -147,13 +142,6 @@ def test_executor_choices_come_from_one_place():
 # the back-compat shim
 
 
-def test_positional_knobs_warn_but_work():
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        pool = SessionPool(run_sbc_trial, "sequential", "inline")
-    assert pool.config.backend == "sequential"
-    assert pool.executor == "inline"
-
-
 def test_keyword_knobs_stay_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -164,18 +152,6 @@ def test_keyword_knobs_stay_silent():
 def test_config_plus_knobs_is_ambiguous():
     with pytest.raises(TypeError, match="not both"):
         SessionPool(run_sbc_trial, config=SweepConfig(), executor="thread")
-
-
-def test_positional_overflow_refused():
-    stray = ["sequential"] + [None] * len(LEGACY_KNOB_ORDER)
-    with pytest.raises(TypeError, match="positional"):
-        SessionPool(run_sbc_trial, *stray)
-
-
-def test_positional_and_keyword_overlap_refused():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError, match="multiple values for backend"):
-            SessionPool(run_sbc_trial, "sequential", backend="pooled")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +182,6 @@ KNOB_VALUES = dict(
 
 def test_knob_values_cover_the_whole_contract():
     assert set(KNOB_VALUES) == set(SweepConfig.knob_names())
-    assert set(LEGACY_KNOB_ORDER) == set(SweepConfig.knob_names())
 
 
 @pytest.mark.parametrize("owner", [SessionPool, ParallelSweep])
