@@ -1,10 +1,10 @@
-"""E18 — preprocessing store: shared-attach vs per-worker recompute.
+"""E18 — preprocessing store: store-file attach vs per-worker recompute.
 
 Claim: attaching the offline-built GROUP_2048 fixed-base table (read the
-serialized blob out of a shared-memory segment, parse, install) is >= 3x
-faster than each worker rebuilding the table with
+store file, deserialize, install — what every worker's initializer does)
+is >= 3x faster than each worker rebuilding the table with
 ``precompute_fixed_base`` — so cold-start warm-up drops off the sweep's
-critical path, and a process sweep with shared material is no slower
+critical path, and a process sweep with attached material is no slower
 than the recompute-warm-up baseline.  Both speedups are asserted only on
 hosts with >= 4 real cores (elsewhere the record still documents the
 measurement honestly — the attach ratio is hardware-independent, the
@@ -41,7 +41,7 @@ def _best_of(repeats, fn):
     return min(timings)
 
 
-def test_e18_shared_attach_beats_recompute(benchmark):
+def test_e18_store_attach_beats_recompute(benchmark):
     cores = os.cpu_count() or 1
 
     def run():
@@ -57,28 +57,18 @@ def test_e18_shared_attach_beats_recompute(benchmark):
                 2, lambda: _fresh_2048().precompute_fixed_base()
             )
 
-            # The online phase, exactly as a worker runs it: copy the
-            # blob out of a shared-memory segment, deserialize, install.
-            from multiprocessing import shared_memory
+            # The online phase, exactly as a worker runs it: read the
+            # store file, deserialize, install.  A real worker attaches
+            # into the module singleton (which exists before the
+            # initializer runs), so the target group is constructed
+            # outside the timed region.
+            path = store.path_for(GROUP_2048)
+            target = _fresh_2048()
 
-            segment = shared_memory.SharedMemory(
-                name=f"repro-e18-{os.getpid()}", create=True, size=len(blob)
-            )
-            try:
-                segment.buf[: len(blob)] = blob
-                # A real worker attaches into the module singleton (which
-                # exists before the initializer runs), so the target
-                # group is constructed outside the timed region.
-                target = _fresh_2048()
+            def attach():
+                deserialize_material(path.read_bytes()).attach(target)
 
-                def attach():
-                    payload = bytes(segment.buf[: len(blob)])
-                    deserialize_material(payload).attach(target)
-
-                attach_s = _best_of(2, attach)
-            finally:
-                segment.close()
-                segment.unlink()
+            attach_s = _best_of(2, attach)
 
             # Correctness before speed: attached == recomputed, entry
             # for entry.
@@ -108,7 +98,7 @@ def test_e18_shared_attach_beats_recompute(benchmark):
         attach_speedup = compute_s / max(attach_s, 1e-9)
         if cores >= SPEEDUP_MIN_CORES:
             assert attach_speedup >= ATTACH_SPEEDUP_FLOOR, (
-                f"shared-attach only {attach_speedup:.2f}x faster than "
+                f"store-file attach only {attach_speedup:.2f}x faster than "
                 f"per-worker recompute on {cores} cores"
             )
             assert sweeps["shared"] <= sweeps["compute"] * 1.05, (
@@ -127,7 +117,7 @@ def test_e18_shared_attach_beats_recompute(benchmark):
                 "per_worker": "yes",
             },
             {
-                "phase": "shared attach in worker",
+                "phase": "store-file attach in worker",
                 "wall_ms": round(attach_s * 1000, 2),
                 "per_worker": "yes",
             },
@@ -147,7 +137,7 @@ def test_e18_shared_attach_beats_recompute(benchmark):
     cores = os.cpu_count() or 1
     emit(
         "E18",
-        f"GROUP_2048 warm-up: shared attach vs recompute ({cores} cores)",
+        f"GROUP_2048 warm-up: store-file attach vs recompute ({cores} cores)",
         rows,
         protocol="material",
         n=None,

@@ -111,7 +111,7 @@ def test_e17_process_fanout_sweep(benchmark):
     def sweep():
         seeds = list(range(SESSIONS))
         # Material sharing on: workers attach the preprocessing store's
-        # fixed-base tables over shared memory instead of recomputing
+        # fixed-base tables from the store file instead of recomputing
         # them, so the cold-start warm-up tax drops off the critical
         # path.  verify()'s inline reference still computes its own
         # caches, so the digest check doubles as the cross-source

@@ -467,7 +467,7 @@ class SchnorrGroup:
 
         Every entry is one group element at the group's fixed encoding
         width; the preprocessing store inspector reports this so operators
-        can see what a cached table costs on disk and in shared memory.
+        can see what a cached table costs on disk and in worker memory.
         """
         state = self._fb_state
         if state is None:

@@ -12,8 +12,8 @@ fleet the same way), this module implements the *offline* phase:
   randomness (Feldman-committed random polynomials and Schnorr nonce
   pairs ``(k, g^k)``) derived from a recorded seed;
 * :func:`serialize_material` / :func:`deserialize_material` round-trip it
-  through a versioned, integrity-hashed binary blob suitable for an
-  on-disk cache file or a shared-memory segment;
+  through a versioned, integrity-hashed binary blob stored as an
+  on-disk cache file;
 * :meth:`CryptoMaterial.attach` is the *online* step: install the table
   into a live group without recomputation (shape- and spot-checked, so a
   blob for the wrong parameters can never corrupt ``power_of_g``).

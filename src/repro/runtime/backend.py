@@ -85,10 +85,11 @@ class ExecutionBackend:
 
         Args:
             material: Where the caches come from — ``None``/``"compute"``
-                rebuilds them locally, ``"disk"`` attaches the
-                preprocessing store's serialized tables, and a
+                rebuilds them locally, ``"disk"`` (or its other spelling
+                ``"shared"``) attaches the preprocessing store's
+                serialized tables, and a
                 :class:`~repro.runtime.material.MaterialHandle` attaches
-                what the parent published (shared memory, mmap fallback).
+                the store files the parent validated and published.
                 Every failure degrades to compute with a warning; the
                 installed tables are value-identical either way.  A
                 successful attach also registers the material's

@@ -320,9 +320,9 @@ def add_sweep_options(
     )
     parser.add_argument(
         "--material", choices=("compute", "disk", "shared"), default="compute",
-        help="worker crypto warm-up source: rebuild locally, attach the "
-             "preprocessing store from disk, or attach shared memory "
-             "(see 'repro material build')",
+        help="worker crypto warm-up source: rebuild locally, or attach the "
+             "preprocessing store file ('shared' is another spelling of "
+             "'disk'; see 'repro material build')",
     )
     parser.add_argument(
         "--adaptive", action="store_true",

@@ -8,19 +8,19 @@ them:
   (``~/.cache/repro-material/<group-fingerprint>.v1`` by default,
   ``REPRO_MATERIAL_DIR`` overrides), written atomically and validated by
   the blob's integrity hash on every read;
-* :data:`MATERIAL_SOURCES` — the three ways a worker can obtain its
-  material: ``compute`` (rebuild locally, the pre-store behavior),
-  ``disk`` (read the store file), ``shared`` (attach a
-  ``multiprocessing.shared_memory`` segment published by the parent,
-  falling back to an mmap of the store file);
+* :data:`MATERIAL_SOURCES` — the ways a worker can obtain its
+  material: ``compute`` (rebuild locally, the pre-store behavior) or
+  ``disk`` (read the validated store file); ``shared`` is accepted as
+  another spelling of ``disk``;
 * :func:`publish_material` / :func:`warm_with_material` — the parent
-  publishes before forking, each worker attaches in its initializer.
+  validates the store file before forking, each worker reads it in its
+  initializer.
 
 Every failure path degrades to ``compute`` with a :class:`RuntimeWarning`
-— a corrupt cache file or a torn shared-memory segment slows a worker
-down, it never crashes one — and attached tables are shape- and
-spot-checked, so the degradation can never silently change results
-(trace digests are identical across all three sources by construction).
+— a missing or corrupt cache file slows a worker down, it never crashes
+one — and attached tables are shape- and spot-checked, so the
+degradation can never silently change results (trace digests are
+identical across all sources by construction).
 
 The **online mode** lives here too: :class:`MaterialCursor` implements
 the :class:`~repro.crypto.randomness.RandomnessSource` seam over a
@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import mmap
 import os
 import pathlib
 import tempfile
@@ -104,7 +103,7 @@ __all__ = [
 MATERIAL_COMPUTE = "compute"
 #: Read the serialized material from the on-disk store.
 MATERIAL_DISK = "disk"
-#: Attach a shared-memory segment published by the parent (mmap fallback).
+#: Another spelling of ``disk``, kept so existing flags and configs work.
 MATERIAL_SHARED = "shared"
 
 MATERIAL_SOURCES = (MATERIAL_COMPUTE, MATERIAL_DISK, MATERIAL_SHARED)
@@ -304,25 +303,11 @@ class MaterialStore:
 
         A corrupt cache file is the offline phase's job to repair: it
         warns, rebuilds from scratch and overwrites the bad file — the
-        fallback-to-compute contract at the store level.
-        """
-        return deserialize_material(self.ensure_blob(group, **build_kwargs))
-
-    def ensure_blob(self, group: SchnorrGroup, **build_kwargs: Any) -> bytes:
-        """Like :meth:`ensure`, but returns the validated raw blob.
-
-        The publish path ships bytes (into shared memory), so this reads
-        and validates the file exactly once instead of a deserialize in
-        ``ensure`` followed by a second read of the same file.
+        fallback-to-compute contract at the store level.  A hit reads and
+        deserializes the file exactly once.
         """
         try:
-            blob = self.load_blob(group)
-            if not deserialize_material(blob).matches(group):
-                raise MaterialIntegrityError(
-                    f"store file {self.path_for(group).name} holds material "
-                    "for different group parameters"
-                )
-            return blob
+            return self.load(group)
         # No store file yet is the normal first-run path, not a
         # degradation: build_material below is the point of ensure().
         except FileNotFoundError:  # repro: allow[RPR005]
@@ -335,9 +320,8 @@ class MaterialStore:
                 stacklevel=2,
             )
         material = build_material(group, **build_kwargs)
-        blob = serialize_material(material)
-        self._write_blob(material.fingerprint, blob)
-        return blob
+        self._write_blob(material.fingerprint, serialize_material(material))
+        return material
 
     def build(
         self, groups: Optional[Sequence[SchnorrGroup]] = None, **build_kwargs: Any
@@ -586,12 +570,10 @@ class MaterialStore:
 
 @dataclass(frozen=True)
 class MaterialRef:
-    """Picklable pointer to one group's serialized material."""
+    """Picklable pointer to one group's validated store file."""
 
     fingerprint: str
-    nbytes: int
-    shm_name: Optional[str] = None
-    path: Optional[str] = None
+    path: str
 
 
 @dataclass(frozen=True)
@@ -602,159 +584,81 @@ class MaterialHandle:
     refs: Tuple[MaterialRef, ...] = ()
 
 
-def _unregister_shm(name: str) -> None:
-    """Detach an attached segment from a *spawned* worker's tracker.
-
-    On 3.11 ``SharedMemory(name=...)`` (attach, not create) still
-    registers with the resource tracker (bpo-39959; fixed by
-    ``track=False`` in 3.13).  Under ``spawn`` each worker runs its own
-    tracker, which would unlink the parent's live segment when the
-    worker exits — so the attach must be unregistered there.  Under
-    ``fork`` parent and workers share one tracker whose registry is a
-    set, so the attach was a no-op and unregistering here would instead
-    erase the parent's own entry.
-    """
-    try:
-        import multiprocessing
-
-        if multiprocessing.get_start_method(allow_none=True) != "spawn":
-            return
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(name, "shared_memory")
-    # Unregistering is a cross-version resource_tracker workaround (the
-    # API is semi-private and its failure modes vary by interpreter);
-    # failing merely re-enables the default cleanup-twice warning, which
-    # is noise, not degradation — warning here would be noisier.
-    except Exception:  # repro: allow[RPR005]
-        pass
-
-
 def publish_material(
     source: str,
     groups: Optional[Sequence[SchnorrGroup]] = None,
     store: Optional[MaterialStore] = None,
-) -> Tuple[Optional[MaterialHandle], Callable[[], None]]:
+) -> Optional[MaterialHandle]:
     """Parent half of the online phase: stage material for the workers.
 
-    Returns ``(handle, release)``; the handle ships to every worker via
-    the pool initializer and ``release()`` must run once the pool is done
-    (it unlinks any shared-memory segments).  ``compute`` (or a failed
-    publish) yields ``(None, noop)`` — workers then warm up locally.
+    Loads and validates (or lazily builds) each group's store file, then
+    returns a handle naming those files; it ships to every worker via the
+    pool initializer.  ``compute`` (or a failed publish) yields ``None``
+    — workers then warm up locally.
     """
     source = resolve_material_source(source)
     if groups is None:
         groups = (TEST_GROUP,)
     if source == MATERIAL_COMPUTE:
-        return None, lambda: None
+        return None
     store = store or MaterialStore()
     refs: List[MaterialRef] = []
-    segments: List[Any] = []
-
-    def release() -> None:
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            # release() runs in teardown paths (including interpreter
-            # exit); a double-unlink or already-gone segment must not
-            # mask the error that triggered the teardown.
-            except Exception:  # repro: allow[RPR005]
-                pass
-
     try:
         for group in groups:
             # Lazy offline phase: load-and-validate, or build-and-save.
-            blob = store.ensure_blob(group)
-            fingerprint = group_fingerprint(group)
-            ref = MaterialRef(
-                fingerprint=fingerprint,
-                nbytes=len(blob),
-                path=str(store.path_for(group)),
+            store.ensure(group)
+            refs.append(
+                MaterialRef(
+                    fingerprint=group_fingerprint(group),
+                    path=str(store.path_for(group)),
+                )
             )
-            if source == MATERIAL_SHARED:
-                from multiprocessing import shared_memory
-
-                # Keep the name (with its leading slash) within macOS's
-                # 31-char POSIX shm limit: "/rm-" + 12-hex fingerprint
-                # prefix + 8-hex random = 25 chars.
-                segment = shared_memory.SharedMemory(
-                    name=f"rm-{fingerprint[:12]}-{os.urandom(4).hex()}",
-                    create=True,
-                    size=len(blob),
-                )
-                segment.buf[: len(blob)] = blob
-                segments.append(segment)
-                ref = MaterialRef(
-                    fingerprint=fingerprint,
-                    nbytes=len(blob),
-                    shm_name=segment.name,
-                    path=ref.path,
-                )
-            refs.append(ref)
     except Exception as exc:
-        release()
         warnings.warn(
             f"could not publish {source} preprocessing material ({exc}); "
             "workers will fall back to computing their own caches",
             RuntimeWarning,
             stacklevel=2,
         )
-        return None, lambda: None
-    return MaterialHandle(source=source, refs=tuple(refs)), release
+        return None
+    return MaterialHandle(source=source, refs=tuple(refs))
 
 
-def _read_ref(ref: MaterialRef) -> bytes:
-    """Fetch one ref's blob: shared memory first, then an mmap of the file."""
-    if ref.shm_name is not None:
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=ref.shm_name)
-        # Segment gone (e.g. parent released early): the mmap fallback
-        # below is the designed degradation, and attach_report records
-        # which path served the blob — no warning needed for a
-        # contract-covered fallback.
-        except FileNotFoundError:  # repro: allow[RPR005]
-            pass
-        else:
-            try:
-                return bytes(segment.buf[: ref.nbytes])
-            finally:
-                segment.close()
-                _unregister_shm(ref.shm_name)
-    if ref.path is None:
-        raise MaterialError(f"no byte source for material ref {ref.fingerprint}")
-    with open(ref.path, "rb") as handle:
-        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            return bytes(view)
+def _read_ref(ref: MaterialRef) -> CryptoMaterial:
+    """Read and deserialize the store file one ref names."""
+    return deserialize_material(pathlib.Path(ref.path).read_bytes())
 
 
-def _attach_handle(handle: MaterialHandle) -> None:
-    """Worker half: install every published blob into its group singleton.
+def _attach_each(
+    items: Sequence[Any],
+    fingerprint_of: Callable[[Any], str],
+    load: Callable[[Any], CryptoMaterial],
+) -> None:
+    """Install each item's material into its group singleton.
 
-    Any per-ref failure warns and leaves that group to the compute
+    Any per-item failure warns and leaves that group to the compute
     fallback — the initializer must never raise (a raising initializer
     kills pool workers in a loop instead of running the sweep).
     """
     targets = {group_fingerprint(group): group for group in default_groups()}
-    for ref in handle.refs:
-        group = targets.get(ref.fingerprint)
+    for item in items:
+        fingerprint = fingerprint_of(item)
+        group = targets.get(fingerprint)
         if group is None:
             warnings.warn(
-                f"published material {ref.fingerprint} matches no known "
+                f"published material {fingerprint} matches no known "
                 "group; ignoring it",
                 RuntimeWarning,
                 stacklevel=2,
             )
             continue
         try:
-            material = deserialize_material(_read_ref(ref))
+            material = load(item)
             material.attach(group)
             register_attached(material)
         except Exception as exc:
             warnings.warn(
-                f"could not attach preprocessed material {ref.fingerprint} "
+                f"could not attach preprocessed material {fingerprint} "
                 f"({exc}); falling back to computing caches in this worker",
                 RuntimeWarning,
                 stacklevel=2,
@@ -768,27 +672,21 @@ def warm_with_material(
 ) -> None:
     """Warm this process's crypto caches from the given material source.
 
-    Accepts a :class:`MaterialHandle` (process workers), a source name
-    (inline/thread executors and direct callers), or ``None``/"compute".
-    Always finishes with :func:`~repro.crypto.groups.warm_groups`, which
-    is a cheap no-op for every cache an attach already installed — so
+    Accepts a :class:`MaterialHandle` (process workers read the files it
+    names), a source name (inline/thread executors and direct callers
+    attach what the store's load-and-validate step returns, so each file
+    is read and deserialized once), or ``None``/"compute".  Always
+    finishes with :func:`~repro.crypto.groups.warm_groups`, which is a
+    cheap no-op for every cache an attach already installed — so
     whatever happened above, the process ends up warm.
     """
     if isinstance(material, MaterialHandle):
-        _attach_handle(material)
-    else:
-        source = resolve_material_source(material)
-        if source != MATERIAL_COMPUTE:
-            # Local attach: read the store directly; ``shared`` has no
-            # parent segment to attach to here, so it uses the mmap path.
-            handle, release = publish_material(
-                MATERIAL_DISK, groups=groups, store=store
-            )
-            try:
-                if handle is not None:
-                    _attach_handle(handle)
-            finally:
-                release()
+        _attach_each(material.refs, lambda ref: ref.fingerprint, _read_ref)
+    elif resolve_material_source(material) != MATERIAL_COMPUTE:
+        if groups is None:
+            groups = (TEST_GROUP,)
+        store = store or MaterialStore()
+        _attach_each(groups, group_fingerprint, store.ensure)
     warm_groups()
 
 

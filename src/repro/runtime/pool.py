@@ -612,7 +612,7 @@ def _warm_worker(
     encoding caches already populated instead of paying table construction
     inside its first session.  With a published
     :class:`~repro.runtime.material.MaterialHandle` the tables are
-    *attached* (shared memory or mmap) instead of recomputed, which takes
+    *attached* (read from the store file) instead of recomputed, which takes
     cold-start warm-up off the sweep's critical path.  ``arith`` carries
     the parent's arithmetic-backend selection into the worker (values are
     identical across backends, so a worker that cannot honour it warns
@@ -1034,7 +1034,7 @@ class SessionPool:
         — the honest partial report the sweep completes with instead
         of crashing.
         """
-        from repro.runtime.material import publish_material
+        from repro.runtime.material import MaterialHandle, publish_material
 
         seeds = list(seeds)
         kwargs = self._call_kwargs()
@@ -1048,6 +1048,7 @@ class SessionPool:
         adaptivity: Optional[List[Dict[str, Any]]] = None
         supervision: Optional[Dict[str, Any]] = None
         fresh_results: Optional[List[TrialResult]] = None
+        handle: Optional[MaterialHandle] = None
         start = time.perf_counter()
         if self.executor == "inline":
             if self.material != "compute" and self.warmup:
@@ -1087,19 +1088,14 @@ class SessionPool:
                     # no worker will read would waste the offline build
                     # inside the timed region and misreport the source.
                     if self.warmup:
-                        handle, release = publish_material(
+                        handle = publish_material(
                             self.material, groups=self.material_groups
                         )
-                    else:
-                        handle, release = None, lambda: None
-                    try:
-                        mapped, stats = self._process_map(
-                            bound, remaining, used_chunksize, used_workers,
-                            material_handle=handle, adaptivity=adaptivity,
-                            journal=journal,
-                        )
-                    finally:
-                        release()
+                    mapped, stats = self._process_map(
+                        bound, remaining, used_chunksize, used_workers,
+                        material_handle=handle, adaptivity=adaptivity,
+                        journal=journal,
+                    )
                     supervision = stats.to_record()
                 else:
                     from repro.runtime.supervisor import SupervisorStats
@@ -1116,13 +1112,15 @@ class SessionPool:
                         if result is not None:
                             results.append(result)
         elapsed = time.perf_counter() - start
-        # Process reports always say where worker caches came from;
-        # inline/thread runs only mention material when they attached any,
-        # and a warmup-less sweep attached nothing whatever was asked.
+        # Process reports always say where worker caches came from: the
+        # requested source only when a handle was published, since a
+        # failed or skipped publish leaves workers computing their own.
+        # Inline/thread runs only mention material when they attached any.
         material_source: Optional[str] = self.material
-        if not self.warmup:
-            material_source = "compute" if self.executor == "process" else None
-        elif self.executor != "process" and self.material == "compute":
+        if self.executor == "process":
+            if handle is None:
+                material_source = "compute"
+        elif not self.warmup or self.material == "compute":
             material_source = None
         online_spend = (
             self._aggregate_online(online_plan, results, ledgered=fresh_results)

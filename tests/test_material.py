@@ -17,7 +17,6 @@ The store's contract, end to end:
 """
 
 import json
-import os
 import pathlib
 import threading
 
@@ -222,38 +221,63 @@ def test_resolve_material_source_validates():
 
 
 # ---------------------------------------------------------------------------
-# Publish/attach: shared memory with mmap and compute fallbacks
+# Publish/attach: the validated store file, with compute fallbacks
 # ---------------------------------------------------------------------------
 
 
-def test_publish_shared_creates_and_releases_segments(store):
-    handle, release = publish_material("shared", store=store)
-    try:
-        assert handle is not None and handle.source == "shared"
-        assert len(handle.refs) == 1
-        ref = handle.refs[0]
-        assert ref.fingerprint == group_fingerprint(TEST_GROUP)
-        assert ref.shm_name and ref.path
-        from multiprocessing import shared_memory
+def test_publish_shared_and_disk_name_the_same_store_file(store):
+    """``shared`` is another spelling of ``disk``: both publish the file."""
+    shared = publish_material("shared", store=store)
+    disk = publish_material("disk", store=store)
+    assert shared is not None and shared.source == "shared"
+    assert disk is not None and disk.source == "disk"
+    assert shared.refs == disk.refs == (
+        MaterialRef(
+            fingerprint=group_fingerprint(TEST_GROUP),
+            path=str(store.path_for(TEST_GROUP)),
+        ),
+    )
 
-        segment = shared_memory.SharedMemory(name=ref.shm_name)
-        try:
-            material = deserialize_material(bytes(segment.buf[: ref.nbytes]))
-            assert material.matches(TEST_GROUP)
-        finally:
-            segment.close()
-    finally:
-        release()
-    from multiprocessing import shared_memory
 
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=handle.refs[0].shm_name)
+def test_local_warm_up_deserializes_each_blob_once(store, monkeypatch):
+    """The inline attach reuses the store's validated load: one parse per blob."""
+    import repro.crypto.preprocessing as preprocessing
+    import repro.runtime.material as material_module
+
+    store.build([TEST_GROUP, GROUP_2048], nonces=2, feldman=1)
+    calls = []
+    real = preprocessing.deserialize_material
+
+    def counting(blob):
+        calls.append(len(blob))
+        return real(blob)
+
+    monkeypatch.setattr(material_module, "deserialize_material", counting)
+    # Keep these small test pools out of the registry later tests read.
+    monkeypatch.setattr(material_module, "_ATTACHED", {})
+    warm_with_material("disk", store=store, groups=(TEST_GROUP, GROUP_2048))
+    assert sorted(calls) == sorted(
+        store.path_for(group).stat().st_size for group in (TEST_GROUP, GROUP_2048)
+    )
+    assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
 
 
 def test_publish_compute_is_a_noop():
-    handle, release = publish_material("compute")
-    assert handle is None
-    release()
+    assert publish_material("compute") is None
+
+
+def test_failed_publish_reports_compute(tmp_path, monkeypatch):
+    """Workers that got no handle computed their caches; the report says so."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("a regular file where the store root should be")
+    monkeypatch.setenv("REPRO_MATERIAL_DIR", str(blocker / "store"))
+    with pytest.warns(RuntimeWarning, match="could not publish"):
+        report = SessionPool(
+            executor="process", workers=1, material="disk", **PARAMS
+        ).run([0, 1])
+    assert report.material_source == "compute"
+    assert report.summary()["material_source"] == "compute"
+    assert len(report.results) == 2
 
 
 def _corrupt_file(path: pathlib.Path, kind: str) -> None:
@@ -276,43 +300,12 @@ def test_worker_attach_falls_back_to_compute_on_corruption(
     store.build([TEST_GROUP], nonces=2, feldman=1)
     path = store.path_for(TEST_GROUP)
     _corrupt_file(path, kind)
-    if source == "disk":
-        handle = MaterialHandle(
-            source="disk",
-            refs=(
-                MaterialRef(
-                    fingerprint=group_fingerprint(TEST_GROUP),
-                    nbytes=path.stat().st_size,
-                    path=str(path),
-                ),
-            ),
-        )
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            warm_with_material(handle)
-    else:
-        from multiprocessing import shared_memory
-
-        blob = path.read_bytes()
-        segment = shared_memory.SharedMemory(
-            name=f"repro-test-{os.getpid()}-{kind}", create=True, size=max(len(blob), 1)
-        )
-        try:
-            segment.buf[: len(blob)] = blob
-            handle = MaterialHandle(
-                source="shared",
-                refs=(
-                    MaterialRef(
-                        fingerprint=group_fingerprint(TEST_GROUP),
-                        nbytes=len(blob),
-                        shm_name=segment.name,
-                    ),
-                ),
-            )
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                warm_with_material(handle)
-        finally:
-            segment.close()
-            segment.unlink()
+    handle = MaterialHandle(
+        source=source,
+        refs=(MaterialRef(fingerprint=group_fingerprint(TEST_GROUP), path=str(path)),),
+    )
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        warm_with_material(handle)
     # The fallback still leaves the process fully warmed and correct.
     assert TEST_GROUP._fb_table is not None
     assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
@@ -343,7 +336,7 @@ def test_missing_store_lazily_runs_the_offline_phase(store):
 def test_unknown_fingerprint_is_ignored_with_a_warning():
     handle = MaterialHandle(
         source="disk",
-        refs=(MaterialRef(fingerprint="feedfacecafebeef", nbytes=1, path="/none"),),
+        refs=(MaterialRef(fingerprint="feedfacecafebeef", path="/none"),),
     )
     with pytest.warns(RuntimeWarning, match="no known group"):
         warm_with_material(handle)
@@ -584,25 +577,6 @@ def test_cli_sweep_json_reports_plan_and_material(store, capsys):
     assert payload["plan"]["adaptive"] is True
     assert payload["plan"]["adaptivity"], "adaptivity trace missing from plan"
     assert payload["report"]["material_source"] == "shared"
-
-
-def test_vanished_segment_falls_back_to_mmap_of_the_store_file(store):
-    """The documented shared-memory fallback: mmap the on-disk blob."""
-    store.build([TEST_GROUP], nonces=2, feldman=1)
-    path = store.path_for(TEST_GROUP)
-    handle = MaterialHandle(
-        source="shared",
-        refs=(
-            MaterialRef(
-                fingerprint=group_fingerprint(TEST_GROUP),
-                nbytes=path.stat().st_size,
-                shm_name="repro-definitely-not-a-segment",
-                path=str(path),
-            ),
-        ),
-    )
-    warm_with_material(handle)  # no warning: the mmap fallback succeeds
-    assert TEST_GROUP.power_of_g(777) == pow(TEST_GROUP.g, 777, TEST_GROUP.p)
 
 
 def test_material_groups_plumbs_production_parameters_to_workers(store):

@@ -217,10 +217,13 @@ def test_online_pool_requirement_sizes_linearly():
         online_pool_requirement(-1)
 
 
-def test_plan_open_without_material_degrades_to_counted_sampling(store):
+def test_plan_open_without_material_degrades_to_counted_sampling(store, monkeypatch):
     store.build([TEST_GROUP], nonces=8, feldman=2)
     plan = OnlinePlan.for_tasks([0], store=store)
     store.clear()
+    # An attach left in this process's registry by an earlier test would
+    # serve the plan; start from an empty one.
+    monkeypatch.setattr("repro.runtime.material._ATTACHED", {})
     # Material gone (and the plan's pool shape matches nothing cached):
     # the cursor must keep the trial alive, sampling everything.
     with pytest.warns(RuntimeWarning, match="unavailable or stale"):
