@@ -482,18 +482,17 @@ def _cmd_material(args: argparse.Namespace) -> int:
     if args.action == "build":
         nonces, feldman = args.nonces, args.feldman
         if args.for_sweep is not None:
-            # Size the pools from the sweep's resolved plan so an online
-            # run of that many tasks never falls back to sampling.
-            from repro.runtime import ParallelSweep, online_pool_requirement
+            # Size the pools so an online run of that many tasks never
+            # falls back to sampling.
+            from repro.runtime import online_pool_requirement
 
             if args.for_sweep < 1:
                 print("--for-sweep must be >= 1", file=sys.stderr)
                 return 2
-            plan = ParallelSweep().plan(args.for_sweep)
-            required = online_pool_requirement(plan.tasks)
+            required = online_pool_requirement(args.for_sweep)
             nonces = max(nonces, required["nonces"])
             feldman = max(feldman, required["feldman"])
-            print(f"sized for a {plan.tasks}-task online sweep: "
+            print(f"sized for a {args.for_sweep}-task online sweep: "
                   f"{nonces} nonces, {feldman} feldman entries")
         built = store.build(
             nonces=nonces,

@@ -15,10 +15,11 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
   ``concurrent.futures`` workers with chunked dispatch and per-worker
   crypto warm-up; each workload's session body is written once there
   and run either blocking (``run_*_trial``) or awaited
-  (``async_*_session``);
-* :class:`~repro.runtime.sweep.ParallelSweep` — the multi-core sweep
-  driver: plans worker/chunk shape for any ``(runner, task list)``
-  workload and verifies digest equality against the inline reference;
+  (``async_*_session``); it plans worker/chunk shape for any
+  ``(runner, task list)`` workload and verifies digest equality
+  against the inline reference;
+* :class:`~repro.runtime.sweep.ParallelSweep` — the same pool with a
+  process default: the multi-core sweep engine;
 * :class:`~repro.runtime.supervisor.Supervisor` — the fault-tolerant
   process fan-out underneath it: per-chunk deadlines, deterministic
   retry/backoff, pool respawn on dead workers, poison-task quarantine,

@@ -16,6 +16,12 @@ session bodies with the sync trial runners) or as executor-offloaded
 sync trials — and leases each session a disjoint online-pool slot
 through :class:`~repro.runtime.material.HostSlotAllocator`, so
 concurrent sessions can never double-spend preprocessed randomness.
+
+The host writes no orchestration of its own: it resolves its online
+plan, worker count, process-worker warm-up (material published once in
+the parent, then attached by every worker) and spend ledgering through
+the same steps as :class:`~repro.runtime.pool.SessionPool`, all read
+from one :class:`~repro.runtime.config.SweepConfig`.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import asyncio
 import functools
 import inspect
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,8 +38,12 @@ from repro.runtime.backend import ASYNC, get_backend
 from repro.runtime.config import SweepConfig
 from repro.runtime.driver import AsyncRoundDriver
 from repro.runtime.pool import (
+    SweepPlan,
     async_sbc_session,
     async_voting_session,
+    ledger_online_spend,
+    resolve_online_plan,
+    start_warm_workers,
     trace_digest,
 )
 
@@ -154,8 +165,9 @@ class AsyncSessionHost:
             trial runners qualify).
         config: A :class:`~repro.runtime.config.SweepConfig`; the host
             reads ``backend`` (defaults to ``async``), ``executor``,
-            ``workers``, ``warmup``, ``material``, ``online``,
-            ``consume_forward``, ``batch_verify`` and ``trace``.
+            ``workers``, ``warmup``, ``material``, ``material_groups``,
+            ``online``, ``consume_forward``, ``batch_verify`` and
+            ``trace``.
         session_timeout_s: Wall-clock bound on one executor-offloaded
             session (inline coroutine sessions are bounded by their
             round budgets instead).
@@ -228,49 +240,23 @@ class AsyncSessionHost:
             kwargs.setdefault("batch", self.config.batch_policy)
         return kwargs
 
-    def _resolve_plan(self, seeds: Sequence[Any]) -> Optional[Any]:
-        if not self.config.online:
-            return None
-        from repro.runtime.material import OnlinePlan
-
-        if isinstance(self.config.online, OnlinePlan):
-            return self.config.online
-        from repro.crypto.groups import TEST_GROUP
-
-        group = (self.config.material_groups or (TEST_GROUP,))[0]
-        # Duplicate seeds share a slot (replay semantics, same as the
-        # sweep engine); service deployments use distinct session seeds.
-        distinct = list(dict.fromkeys(seeds))
-        return OnlinePlan.for_tasks(
-            distinct, group=group, consume_forward=self.config.consume_forward
-        )
-
-    def _make_executor(self) -> Optional[Any]:
+    def _make_executor(self, sessions: int) -> Optional[Any]:
         config = self.config
+        workers = SweepPlan.resolve(config, sessions).workers
+        if config.executor == "process":
+            executor, _ = start_warm_workers(
+                config,
+                self._backend,
+                functools.partial(futures.ProcessPoolExecutor, max_workers=workers),
+            )
+            return executor
+        if config.warmup:
+            # Inline and thread sessions share this process's caches:
+            # warm once, here.
+            self._backend.warm_up(config.material)
         if config.executor == "inline":
-            if config.warmup:
-                self._backend.warm_up(config.material)
             return None
-        from repro.runtime.pool import _warm_worker, resolve_workers
-
-        workers = resolve_workers(config.workers)
-        if config.executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            if config.warmup:
-                # Threads share the process caches: warm once, inline.
-                self._backend.warm_up(config.material)
-            return ThreadPoolExecutor(max_workers=workers)
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.crypto.groups import get_arith_backend
-
-        initargs = (self._backend, config.material, get_arith_backend().name)
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_warm_worker if config.warmup else None,
-            initargs=initargs if config.warmup else (),
-        )
+        return futures.ThreadPoolExecutor(max_workers=workers)
 
     async def _session(
         self,
@@ -312,13 +298,15 @@ class AsyncSessionHost:
         """
         loop = asyncio.get_running_loop()
         seeds = list(seeds)
-        plan = self._resolve_plan(seeds)
+        # Duplicate seeds share a slot (replay semantics, same as the
+        # sweep engine); service deployments use distinct session seeds.
+        plan = resolve_online_plan(self.config, list(dict.fromkeys(seeds)))
         allocator = None
         if plan is not None:
             from repro.runtime.material import HostSlotAllocator
 
             allocator = HostSlotAllocator(plan)
-        executor = self._make_executor()
+        executor = self._make_executor(len(seeds))
         self.completion_order = []
         started = time.perf_counter()
         tasks: List["asyncio.Task[Any]"] = []
@@ -349,7 +337,7 @@ class AsyncSessionHost:
                 executor.shutdown(wait=True)
         online_spend = None
         if plan is not None and results:
-            online_spend = _ledger_host_spend(plan, results)
+            online_spend = ledger_online_spend(plan, results)
         return HostReport(
             backend=self._backend.name,
             executor=self.config.executor,
@@ -386,32 +374,3 @@ class AsyncSessionHost:
             finally:
                 loop.close()
 
-
-def _ledger_host_spend(plan: Any, results: Sequence[Any]) -> Dict[str, int]:
-    """Sum per-session spend records and ledger them (host counterpart of
-    ``SessionPool._aggregate_online``; same advisory never-fail contract)."""
-    import warnings
-
-    from repro.runtime.pool import SessionPool
-
-    totals, nonce_reach, feldman_reach = SessionPool._spend_totals(results)
-    try:
-        from repro.runtime.material import MaterialStore
-
-        MaterialStore().record_spend(
-            plan.fingerprint,
-            nonces=totals["nonces_spent"],
-            feldman=totals["feldman_spent"],
-            nonce_high=nonce_reach,
-            feldman_high=feldman_reach,
-            material_seed=plan.material_seed,
-        )
-    except OSError as exc:
-        warnings.warn(
-            f"could not record host session spend in the material ledger "
-            f"({exc}); the next consume-forward run may re-spend these "
-            "pool slices",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return totals

@@ -58,8 +58,9 @@ class SweepConfig:
             rebuild locally), ``"disk"`` or ``"shared"`` (attach the
             preprocessing store).  All three produce value-identical
             caches, so trace digests never depend on the source.
-        material_groups: Parameter sets published to process workers
-            (default: the test group).
+        material_groups: Parameter sets published to process workers,
+            the sweep's and the service host's alike (default: the test
+            group); the first one also backs ``online=True`` plans.
         adaptive: Re-plan the process chunk size mid-sweep from
             observed per-task wall time.
         online: Spend the preprocessed randomness pools inside trials.

@@ -8,6 +8,17 @@ tables) or via ``concurrent.futures`` workers, and collects uniform
 :class:`TrialResult` records including a deterministic trace digest so
 pooled and sequential runs can be byte-compared.
 
+Every orchestration step is written once, here, and reads the run's
+execution shape from its one :class:`~repro.runtime.config.SweepConfig`:
+:meth:`SweepPlan.resolve` (worker count and chunk size),
+:func:`resolve_online_plan`, :func:`start_warm_workers` (publish
+material, then start warmed process workers) and
+:func:`ledger_online_spend`.  :class:`SessionPool` runs and verifies
+sweeps with them; :class:`~repro.runtime.sweep.ParallelSweep` is the
+same class with a process default, and
+:class:`~repro.runtime.aio.AsyncSessionHost` reuses the steps for
+service mode.
+
 Each workload's session is written once, as a generator body that yields
 a :class:`Drive` request wherever it advances rounds and returns its
 :class:`TrialResult`.  The sync trial runners (:func:`run_sbc_trial`,
@@ -19,10 +30,12 @@ round boundaries.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
 import warnings
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -491,7 +504,8 @@ class PoolReport:
     executor: str
     wall_time_s: float
     results: List[TrialResult] = field(default_factory=list)
-    #: Worker count / chunk size actually used (None for inline runs).
+    #: Worker count actually used (None for inline runs) and the initial
+    #: chunk size (process runs only); both read from :meth:`SessionPool.plan`.
     workers: Optional[int] = None
     chunksize: Optional[int] = None
     #: Where worker crypto caches came from (compute/disk/shared).
@@ -685,6 +699,239 @@ def _replan_chunksize(
     return bounded
 
 
+@dataclass(frozen=True)
+class SweepPlan:
+    """The resolved execution shape of one run (:meth:`SessionPool.plan`)."""
+
+    tasks: int
+    executor: str
+    workers: int
+    chunksize: int
+    max_tasks_per_child: Optional[int] = None
+    warmup: bool = True
+    #: Where worker warm-up caches come from (compute/disk/shared).
+    material_source: str = "compute"
+    #: Whether the chunk size re-plans mid-sweep from observed task times.
+    adaptive: bool = False
+    #: Whether trials spend the preprocessed randomness pools (online
+    #: protocol mode; digests pinned separately from compute runs).
+    online: bool = False
+    #: Whether the online plan is offset by the persisted spend ledger
+    #: (consume-forward mode: successive sweeps spend disjoint slices).
+    consume_forward: bool = False
+    #: Whether trials batch verification rounds through random-linear-
+    #: combination multi-exps (digest-pinned via ``verify.batch`` events
+    #: when the policy records them).
+    batch_verify: bool = False
+
+    @classmethod
+    def resolve(cls, config: SweepConfig, tasks: int) -> "SweepPlan":
+        """The one place a config's worker count and chunk size resolve."""
+        if config.executor == "process":
+            workers = resolve_workers(config.workers)
+            chunksize = config.chunksize or auto_chunksize(tasks, workers)
+            if config.max_tasks_per_child is not None:
+                # A chunk larger than the recycle bound could never be
+                # dispatched without exceeding it.
+                chunksize = min(chunksize, config.max_tasks_per_child)
+        elif config.executor == "thread":
+            # ThreadPoolExecutor's documented default when max_workers is
+            # None; tasks interleave on these threads, chunking is moot.
+            workers = config.workers or min(32, (os.cpu_count() or 1) + 4)
+            chunksize = 1
+        else:
+            workers = 1
+            chunksize = 1
+        return cls(
+            tasks=tasks,
+            executor=config.executor,
+            workers=workers,
+            chunksize=chunksize,
+            max_tasks_per_child=config.max_tasks_per_child,
+            warmup=config.warmup,
+            material_source=config.material,
+            adaptive=config.adaptive and config.executor == "process",
+            online=bool(config.online),
+            consume_forward=config.consume_forward
+            or bool(getattr(config.online, "consume_forward", False)),
+            batch_verify=config.batch_policy is not None,
+        )
+
+    @property
+    def chunks(self) -> int:
+        """Number of dispatch units the task list shards into.
+
+        For an adaptive sweep this counts the *initial* sharding; the
+        re-planner may split later waves differently (the executed shape
+        lands in the report's adaptivity trace).
+        """
+        return -(-self.tasks // self.chunksize) if self.tasks else 0
+
+    def summary(self, adaptivity: Optional[Any] = None) -> Dict[str, Any]:
+        """Uniform record; pass a report's ``adaptivity`` trace to embed
+        the executed re-chunking alongside the planned shape."""
+        record = {
+            "tasks": self.tasks,
+            "executor": self.executor,
+            "workers": self.workers,
+            "chunksize": self.chunksize,
+            "chunks": self.chunks,
+            "max_tasks_per_child": self.max_tasks_per_child,
+            "warmup": self.warmup,
+            "material_source": self.material_source,
+            "adaptive": self.adaptive,
+            "online": self.online,
+            "consume_forward": self.consume_forward,
+            "batch_verify": self.batch_verify,
+        }
+        if adaptivity is not None:
+            record["adaptivity"] = adaptivity
+        return record
+
+
+@dataclass
+class SweepVerification:
+    """A sweep report plus its inline reference and the digest verdict."""
+
+    report: PoolReport
+    reference: PoolReport
+    matched: bool
+
+    @property
+    def speedup(self) -> float:
+        """Inline wall time over sweep wall time (>1 means the sweep won)."""
+        return self.reference.wall_time_s / max(self.report.wall_time_s, 1e-9)
+
+
+# -- orchestration steps shared with the service host ------------------------
+
+
+def resolve_online_plan(config: SweepConfig, tasks: Sequence[Any]) -> Optional[Any]:
+    """The :class:`~repro.runtime.material.OnlinePlan` a run spends (or None).
+
+    ``online=True`` plans positionally over ``tasks`` against the first
+    material group; an explicit plan passes through untouched (the
+    caller owns slot assignment — and the reference replay of a
+    ``verify()`` must reuse the run's exact plan).
+    """
+    if not config.online:
+        return None
+    from repro.runtime.material import OnlinePlan
+
+    if isinstance(config.online, OnlinePlan):
+        return config.online
+    from repro.crypto.groups import TEST_GROUP
+
+    group = (config.material_groups or (TEST_GROUP,))[0]
+    return OnlinePlan.for_tasks(
+        list(tasks), group=group, consume_forward=config.consume_forward
+    )
+
+
+def _spend_totals(results: Sequence[Any]) -> Tuple[Dict[str, int], int, int]:
+    """Traffic sums plus observed reach over a set of trial results."""
+    totals = {
+        "nonces_spent": 0,
+        "feldman_spent": 0,
+        "nonces_sampled": 0,
+        "feldman_sampled": 0,
+    }
+    nonce_reach = 0
+    feldman_reach = 0
+    for result in results:
+        record = getattr(result, "online", None)
+        if record:
+            for key in totals:
+                totals[key] += int(record.get(key, 0))
+            nonce_range = record.get("nonce_range") or (0, 0)
+            feldman_range = record.get("feldman_range") or (0, 0)
+            spent = int(record.get("nonces_spent", 0))
+            if spent:
+                nonce_reach = max(nonce_reach, int(nonce_range[0]) + spent)
+            spent = int(record.get("feldman_spent", 0))
+            if spent:
+                feldman_reach = max(feldman_reach, int(feldman_range[0]) + spent)
+    return totals, nonce_reach, feldman_reach
+
+
+def ledger_online_spend(
+    plan: Any,
+    results: Sequence[Any],
+    ledgered: Optional[Sequence[Any]] = None,
+) -> Dict[str, int]:
+    """Sum per-trial spend records and ledger them against the store.
+
+    Besides the traffic sums, the ledger gets the *observed reach*: the
+    largest absolute pool index any trial actually consumed through (its
+    reserved range's start plus what it spent).  High marks merge by
+    ``max``, so for consume-forward runs this never exceeds the
+    reservation made at plan time, and for classic runs it records how
+    deep into the pool slot-0-based plans have actually reached — the
+    number ``inspect`` subtracts to report true remaining capacity.
+
+    ``ledgered`` restricts what is *recorded* (not what is summed for the
+    report): a resumed sweep reports totals over every trial, but only
+    its freshly-executed trials may ledger spend — the journaled ones
+    were ledgered by the run that executed them, and re-adding their
+    traffic would double-count it.
+    """
+    totals, nonce_reach, feldman_reach = _spend_totals(results)
+    recorded = totals
+    if ledgered is not None:
+        recorded, nonce_reach, feldman_reach = _spend_totals(ledgered)
+    try:
+        from repro.runtime.material import MaterialStore
+
+        MaterialStore().record_spend(
+            plan.fingerprint,
+            nonces=recorded["nonces_spent"],
+            feldman=recorded["feldman_spent"],
+            nonce_high=nonce_reach,
+            feldman_high=feldman_reach,
+            material_seed=plan.material_seed,
+        )
+    except OSError as exc:
+        # Advisory bookkeeping must never fail a finished run — but a
+        # ledger that silently stops advancing breaks the next
+        # consume-forward run's disjointness, so say it degraded.
+        warnings.warn(
+            f"could not record online spend in the material ledger ({exc}); "
+            "the next consume-forward run may re-spend these pool slices",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return totals
+
+
+def start_warm_workers(
+    config: SweepConfig,
+    backend: ExecutionBackend,
+    start: Callable[..., Any],
+) -> Tuple[Any, Any]:
+    """Publish material, then start warmed process workers.
+
+    ``start`` builds the worker pool from ``initializer``/``initargs``
+    keywords (a :class:`~repro.runtime.supervisor.Supervisor` for
+    sweeps, a ``ProcessPoolExecutor`` for the service host).  The parent
+    publishes the validated store files of ``config.material_groups``
+    once and every worker attaches them from the handle.  No warm-up
+    means no attach: publishing material that no worker will read would
+    waste the offline build and misreport the source.  Returns
+    ``(workers, handle)``; ``handle`` is None when nothing was published.
+    """
+    if not config.warmup:
+        return start(initializer=None, initargs=()), None
+    from repro.crypto.groups import get_arith_backend
+    from repro.runtime.material import publish_material
+
+    handle = publish_material(config.material, groups=config.material_groups)
+    workers = start(
+        initializer=_warm_worker,
+        initargs=(backend, handle, get_arith_backend().name),
+    )
+    return workers, handle
+
+
 class SessionPool:
     """Run many independent sessions (different seeds) through one driver.
 
@@ -694,12 +941,17 @@ class SessionPool:
         config: A :class:`~repro.runtime.config.SweepConfig` holding
             every execution knob (backend, executor, workers, material,
             online, supervision, ...) — see that class for the full
-            reference; validation lives in its ``__post_init__``.
+            reference; validation lives in its ``__post_init__``.  The
+            pool reads it as ``self.config`` and keeps no other copy.
         **runner_kwargs: Forwarded verbatim to ``runner`` on every
             trial.  For back compatibility the execution knobs are also
             accepted as individual keywords (``executor="process"``,
-            ``online=True``, ...); they build a config internally.
+            ``online=True``, ...); they build a config internally, with
+            :attr:`default_executor` unless ``executor`` is given.
     """
+
+    #: Executor of a config built from keyword knobs.
+    default_executor = "inline"
 
     def __init__(
         self,
@@ -711,150 +963,36 @@ class SessionPool:
         config, runner_kwargs = resolve_legacy_config(
             config,
             runner_kwargs,
-            defaults={"backend": "pooled", "executor": "inline"},
-            owner="SessionPool",
+            defaults={"backend": "pooled", "executor": self.default_executor},
+            owner=type(self).__name__,
         )
         self.config = config
         self.runner = runner
-        self.backend = get_backend(config.backend)
-        self.executor = config.executor
-        self.workers = config.workers
-        self.chunksize = config.chunksize
-        self.max_tasks_per_child = config.max_tasks_per_child
-        self.warmup = config.warmup
-        self.material = config.material
-        self.material_groups = config.material_groups
-        self.adaptive = config.adaptive
-        self.online = config.online
-        self.consume_forward = config.consume_forward
-        self.batch_policy = config.batch_policy
-        self.retry_policy = config.retry
-        self.deadline_policy = config.deadline
-        self.chaos_plan = config.chaos
-        self.journal = config.journal
-        self.resume = config.resume
-        self.trace = config.trace
         self.runner_kwargs = dict(runner_kwargs)
+        self._backend = get_backend(config.backend)
 
-    def _online_plan(self, seeds: Sequence[Any]) -> Optional[Any]:
-        """Resolve this sweep's :class:`OnlinePlan` (or ``None``).
-
-        ``online=True`` plans positionally over ``seeds`` against the
-        first material group; an explicit plan passes through untouched
-        (the caller owns slot assignment — and the reference replay of a
-        ``verify()`` must reuse the sweep's exact plan).
-        """
-        if not self.online:
-            return None
-        from repro.runtime.material import OnlinePlan
-
-        if isinstance(self.online, OnlinePlan):
-            return self.online
-        from repro.crypto.groups import TEST_GROUP
-
-        group = (self.material_groups or (TEST_GROUP,))[0]
-        return OnlinePlan.for_tasks(
-            seeds, group=group, consume_forward=self.consume_forward
-        )
-
-    @staticmethod
-    def _spend_totals(results: Sequence[Any]) -> Tuple[Dict[str, int], int, int]:
-        """Traffic sums plus observed reach over a set of trial results."""
-        totals = {
-            "nonces_spent": 0,
-            "feldman_spent": 0,
-            "nonces_sampled": 0,
-            "feldman_sampled": 0,
-        }
-        nonce_reach = 0
-        feldman_reach = 0
-        for result in results:
-            record = getattr(result, "online", None)
-            if record:
-                for key in totals:
-                    totals[key] += int(record.get(key, 0))
-                nonce_range = record.get("nonce_range") or (0, 0)
-                feldman_range = record.get("feldman_range") or (0, 0)
-                spent = int(record.get("nonces_spent", 0))
-                if spent:
-                    nonce_reach = max(nonce_reach, int(nonce_range[0]) + spent)
-                spent = int(record.get("feldman_spent", 0))
-                if spent:
-                    feldman_reach = max(
-                        feldman_reach, int(feldman_range[0]) + spent
-                    )
-        return totals, nonce_reach, feldman_reach
-
-    def _aggregate_online(
-        self,
-        plan: Any,
-        results: Sequence[Any],
-        ledgered: Optional[Sequence[Any]] = None,
-    ) -> Dict[str, int]:
-        """Sum per-trial spend records and ledger them against the store.
-
-        Besides the traffic sums, the ledger gets the *observed reach*:
-        the largest absolute pool index any trial actually consumed
-        through (its reserved range's start plus what it spent).  High
-        marks merge by ``max``, so for consume-forward sweeps this never
-        exceeds the reservation made at plan time, and for classic
-        sweeps it records how deep into the pool slot-0-based plans have
-        actually reached — the number ``inspect`` subtracts to report
-        true remaining capacity.
-
-        ``ledgered`` restricts what is *recorded* (not what is summed
-        for the report): a resumed sweep reports totals over every
-        trial, but only its freshly-executed trials may ledger spend —
-        the journaled ones were ledgered by the run that executed them,
-        and re-adding their traffic would double-count it.
-        """
-        totals, _, _ = self._spend_totals(results)
-        recorded, nonce_reach, feldman_reach = self._spend_totals(
-            results if ledgered is None else ledgered
-        )
-        try:
-            from repro.runtime.material import MaterialStore
-
-            MaterialStore().record_spend(
-                plan.fingerprint,
-                nonces=recorded["nonces_spent"],
-                feldman=recorded["feldman_spent"],
-                nonce_high=nonce_reach,
-                feldman_high=feldman_reach,
-                material_seed=plan.material_seed,
-            )
-        except OSError as exc:
-            # Advisory bookkeeping must never fail a finished sweep — but
-            # a ledger that silently stops advancing breaks the next
-            # consume-forward run's disjointness, so say it degraded.
-            warnings.warn(
-                f"could not record online spend in the material ledger ({exc}); "
-                "the next consume-forward sweep may re-spend these pool slices",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return totals
+    def plan(self, tasks: int) -> SweepPlan:
+        """The execution shape :meth:`run` will use for ``tasks`` tasks."""
+        return SweepPlan.resolve(self.config, tasks)
 
     def _call_kwargs(self) -> Dict[str, Any]:
         kwargs = dict(self.runner_kwargs)
         # Forward the backend *instance* (frozen dataclass, picklable), not
         # its name: with_trace() overrides and unregistered custom backends
         # must survive the trip into the runner.
-        kwargs.setdefault("backend", self.backend)
-        if self.trace is not None:
-            kwargs.setdefault("trace", self.trace)
+        kwargs.setdefault("backend", self._backend)
+        if self.config.trace is not None:
+            kwargs.setdefault("trace", self.config.trace)
         return kwargs
 
     def _process_map(
         self,
         bound: Callable[..., TrialResult],
         seeds: Sequence[int],
-        chunksize: int,
-        workers: int,
-        material_handle: Any = None,
+        plan: SweepPlan,
         adaptivity: Optional[List[Dict[str, Any]]] = None,
         journal: Optional[Any] = None,
-    ) -> Tuple[List[Optional[TrialResult]], Any]:
+    ) -> Tuple[List[Optional[TrialResult]], Any, Any]:
         """Supervised chunked process fan-out; input order preserved.
 
         Every chunk is dispatched via ``apply_async`` under a
@@ -867,39 +1005,42 @@ class SessionPool:
         ``ProcessPoolExecutor(max_tasks_per_child=...)`` (3.11+, and
         observed to deadlock on recycle in 3.11.7).  The pool counts
         one ``apply_async`` chunk as one task, so the bound is
-        expressed in chunk units; run() already clamps the chunk size
-        to ``max_tasks_per_child``, and adaptive re-plans only ever
+        expressed in chunk units; the plan already clamps the chunk
+        size to ``max_tasks_per_child``, and adaptive re-plans only ever
         shrink chunks under recycling (see ``_replan_chunksize``), so
         the bound holds for every wave.
 
-        Returns ``(results, stats)``; quarantined tasks appear as
-        ``None`` at their position.
+        Returns ``(results, stats, handle)``; quarantined tasks appear
+        as ``None`` at their position, and ``handle`` is the published
+        material (None when workers compute their own caches).
         """
-        from repro.crypto.groups import get_arith_backend
         from repro.runtime.supervisor import Supervisor
 
-        initargs = (self.backend, material_handle, get_arith_backend().name)
+        config = self.config
         chunks_per_child: Optional[int] = None
-        if self.max_tasks_per_child is not None:
-            chunks_per_child = max(1, self.max_tasks_per_child // chunksize)
-        supervisor = Supervisor(
-            workers=workers,
-            initializer=_warm_worker if self.warmup else None,
-            initargs=initargs if self.warmup else (),
-            max_chunks_per_child=chunks_per_child,
-            retry=self.retry_policy,
-            deadline=self.deadline_policy,
-            chaos=self.chaos_plan,
-            on_chunk=journal.append_chunk if journal is not None else None,
+        if config.max_tasks_per_child is not None:
+            chunks_per_child = max(1, config.max_tasks_per_child // plan.chunksize)
+        supervisor, handle = start_warm_workers(
+            config,
+            self._backend,
+            functools.partial(
+                Supervisor,
+                workers=plan.workers,
+                max_chunks_per_child=chunks_per_child,
+                retry=config.retry,
+                deadline=config.deadline,
+                chaos=config.chaos,
+                on_chunk=journal.append_chunk if journal is not None else None,
+            ),
         )
         try:
             results = self._drive_map(
                 lambda tasks, size: supervisor.map(bound, tasks, size),
-                seeds, chunksize, workers, adaptivity,
+                seeds, plan.chunksize, plan.workers, adaptivity,
             )
         finally:
             supervisor.close()
-        return results, supervisor.stats
+        return results, supervisor.stats, handle
 
     def _drive_map(
         self,
@@ -950,7 +1091,7 @@ class SessionPool:
             wave += 1
             if index < len(seeds):
                 chunksize = _replan_chunksize(
-                    chunksize, ewma, self.max_tasks_per_child
+                    chunksize, ewma, self.config.max_tasks_per_child
                 )
         return results
 
@@ -963,13 +1104,14 @@ class SessionPool:
         are deliberately absent — resuming on a differently-sized box
         is the point of the journal.
         """
+        config = self.config
         return {
             "runner": f"{self.runner.__module__}.{self.runner.__qualname__}",
-            "backend": self.backend.name,
-            "trace": self.trace,
-            "online": bool(self.online),
-            "consume_forward": self.consume_forward,
-            "batch_verify": self.batch_policy is not None,
+            "backend": self._backend.name,
+            "trace": config.trace,
+            "online": bool(config.online),
+            "consume_forward": config.consume_forward,
+            "batch_verify": config.batch_policy is not None,
             "kwargs_digest": hashlib.sha256(
                 canonical_detail(self.runner_kwargs).encode()
             ).hexdigest(),
@@ -978,18 +1120,18 @@ class SessionPool:
 
     def _journal_open(
         self, seeds: Sequence[Any]
-    ) -> Tuple[Optional[Any], Dict[Any, TrialResult], Optional[Any], bool]:
+    ) -> Tuple[Optional[Any], Dict[Any, TrialResult], Optional[Any]]:
         """Open/resume the sweep journal; resolve the online plan.
 
-        Returns ``(journal, resumed_results, online_plan, planned)``.
-        On resume the journaled plan is reconstructed and replayed
-        verbatim — re-planning would re-read the ledger the original
-        run already advanced (and re-reserve a consume-forward range),
-        a double-spend.  ``planned`` is False exactly then, telling
-        run() the plan was restored, not freshly reserved.
+        Returns ``(journal, resumed_results, online_plan)``.  On resume
+        the journaled plan is reconstructed and replayed verbatim —
+        re-planning would re-read the ledger the original run already
+        advanced (and re-reserve a consume-forward range), a
+        double-spend.
         """
-        if self.journal is None:
-            return None, {}, self._online_plan(seeds), True
+        config = self.config
+        if config.journal is None:
+            return None, {}, resolve_online_plan(config, seeds)
         from repro.runtime.supervisor import (
             SweepJournal,
             plan_from_record,
@@ -997,14 +1139,14 @@ class SessionPool:
             trial_result_from_record,
         )
 
-        journal = SweepJournal(self.journal)
-        if not self.resume:
-            online_plan = self._online_plan(seeds)
+        journal = SweepJournal(config.journal)
+        if not config.resume:
+            online_plan = resolve_online_plan(config, seeds)
             journal.begin(
                 self._journal_config(seeds),
                 plan_to_record(online_plan) if online_plan is not None else None,
             )
-            return journal, {}, online_plan, True
+            return journal, {}, online_plan
         header, records = journal.load()
         expected = self._journal_config(seeds)
         if header.get("config") != expected:
@@ -1021,7 +1163,7 @@ class SessionPool:
         for record in records:
             for task, payload in zip(record["tasks"], record["results"]):
                 resumed[task] = trial_result_from_record(payload)
-        return journal, resumed, online_plan, False
+        return journal, resumed, online_plan
 
     def run(self, seeds: Iterable[int]) -> PoolReport:
         """Execute one trial per seed; returns the aggregate report.
@@ -1034,112 +1176,140 @@ class SessionPool:
         — the honest partial report the sweep completes with instead
         of crashing.
         """
-        from repro.runtime.material import MaterialHandle, publish_material
-
+        config = self.config
         seeds = list(seeds)
+        plan = self.plan(len(seeds))
         kwargs = self._call_kwargs()
-        journal, resumed, online_plan, _ = self._journal_open(seeds)
+        journal, resumed, online_plan = self._journal_open(seeds)
         if online_plan is not None:
             kwargs["online"] = online_plan
-        if self.batch_policy is not None:
-            kwargs["batch"] = self.batch_policy
-        used_workers: Optional[int] = None
-        used_chunksize: Optional[int] = None
+        if config.batch_policy is not None:
+            kwargs["batch"] = config.batch_policy
         adaptivity: Optional[List[Dict[str, Any]]] = None
         supervision: Optional[Dict[str, Any]] = None
         fresh_results: Optional[List[TrialResult]] = None
-        handle: Optional[MaterialHandle] = None
+        handle: Any = None
+        bound = functools.partial(self.runner, **kwargs)
         start = time.perf_counter()
-        if self.executor == "inline":
-            if self.material != "compute" and self.warmup:
-                self.backend.warm_up(self.material)
-            results = [self.runner(seed, **kwargs) for seed in seeds]
+        if plan.executor == "process":
+            if plan.adaptive:
+                adaptivity = []
+            remaining = [seed for seed in seeds if seed not in resumed]
+            mapped: List[Optional[TrialResult]] = []
+            if remaining:
+                mapped, stats, handle = self._process_map(
+                    bound, remaining, plan, adaptivity=adaptivity, journal=journal
+                )
+                supervision = stats.to_record()
+            else:
+                from repro.runtime.supervisor import SupervisorStats
+
+                supervision = SupervisorStats().to_record()
+            fresh_results = [result for result in mapped if result is not None]
+            fresh_iter = iter(mapped)
+            results = []
+            for seed in seeds:
+                if seed in resumed:
+                    results.append(resumed[seed])
+                else:
+                    result = next(fresh_iter)
+                    if result is not None:
+                        results.append(result)
         else:
-            import functools
-
-            bound = functools.partial(self.runner, **kwargs)
-            if self.executor == "thread":
-                import concurrent.futures as futures
-
-                if self.material != "compute" and self.warmup:
-                    # Threads share this process's caches: attach once here.
-                    self.backend.warm_up(self.material)
-                used_workers = self.workers
-                with futures.ThreadPoolExecutor(max_workers=self.workers) as pool:
+            if config.material != "compute" and config.warmup:
+                # Inline and thread trials share this process's caches:
+                # attach once here.
+                self._backend.warm_up(config.material)
+            if plan.executor == "inline":
+                results = [self.runner(seed, **kwargs) for seed in seeds]
+            else:
+                with futures.ThreadPoolExecutor(max_workers=plan.workers) as pool:
                     # Thread trials run in-process: no worker can be
                     # OOM-killed or leak, so the unbounded map is the
                     # honest simple thing.  # repro: allow[RPR007]
                     results = list(pool.map(bound, seeds))
-            else:
-                used_workers = resolve_workers(self.workers)
-                used_chunksize = self.chunksize or auto_chunksize(
-                    len(seeds), used_workers
-                )
-                if self.max_tasks_per_child is not None:
-                    # A chunk larger than the recycle bound could never be
-                    # dispatched without exceeding it.
-                    used_chunksize = min(used_chunksize, self.max_tasks_per_child)
-                if self.adaptive:
-                    adaptivity = []
-                remaining = [seed for seed in seeds if seed not in resumed]
-                mapped: List[Optional[TrialResult]] = []
-                if remaining:
-                    # No warm-up means no attach: publishing material that
-                    # no worker will read would waste the offline build
-                    # inside the timed region and misreport the source.
-                    if self.warmup:
-                        handle = publish_material(
-                            self.material, groups=self.material_groups
-                        )
-                    mapped, stats = self._process_map(
-                        bound, remaining, used_chunksize, used_workers,
-                        material_handle=handle, adaptivity=adaptivity,
-                        journal=journal,
-                    )
-                    supervision = stats.to_record()
-                else:
-                    from repro.runtime.supervisor import SupervisorStats
-
-                    supervision = SupervisorStats().to_record()
-                fresh_results = [result for result in mapped if result is not None]
-                fresh_iter = iter(mapped)
-                results = []
-                for seed in seeds:
-                    if seed in resumed:
-                        results.append(resumed[seed])
-                    else:
-                        result = next(fresh_iter)
-                        if result is not None:
-                            results.append(result)
         elapsed = time.perf_counter() - start
         # Process reports always say where worker caches came from: the
         # requested source only when a handle was published, since a
         # failed or skipped publish leaves workers computing their own.
         # Inline/thread runs only mention material when they attached any.
-        material_source: Optional[str] = self.material
-        if self.executor == "process":
+        material_source: Optional[str] = config.material
+        if plan.executor == "process":
             if handle is None:
                 material_source = "compute"
-        elif not self.warmup or self.material == "compute":
+        elif not config.warmup or config.material == "compute":
             material_source = None
         online_spend = (
-            self._aggregate_online(online_plan, results, ledgered=fresh_results)
+            ledger_online_spend(online_plan, results, ledgered=fresh_results)
             if online_plan is not None
             else None
         )
         return PoolReport(
-            backend=self.backend.name,
-            executor=self.executor,
+            backend=self._backend.name,
+            executor=plan.executor,
             wall_time_s=elapsed,
             results=results,
-            workers=used_workers,
-            chunksize=used_chunksize,
+            workers=plan.workers if plan.executor != "inline" else None,
+            chunksize=plan.chunksize if plan.executor == "process" else None,
             material_source=material_source,
             adaptivity=adaptivity,
             online_spend=online_spend,
             online_plan=online_plan,
             supervision=supervision,
             resumed=len(resumed),
+        )
+
+    def _inline_reference(self, report: PoolReport) -> "SessionPool":
+        """An inline pool with identical runner/backend/trace settings.
+
+        Deliberately left on the default ``compute`` material: verify()
+        then checks digest equality *across* material sources (attached
+        tables in the run vs locally built ones in the reference), which
+        is exactly the store's correctness contract.
+
+        Online runs are the exception: the reference must *spend the
+        same pool entries*, so it attaches the disk store (same blob the
+        run published) and replays the report's resolved
+        :class:`~repro.runtime.material.OnlinePlan` verbatim — which is
+        how pool-consuming process runs stay seed-for-seed verifiable.
+        Re-planning here would re-read the spend ledger, which a
+        consume-forward run has already advanced, and the replay would
+        land on different absolute slices than the recorded run.
+        """
+        from repro.runtime.material import MATERIAL_DISK
+
+        config = self.config
+        online: Dict[str, Any] = {}
+        if report.online_plan is not None:
+            online = dict(
+                material=MATERIAL_DISK,
+                material_groups=config.material_groups,
+                online=report.online_plan,
+            )
+        reference = SweepConfig(
+            backend=config.backend,
+            executor="inline",
+            batch_verify=config.batch_verify,
+            trace=config.trace,
+            **online,
+        )
+        return SessionPool(self.runner, config=reference, **self.runner_kwargs)
+
+    def verify(self, tasks: Iterable[Any]) -> SweepVerification:
+        """Run the tasks *and* an inline reference; compare digests.
+
+        Raises:
+            ValueError: the task list is empty.
+            TraceDigestUnavailable: the run was trace-off (``light``),
+                so there are no digests to compare.
+        """
+        tasks = list(tasks)
+        report = self.run(tasks)
+        reference = self._inline_reference(report).run(tasks)
+        return SweepVerification(
+            report=report,
+            reference=reference,
+            matched=reports_match(report, reference),
         )
 
 

@@ -591,6 +591,37 @@ def test_material_groups_plumbs_production_parameters_to_workers(store):
     assert store.path_for(GROUP_2048).exists()
 
 
+def test_host_process_workers_attach_every_published_group(store, monkeypatch):
+    """A process host publishes ``material_groups`` once, as the pool does.
+
+    Its workers get a handle naming every group's validated store file,
+    not a bare source name that leaves each worker to load (or, on an
+    empty store, build) the material itself.
+    """
+    from concurrent import futures
+
+    from repro.runtime import AsyncSessionHost, SweepConfig, run_sbc_trial
+
+    started = {}
+
+    def recording(max_workers, initializer=None, initargs=()):
+        started.update(initializer=initializer, initargs=initargs)
+        return futures.ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", recording)
+    groups = (TEST_GROUP, GROUP_2048)
+    config = SweepConfig(
+        executor="process", workers=1, material="disk", material_groups=groups
+    )
+    report = AsyncSessionHost(run_sbc_trial, config=config, **PARAMS).run(range(2))
+    assert report.sessions == 2
+    handle = started["initargs"][1]
+    assert isinstance(handle, MaterialHandle)
+    assert [ref.fingerprint for ref in handle.refs] == [
+        group_fingerprint(group) for group in groups
+    ]
+
+
 def test_warmup_off_never_publishes_or_claims_material(store):
     """warmup=False measures cold workers: nothing to publish or attach."""
     report = SessionPool(

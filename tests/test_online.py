@@ -274,6 +274,37 @@ def test_online_run_is_digest_pinned_and_reproducible(store):
     assert online.summary()["online"] is True
 
 
+def _pool_online_run():
+    return SessionPool(
+        executor="inline", material="disk", online=True, **VOTING
+    ).run(range(2))
+
+
+def _host_online_run():
+    from repro.runtime import AsyncSessionHost, SweepConfig
+
+    config = SweepConfig(
+        backend="async", executor="inline", material="disk", online=True
+    )
+    return AsyncSessionHost(config=config, voters=3).run(range(2))
+
+
+@pytest.mark.parametrize(
+    "run", [_pool_online_run, _host_online_run], ids=["pool", "host"]
+)
+def test_failed_ledger_write_warns_and_still_reports_spend(store, monkeypatch, run):
+    store.build([TEST_GROUP], nonces=64, feldman=16)
+
+    def refuse(*args, **kwargs):
+        raise OSError("read-only store")
+
+    monkeypatch.setattr(MaterialStore, "record_spend", refuse)
+    with pytest.warns(RuntimeWarning, match="could not record"):
+        report = run()
+    assert report.online_spend["nonces_spent"] == 6  # 2 sessions x 3 ballots
+    assert report.online_spend["nonces_sampled"] == 0
+
+
 def test_online_spend_event_recorded_in_trace(store):
     store.build([TEST_GROUP], nonces=64, feldman=16)
     plan = OnlinePlan.for_tasks([5], store=store)

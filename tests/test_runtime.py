@@ -189,6 +189,8 @@ def test_session_pool_thread_executor():
     report = pool.run(seeds)
     inline = SessionPool(backend="pooled", n=3, mode="hybrid").run(seeds)
     assert [r.digest for r in report.results] == [r.digest for r in inline.results]
+    # The report gives the resolved worker count, as the plan does.
+    assert report.workers == pool.plan(len(seeds)).workers
 
 
 def test_run_sbc_trial_is_self_contained():

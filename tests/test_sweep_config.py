@@ -146,7 +146,7 @@ def test_keyword_knobs_stay_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         pool = SessionPool(run_sbc_trial, backend="sequential", executor="inline")
-    assert pool.executor == "inline"
+    assert pool.config.executor == "inline"
 
 
 def test_config_plus_knobs_is_ambiguous():
@@ -189,13 +189,12 @@ def test_pool_and_sweep_accept_every_knob_by_keyword(owner):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         instance = owner(run_sbc_trial, **KNOB_VALUES)
-    pool = instance if owner is SessionPool else instance._pool
-    config = pool.config
+    config = instance.config
     assert config.executor == "process"
     assert config.workers == 2
     assert config.trace == "light"
     # Every name was consumed as a knob — nothing leaked to the runner.
-    assert pool.runner_kwargs == {}
+    assert instance.runner_kwargs == {}
 
 
 def test_run_matrix_signature_regained_the_supervision_knobs():
