@@ -91,8 +91,15 @@ def _cmd_election(args: argparse.Namespace) -> int:
             print(f"V{index} cast (hidden until the release round)")
         stack.run_until_result()
     print(f"self-tally: {stack.results()['V0']}")
+    metrics = stack.session.metrics
     if policy is not None:
         print("tally verification: batched (one RLC multi-exp per voter view)")
+    elif metrics.get("proofs.checked"):
+        print(
+            f"tally verification: per-proof ({metrics.get('proofs.checked')} distinct "
+            f"proofs checked, {metrics.get('proofs.shared')} verdicts shared across "
+            "voter views)"
+        )
     return 0
 
 

@@ -266,6 +266,29 @@ def ballot_prove(
     )
 
 
+def _ballot_well_formed(ballot: int, proof: BallotProof, choices: Sequence[int]) -> bool:
+    """Structural screen: an int ballot and one ``(a1, a2, e, s)`` tuple
+    of ints per choice.
+
+    A corrupted voter controls the ballot and every field of the proof it
+    signs, so the shape is checked before any branch is unpacked; a
+    malformed cast is a rejected ballot, never an exception in an honest
+    tally.
+    """
+    branches = proof.branches
+    return (
+        isinstance(ballot, int)
+        and isinstance(branches, tuple)
+        and len(branches) == len(choices)
+        and all(
+            isinstance(branch, tuple)
+            and len(branch) == 4
+            and all(isinstance(value, int) for value in branch)
+            for branch in branches
+        )
+    )
+
+
 def ballot_verify(
     group: SchnorrGroup,
     seed: int,
@@ -278,7 +301,7 @@ def ballot_verify(
     """Verify a disjunctive ballot proof against the allowed choice set."""
     key_base = key_base or group.g
     choices = list(choices)
-    if len(proof.branches) != len(choices):
+    if not _ballot_well_formed(ballot, proof, choices):
         return False
     flat: List[int] = [seed, w, ballot]
     for a1, a2, _, _ in proof.branches:
@@ -306,7 +329,7 @@ def ballot_batch_item(
 ) -> BatchItem:
     """A batch item for one disjunctive ballot proof.
 
-    The cheap structural checks (branch count, challenge sum, Fiat–Shamir
+    The cheap structural checks (branch shape, challenge sum, Fiat–Shamir
     binding) happen here; only the 2-per-branch exponentiation equations
     enter the batch.  Any structural failure, out-of-range element, or
     membership-screen miss resolves through :func:`ballot_verify` for an
@@ -316,12 +339,12 @@ def ballot_batch_item(
     check = partial(ballot_verify, group, seed, w, ballot, proof, choices, key_base)
     key_base = key_base or group.g
     choice_list = list(choices)
+    if not _ballot_well_formed(ballot, proof, choice_list):
+        return BatchItem(bases=(), equations=(), check=check)
     elements = (key_base, seed, w, ballot) + tuple(
         element for a1, a2, _, _ in proof.branches for element in (a1, a2)
     )
-    if len(proof.branches) != len(choice_list) or not all(
-        0 < element < group.p for element in elements
-    ):
+    if not all(0 < element < group.p for element in elements):
         return BatchItem(bases=(), equations=(), check=check)
     flat: List[int] = [seed, w, ballot]
     for a1, a2, _, _ in proof.branches:

@@ -336,8 +336,22 @@ class VoterParty(Party):
         self.output(("Result", self.result, None))
 
     def _tally_ballots(self, batch: Sequence[Any], seed: int) -> Dict[str, int]:
-        """Per-item ballot screening: the sequential reference path."""
+        """Per-item ballot screening: the sequential reference path.
+
+        Every voter re-checks every ballot, as the scrutineer role of
+        Figure 18 requires, but the proof check is a pure function of
+        public values: its verdict is looked up in the session's
+        :attr:`~repro.uc.session.Session.proof_verdicts` memo, keyed on
+        the signed message plus this view's own seed, verification key,
+        key base, choice set and group.  A view holding different inputs
+        keys apart and computes its own verdict.  The certificate check
+        stays per party (it reads corruption state and counts a verify).
+        """
         group = self.group
+        choices = self.election.choices
+        public = (seed, self.w, tuple(choices), group)
+        verdicts = self.session.proof_verdicts
+        metrics = self.session.metrics
         ballots: Dict[str, int] = {}
         for item in batch:
             if not (isinstance(item, tuple) and len(item) == 5 and item[0] == "Ballot"):
@@ -345,21 +359,24 @@ class VoterParty(Party):
             _, voter, ballot, proof, signature = item
             if voter in ballots or voter not in self.election.voters:
                 continue
-            if not self.certs[voter].verify(encode((ballot, proof, voter)), signature):
+            message = encode((ballot, proof, voter))
+            if not self.certs[voter].verify(message, signature):
                 continue
             if not isinstance(proof, BallotProof):
                 continue
-            if not ballot_verify(
-                group,
-                seed,
-                self.verification_keys[voter],
-                ballot,
-                proof,
-                self.election.choices,
-                key_base=self.w,
-            ):
-                continue
-            ballots[voter] = ballot
+            key_w = self.verification_keys[voter]
+            memo_key = (message, key_w) + public
+            verdict = verdicts.get(memo_key)
+            if verdict is None:
+                verdict = ballot_verify(
+                    group, seed, key_w, ballot, proof, choices, key_base=self.w
+                )
+                verdicts[memo_key] = verdict
+                metrics.inc("proofs.checked")
+            else:
+                metrics.inc("proofs.shared")
+            if verdict:
+                ballots[voter] = ballot
         return ballots
 
     def _tally_ballots_batched(

@@ -15,7 +15,7 @@ reproduces the pre-runtime engine byte-for-byte.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Set, Union
 
 from repro.runtime.backend import ExecutionBackend, get_backend
 from repro.runtime.scheduler import BatchScheduler
@@ -60,6 +60,13 @@ class Session:
         self.log = NullEventLog() if trace_mode == "light" else EventLog()
         self.scheduler = BatchScheduler(policy=self.backend.scheduler_policy)
         self.metrics = Metrics()
+        #: Verdicts of pure public-input proof checks, keyed on their exact
+        #: inputs (the signed encoding plus the checker's public values),
+        #: so every party of this session that checks the same proof
+        #: against the same values reuses one verdict.  Never recorded,
+        #: digested or pickled into a trial result; each session starts
+        #: empty, so no two sessions share verdicts.
+        self.proof_verdicts: Dict[Any, bool] = {}
         self.parties: Dict[str, "Party"] = {}
         self.functionalities: Dict[str, "Functionality"] = {}
         self.corrupted: Set[str] = set()

@@ -29,6 +29,10 @@ def test_election_command(capsys):
     assert main(["election", "--voters", "3"]) == 0
     out = capsys.readouterr().out
     assert "self-tally" in out and "'yes': 2" in out
+    assert (
+        "tally verification: per-proof (3 distinct proofs checked, "
+        "6 verdicts shared across voter views)" in out
+    )
 
 
 def test_election_ideal_mode(capsys):

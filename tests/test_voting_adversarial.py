@@ -1,8 +1,11 @@
 """Adversarial voters and authorities: every rejection path of ΠSTVS."""
 
 
+import pytest
+
 from repro.core import build_voting_stack
-from repro.crypto.zkp import ballot_prove
+from repro.crypto.batch import BatchPolicy, batching
+from repro.crypto.zkp import BallotProof, ballot_prove
 from repro.uc.encoding import encode
 
 
@@ -159,3 +162,39 @@ def test_cheating_authority_detected_by_scrutineers():
         assert voter.secret_exponent is None  # setup rejected
         rejects = stack.session.log.filter(kind="scrutineer_reject")
     assert rejects, "scrutineer check must fire"
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-item", "batched"])
+@pytest.mark.parametrize(
+    "ballot, branches",
+    [
+        (None, ((1, 2, 3), (1, 2, 3))),  # 3-tuples where 4-tuples belong
+        (None, ((1, 2, 3, 4), "x")),  # a non-tuple branch
+        (None, ((1, 2, "a", 4), (1, 2, 3, 4))),  # a non-int field
+        ("x", ((1, 2, 3, 4), (1, 2, 3, 4))),  # a ballot that is not an int
+    ],
+    ids=["short-branches", "str-branch", "str-field", "str-ballot"],
+)
+def test_malformed_signed_cast_is_a_missing_ballot(ballot, branches, batched):
+    """A signed cast of the wrong shape is rejected, not raised on."""
+    with batching(BatchPolicy() if batched else None):
+        stack = _setup()
+        stack.session.corrupt("V2")
+        victim = stack.parties["V2"]
+        if ballot is None:
+            group = victim.group
+            ballot = group.mul(
+                group.exp(victim._seed(), victim.secret_exponent),
+                group.power_of_g(victim.election.exponent_of("yes")),
+            )
+        proof = BallotProof(branches=branches)
+        signature = victim.certs["V2"].sign("V2", encode((ballot, proof, "V2")))
+        stack.service.adv_broadcast("V2", ("Ballot", "V2", ballot, proof, signature))
+        stack.parties["V0"].vote("yes")
+        stack.parties["V1"].vote("no")
+        stack.run_until_result()
+    for party in stack.parties.values():
+        if party.corrupted:
+            continue
+        assert party.result is None
+        assert party.tally_failure == "missing ballots: ['V2']"
