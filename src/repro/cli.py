@@ -75,8 +75,6 @@ def _cmd_election(args: argparse.Namespace) -> int:
     with batching(policy):
         stack = build_voting_stack(
             voters=args.voters, mode=args.mode, seed=args.seed, candidates=candidates,
-            phi=max(4, 5 if args.mode == "composed" else 4),
-            delta=3 if args.mode == "composed" else 2,
             backend=args.backend,
         )
         if args.mode == "ideal":
@@ -93,8 +91,14 @@ def _cmd_election(args: argparse.Namespace) -> int:
     print(f"self-tally: {stack.results()['V0']}")
     metrics = stack.session.metrics
     if policy is not None:
-        print("tally verification: batched (one RLC multi-exp per voter view)")
-    elif metrics.get("proofs.checked"):
+        print(
+            f"tally verification: batched (combined RLC equations: "
+            f"{metrics.get('rlc.evaluated')} evaluated, {metrics.get('rlc.shared')} "
+            f"verdicts shared across voter views; membership screens: "
+            f"{metrics.get('members.checked')} computed, "
+            f"{metrics.get('members.shared')} shared)"
+        )
+    if metrics.get("proofs.checked"):
         print(
             f"tally verification: per-proof ({metrics.get('proofs.checked')} distinct "
             f"proofs checked, {metrics.get('proofs.shared')} verdicts shared across "

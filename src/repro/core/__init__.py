@@ -31,6 +31,7 @@ from repro.core.stacks import (
     build_sbc_stack,
     build_tle_stack,
     build_voting_stack,
+    session_timing,
 )
 
 __all__ = [
@@ -46,4 +47,5 @@ __all__ = [
     "build_sbc_stack",
     "build_tle_stack",
     "build_voting_stack",
+    "session_timing",
 ]

@@ -27,7 +27,7 @@ session has its own resource budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.functionalities.certification import Certification
 from repro.functionalities.dummy import (
@@ -61,6 +61,27 @@ BackendArg = Union[str, ExecutionBackend, None]
 
 #: Corollary 1 default parameters: Φ > 3, ∆ > 2, α = 3.
 SBC_DEFAULTS = {"phi": 5, "delta": 3, "q": 4}
+
+#: Φ and ∆ of hybrid and ideal elections and session runners: the ideal
+#: FSBC has no Corollary 1 minima, so these worlds run shorter.
+HYBRID_TIMING = {"phi": 4, "delta": 2}
+
+
+def session_timing(
+    mode: str, phi: Optional[int] = None, delta: Optional[int] = None
+) -> Tuple[int, int]:
+    """Φ and ∆ for a session in ``mode``; explicit values win.
+
+    The composed world (ΠSBC over ΠTLE over ΠFBC) needs the Corollary 1
+    minima, so it defaults to :data:`SBC_DEFAULTS`; the hybrid and ideal
+    worlds default to :data:`HYBRID_TIMING`.
+    """
+    defaults = SBC_DEFAULTS if mode == "composed" else HYBRID_TIMING
+    return (
+        defaults["phi"] if phi is None else phi,
+        defaults["delta"] if delta is None else delta,
+    )
+
 
 #: Wire sizes per layer (bytes).  FBC carries ΠTLE's puzzle ciphertexts,
 #: which grow with q·τdec, hence the large FBC frame.
@@ -452,8 +473,8 @@ def build_voting_stack(
     candidates: Sequence[str] = ("yes", "no"),
     mode: str = "hybrid",
     seed: int = 0,
-    phi: int = 4,
-    delta: int = 2,
+    phi: Optional[int] = None,
+    delta: Optional[int] = None,
     alpha: int = 2,
     q: int = SBC_DEFAULTS["q"],
     adversary: Optional[Adversary] = None,
@@ -470,8 +491,12 @@ def build_voting_stack(
         * ``composed`` — ΠSTVS over the full ΠSBC stack (needs Φ > 3 and
           ∆ > 2, the Corollary 1 minima; ballots are ~1 KiB so the SBC
           frame is widened).
+
+    Φ and ∆ left as ``None`` take the mode's defaults
+    (:func:`session_timing`).
     """
     _modes(mode, ("ideal", "hybrid", "composed"))
+    phi, delta = session_timing(mode, phi, delta)
     session = Session(sid=f"vote-{mode}", seed=seed, adversary=adversary, backend=backend, trace=trace)
     voter_pids = [f"V{i}" for i in range(voters)]
     election = Election(voters=tuple(voter_pids), candidates=tuple(candidates))

@@ -24,7 +24,11 @@ The pieces:
   equation* from a seeded RNG, evaluates the combined equation through
   :meth:`~repro.crypto.groups.SchnorrGroup.multi_exp` (Straus shares
   the squaring ladder across every base in the batch), and on failure
-  bisects divide-and-conquer style down to the exact culprit set;
+  bisects divide-and-conquer style down to the exact culprit set.  An
+  optional ``memo`` mapping carries membership verdicts and
+  combined-equation verdicts across calls: both are pure functions of
+  their key, so callers that verify the same batch several times (every
+  voter view of one election) evaluate each once;
 * :class:`BatchPolicy` + :func:`batching` — the ambient opt-in seam
   (mirrors :mod:`repro.crypto.randomness`): protocol code asks
   :func:`current_policy` and batches only when one is installed, so the
@@ -51,7 +55,17 @@ import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.crypto.groups import SchnorrGroup
 
@@ -112,9 +126,14 @@ class BatchReport:
         batched: How many items entered the combined equation.
         fallback: How many items resolved via their exact ``check()``
             (non-member bases, no equations, or too few to batch).
-        evaluations: Combined multi-exp evaluations performed (1 for a
-            clean batch; grows logarithmically during bisection).
+        evaluations: Combined-equation evaluations (1 for a clean batch;
+            grows logarithmically during bisection).  Memo hits count:
+            this is the logical number, the same with or without a memo.
         seed: The RLC coefficient seed used (reproducibility anchor).
+        shared_evaluations: Of ``evaluations``, how many the memo
+            answered without a multi-exp.
+        members_checked: Membership screens computed by ``is_member``.
+        members_shared: Membership screens the memo answered.
     """
 
     verdicts: Tuple[bool, ...]
@@ -123,6 +142,9 @@ class BatchReport:
     fallback: int
     evaluations: int
     seed: int
+    shared_evaluations: int = 0
+    members_checked: int = 0
+    members_shared: int = 0
 
     @property
     def all_valid(self) -> bool:
@@ -147,6 +169,7 @@ def verify_batch(
     *,
     seed: int = DEFAULT_BATCH_SEED,
     min_items: int = 2,
+    memo: Optional[MutableMapping[Any, bool]] = None,
 ) -> BatchReport:
     """Verify ``items`` together via one random-linear-combination check.
 
@@ -160,16 +183,34 @@ def verify_batch(
     Coefficients are drawn once per (item, equation) from
     ``random.Random(seed)`` in item order, so a given seed reproduces
     the exact evaluation sequence, bisection included.
+
+    ``memo`` (optional) holds verdicts that are pure functions of their
+    key: membership keyed ``(group, element)`` and combined equations
+    keyed ``(group, lhs_pairs, rhs_pairs)`` with the coefficients
+    already applied.  A hit skips only the arithmetic; screening,
+    coefficient draws, fallbacks and bisection run exactly as without
+    it, so verdicts, culprits and ``evaluations`` are the same, and only
+    the report's memo counters say what the memo saved.
     """
     item_list = list(items)
     n = len(item_list)
     verdicts: List[bool] = [False] * n
     membership: Dict[int, bool] = {}
+    members_checked = members_shared = 0
 
     def member(element: int) -> bool:
+        nonlocal members_checked, members_shared
         verdict = membership.get(element)
         if verdict is None:
-            verdict = group.is_member(element)
+            key = (group, element)
+            verdict = memo.get(key) if memo is not None else None
+            if verdict is None:
+                verdict = group.is_member(element)
+                members_checked += 1
+                if memo is not None:
+                    memo[key] = verdict
+            else:
+                members_shared += 1
             membership[element] = verdict
         return verdict
 
@@ -204,10 +245,10 @@ def verify_batch(
         for index in batchable
     }
 
-    evaluations = 0
+    evaluations = shared_evaluations = 0
 
     def combined_holds(indices: Sequence[int]) -> bool:
-        nonlocal evaluations
+        nonlocal evaluations, shared_evaluations
         evaluations += 1
         lhs_pairs: List[Tuple[int, int]] = []
         rhs_pairs: List[Tuple[int, int]] = []
@@ -217,7 +258,16 @@ def verify_batch(
                     lhs_pairs.append((base, exponent * z))
                 for base, exponent in equation.rhs:
                     rhs_pairs.append((base, exponent * z))
-        return group.multi_exp(lhs_pairs) == group.multi_exp(rhs_pairs)
+        if memo is None:
+            return group.multi_exp(lhs_pairs) == group.multi_exp(rhs_pairs)
+        key = (group, tuple(lhs_pairs), tuple(rhs_pairs))
+        holds = memo.get(key)
+        if holds is None:
+            holds = group.multi_exp(lhs_pairs) == group.multi_exp(rhs_pairs)
+            memo[key] = holds
+        else:
+            shared_evaluations += 1
+        return holds
 
     def resolve(indices: Sequence[int]) -> None:
         if len(indices) == 1:
@@ -243,6 +293,9 @@ def verify_batch(
         fallback=fallback,
         evaluations=evaluations,
         seed=seed,
+        shared_evaluations=shared_evaluations,
+        members_checked=members_checked,
+        members_shared=members_shared,
     )
 
 
@@ -269,9 +322,19 @@ class BatchPolicy:
     min_items: int = 2
     record_trace: bool = True
 
-    def run(self, group: SchnorrGroup, items: Sequence[BatchItem]) -> BatchReport:
-        """Batch-verify ``items`` under this policy's parameters."""
-        return verify_batch(group, items, seed=self.seed, min_items=self.min_items)
+    def run(
+        self,
+        group: SchnorrGroup,
+        items: Sequence[BatchItem],
+        memo: Optional[MutableMapping[Any, bool]] = None,
+    ) -> BatchReport:
+        """Batch-verify ``items`` under this policy's parameters.
+
+        ``memo`` is forwarded to :func:`verify_batch`.
+        """
+        return verify_batch(
+            group, items, seed=self.seed, min_items=self.min_items, memo=memo
+        )
 
 
 #: ContextVar, not a module global: concurrent sessions hosted in one

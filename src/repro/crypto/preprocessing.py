@@ -57,6 +57,7 @@ __all__ = [
     "MaterialError",
     "MaterialFormatError",
     "MaterialIntegrityError",
+    "MATERIAL_HEADER_BYTES",
     "MATERIAL_MAGIC",
     "MATERIAL_VERSION",
     "NoncePair",
@@ -69,6 +70,10 @@ __all__ = [
 
 #: File magic for serialized material blobs ("RePro Material", version 1).
 MATERIAL_MAGIC = b"RPM1"
+
+#: Length of a blob's header: the magic plus the payload's SHA-256.  Two
+#: blobs with the same header (and length) hold the same payload.
+MATERIAL_HEADER_BYTES = len(MATERIAL_MAGIC) + 32
 
 #: Serialization format version recorded in every header.
 MATERIAL_VERSION = 1
@@ -406,12 +411,12 @@ def deserialize_material(blob: bytes) -> CryptoMaterial:
         MaterialIntegrityError: payload hash mismatch (bit rot, partial
             writes that kept the magic intact).
     """
-    if len(blob) < len(MATERIAL_MAGIC) + 32 + 4:
+    if len(blob) < MATERIAL_HEADER_BYTES + 4:
         raise MaterialFormatError("blob too short to be preprocessing material")
     if blob[: len(MATERIAL_MAGIC)] != MATERIAL_MAGIC:
         raise MaterialFormatError("bad magic: not a preprocessing material blob")
-    digest = blob[len(MATERIAL_MAGIC) : len(MATERIAL_MAGIC) + 32]
-    payload = blob[len(MATERIAL_MAGIC) + 32 :]
+    digest = blob[len(MATERIAL_MAGIC) : MATERIAL_HEADER_BYTES]
+    payload = blob[MATERIAL_HEADER_BYTES:]
     if hashlib.sha256(payload).digest() != digest:
         raise MaterialIntegrityError("material payload fails its integrity hash")
     header_len = int.from_bytes(payload[:4], "big")

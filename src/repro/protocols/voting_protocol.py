@@ -28,7 +28,7 @@ tally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -335,23 +335,47 @@ class VoterParty(Party):
         self.result = self.election.decode_tally(total)
         self.output(("Result", self.result, None))
 
+    def _proof_verdict(
+        self,
+        message: bytes,
+        voter: str,
+        ballot: int,
+        proof: BallotProof,
+        seed: int,
+    ) -> bool:
+        """The exact verdict on ``voter``'s ballot proof, once per session.
+
+        The proof check is a pure function of public values, so its
+        verdict is looked up in the session's
+        :attr:`~repro.uc.session.Session.proof_verdicts` memo, keyed on
+        the signed ``message`` plus this view's own seed, verification
+        key, key base, choice set and group.  A view holding different
+        inputs keys apart and computes its own verdict.
+        """
+        group = self.group
+        choices = self.election.choices
+        key_w = self.verification_keys[voter]
+        memo_key = (message, key_w, seed, self.w, tuple(choices), group)
+        verdicts = self.session.proof_verdicts
+        verdict = verdicts.get(memo_key)
+        if verdict is None:
+            verdict = ballot_verify(
+                group, seed, key_w, ballot, proof, choices, key_base=self.w
+            )
+            verdicts[memo_key] = verdict
+            self.session.metrics.inc("proofs.checked")
+        else:
+            self.session.metrics.inc("proofs.shared")
+        return verdict
+
     def _tally_ballots(self, batch: Sequence[Any], seed: int) -> Dict[str, int]:
         """Per-item ballot screening: the sequential reference path.
 
         Every voter re-checks every ballot, as the scrutineer role of
-        Figure 18 requires, but the proof check is a pure function of
-        public values: its verdict is looked up in the session's
-        :attr:`~repro.uc.session.Session.proof_verdicts` memo, keyed on
-        the signed message plus this view's own seed, verification key,
-        key base, choice set and group.  A view holding different inputs
-        keys apart and computes its own verdict.  The certificate check
-        stays per party (it reads corruption state and counts a verify).
+        Figure 18 requires, but each distinct proof is checked once per
+        session (:meth:`_proof_verdict`).  The certificate check stays
+        per party (it reads corruption state and counts a verify).
         """
-        group = self.group
-        choices = self.election.choices
-        public = (seed, self.w, tuple(choices), group)
-        verdicts = self.session.proof_verdicts
-        metrics = self.session.metrics
         ballots: Dict[str, int] = {}
         for item in batch:
             if not (isinstance(item, tuple) and len(item) == 5 and item[0] == "Ballot"):
@@ -364,18 +388,7 @@ class VoterParty(Party):
                 continue
             if not isinstance(proof, BallotProof):
                 continue
-            key_w = self.verification_keys[voter]
-            memo_key = (message, key_w) + public
-            verdict = verdicts.get(memo_key)
-            if verdict is None:
-                verdict = ballot_verify(
-                    group, seed, key_w, ballot, proof, choices, key_base=self.w
-                )
-                verdicts[memo_key] = verdict
-                metrics.inc("proofs.checked")
-            else:
-                metrics.inc("proofs.shared")
-            if verdict:
+            if self._proof_verdict(message, voter, ballot, proof, seed):
                 ballots[voter] = ballot
         return ballots
 
@@ -394,6 +407,15 @@ class VoterParty(Party):
         included.  When ``policy.record_trace`` is set the round records
         one :data:`~repro.crypto.batch.BATCH_EVENT_KIND` event, pinning
         batched runs in the trace digest like online-spend runs.
+
+        Every view of the session passes the same
+        :attr:`~repro.uc.session.Session.proof_verdicts` memo: views that
+        see the same batch under the same keys build the same combined
+        equations, so the first view evaluates each one and the rest
+        reuse its verdicts.  Exact proof checks (screen fallbacks and
+        bisection leaves) go through :meth:`_proof_verdict`, shared with
+        the per-item path.  Item construction, certificate checks and
+        coefficient draws stay per view.
         """
         group = self.group
         entries: List[Tuple[str, int]] = []
@@ -413,21 +435,31 @@ class VoterParty(Party):
                     bases=(), equations=(), check=partial(cert.verify, message, signature)
                 )
             if isinstance(proof, BallotProof):
-                proof_item = ballot_batch_item(
-                    group,
-                    seed,
-                    self.verification_keys[voter],
-                    ballot,
-                    proof,
-                    self.election.choices,
-                    key_base=self.w,
+                proof_item = replace(
+                    ballot_batch_item(
+                        group,
+                        seed,
+                        self.verification_keys[voter],
+                        ballot,
+                        proof,
+                        self.election.choices,
+                        key_base=self.w,
+                    ),
+                    check=partial(
+                        self._proof_verdict, message, voter, ballot, proof, seed
+                    ),
                 )
             else:
                 proof_item = BatchItem(bases=(), equations=(), check=lambda: False)
             entries.append((voter, ballot))
             items.append(cert_item)
             items.append(proof_item)
-        report = policy.run(group, items)
+        report = policy.run(group, items, memo=self.session.proof_verdicts)
+        metrics = self.session.metrics
+        metrics.inc("rlc.evaluated", report.evaluations - report.shared_evaluations)
+        metrics.inc("rlc.shared", report.shared_evaluations)
+        metrics.inc("members.checked", report.members_checked)
+        metrics.inc("members.shared", report.members_shared)
         if policy.record_trace:
             self.record(BATCH_EVENT_KIND, report.trace_detail())
         ballots: Dict[str, int] = {}

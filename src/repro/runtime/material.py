@@ -54,6 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup, warm_groups
 from repro.crypto.preprocessing import (
+    MATERIAL_HEADER_BYTES,
     CryptoMaterial,
     MaterialError,
     MaterialIntegrityError,
@@ -269,7 +270,10 @@ class MaterialStore:
             FileNotFoundError: no material cached for this fingerprint.
             MaterialError: the file exists but is corrupt or mismatched.
         """
-        material = deserialize_material(self.load_blob(group))
+        return self._validated(group, self.load_blob(group))
+
+    def _validated(self, group: SchnorrGroup, blob: bytes) -> CryptoMaterial:
+        material = deserialize_material(blob)
         if not material.matches(group):
             raise MaterialIntegrityError(
                 f"store file {self.path_for(group).name} holds material for "
@@ -306,8 +310,17 @@ class MaterialStore:
         fallback-to-compute contract at the store level.  A hit reads and
         deserializes the file exactly once.
         """
+        return self._ensure(group, **build_kwargs)[0]
+
+    def _ensure(
+        self, group: SchnorrGroup, **build_kwargs: Any
+    ) -> Tuple[CryptoMaterial, Tuple[bytes, int]]:
+        """:meth:`ensure`, plus the stamp of the blob it validated or wrote:
+        its :data:`~repro.crypto.preprocessing.MATERIAL_HEADER_BYTES`
+        leading bytes and its length."""
         try:
-            return self.load(group)
+            blob = self.load_blob(group)
+            return self._validated(group, blob), _stamp(blob)
         # No store file yet is the normal first-run path, not a
         # degradation: build_material below is the point of ensure().
         except FileNotFoundError:  # repro: allow[RPR005]
@@ -317,11 +330,12 @@ class MaterialStore:
                 f"preprocessing store file {self.path_for(group).name} is "
                 f"unusable ({exc}); rebuilding from scratch",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         material = build_material(group, **build_kwargs)
-        self._write_blob(material.fingerprint, serialize_material(material))
-        return material
+        blob = serialize_material(material)
+        self._write_blob(material.fingerprint, blob)
+        return material, _stamp(blob)
 
     def build(
         self, groups: Optional[Sequence[SchnorrGroup]] = None, **build_kwargs: Any
@@ -632,10 +646,12 @@ def _read_ref(ref: MaterialRef) -> CryptoMaterial:
 def _attach_each(
     items: Sequence[Any],
     fingerprint_of: Callable[[Any], str],
-    load: Callable[[Any], CryptoMaterial],
+    load: Callable[[Any], Tuple[CryptoMaterial, Optional[Tuple[bytes, int]]]],
 ) -> None:
     """Install each item's material into its group singleton.
 
+    ``load`` returns the material and the stamp of the blob it was
+    validated from (``None`` when unknown), which the registry keeps.
     Any per-item failure warns and leaves that group to the compute
     fallback — the initializer must never raise (a raising initializer
     kills pool workers in a loop instead of running the sweep).
@@ -653,9 +669,9 @@ def _attach_each(
             )
             continue
         try:
-            material = load(item)
+            material, stamp = load(item)
             material.attach(group)
-            register_attached(material)
+            register_attached(material, stamp)
         except Exception as exc:
             warnings.warn(
                 f"could not attach preprocessed material {fingerprint} "
@@ -673,21 +689,51 @@ def warm_with_material(
     """Warm this process's crypto caches from the given material source.
 
     Accepts a :class:`MaterialHandle` (process workers read the files it
-    names), a source name (inline/thread executors and direct callers
-    attach what the store's load-and-validate step returns, so each file
-    is read and deserialized once), or ``None``/"compute".  Always
-    finishes with :func:`~repro.crypto.groups.warm_groups`, which is a
-    cheap no-op for every cache an attach already installed — so
-    whatever happened above, the process ends up warm.
+    names), a source name (inline/thread executors, ``serve()`` and
+    direct callers attach what the store's load-and-validate step
+    returns, so each file is read and deserialized once), or
+    ``None``/"compute".  A source name attaches once per process: a
+    group whose store file still holds the blob this process attached
+    (:func:`_holds_attached`) is skipped; any other file — missing,
+    unreadable, rebuilt or replenished — takes the full
+    :meth:`MaterialStore.ensure` path.  Always finishes with
+    :func:`~repro.crypto.groups.warm_groups`, which is a cheap no-op for
+    every cache an attach already installed — so whatever happened
+    above, the process ends up warm.
     """
     if isinstance(material, MaterialHandle):
-        _attach_each(material.refs, lambda ref: ref.fingerprint, _read_ref)
+        _attach_each(
+            material.refs, lambda ref: ref.fingerprint, lambda ref: (_read_ref(ref), None)
+        )
     elif resolve_material_source(material) != MATERIAL_COMPUTE:
         if groups is None:
             groups = (TEST_GROUP,)
         store = store or MaterialStore()
-        _attach_each(groups, group_fingerprint, store.ensure)
+        stale = [group for group in groups if not _holds_attached(store, group)]
+        _attach_each(stale, group_fingerprint, store._ensure)
     warm_groups()
+
+
+def _stamp(blob: bytes) -> Tuple[bytes, int]:
+    """What identifies a validated blob in the attach registry."""
+    return blob[:MATERIAL_HEADER_BYTES], len(blob)
+
+
+def _holds_attached(store: MaterialStore, group: SchnorrGroup) -> bool:
+    """Whether ``group``'s store file still holds the blob this process
+    attached: the same header (magic plus payload SHA-256) and length as
+    the blob the registered material was validated from.  A rebuild or
+    replenish rewrites the payload and so its hash; a missing or
+    unreadable file reads as not held."""
+    entry = _ATTACHED.get(group_fingerprint(group))
+    if entry is None:
+        return False
+    try:
+        with open(store.path_for(group), "rb") as handle:
+            stamp = (handle.read(MATERIAL_HEADER_BYTES), os.fstat(handle.fileno()).st_size)
+    except OSError:
+        return False
+    return stamp == entry[1]
 
 
 # ---------------------------------------------------------------------------
@@ -704,21 +750,32 @@ DEFAULT_NONCES_PER_TASK = 8
 #: Feldman entries reserved per sweep task in online mode.
 DEFAULT_FELDMAN_PER_TASK = 2
 
-#: fingerprint -> material this process attached (worker initializer or
-#: inline warm-up).  Cursors only read from it — per-trial positions live
-#: in the cursor, so one worker's trials can share the object safely.
-_ATTACHED: Dict[str, CryptoMaterial] = {}
+#: fingerprint -> (material this process attached, stamp of the blob it
+#: was validated from or None), filled by the worker initializer or the
+#: inline warm-up.  Cursors only read the material — per-trial positions
+#: live in the cursor, so one worker's trials can share the object
+#: safely.  The stamp (leading header bytes and length) lets a repeated
+#: source-name warm-up skip a store file it already attached.
+_ATTACHED: Dict[str, Tuple[CryptoMaterial, Optional[Tuple[bytes, int]]]] = {}
 
 
-def register_attached(material: CryptoMaterial) -> CryptoMaterial:
-    """Remember an attached material so online cursors can spend it."""
-    _ATTACHED[material.fingerprint] = material
+def register_attached(
+    material: CryptoMaterial, stamp: Optional[Tuple[bytes, int]] = None
+) -> CryptoMaterial:
+    """Remember an attached material so online cursors can spend it.
+
+    ``stamp`` names the store blob it was validated from (see
+    :func:`warm_with_material`); ``None`` means unknown, and the next
+    source-name warm-up re-reads the store file.
+    """
+    _ATTACHED[material.fingerprint] = (material, stamp)
     return material
 
 
 def attached_material(fingerprint: str) -> Optional[CryptoMaterial]:
     """The material this process attached for ``fingerprint``, if any."""
-    return _ATTACHED.get(fingerprint)
+    entry = _ATTACHED.get(fingerprint)
+    return entry[0] if entry is not None else None
 
 
 def online_pool_requirement(

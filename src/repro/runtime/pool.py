@@ -322,8 +322,8 @@ def _sbc_session(
     seed: int,
     n: int,
     mode: str,
-    phi: int,
-    delta: int,
+    phi: Optional[int],
+    delta: Optional[int],
     senders: int,
     backend: Union[str, ExecutionBackend],
     trace: Optional[str],
@@ -331,10 +331,11 @@ def _sbc_session(
     batch: Optional[Any],
 ) -> SessionBody:
     """The SBC session body behind :func:`run_sbc_trial`/:func:`async_sbc_session`."""
-    from repro.core.stacks import build_sbc_stack
+    from repro.core.stacks import build_sbc_stack, session_timing
     from repro.crypto.batch import batching
     from repro.crypto.randomness import spending
 
+    phi, delta = session_timing(mode, phi, delta)
     cursor = online.open(seed) if online is not None else None
     start = time.perf_counter()
     with spending(cursor), batching(batch):
@@ -401,8 +402,8 @@ def run_sbc_trial(
     seed: int,
     n: int = 3,
     mode: str = "hybrid",
-    phi: int = 4,
-    delta: int = 2,
+    phi: Optional[int] = None,
+    delta: Optional[int] = None,
     senders: int = 1,
     backend: Union[str, ExecutionBackend] = "pooled",
     trace: Optional[str] = None,
@@ -418,6 +419,8 @@ def run_sbc_trial(
     consumed cursor ranges in the trace.  With ``batch`` (a
     :class:`~repro.crypto.batch.BatchPolicy`) verification-heavy rounds
     batch their checks through one random-linear-combination multi-exp.
+    Φ and ∆ left as ``None`` take the mode's defaults
+    (:func:`~repro.core.stacks.session_timing`).
     """
     return _drive_sync(
         _sbc_session(seed, n, mode, phi, delta, senders, backend, trace, online, batch)
@@ -455,8 +458,8 @@ async def async_sbc_session(
     seed: int,
     n: int = 3,
     mode: str = "hybrid",
-    phi: int = 4,
-    delta: int = 2,
+    phi: Optional[int] = None,
+    delta: Optional[int] = None,
     senders: int = 1,
     backend: Union[str, ExecutionBackend] = "async",
     trace: Optional[str] = None,

@@ -99,6 +99,34 @@ def test_hosted_sessions_match_sync_reference(runner, reference, params):
         assert result.outputs == expected.outputs
 
 
+def test_serve_attaches_store_material_once_per_process(tmp_path, monkeypatch):
+    import repro.crypto.preprocessing as preprocessing
+    import repro.runtime.material as material_module
+    from repro.crypto.groups import TEST_GROUP
+    from repro.runtime.material import MaterialStore
+
+    monkeypatch.setenv("REPRO_MATERIAL_DIR", str(tmp_path))
+    MaterialStore(tmp_path).build([TEST_GROUP], nonces=4, feldman=1)
+    reads = []
+    real = preprocessing.deserialize_material
+
+    def counting(blob):
+        reads.append(len(blob))
+        return real(blob)
+
+    monkeypatch.setattr(material_module, "deserialize_material", counting)
+    monkeypatch.setattr(material_module, "_ATTACHED", {})
+    host = AsyncSessionHost(
+        async_voting_session,
+        config=SweepConfig(backend="async", executor="inline", material="disk"),
+    )
+    first = host.run(range(2))
+    second = host.run(range(2, 4))
+    assert len(reads) == 1
+    for seed, result in zip(range(4), first.results + second.results):
+        assert result.digest == run_voting_trial(seed).digest
+
+
 def test_hosted_sessions_interleave_round_by_round(monkeypatch):
     run_round_async = AsyncRoundDriver.run_round_async
     sessions = {}

@@ -35,6 +35,20 @@ def test_election_command(capsys):
     )
 
 
+def test_election_command_batched(capsys):
+    assert main(["election", "--voters", "3", "--batch-verify"]) == 0
+    out = capsys.readouterr().out
+    assert "self-tally" in out and "'yes': 2" in out
+    # The first voter view evaluates the combined equation and screens
+    # 20 distinct elements; the other two views reuse those verdicts.
+    assert (
+        "tally verification: batched (combined RLC equations: 1 evaluated, "
+        "2 verdicts shared across voter views; membership screens: 20 computed, "
+        "40 shared)" in out
+    )
+    assert "per-proof" not in out
+
+
 def test_election_ideal_mode(capsys):
     assert main(["election", "--voters", "2", "--mode", "ideal"]) == 0
     assert "self-tally" in capsys.readouterr().out

@@ -69,3 +69,66 @@ def test_voting_composed_ballots_hidden_until_release():
     for _fid, detail in stack.session.adversary.observed:
         text = repr(detail)
         assert "'yes'" not in text and "'no'" not in text
+
+
+# ---------------------------------------------------------------------------
+# Session runners and the service host in composed mode: Φ and ∆ left
+# unset resolve to the Corollary 1 defaults (SBC_DEFAULTS), not the
+# hybrid world's Φ = 4, ∆ = 2 that ΠSBC rejects.
+
+
+def test_session_timing_resolves_per_mode():
+    from repro.core import SBC_DEFAULTS, session_timing
+
+    composed = (SBC_DEFAULTS["phi"], SBC_DEFAULTS["delta"])
+    assert session_timing("composed") == composed == (5, 3)
+    assert session_timing("hybrid") == session_timing("ideal") == (4, 2)
+    assert session_timing("composed", phi=6) == (6, 3)
+    assert session_timing("hybrid", delta=7) == (4, 7)
+    assert build_voting_stack(mode="composed").delta == 3
+    assert build_voting_stack(mode="hybrid").delta == 2
+
+
+def test_composed_voting_trial_runs_with_default_timing():
+    from repro.runtime import run_voting_trial
+
+    result = run_voting_trial(1, mode="composed")
+    assert result.outputs == repr((("no", 1), ("yes", 2)))
+
+
+def test_composed_async_voting_session_matches_sync_trial():
+    import asyncio
+
+    from repro.runtime import async_voting_session, run_voting_trial
+
+    result = asyncio.run(async_voting_session(2, mode="composed"))
+    assert result.outputs == repr((("no", 1), ("yes", 2)))
+    assert result.digest == run_voting_trial(2, mode="composed").digest
+
+
+@pytest.mark.parametrize(
+    "workload", ["voting", "sbc"], ids=["voting-composed", "sbc-composed"]
+)
+def test_composed_hosted_sessions(workload):
+    from repro.crypto.batch import BatchPolicy
+    from repro.runtime import (
+        AsyncSessionHost,
+        SweepConfig,
+        async_sbc_session,
+        async_voting_session,
+    )
+
+    if workload == "voting":
+        runner, params = async_voting_session, dict(voters=3)
+        config = SweepConfig(backend="async", executor="inline", batch_verify=True)
+        assert config.batch_policy == BatchPolicy()
+    else:
+        runner, params = async_sbc_session, dict(n=3)
+        config = SweepConfig(backend="async", executor="inline")
+    report = AsyncSessionHost(runner, config=config, mode="composed", **params).run(range(2))
+    assert report.sessions == 2
+    for seed, result in zip(range(2), report.results):
+        if workload == "voting":
+            assert result.outputs == repr((("no", 1), ("yes", 2)))
+        else:
+            assert result.outputs == repr([f"m{seed}-0".encode()])

@@ -18,6 +18,7 @@ The store's contract, end to end:
 
 import json
 import pathlib
+import random
 import threading
 
 import pytest
@@ -33,6 +34,8 @@ from repro.crypto.preprocessing import (
     group_fingerprint,
     serialize_material,
 )
+from repro.crypto.randomness import spending
+from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.crypto.shamir import Share, _evaluate, feldman_verify
 from repro.runtime import ParallelSweep, SessionPool, run_voting_trial
 from repro.runtime.material import (
@@ -40,6 +43,8 @@ from repro.runtime.material import (
     MaterialRef,
     MaterialStore,
     OnlinePlan,
+    Replenisher,
+    attached_material,
     publish_material,
     resolve_material_source,
     warm_with_material,
@@ -239,12 +244,14 @@ def test_publish_shared_and_disk_name_the_same_store_file(store):
     )
 
 
-def test_local_warm_up_deserializes_each_blob_once(store, monkeypatch):
-    """The inline attach reuses the store's validated load: one parse per blob."""
+@pytest.fixture
+def deserialized(monkeypatch):
+    """Count ``deserialize_material`` calls in the store and attach paths,
+    starting from an empty attach registry (which also keeps these small
+    test pools out of the registry later tests read)."""
     import repro.crypto.preprocessing as preprocessing
     import repro.runtime.material as material_module
 
-    store.build([TEST_GROUP, GROUP_2048], nonces=2, feldman=1)
     calls = []
     real = preprocessing.deserialize_material
 
@@ -253,12 +260,75 @@ def test_local_warm_up_deserializes_each_blob_once(store, monkeypatch):
         return real(blob)
 
     monkeypatch.setattr(material_module, "deserialize_material", counting)
-    # Keep these small test pools out of the registry later tests read.
     monkeypatch.setattr(material_module, "_ATTACHED", {})
+    return calls
+
+
+def test_local_warm_up_deserializes_each_blob_once(store, deserialized):
+    """The inline attach reuses the store's validated load: one parse per blob."""
+    store.build([TEST_GROUP, GROUP_2048], nonces=2, feldman=1)
     warm_with_material("disk", store=store, groups=(TEST_GROUP, GROUP_2048))
-    assert sorted(calls) == sorted(
+    assert sorted(deserialized) == sorted(
         store.path_for(group).stat().st_size for group in (TEST_GROUP, GROUP_2048)
     )
+    assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
+
+
+def test_second_local_warm_up_on_unchanged_store_reads_nothing(store, deserialized):
+    store.build([TEST_GROUP], nonces=4, feldman=1)
+    warm_with_material("disk", store=store)
+    assert len(deserialized) == 1
+    attached = attached_material(group_fingerprint(TEST_GROUP))
+    warm_with_material("disk", store=store)
+    warm_with_material("shared", store=store)
+    assert len(deserialized) == 1
+    assert attached_material(group_fingerprint(TEST_GROUP)) is attached
+    assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
+
+
+def test_rebuilt_store_is_reattached_and_spent_from(store, deserialized):
+    fingerprint = group_fingerprint(TEST_GROUP)
+    old = store.build([TEST_GROUP], nonces=8, feldman=2, seed=1)[0]
+    warm_with_material("disk", store=store)
+    new = store.build([TEST_GROUP], nonces=8, feldman=2, seed=2)[0]
+    warm_with_material("disk", store=store)
+    assert len(deserialized) == 2
+    attached = attached_material(fingerprint)
+    assert attached.built_with_seed == 2
+    plan = OnlinePlan.for_tasks([0], store=store)
+    reads = len(deserialized)
+    cursor = plan.open(0)
+    assert len(deserialized) == reads  # the cursor spends the attached copy
+    keypair = schnorr_keygen(random.Random(1))
+    with spending(cursor):
+        signature = schnorr_sign(keypair, b"m", random.Random(2))
+    assert signature.r == new.nonces[0].r != old.nonces[0].r
+    assert cursor.spend_summary()["nonces_spent"] == 1
+
+
+def test_replenished_store_is_reattached_with_longer_pools(store, deserialized):
+    store.build([TEST_GROUP], nonces=4, feldman=1)
+    warm_with_material("disk", store=store)
+    record = Replenisher(store=store).replenish(nonces=6, feldman=1)
+    assert record["mode"] == "extend"
+    reads = len(deserialized)  # the replenisher read the blob it grew
+    warm_with_material("disk", store=store)
+    assert len(deserialized) == reads + 1
+    attached = attached_material(group_fingerprint(TEST_GROUP))
+    assert (len(attached.nonces), len(attached.feldman)) == (10, 2)
+
+
+@pytest.mark.parametrize("kind", ["truncated", "garbage"])
+def test_store_corrupted_after_attach_is_repaired(store, deserialized, kind):
+    """A file corrupted after this process attached it takes the store's
+    repair path on the next warm-up, warning as before."""
+    store.build([TEST_GROUP], nonces=4, feldman=1)
+    warm_with_material("disk", store=store)
+    _corrupt_file(store.path_for(TEST_GROUP), kind)
+    with pytest.warns(RuntimeWarning, match="rebuilding from scratch"):
+        warm_with_material("disk", store=store)
+    repaired = store.load(TEST_GROUP)
+    assert attached_material(group_fingerprint(TEST_GROUP)).nonces == repaired.nonces
     assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
 
 

@@ -1,10 +1,20 @@
-"""The per-session ballot-proof verdict memo of the ΠSTVS self-tally."""
+"""The per-session verdict memo of the ΠSTVS self-tally.
+
+The per-item path memoises ballot-proof verdicts; the batched path also
+memoises membership screens and combined RLC equations, so every voter
+view after the first reuses the first view's arithmetic.
+"""
+
+import random
 
 from repro.core import build_voting_stack
-from repro.crypto.groups import SchnorrGroup
+from repro.crypto.batch import BATCH_EVENT_KIND, BatchPolicy, batching, verify_batch
+from repro.crypto.groups import TEST_GROUP, SchnorrGroup
+from repro.crypto.schnorr import schnorr_batch_item, schnorr_keygen, schnorr_sign
 from repro.crypto.zkp import BallotProof, ballot_prove, ballot_verify
 from repro.uc.encoding import encode
 from repro.uc.session import Session
+from repro.runtime import trace_digest
 
 
 def _setup(voters=3, seed=91):
@@ -114,3 +124,220 @@ def test_clean_run_checks_each_proof_once(monkeypatch):
     assert metrics.get("proofs.shared") == 20
     # 5 distinct proofs × 2 branches × 2 equations.
     assert len(calls) == 20
+
+
+# ---------------------------------------------------------------------------
+# The batched tally: one combined-equation evaluation per session
+# ---------------------------------------------------------------------------
+
+
+class _NoMemo(dict):
+    """A verdict memo that never remembers: every view computes alone."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _count_calls(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(SchnorrGroup, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SchnorrGroup, name, counting)
+    return calls
+
+
+def _capture_reports(monkeypatch):
+    reports = []
+    original = BatchPolicy.run
+
+    def capturing(self, group, items, memo=None):
+        report = original(self, group, items, memo=memo)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(BatchPolicy, "run", capturing)
+    return reports
+
+
+def _batched_election(memo=True, voters=3, tamper=None):
+    """A hybrid election tallied under ``BatchPolicy()``; ``tamper`` names
+    a voter that is corrupted and casts a proof tampered after signing."""
+    stack = _setup(voters=voters)
+    if not memo:
+        stack.session.proof_verdicts = _NoMemo()
+    if tamper is not None:
+        stack.session.corrupt(tamper)
+        cast = _signed_ballot(stack.parties[tamper], tamper=True)
+        stack.service.adv_broadcast(tamper, cast)
+    for index in range(voters):
+        pid = f"V{index}"
+        if pid != tamper:
+            stack.parties[pid].vote(("yes", "no")[index % 2])
+    with batching(BatchPolicy()):
+        stack.run_until_result()
+    return stack
+
+
+def _report_view(report):
+    return (report.verdicts, report.culprits, report.evaluations, report.trace_detail())
+
+
+def test_batched_clean_run_evaluates_each_equation_once(monkeypatch):
+    stack = _setup()
+    calls = _count_calls(monkeypatch, "multi_exp", "is_member")
+    for index in range(3):
+        stack.parties[f"V{index}"].vote(("yes", "no")[index % 2])
+    with batching(BatchPolicy()):
+        stack.run_until_result()
+    assert all(r == {"yes": 2, "no": 1} for r in stack.results().values())
+    # One combined equation (two multi-exps) and 20 distinct elements:
+    # 2 shared bases, 3 verification keys, 3 ballots, 3 x 4 commitments.
+    assert calls == {"multi_exp": 2, "is_member": 20}
+    metrics = stack.session.metrics
+    assert metrics.get("rlc.evaluated") == 1
+    assert metrics.get("rlc.shared") == 2
+    assert metrics.get("members.checked") == 20
+    assert metrics.get("members.shared") == 40
+    # Certificates stay per party; no proof needed an exact check.
+    assert metrics.get("sig.verify") == 9
+    assert metrics.get("proofs.checked") == 0
+
+
+def test_batched_trace_detail_matches_unmemoised_run(monkeypatch):
+    reports = _capture_reports(monkeypatch)
+    memoised = _batched_election()
+    shared = [_report_view(report) for report in reports]
+    reports.clear()
+    alone = _batched_election(memo=False)
+    assert shared == [_report_view(report) for report in reports]
+    details = [
+        [event.detail for event in stack.session.log.filter(kind=BATCH_EVENT_KIND)]
+        for stack in (memoised, alone)
+    ]
+    assert len(details[0]) == 3 and details[0] == details[1]
+    assert trace_digest(memoised.session.log) == trace_digest(alone.session.log)
+
+
+def test_batched_tampered_proof_rejected_in_every_view(monkeypatch):
+    reports = _capture_reports(monkeypatch)
+    calls = _count_calls(monkeypatch, "multi_exp")
+    alone = _batched_election(memo=False, voters=4, tamper="V2")
+    baseline = [_report_view(report) for report in reports]
+    calls_alone = calls["multi_exp"]
+    reports.clear()
+    calls["multi_exp"] = 0
+    stack = _batched_election(voters=4, tamper="V2")
+    honest = [p for p in stack.parties.values() if not p.corrupted]
+    for party in honest:
+        assert party.result is None
+        assert party.tally_failure == "missing ballots: ['V2']"
+    # Each view's report equals the unmemoised one: same verdicts,
+    # culprits and logical evaluation count, bisection included.
+    assert [_report_view(report) for report in reports] == baseline
+    assert len(reports) == len(honest)
+    for report in reports:
+        assert report.culprits == (5,)  # V2's proof item
+        assert report.evaluations > 1
+    # The bisection ran once per session, not once per view: the first
+    # view evaluated every combined equation and checked every leaf, the
+    # other views reused its verdicts.
+    assert calls_alone == len(honest) * calls["multi_exp"]
+    first = reports[0]
+    metrics = stack.session.metrics
+    assert metrics.get("rlc.evaluated") == first.evaluations
+    assert metrics.get("rlc.shared") == first.evaluations * (len(honest) - 1)
+    # Bisection leaves go through the per-proof memo: each leaf proof is
+    # checked once, then shared.
+    leaves = metrics.get("proofs.checked")
+    assert leaves >= 1
+    assert metrics.get("proofs.shared") == leaves * (len(honest) - 1)
+    assert alone.session.metrics.get("proofs.shared") == 0
+
+
+def test_batched_views_with_different_keys_evaluate_separately(monkeypatch):
+    stack = _setup()
+    session = stack.session
+    casts = [_signed_ballot(stack.parties[f"V{i}"]) for i in range(3)]
+    v0, v1 = stack.parties["V0"], stack.parties["V1"]
+    seed = v0._seed()
+    v1.verification_keys["V2"] = v1.group.mul(v1.verification_keys["V2"], v1.group.g)
+    reports = _capture_reports(monkeypatch)
+    calls = _count_calls(monkeypatch, "multi_exp")
+    policy = BatchPolicy()
+    accepted = {f"V{i}": casts[i][2] for i in range(3)}
+    assert v0._tally_ballots_batched(casts, seed, policy) == accepted
+    assert calls["multi_exp"] == 2
+    del accepted["V2"]
+    assert v1._tally_ballots_batched(casts, seed, policy) == accepted
+    # V1's pairs differ (another key for V2): nothing is shared, and its
+    # bisection evaluates on its own.
+    assert session.metrics.get("rlc.shared") == 0
+    evaluated = reports[0].evaluations + reports[1].evaluations
+    assert session.metrics.get("rlc.evaluated") == evaluated
+    assert calls["multi_exp"] == 2 * session.metrics.get("rlc.evaluated")
+    assert reports[1].culprits == (5,)
+    # V1's exact leaf checks ran under its own key for V2.
+    rejected = [
+        key for key, verdict in session.proof_verdicts.items()
+        if isinstance(key[0], bytes) and not verdict
+    ]
+    assert len(rejected) == 1
+    assert rejected[0][:2] == (encode(casts[2][2:4] + ("V2",)), v1.verification_keys["V2"])
+    # A second look by V0 reuses its combined equation.
+    assert v0._tally_ballots_batched(casts, seed, policy) == {
+        f"V{i}": casts[i][2] for i in range(3)
+    }
+    assert session.metrics.get("rlc.shared") == 1
+
+
+def _non_member_items(rng):
+    """Two valid signature items and one keyed by an order-2 element."""
+    items = []
+    for index in range(3):
+        keypair = schnorr_keygen(rng)
+        message = f"m{index}".encode()
+        public = keypair.public if index < 2 else TEST_GROUP.p - 1
+        items.append(
+            schnorr_batch_item(TEST_GROUP, public, message, schnorr_sign(keypair, message, rng))
+        )
+    return items
+
+
+def test_non_member_verdict_is_reused_never_flipped(monkeypatch):
+    items = _non_member_items(random.Random(5))
+    memo = {}
+    first = verify_batch(TEST_GROUP, items, memo=memo)
+    assert first.verdicts == (True, True, False)
+    assert first.fallback == 1 and first.batched == 2
+    key = (TEST_GROUP, TEST_GROUP.p - 1)
+    assert memo[key] is False
+    calls = _count_calls(monkeypatch, "is_member", "multi_exp")
+    again = verify_batch(TEST_GROUP, items, memo=memo)
+    # The screen computes nothing; only the fallback's exact check runs.
+    assert calls["multi_exp"] == 0
+    assert again.members_checked == 0
+    assert memo[key] is False
+    assert again.verdicts == first.verdicts
+    assert again.trace_detail() == first.trace_detail()
+    assert (again.members_checked, again.members_shared) == (0, first.members_checked)
+    assert again.shared_evaluations == again.evaluations == 1
+
+
+def test_verify_batch_without_memo_is_unchanged(monkeypatch):
+    items = _non_member_items(random.Random(6))
+    calls = _count_calls(monkeypatch, "is_member", "multi_exp")
+    plain = verify_batch(TEST_GROUP, items)
+    explicit = verify_batch(TEST_GROUP, items, memo=None)
+    assert plain == explicit
+    # No memo: every call screens and evaluates on its own.
+    assert calls["multi_exp"] == 4
+    assert plain.members_checked == 5  # 2 keys, 2 nonces, the non-member
+    assert (plain.members_shared, plain.shared_evaluations) == (0, 0)
+    memoised = verify_batch(TEST_GROUP, items, memo={})
+    assert memoised.trace_detail() == plain.trace_detail()
+    assert memoised.verdicts == plain.verdicts
