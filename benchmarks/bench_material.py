@@ -19,7 +19,7 @@ from conftest import emit, once
 
 from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
 from repro.crypto.preprocessing import deserialize_material
-from repro.runtime import ParallelSweep
+from repro.runtime import SessionPool, SweepConfig
 from repro.runtime.material import MaterialStore
 
 SPEEDUP_MIN_CORES = 4
@@ -85,9 +85,11 @@ def test_e18_store_attach_beats_recompute(benchmark):
                 store.build([TEST_GROUP])  # the sweep workers' parameter set
                 sweeps = {}
                 for source in ("compute", "shared"):
-                    sweep = ParallelSweep(
-                        executor="process", workers=min(cores, 4),
-                        material=source, **SWEEP_PARAMS
+                    sweep = SessionPool(
+                        config=SweepConfig(
+                            executor="process", workers=min(cores, 4), material=source,
+                        ),
+                        **SWEEP_PARAMS,
                     )
                     verdict = sweep.verify(range(SWEEP_SESSIONS))
                     assert verdict.matched

@@ -21,7 +21,7 @@ from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
 from repro.crypto.preprocessing import build_material
 from repro.crypto.randomness import spending
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
-from repro.runtime import MaterialStore, ParallelSweep, run_voting_trial
+from repro.runtime import MaterialStore, SessionPool, SweepConfig, run_voting_trial
 from repro.runtime.material import MaterialCursor
 
 ONLINE_SPEEDUP_FLOOR = 2.0
@@ -89,14 +89,13 @@ def test_e19_online_signing_beats_per_call(benchmark):
                 MaterialStore(root).build(
                     [TEST_GROUP], nonces=SWEEP_SESSIONS * 8, feldman=8
                 )
-                sweep = ParallelSweep(
+                sweep = SessionPool(
                     runner=run_voting_trial,
-                    executor="process",
-                    workers=min(os.cpu_count() or 1, 4),
-                    material="shared",
-                    online=True,
-                    trace="full",
                     voters=3,
+                    config=SweepConfig(
+                        executor="process", workers=min(os.cpu_count() or 1, 4),
+                        material="shared", online=True, trace="full",
+                    ),
                 )
                 verdict = sweep.verify(range(SWEEP_SESSIONS))
                 assert verdict.matched, "online sweep diverged from inline replay"

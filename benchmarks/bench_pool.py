@@ -6,7 +6,7 @@ is faster than the naive sequential loop on the reference backend;
 (ii) pooled execution with full tracing produces **byte-identical** event
 traces to the sequential loop, seed for seed (the runtime's determinism
 contract); (iii) distinct seeds produce distinct executions; (iv) the
-chunked process fan-out (:class:`~repro.runtime.sweep.ParallelSweep`)
+chunked process fan-out (``SessionPool`` with ``executor="process"``)
 reproduces the inline digests seed for seed, and on hosts with >= 4 real
 cores finishes the sweep >= 2x faster than the inline executor.
 """
@@ -15,7 +15,7 @@ import os
 
 from conftest import bench_record, emit, once
 
-from repro.runtime import ParallelSweep, SessionPool, sequential_loop
+from repro.runtime import SessionPool, SweepConfig, sequential_loop
 
 SESSIONS = 32
 PARAMS = dict(n=4, mode="composed", phi=5, delta=3, senders=2)
@@ -33,12 +33,16 @@ def test_e14_pool_beats_sequential_loop(benchmark):
             (sequential_loop(seeds, **PARAMS) for _ in range(2)),
             key=lambda report: report.wall_time_s,
         )
-        pool = SessionPool(backend="pooled", trace="light", **PARAMS)
+        pool = SessionPool(
+            config=SweepConfig(backend="pooled", trace="light"), **PARAMS,
+        )
         pooled = min(
             (pool.run(seeds) for _ in range(2)),
             key=lambda report: report.wall_time_s,
         )
-        batched = SessionPool(backend="batched", **PARAMS).run(seeds)
+        batched = SessionPool(
+            config=SweepConfig(backend="batched"), **PARAMS,
+        ).run(seeds)
         rows = []
         for report in (baseline, pooled, batched):
             rows.append(
@@ -80,7 +84,7 @@ def test_e14_pooled_traces_byte_identical(benchmark):
     def run():
         seeds = list(range(8))
         baseline = sequential_loop(seeds, **PARAMS)
-        pooled = SessionPool(backend="pooled", **PARAMS).run(seeds)
+        pooled = SessionPool(config=SweepConfig(backend="pooled"), **PARAMS).run(seeds)
         base_digests = [result.digest for result in baseline.results]
         pool_digests = [result.digest for result in pooled.results]
         assert base_digests == pool_digests
@@ -100,7 +104,7 @@ def test_e14_pooled_traces_byte_identical(benchmark):
 
 
 def test_e14_pool_wallclock(benchmark):
-    pool = SessionPool(backend="batched", **PARAMS)
+    pool = SessionPool(config=SweepConfig(backend="batched"), **PARAMS)
     counter = iter(range(100_000))
     benchmark(lambda: pool.run([next(counter)]))
 
@@ -116,9 +120,11 @@ def test_e17_process_fanout_sweep(benchmark):
         # path.  verify()'s inline reference still computes its own
         # caches, so the digest check doubles as the cross-source
         # (shared == compute) determinism assertion.
-        fanout = ParallelSweep(
-            backend="pooled", executor="process", trace="full",
-            material="shared", **PARAMS
+        fanout = SessionPool(
+            config=SweepConfig(
+                backend="pooled", executor="process", trace="full", material="shared",
+            ),
+            **PARAMS,
         )
         plan = fanout.plan(len(seeds))
         # verify() runs the process sweep AND the inline reference, and

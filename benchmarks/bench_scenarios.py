@@ -14,6 +14,7 @@ from collections import defaultdict
 
 from conftest import bench_record, emit, once
 
+from repro.runtime import SweepConfig
 from repro.scenarios import default_matrix, extra_scenarios, run_matrix
 
 MATRIX = default_matrix()
@@ -65,8 +66,10 @@ def test_e16b_matrix_cells_shard_across_processes(benchmark):
         # The smoke subset: enough cells to span several chunks, small
         # enough to keep this a per-run regenerable.
         specs = (MATRIX.expand() + extra_scenarios())[:12]
-        inline = run_matrix(specs, executor="inline")
-        fanned = run_matrix(specs, executor="process", workers=2, chunksize=3)
+        inline = run_matrix(specs, config=SweepConfig(executor="inline"))
+        fanned = run_matrix(
+            specs, config=SweepConfig(executor="process", workers=2, chunksize=3),
+        )
         assert fanned.ok, [cell.cell_id for cell in fanned.failures]
         # Deterministic ordering and per-cell digest equality across the
         # process boundary (every matrix cell runs a full-trace backend).

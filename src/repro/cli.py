@@ -197,7 +197,7 @@ def _format_adaptivity(trace) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
-    from repro.runtime import ParallelSweep
+    from repro.runtime import SessionPool, SweepConfig
 
     if args.sessions < 1:
         print("--sessions must be >= 1 (an empty sweep has nothing to report)",
@@ -222,10 +222,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print("--verify compares trace digests: forcing --trace full")
         trace = "full"
     try:
-        from repro.runtime import SweepConfig
-
         config = SweepConfig.from_args(args, backend=args.backend, trace=trace)
-        sweep = ParallelSweep(runner=runner, config=config, **params)
+        sweep = SessionPool(runner, config=config, **params)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

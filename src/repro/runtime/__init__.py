@@ -8,6 +8,7 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
   ``pooled``, ``batched``, ``async``);
 * :class:`~repro.runtime.driver.RoundDriver` — the round loop behind
   :class:`~repro.uc.environment.Environment` and every stack builder;
+  every driver runs the one reference round body;
 * :class:`~repro.runtime.scheduler.BatchScheduler` — per-round message
   queues drained in batches instead of per-message callbacks;
 * :class:`~repro.runtime.pool.SessionPool` — N independent sessions
@@ -17,18 +18,17 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
   and run either blocking (``run_*_trial``) or awaited
   (``async_*_session``); it plans worker/chunk shape for any
   ``(runner, task list)`` workload and verifies digest equality
-  against the inline reference;
-* :class:`~repro.runtime.sweep.ParallelSweep` — the same pool with a
-  process default: the multi-core sweep engine;
+  against the inline reference (``ParallelSweep`` is an alias kept for
+  existing imports);
 * :class:`~repro.runtime.supervisor.Supervisor` — the fault-tolerant
   process fan-out underneath it: per-chunk deadlines, deterministic
   retry/backoff, pool respawn on dead workers, poison-task quarantine,
   the crash-safe :class:`~repro.runtime.supervisor.SweepJournal` and
   the :class:`~repro.runtime.supervisor.ChaosPlan` fault harness;
 * :class:`~repro.runtime.config.SweepConfig` — the one frozen config
-  object every entry point (``SessionPool``, ``ParallelSweep``,
-  ``run_matrix``, ``AsyncSessionHost``, the CLI) builds its execution
-  knobs from;
+  object every entry point (``SessionPool``, ``run_matrix``,
+  ``AsyncSessionHost``, the CLI) takes its execution knobs from, as
+  ``config=``;
 * :class:`~repro.runtime.aio.AsyncSessionHost` — service mode: N
   concurrent sessions on one asyncio loop under the ``async`` backend,
   whose :class:`~repro.runtime.driver.AsyncRoundDriver` runs the
@@ -52,13 +52,8 @@ from repro.runtime.backend import (
     ExecutionBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
-from repro.runtime.config import (
-    SweepConfig,
-    add_sweep_options,
-    resolve_legacy_config,
-)
+from repro.runtime.config import SweepConfig, add_sweep_options
 from repro.runtime.driver import (
     AsyncRoundDriver,
     BatchedRoundDriver,
@@ -86,8 +81,11 @@ from repro.runtime.material import (
     watermark_for,
 )
 from repro.runtime.pool import (
+    ParallelSweep,
     PoolReport,
     SessionPool,
+    SweepPlan,
+    SweepVerification,
     TraceDigestUnavailable,
     TrialDisagreement,
     TrialResult,
@@ -117,7 +115,6 @@ from repro.runtime.supervisor import (
     SupervisorStats,
     SweepJournal,
 )
-from repro.runtime.sweep import ParallelSweep, SweepPlan, SweepVerification
 
 __all__ = [
     "ASYNC",
@@ -174,11 +171,9 @@ __all__ = [
     "online_ranges_disjoint",
     "publish_material",
     "record_online_spend",
-    "register_backend",
     "replenish_amount",
     "replenish_decision",
     "reports_match",
-    "resolve_legacy_config",
     "resolve_material_source",
     "resolve_workers",
     "run_sbc_trial",

@@ -15,9 +15,9 @@ name       driver       drain     trace   contract
 ========== ============ ========= ======= ==========================================
 sequential sequential   fifo      full    byte-identical traces to the pre-runtime
                                           engine for any fixed seed (the default)
-pooled     batched      fifo      full    traces identical to ``sequential``;
-                                          trace-neutral elisions only — safe for
-                                          determinism regressions and SessionPool
+pooled     sequential   fifo      full    the reference engine under the name
+                                          SessionPool sweeps default to; traces
+                                          identical to ``sequential``
 batched    batched      grouped   light   maximum throughput; per-recipient batch
                                           delivery, tracing off; protocol outputs
                                           equal, trace interleaving differs
@@ -27,8 +27,10 @@ async      async        fifo      full    the sequential round plus a yield at
                                           identical to ``sequential``
 ========== ============ ========= ======= ==========================================
 
-Stack builders and the CLI accept either a backend name or an
-:class:`ExecutionBackend` instance everywhere.
+Every driver runs the same round body (see :mod:`repro.runtime.driver`),
+so backends differ only in drain policy and trace mode.  Stack builders
+and the CLI accept either a backend name or an :class:`ExecutionBackend`
+instance everywhere.
 """
 
 from __future__ import annotations
@@ -136,10 +138,10 @@ SEQUENTIAL = ExecutionBackend(
 
 POOLED = ExecutionBackend(
     name="pooled",
-    driver_cls=BatchedRoundDriver,
+    driver_cls=SequentialRoundDriver,
     scheduler_policy="fifo",
     trace="full",
-    description="SessionPool driver: trace-identical to sequential, cached activation",
+    description="SessionPool default: the reference engine, full trace",
 )
 
 BATCHED = ExecutionBackend(
@@ -157,17 +159,9 @@ ASYNC = ExecutionBackend(
     "rounds; powers `repro serve`",
 )
 
-_REGISTRY: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Register ``backend`` under its name (last registration wins)."""
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-for _backend in (SEQUENTIAL, POOLED, BATCHED, ASYNC):
-    register_backend(_backend)
+_REGISTRY: Dict[str, ExecutionBackend] = {
+    backend.name: backend for backend in (SEQUENTIAL, POOLED, BATCHED, ASYNC)
+}
 
 
 def available_backends() -> Dict[str, ExecutionBackend]:

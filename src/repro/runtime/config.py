@@ -8,8 +8,10 @@ before anyone noticed).  :class:`SweepConfig` is the single source of
 truth: a frozen dataclass holding every knob, with *all* validation in
 :meth:`SweepConfig.__post_init__`, an argparse bridge
 (:func:`add_sweep_options` / :meth:`SweepConfig.from_args`) shared by
-``bench``/``sweep``/``scenarios``/``serve``, and a back-compat shim in
-the entry points that builds a config from individual keyword knobs.
+``bench``/``sweep``/``scenarios``/``serve``.  ``config=`` is the only
+way into an entry point: ``SessionPool`` refuses a knob passed as a
+loose keyword, since it would otherwise reach the runner and skip this
+validation.
 
 The knobs themselves are documented once, on :class:`SweepConfig`'s
 fields below; ``SessionPool``'s docstring points here.
@@ -27,7 +29,6 @@ __all__ = [
     "EXECUTORS",
     "SweepConfig",
     "add_sweep_options",
-    "resolve_legacy_config",
 ]
 
 #: The executors every entry point understands, in one place (the CLI
@@ -119,6 +120,8 @@ class SweepConfig:
             raise ValueError(
                 f"executor must be inline/thread/process, got {self.executor!r}"
             )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
         if self.max_tasks_per_child is not None and self.max_tasks_per_child < 1:
@@ -256,35 +259,6 @@ class SweepConfig:
         )
         kwargs.update(overrides)
         return cls(**kwargs)
-
-
-def resolve_legacy_config(
-    config: Optional[SweepConfig],
-    kwargs: "dict",
-    *,
-    defaults: Optional["dict"] = None,
-    owner: str = "SessionPool",
-) -> Tuple[SweepConfig, "dict"]:
-    """Back-compat bridge from individual keyword knobs to ``config=``.
-
-    Knob names (:meth:`SweepConfig.knob_names`) are popped out of
-    ``kwargs``; the remainder is returned untouched as runner kwargs.
-    ``defaults`` carries the owner's historical defaults
-    (``ParallelSweep`` fans out to processes, ``SessionPool`` stays
-    inline).  Passing ``config=`` together with individual knobs is
-    ambiguous and refused.
-    """
-    knob_kwargs = {
-        name: kwargs.pop(name) for name in SweepConfig.knob_names() if name in kwargs
-    }
-    if config is not None:
-        if knob_kwargs:
-            raise TypeError(
-                f"{owner}: pass either config=SweepConfig(...) or individual "
-                "execution knobs, not both"
-            )
-        return config, kwargs
-    return SweepConfig(**{**(defaults or {}), **knob_kwargs}), kwargs
 
 
 def add_sweep_options(

@@ -4,21 +4,27 @@ A :class:`RoundDriver` owns the mechanics of one UC round — input delivery,
 activation order, ``Advance_Clock`` issuing — for a single session.  The
 environment (and through it every stack builder and benchmark) delegates
 here, so alternative execution strategies plug in without touching protocol
-code:
+code.
 
-* :class:`SequentialRoundDriver` — the reference implementation.  A verbatim
-  port of the pre-runtime ``Environment.run_round`` loop; event traces are
-  byte-identical to the original engine for any fixed seed.
-* :class:`BatchedRoundDriver` — the throughput implementation.  Caches the
-  activation list between topology changes (registration/corruption bump
-  the session's ``topology_epoch``) and elides the per-party adversary
-  activation hook when the installed adversary does not override it.  Both
-  elisions are trace-neutral: they skip only work that records nothing.
+Every driver runs one round body, :func:`_reference_round`: the
+pre-runtime ``Environment.run_round`` loop, so event traces are
+byte-identical to the original engine for any fixed seed.  It takes two
+shortcuts, both trace-neutral because they skip only work that records
+nothing: the default activation list is resolved once per topology epoch
+(registration and corruption bump the session's ``topology_epoch``), and
+the per-party adversary hook is skipped when the installed adversary
+keeps the base no-op.
+
+* :class:`SequentialRoundDriver` — the reference driver, bound by the
+  ``sequential`` and ``pooled`` backends.
+* :class:`BatchedRoundDriver` — the same round under the ``batched``
+  backend's name; the backend's grouped drain and light trace make the
+  difference, not the driver.
 * :class:`AsyncRoundDriver` — the reference round, awaitable.  Its
-  :meth:`~AsyncRoundDriver.run_round_async` runs the sequential round body
-  and then yields to the event loop once, so sessions hosted on one loop
-  take turns at round boundaries, the only points where the global clock
-  lets parties observe one another.
+  :meth:`~AsyncRoundDriver.run_round_async` runs the round body and then
+  yields to the event loop once, so sessions hosted on one loop take
+  turns at round boundaries, the only points where the global clock lets
+  parties observe one another.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ class RoundDriver:
     def __init__(self, session: "Session", order: Optional[Sequence[str]] = None) -> None:
         self.session = session
         self._order = list(order) if order is not None else None
+        self._cached_epoch = -1
+        self._cached_parties: List["Party"] = []
 
     @property
     def order(self) -> Optional[List[str]]:
@@ -73,20 +81,25 @@ class RoundDriver:
     @order.setter
     def order(self, value: Optional[Sequence[str]]) -> None:
         self._order = list(value) if value is not None else None
-        self._order_changed()
+        self._cached_epoch = -1  # reassigning env.order must rebuild the cache
 
-    def _order_changed(self) -> None:
-        """Hook for subclasses caching anything derived from the order."""
+    def _parties(self, order: Optional[Sequence[str]]) -> Iterable["Party"]:
+        """The parties to activate this round, in order.
 
-    # -- activation order -------------------------------------------------
-
-    def activation_order(self, order: Optional[Sequence[str]] = None) -> List[str]:
-        """Resolve the activation order for one round."""
+        An explicit per-round ``order`` is resolved as it is walked.  The
+        default list is cached until the topology epoch moves or
+        :attr:`order` is reassigned.
+        """
+        session = self.session
         if order is not None:
-            return list(order)
-        if self.order is not None:
-            return list(self.order)
-        return list(self.session.parties)
+            return (session.party(pid) for pid in list(order))
+        if session.topology_epoch != self._cached_epoch:
+            if self._order is not None:
+                self._cached_parties = [session.party(pid) for pid in self._order]
+            else:
+                self._cached_parties = list(session.parties.values())
+            self._cached_epoch = session.topology_epoch
+        return self._cached_parties
 
     # -- the round loop ----------------------------------------------------
 
@@ -131,10 +144,9 @@ def _reference_round(
     actions: Iterable[Action],
     order: Optional[Sequence[str]],
 ) -> int:
-    """The reference round body: inputs in order, then activations.
+    """The one round body: inputs in order, then activations.
 
-    Shared by :class:`SequentialRoundDriver` and :class:`AsyncRoundDriver`,
-    which is why their traces are byte-identical.
+    Every driver runs it, which is why their traces are byte-identical.
     """
     session = driver.session
     for pid, action in actions:
@@ -142,14 +154,18 @@ def _reference_round(
         if party.corrupted:
             continue
         action(party)
-    for pid in driver.activation_order(order):
-        party = session.party(pid)
+    # Bound-method aware: catches both subclass overrides and
+    # instance-assigned hooks (adv.on_party_activated = fn).
+    hook = session.adversary.on_party_activated
+    hooked = getattr(hook, "__func__", hook) is not _base_activation_hook()
+    for party in driver._parties(order):
         if party.corrupted:
             continue
-        session.adversary.on_party_activated(party)
-        if party.corrupted:
-            # on_party_activated may have corrupted it.
-            continue
+        if hooked:
+            hook(party)
+            if party.corrupted:
+                # on_party_activated may have corrupted it.
+                continue
         party.advance_clock()
     return session.clock.time
 
@@ -157,11 +173,30 @@ def _reference_round(
 class SequentialRoundDriver(RoundDriver):
     """Reference driver: one party, one message, one callback at a time.
 
-    This is the pre-runtime engine verbatim; the default backend uses it
-    so that traces stay byte-identical seed-for-seed.
+    The ``sequential`` and ``pooled`` backends bind it; traces are
+    byte-identical to the pre-runtime engine seed-for-seed.
     """
 
     name = "sequential"
+
+    def run_round(
+        self,
+        actions: Iterable[Action] = (),
+        order: Optional[Sequence[str]] = None,
+    ) -> int:
+        return _reference_round(self, actions, order)
+
+
+class BatchedRoundDriver(SequentialRoundDriver):
+    """The reference driver under the ``batched`` backend's name.
+
+    It adds nothing to :class:`SequentialRoundDriver`.  It stays because
+    the perf harness (``benchmarks/perf/spans.py``) times rounds by
+    wrapping ``run_round`` in each driver class's own ``__dict__``, so
+    the method is defined here again rather than inherited.
+    """
+
+    name = "batched"
 
     def run_round(
         self,
@@ -216,66 +251,3 @@ class AsyncRoundDriver(SequentialRoundDriver):
         if predicate(self.session):
             return self.session.clock.time
         raise RuntimeError(f"predicate not satisfied within {max_rounds} rounds")
-
-
-class BatchedRoundDriver(RoundDriver):
-    """Throughput driver: batched activation with trace-neutral elisions.
-
-    Differences from the sequential reference — none of which emit or
-    suppress a trace event:
-
-    * the activation party list is resolved once per topology epoch
-      instead of per round (no per-round ``party()`` lookups);
-    * ``Adversary.on_party_activated`` is skipped entirely when the
-      installed adversary inherits the base no-op implementation.
-    """
-
-    name = "batched"
-
-    def __init__(self, session: "Session", order: Optional[Sequence[str]] = None) -> None:
-        super().__init__(session, order)
-        self._cached_epoch = -1
-        self._cached_parties: List["Party"] = []
-
-    def _order_changed(self) -> None:
-        self._cached_epoch = -1  # reassigning env.order must rebuild the cache
-
-    def _parties(self) -> List["Party"]:
-        session = self.session
-        if session.topology_epoch != self._cached_epoch:
-            if self._order is not None:
-                self._cached_parties = [session.party(pid) for pid in self._order]
-            else:
-                self._cached_parties = list(session.parties.values())
-            self._cached_epoch = session.topology_epoch
-        return self._cached_parties
-
-    def run_round(
-        self,
-        actions: Iterable[Action] = (),
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        session = self.session
-        for pid, action in actions:
-            party = session.party(pid)
-            if party.corrupted:
-                continue
-            action(party)
-        adversary = session.adversary
-        # Bound-method aware: catches both subclass overrides and
-        # instance-assigned hooks (adv.on_party_activated = fn).
-        hook = adversary.on_party_activated
-        hooked = getattr(hook, "__func__", hook) is not _base_activation_hook()
-        if order is not None:
-            parties: Sequence["Party"] = [session.party(pid) for pid in order]
-        else:
-            parties = self._parties()
-        for party in parties:
-            if party.corrupted:
-                continue
-            if hooked:
-                hook(party)
-                if party.corrupted:
-                    continue
-            party.advance_clock()
-        return session.clock.time

@@ -14,10 +14,10 @@ execution shape from its one :class:`~repro.runtime.config.SweepConfig`:
 :func:`resolve_online_plan`, :func:`start_warm_workers` (publish
 material, then start warmed process workers) and
 :func:`ledger_online_spend`.  :class:`SessionPool` runs and verifies
-sweeps with them; :class:`~repro.runtime.sweep.ParallelSweep` is the
-same class with a process default, and
+sweeps with them (``ParallelSweep`` is an alias of it), and
 :class:`~repro.runtime.aio.AsyncSessionHost` reuses the steps for
-service mode.
+service mode.  The config is the only way in: an execution knob passed
+as a loose keyword is refused, never forwarded to the runner.
 
 Each workload's session is written once, as a generator body that yields
 a :class:`Drive` request wherever it advances rounds and returns its
@@ -52,7 +52,7 @@ from typing import (
 )
 
 from repro.runtime.backend import ExecutionBackend, get_backend
-from repro.runtime.config import SweepConfig, resolve_legacy_config
+from repro.runtime.config import SweepConfig
 from repro.runtime.driver import AsyncRoundDriver, RoundDriver
 
 # canonical_detail moved next to the Event type it renders; re-exported
@@ -946,15 +946,17 @@ class SessionPool:
             online, supervision, ...) — see that class for the full
             reference; validation lives in its ``__post_init__``.  The
             pool reads it as ``self.config`` and keeps no other copy.
+            ``None`` means ``SweepConfig()``: the ``pooled`` backend,
+            inline.
         **runner_kwargs: Forwarded verbatim to ``runner`` on every
-            trial.  For back compatibility the execution knobs are also
-            accepted as individual keywords (``executor="process"``,
-            ``online=True``, ...); they build a config internally, with
-            :attr:`default_executor` unless ``executor`` is given.
-    """
+            trial.
 
-    #: Executor of a config built from keyword knobs.
-    default_executor = "inline"
+    Raises:
+        TypeError: a runner keyword is named like a config knob
+            (``executor=``, ``online=``, ...).  It would reach the runner
+            unvalidated while the report and :meth:`verify` followed the
+            config, so it must go through ``config=SweepConfig(...)``.
+    """
 
     def __init__(
         self,
@@ -963,12 +965,14 @@ class SessionPool:
         config: Optional[SweepConfig] = None,
         **runner_kwargs: Any,
     ) -> None:
-        config, runner_kwargs = resolve_legacy_config(
-            config,
-            runner_kwargs,
-            defaults={"backend": "pooled", "executor": self.default_executor},
-            owner=type(self).__name__,
-        )
+        knobs = sorted(set(runner_kwargs) & set(SweepConfig.knob_names()))
+        if knobs:
+            raise TypeError(
+                f"{type(self).__name__}: execution knobs go through "
+                f"config=SweepConfig(...), not runner keywords (got {', '.join(knobs)})"
+            )
+        if config is None:
+            config = SweepConfig()
         self.config = config
         self.runner = runner
         self.runner_kwargs = dict(runner_kwargs)
@@ -1314,6 +1318,10 @@ class SessionPool:
             reference=reference,
             matched=reports_match(report, reference),
         )
+
+
+#: The name the multi-core sweep engine went by; the same class.
+ParallelSweep = SessionPool
 
 
 def sequential_loop(

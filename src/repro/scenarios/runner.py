@@ -17,8 +17,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.runtime.config import SweepConfig
-from repro.runtime.pool import TrialResult, compare_trace_digests, trace_digest
-from repro.runtime.sweep import ParallelSweep
+from repro.runtime.pool import (
+    SessionPool,
+    TrialResult,
+    compare_trace_digests,
+    trace_digest,
+)
 from repro.scenarios.adversaries import make_adversary
 from repro.scenarios.faults import FaultPlan
 from repro.scenarios.properties import PropertyResult, evaluate
@@ -584,35 +588,15 @@ def online_slots_for(specs: Sequence[ScenarioSpec]) -> List[int]:
 
 def run_matrix(
     specs: Iterable[ScenarioSpec],
-    executor: str = "inline",
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    max_tasks_per_child: Optional[int] = None,
-    warmup: bool = True,
-    material: Optional[str] = None,
-    adaptive: bool = False,
-    online: bool = False,
-    consume_forward: bool = False,
-    batch_verify: Any = False,
-    chaos: Optional[Any] = None,
-    retry: Optional[Any] = None,
-    deadline: Optional[Any] = None,
-    journal: Optional[Any] = None,
-    resume: bool = False,
-    trace: Optional[str] = None,
     config: Optional[SweepConfig] = None,
 ) -> MatrixReport:
-    """Execute every cell through a :class:`ParallelSweep`.
+    """Execute every cell through a :class:`~repro.runtime.pool.SessionPool`.
 
     Cells are dispatched by index into ``specs`` (the cell pins its own
     backend and seed), so results — and therefore the report's cell
-    order — match the spec order under every executor.  Execution knobs
-    are best passed as one ``config=``
-    :class:`~repro.runtime.config.SweepConfig` — the same object
-    ``SessionPool``/``ParallelSweep`` take, so the matrix accepts the
-    identical knob set (the pre-config signature silently lacked
-    ``retry``/``deadline``/``journal``/``resume``/``trace``); the
-    individual keywords remain as a shim.  Two knobs are interpreted,
+    order — match the spec order under every executor.  ``config`` is
+    the :class:`~repro.runtime.config.SweepConfig` the pool takes
+    (default: ``SweepConfig()``, inline).  Two knobs are interpreted,
     not forwarded: the backend is forced to ``sequential`` at the pool
     level (each cell pins its own backend as a matrix axis), and
     ``online=True`` becomes an
@@ -626,25 +610,7 @@ def run_matrix(
     """
     specs = tuple(specs)
     if config is None:
-        config = SweepConfig(
-            backend="sequential",
-            executor=executor,
-            workers=workers,
-            chunksize=chunksize,
-            max_tasks_per_child=max_tasks_per_child,
-            warmup=warmup,
-            material=material,
-            adaptive=adaptive,
-            online=online,
-            consume_forward=consume_forward,
-            batch_verify=batch_verify,
-            chaos=chaos,
-            retry=retry,
-            deadline=deadline,
-            journal=journal,
-            resume=resume,
-            trace=trace,
-        )
+        config = SweepConfig()
     online_plan: Any = config.online
     if config.online and isinstance(config.online, bool):
         from repro.runtime.material import OnlinePlan
@@ -657,12 +623,8 @@ def run_matrix(
     config = config.replace(
         backend="sequential", online=online_plan, consume_forward=False
     )
-    sweep = ParallelSweep(
-        runner=run_scenario_trial,
-        config=config,
-        specs=specs,
-    )
-    report = sweep.run(range(len(specs)))
+    pool = SessionPool(run_scenario_trial, config=config, specs=specs)
+    report = pool.run(range(len(specs)))
     return MatrixReport(
         cells=[trial.outputs for trial in report.results],
         executor=config.executor,

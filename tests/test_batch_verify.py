@@ -49,7 +49,8 @@ from repro.crypto.zkp import (
 )
 from repro.functionalities.cert_adapter import real_cert_suite
 from repro.functionalities.certification import RealCertification
-from repro.runtime.pool import SessionPool, run_voting_trial
+from repro.runtime import SweepConfig
+from repro.runtime.pool import run_voting_trial
 
 G = TEST_GROUP
 
@@ -302,7 +303,7 @@ def test_policy_seam_scopes_and_restores():
 
 def test_thread_executor_rejects_batch_verify():
     with pytest.raises(ValueError, match="thread"):
-        SessionPool(executor="thread", batch_verify=True)
+        SweepConfig(executor="thread", batch_verify=True)
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,17 @@ def test_bench_command_process_executor(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "trace digests match sequential reference: yes" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sessions", "2", "--executor", "process", "--workers", "0"],
+        ["bench", "--sessions", "2", "--executor", "thread", "--workers", "-2"],
+        ["bench", "--sessions", "2", "--executor", "thread", "--workers", "0"],
+        ["serve", "--sessions", "2", "--executor", "process", "--workers", "0"],
+    ],
+)
+def test_non_positive_workers_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err

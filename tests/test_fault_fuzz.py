@@ -25,7 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.groups import TEST_GROUP
-from repro.runtime import ParallelSweep, run_voting_trial
+from repro.runtime import SessionPool, SweepConfig, run_voting_trial
 from repro.runtime.material import MaterialStore
 from repro.scenarios import evaluate_scenario
 from repro.scenarios.faults import ACTIVATIONS, FaultPlan
@@ -186,13 +186,13 @@ def test_fuzzed_pool_exhaustion_degrades_to_sampling_and_verifies(
             store.build([TEST_GROUP], nonces=nonces, feldman=feldman)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                verdict = ParallelSweep(
+                verdict = SessionPool(
                     runner=run_voting_trial,
                     voters=3,
-                    executor="inline",
-                    material="disk",
-                    online=True,
-                    consume_forward=True,
+                    config=SweepConfig(
+                        executor="inline", material="disk", online=True,
+                        consume_forward=True,
+                    ),
                 ).verify(range(tasks))
             assert verdict.matched
             spend = verdict.report.online_spend

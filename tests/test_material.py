@@ -37,7 +37,7 @@ from repro.crypto.preprocessing import (
 from repro.crypto.randomness import spending
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.crypto.shamir import Share, _evaluate, feldman_verify
-from repro.runtime import ParallelSweep, SessionPool, run_voting_trial
+from repro.runtime import SessionPool, SweepConfig, run_voting_trial
 from repro.runtime.material import (
     MaterialHandle,
     MaterialRef,
@@ -222,7 +222,7 @@ def test_resolve_material_source_validates():
     with pytest.raises(ValueError, match="material source"):
         resolve_material_source("telepathy")
     with pytest.raises(ValueError, match="material source"):
-        SessionPool(material="telepathy", **PARAMS)
+        SweepConfig(material="telepathy")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,8 @@ def test_failed_publish_reports_compute(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_MATERIAL_DIR", str(blocker / "store"))
     with pytest.warns(RuntimeWarning, match="could not publish"):
         report = SessionPool(
-            executor="process", workers=1, material="disk", **PARAMS
+            config=SweepConfig(executor="process", workers=1, material="disk"),
+            **PARAMS,
         ).run([0, 1])
     assert report.material_source == "compute"
     assert report.summary()["material_source"] == "compute"
@@ -386,8 +387,9 @@ def test_corrupt_store_never_crashes_a_sweep(store, kind):
     """End to end: corrupt cache + process workers still match inline."""
     store.build([TEST_GROUP], nonces=2, feldman=1)
     _corrupt_file(store.path_for(TEST_GROUP), kind)
-    sweep = ParallelSweep(
-        executor="process", workers=2, chunksize=1, material="disk", **PARAMS
+    sweep = SessionPool(
+        config=SweepConfig(executor="process", workers=2, chunksize=1, material="disk"),
+        **PARAMS,
     )
     with pytest.warns(RuntimeWarning):
         verdict = sweep.verify(range(3))
@@ -397,7 +399,7 @@ def test_corrupt_store_never_crashes_a_sweep(store, kind):
 def test_missing_store_lazily_runs_the_offline_phase(store):
     assert not store.path_for(TEST_GROUP).exists()
     report = SessionPool(
-        executor="process", workers=2, material="shared", **PARAMS
+        config=SweepConfig(executor="process", workers=2, material="shared"), **PARAMS,
     ).run(range(3))
     assert report.material_source == "shared"
     assert store.path_for(TEST_GROUP).exists()  # publish persisted the build
@@ -487,8 +489,10 @@ def test_corrupt_sidecar_degrades_to_sampling_and_still_verifies(store, kind):
     re-spent, and the sweep still passes seed-for-seed ``--verify``."""
     store.build([TEST_GROUP], nonces=32, feldman=8)
     _mangle_sidecar(_sidecar_for(store, group_fingerprint(TEST_GROUP)), kind)
-    sweep = ParallelSweep(
-        executor="inline", material="disk", online=True, consume_forward=True,
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="inline", material="disk", online=True, consume_forward=True,
+        ),
         **VOTING,
     )
     with pytest.warns(RuntimeWarning, match="unusable"):
@@ -506,8 +510,10 @@ def test_stale_seed_sidecar_degrades_to_sampling_and_still_verifies(store):
     store.record_spend(
         group_fingerprint(TEST_GROUP), nonces=4, nonce_high=4, material_seed=99
     )
-    sweep = ParallelSweep(
-        executor="inline", material="disk", online=True, consume_forward=True,
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="inline", material="disk", online=True, consume_forward=True,
+        ),
         **VOTING,
     )
     with pytest.warns(RuntimeWarning, match="stale"):
@@ -567,11 +573,12 @@ def test_concurrent_ledger_writers_never_tear_the_sidecar(store):
 def test_digests_identical_across_material_sources_32_tasks(store):
     """compute == disk == shared, seed for seed, over a 32-task sweep."""
     seeds = range(32)
-    inline = SessionPool(executor="inline", **PARAMS).run(seeds)
+    inline = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).run(seeds)
     digests = {"compute": [r.digest for r in inline.results]}
     for source in ("compute", "disk", "shared"):
         report = SessionPool(
-            executor="process", workers=2, material=source, **PARAMS
+            config=SweepConfig(executor="process", workers=2, material=source),
+            **PARAMS,
         ).run(seeds)
         digests[f"process-{source}"] = [r.digest for r in report.results]
     reference = digests["compute"]
@@ -587,10 +594,13 @@ def test_scenario_smoke_subset_digests_across_sources(store):
         if spec.stack == "ubc" and spec.backend == "sequential"
     ][:4]
     assert len(specs) >= 2
-    reference = run_matrix(specs, executor="inline")
+    reference = run_matrix(specs, config=SweepConfig(executor="inline"))
     for source in ("disk", "shared"):
         fanned = run_matrix(
-            specs, executor="process", workers=2, material=source, adaptive=True
+            specs,
+            config=SweepConfig(
+                executor="process", workers=2, material=source, adaptive=True,
+            ),
         )
         assert [cell.digest for cell in fanned.cells] == [
             cell.digest for cell in reference.cells
@@ -652,8 +662,11 @@ def test_cli_sweep_json_reports_plan_and_material(store, capsys):
 def test_material_groups_plumbs_production_parameters_to_workers(store):
     """GROUP_2048 material reaches process workers when asked for."""
     report = SessionPool(
-        executor="process", workers=1, material="shared",
-        material_groups=(TEST_GROUP, GROUP_2048), **PARAMS
+        config=SweepConfig(
+            executor="process", workers=1, material="shared",
+            material_groups=(TEST_GROUP, GROUP_2048),
+        ),
+        **PARAMS,
     ).run(range(2))
     assert report.material_source == "shared"
     # The lazy offline phase persisted material for both parameter sets.
@@ -670,7 +683,7 @@ def test_host_process_workers_attach_every_published_group(store, monkeypatch):
     """
     from concurrent import futures
 
-    from repro.runtime import AsyncSessionHost, SweepConfig, run_sbc_trial
+    from repro.runtime import AsyncSessionHost, run_sbc_trial
 
     started = {}
 
@@ -695,7 +708,10 @@ def test_host_process_workers_attach_every_published_group(store, monkeypatch):
 def test_warmup_off_never_publishes_or_claims_material(store):
     """warmup=False measures cold workers: nothing to publish or attach."""
     report = SessionPool(
-        executor="process", workers=1, warmup=False, material="shared", **PARAMS
+        config=SweepConfig(
+            executor="process", workers=1, warmup=False, material="shared",
+        ),
+        **PARAMS,
     ).run(range(2))
     assert report.material_source == "compute"  # nothing was attached
     assert not store.path_for(TEST_GROUP).exists()  # no offline build ran

@@ -35,8 +35,8 @@ from repro.runtime import (
     MaterialCursor,
     MaterialStore,
     OnlinePlan,
-    ParallelSweep,
     SessionPool,
+    SweepConfig,
     online_pool_requirement,
     run_voting_trial,
 )
@@ -245,21 +245,29 @@ def test_plan_open_without_material_degrades_to_counted_sampling(store, monkeypa
 
 def test_online_requires_pool_bearing_material_and_warmup():
     with pytest.raises(ValueError, match="material"):
-        SessionPool(online=True)
+        SweepConfig(online=True)
     with pytest.raises(ValueError, match="thread"):
-        SessionPool(online=True, material="disk", executor="thread")
+        SweepConfig(online=True, material="disk", executor="thread")
     with pytest.raises(ValueError, match="warmup"):
-        SessionPool(online=True, material="disk", warmup=False)
+        SweepConfig(online=True, material="disk", warmup=False)
 
 
 def test_online_run_is_digest_pinned_and_reproducible(store):
     store.build([TEST_GROUP], nonces=64, feldman=16)
     online = SessionPool(
-        executor="inline", material="disk", online=True, trace="full", **VOTING
+        config=SweepConfig(
+            executor="inline", material="disk", online=True, trace="full",
+        ),
+        **VOTING,
     ).run(range(3))
-    baseline = SessionPool(executor="inline", trace="full", **VOTING).run(range(3))
+    baseline = SessionPool(
+        config=SweepConfig(executor="inline", trace="full"), **VOTING,
+    ).run(range(3))
     replay = SessionPool(
-        executor="inline", material="disk", online=True, trace="full", **VOTING
+        config=SweepConfig(
+            executor="inline", material="disk", online=True, trace="full",
+        ),
+        **VOTING,
     ).run(range(3))
     for spent, plain, again in zip(
         online.results, baseline.results, replay.results
@@ -276,12 +284,12 @@ def test_online_run_is_digest_pinned_and_reproducible(store):
 
 def _pool_online_run():
     return SessionPool(
-        executor="inline", material="disk", online=True, **VOTING
+        config=SweepConfig(executor="inline", material="disk", online=True), **VOTING,
     ).run(range(2))
 
 
 def _host_online_run():
-    from repro.runtime import AsyncSessionHost, SweepConfig
+    from repro.runtime import AsyncSessionHost
 
     config = SweepConfig(
         backend="async", executor="inline", material="disk", online=True
@@ -327,9 +335,11 @@ def test_online_spend_event_recorded_in_trace(store):
 
 def test_process_sweep_verify_and_no_double_spend(store):
     store.build([TEST_GROUP], nonces=6 * 8, feldman=12)
-    sweep = ParallelSweep(
-        executor="process", workers=2, material="shared", online=True,
-        trace="full", **VOTING
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, material="shared", online=True, trace="full",
+        ),
+        **VOTING,
     )
     verdict = sweep.verify(range(6))
     assert verdict.matched  # process spend == inline replay, seed for seed
@@ -350,9 +360,11 @@ def test_exhausted_pool_mid_sweep_still_verifies(store):
     # sweep must stay digest-equal to the inline replay (the fallback is
     # part of the pinned behavior, not a divergence).
     store.build([TEST_GROUP], nonces=4, feldman=2)
-    sweep = ParallelSweep(
-        executor="process", workers=2, material="shared", online=True,
-        trace="full", **VOTING
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, material="shared", online=True, trace="full",
+        ),
+        **VOTING,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -366,13 +378,16 @@ def test_exhausted_pool_mid_sweep_still_verifies(store):
 
 def test_sweep_plan_and_report_carry_the_online_axis(store):
     store.build([TEST_GROUP], nonces=32, feldman=8)
-    sweep = ParallelSweep(
-        executor="process", workers=2, material="disk", online=True, **VOTING
+    sweep = SessionPool(
+        config=SweepConfig(executor="process", workers=2, material="disk", online=True),
+        **VOTING,
     )
     plan = sweep.plan(4)
     assert plan.online is True
     assert plan.summary()["online"] is True
-    offline = ParallelSweep(executor="process", workers=2, **VOTING).plan(4)
+    offline = SessionPool(
+        config=SweepConfig(executor="process", workers=2), **VOTING,
+    ).plan(4)
     assert offline.online is False
 
 
@@ -405,7 +420,9 @@ def test_matrix_online_run_keeps_cross_backend_digests(store):
         spec for spec in default_matrix(seed=0).expand()
         if spec.stack == "ubc"
     ][:6]
-    report = run_matrix(specs, executor="inline", material="disk", online=True)
+    report = run_matrix(
+        specs, config=SweepConfig(executor="inline", material="disk", online=True),
+    )
     assert report.ok
     assert report.backend_mismatches() == []
 
@@ -418,7 +435,7 @@ def test_matrix_online_run_keeps_cross_backend_digests(store):
 def test_sweep_ledgers_consumption_and_inspect_reports_remaining(store):
     store.build([TEST_GROUP], nonces=64, feldman=16)
     SessionPool(
-        executor="inline", material="disk", online=True, **VOTING
+        config=SweepConfig(executor="inline", material="disk", online=True), **VOTING,
     ).run(range(2))
     records = {
         r["fingerprint"]: r for r in store.inspect() if r.get("ok")
@@ -452,7 +469,7 @@ def test_inspect_flags_misnamed_blob_as_integrity_failure(store):
 
 def test_consume_forward_requires_online():
     with pytest.raises(ValueError, match="consume_forward"):
-        SessionPool(consume_forward=True, **VOTING)
+        SweepConfig(consume_forward=True)
 
 
 def test_consecutive_consume_forward_sweeps_spend_disjoint_slices(store):
@@ -462,9 +479,11 @@ def test_consecutive_consume_forward_sweeps_spend_disjoint_slices(store):
     store.build([TEST_GROUP], nonces=64, feldman=16)
 
     def sweep():
-        return ParallelSweep(
-            executor="inline", material="disk", online=True,
-            consume_forward=True, **VOTING,
+        return SessionPool(
+            config=SweepConfig(
+                executor="inline", material="disk", online=True, consume_forward=True,
+            ),
+            **VOTING,
         ).verify(range(2))
 
     first = sweep()
@@ -509,9 +528,11 @@ def test_watermark_crossing_sweep_replenishes_exactly_once(store):
     from repro.runtime import Replenisher
 
     store.build([TEST_GROUP], nonces=24, feldman=8)
-    verdict = ParallelSweep(
-        executor="inline", material="disk", online=True,
-        consume_forward=True, **VOTING,
+    verdict = SessionPool(
+        config=SweepConfig(
+            executor="inline", material="disk", online=True, consume_forward=True,
+        ),
+        **VOTING,
     ).verify(range(2))
     assert verdict.matched
     rep = Replenisher(store=store)

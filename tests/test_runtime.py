@@ -5,8 +5,9 @@ Covers the runtime's three contracts:
 * the default (``sequential``) backend reproduces the pre-runtime engine
   **byte for byte** — pinned against golden trace digests captured from
   the seed engine before the runtime extraction;
-* the ``pooled`` backend produces *identical* event traces to the
-  sequential backend for any fixed seed (its elisions are trace-neutral);
+* every full-trace backend (``sequential``, ``pooled``, ``async``)
+  produces *identical* event traces for any fixed seed — one round body,
+  whose two shortcuts are pinned against pre-fold digests;
 * :class:`~repro.runtime.pool.SessionPool` sweeps are deterministic and
   complete across >= 32 seeds.
 
@@ -23,6 +24,7 @@ from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
 from repro.runtime import (
     BatchScheduler,
     SessionPool,
+    SweepConfig,
     available_backends,
     get_backend,
     run_sbc_trial,
@@ -31,6 +33,7 @@ from repro.runtime import (
 )
 from repro.uc.entity import Party
 from repro.uc.session import Session
+from tests.test_adaptive_sbc import CorruptAtRound
 
 # ---------------------------------------------------------------------------
 # Golden digests: captured from the seed engine (commit 0dc83b5) before the
@@ -123,25 +126,52 @@ def test_batched_backend_same_outputs_lighter_trace():
     assert again.delivered() == batched.delivered()
 
 
+# ---------------------------------------------------------------------------
+# The round body's two shortcuts (the activation list cached per topology
+# epoch, the no-op adversary hook skipped) pinned against digests recorded
+# on ``sequential`` before the drivers were folded into one round body.
+# ---------------------------------------------------------------------------
+
+FULL_TRACE_BACKENDS = ("sequential", "pooled", "async")
+PIN_REORDERED = "b95586addcc4e1bdf8ebfd29fccd82143cd78c370000ce22a4a92be8f4068355"
+PIN_HOOK_CORRUPTS = "6dfe3e3157bc739a67df7b667a08a3969e26f3dc2b97cfb5a3d9f67698d06218"
+PIN_BOUNDARY = "56d51df4437604bb0317cb4df5bd4849551201da90afd34fbb14c34e1b0da119"
+
+
 def test_order_reassignment_invalidates_pooled_cache():
-    digests = []
-    for backend in ("sequential", "pooled"):
+    for backend in FULL_TRACE_BACKENDS:
         stack = build_sbc_stack(
             n=4, mode="hybrid", seed=6, phi=4, delta=2, backend=backend
         )
-        stack.run_rounds(1)  # populate any driver-side caches
+        stack.run_rounds(1)  # populate the cached activation list
         stack.env.order = ["P3", "P2", "P1", "P0"]  # then flip the order
         stack.parties["P0"].broadcast(b"o")
+        # An explicit per-round order bypasses the cache for one round.
+        stack.env.run_round((), order=["P1", "P3", "P0", "P2"])
         stack.run_until_delivery()
-        digests.append(trace_digest(stack.session.log))
-    assert digests[0] == digests[1]
+        assert trace_digest(stack.session.log) == PIN_REORDERED, backend
+        assert stack.delivered() == {pid: [b"o"] for pid in ("P0", "P1", "P2", "P3")}
+
+
+@pytest.mark.parametrize("backend", FULL_TRACE_BACKENDS)
+def test_corruption_at_round_boundary_is_pinned(backend):
+    stack = build_sbc_stack(
+        n=4, mode="hybrid", seed=12, phi=4, delta=2,
+        adversary=CorruptAtRound("P1", at_round=2), backend=backend,
+    )
+    stack.parties["P0"].broadcast(b"b0")
+    stack.parties["P1"].broadcast(b"b1")
+    stack.run_until_delivery()
+    assert trace_digest(stack.session.log) == PIN_BOUNDARY
+    assert stack.delivered()["P1"] is None
+    assert stack.delivered()["P2"] == [b"b0", b"b1"]
 
 
 def test_session_pool_honors_backend_instance_overrides():
     from repro.runtime import POOLED
 
     report = SessionPool(
-        backend=POOLED.with_trace("light"), n=3, mode="hybrid"
+        n=3, mode="hybrid", config=SweepConfig(backend=POOLED.with_trace("light")),
     ).run([0])
     assert report.results[0].digest == ""  # the trace override reached the session
 
@@ -159,7 +189,9 @@ def test_repeated_sbc_accepts_backend():
 
 def test_session_pool_smoke_32_seeds():
     seeds = list(range(32))
-    pool = SessionPool(backend="pooled", n=3, mode="hybrid", phi=4, delta=2)
+    pool = SessionPool(
+        n=3, mode="hybrid", phi=4, delta=2, config=SweepConfig(backend="pooled"),
+    )
     report = pool.run(seeds)
     assert report.sessions == 32
     assert [result.seed for result in report.results] == seeds
@@ -177,17 +209,21 @@ def test_session_pool_matches_sequential_loop_digests():
     seeds = list(range(6))
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
     baseline = sequential_loop(seeds, **params)
-    pooled = SessionPool(backend="pooled", **params).run(seeds)
+    pooled = SessionPool(config=SweepConfig(backend="pooled"), **params).run(seeds)
     assert [r.digest for r in pooled.results] == [r.digest for r in baseline.results]
 
 
 def test_session_pool_thread_executor():
     seeds = list(range(4))
     pool = SessionPool(
-        backend="pooled", executor="thread", workers=2, n=3, mode="hybrid"
+        n=3,
+        mode="hybrid",
+        config=SweepConfig(backend="pooled", executor="thread", workers=2),
     )
     report = pool.run(seeds)
-    inline = SessionPool(backend="pooled", n=3, mode="hybrid").run(seeds)
+    inline = SessionPool(
+        n=3, mode="hybrid", config=SweepConfig(backend="pooled"),
+    ).run(seeds)
     assert [r.digest for r in report.results] == [r.digest for r in inline.results]
     # The report gives the resolved worker count, as the plan does.
     assert report.workers == pool.plan(len(seeds)).workers
@@ -209,22 +245,40 @@ def test_light_trace_digest_is_empty_not_constant():
     assert light.digest == ""
 
 
-def test_pooled_driver_fires_instance_assigned_hook():
+def _hooked_run(backend):
+    """A run whose instance-assigned hook corrupts P2 mid-round 2."""
     from repro.uc.adversary import PassiveAdversary
 
-    counts = {}
-    for backend in ("sequential", "pooled"):
-        adversary = PassiveAdversary()
-        seen = []
-        adversary.on_party_activated = seen.append  # instance-level hook
-        stack = build_sbc_stack(
-            n=3, mode="hybrid", seed=2, phi=4, delta=2,
-            adversary=adversary, backend=backend,
-        )
-        stack.parties["P0"].broadcast(b"x")
-        stack.run_until_delivery()
-        counts[backend] = len(seen)
-    assert counts["pooled"] == counts["sequential"] > 0
+    adversary = PassiveAdversary()
+    seen = []
+
+    def hook(party):  # instance-level hook, not a subclass override
+        now = adversary.session.clock.time
+        seen.append((now, party.pid))
+        if party.pid == "P0" and now == 2:
+            adversary.corrupt("P2")  # P2 activates later in this round
+
+    adversary.on_party_activated = hook
+    stack = build_sbc_stack(
+        n=4, mode="hybrid", seed=8, phi=4, delta=2,
+        adversary=adversary, backend=backend,
+    )
+    stack.parties["P0"].broadcast(b"h0")
+    stack.parties["P1"].broadcast(b"h1")
+    stack.run_until_delivery()
+    return stack, seen
+
+
+def test_pooled_driver_fires_instance_assigned_hook():
+    for backend in FULL_TRACE_BACKENDS:
+        stack, seen = _hooked_run(backend)
+        assert trace_digest(stack.session.log) == PIN_HOOK_CORRUPTS, backend
+        # Exactly once per honest party per round; P2 is skipped from the
+        # round it was corrupted in onwards.
+        for now in range(stack.session.clock.time):
+            activated = [pid for time, pid in seen if time == now]
+            honest = ["P0", "P1", "P2", "P3"] if now < 2 else ["P0", "P1", "P3"]
+            assert activated == honest, (backend, now)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +290,9 @@ def test_backend_registry():
     backends = available_backends()
     assert {"sequential", "pooled", "batched"} <= set(backends)
     assert get_backend(None).name == "sequential"
-    assert get_backend("pooled").driver_cls.name == "batched"
+    # pooled is the reference driver under its SessionPool name.
+    assert get_backend("pooled").driver_cls.name == "sequential"
+    assert get_backend("batched").driver_cls.name == "batched"
     assert get_backend(backends["batched"]) is backends["batched"]
     with pytest.raises(ValueError):
         get_backend("warp-drive")
@@ -457,7 +513,9 @@ def test_reports_match_rejects_empty_reports():
     from repro.runtime import PoolReport, reports_match
 
     empty = PoolReport(backend="pooled", executor="inline", wall_time_s=0.0)
-    full = SessionPool(backend="pooled", n=3, mode="hybrid").run([0])
+    full = SessionPool(
+        n=3, mode="hybrid", config=SweepConfig(backend="pooled"),
+    ).run([0])
     with pytest.raises(ValueError, match="empty"):
         reports_match(empty, empty)
     with pytest.raises(ValueError, match="empty"):
@@ -542,19 +600,22 @@ def test_resolve_workers_validation():
 
 def test_session_pool_rejects_bad_fanout_config():
     with pytest.raises(ValueError, match="chunksize"):
-        SessionPool(chunksize=0)
+        SweepConfig(chunksize=0)
     with pytest.raises(ValueError, match="max_tasks_per_child"):
-        SessionPool(max_tasks_per_child=0)
+        SweepConfig(max_tasks_per_child=0)
     with pytest.raises(ValueError, match="executor"):
-        SessionPool(executor="fiber")
+        SweepConfig(executor="fiber")
 
 
 def test_session_pool_process_executor_digests_match_inline():
     seeds = list(range(4))
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
-    inline = SessionPool(backend="pooled", **params).run(seeds)
+    inline = SessionPool(config=SweepConfig(backend="pooled"), **params).run(seeds)
     fanned = SessionPool(
-        backend="pooled", executor="process", workers=2, chunksize=2, **params
+        config=SweepConfig(
+            backend="pooled", executor="process", workers=2, chunksize=2,
+        ),
+        **params,
     ).run(seeds)
     assert [r.seed for r in fanned.results] == seeds  # deterministic order
     assert [r.digest for r in fanned.results] == [r.digest for r in inline.results]
@@ -568,8 +629,11 @@ def test_session_pool_process_worker_recycling():
     seeds = list(range(5))
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
     recycled = SessionPool(
-        backend="pooled", executor="process", workers=2,
-        chunksize=1, max_tasks_per_child=2, **params,
+        config=SweepConfig(
+            backend="pooled", executor="process", workers=2, chunksize=1,
+            max_tasks_per_child=2,
+        ),
+        **params,
     ).run(seeds)
-    inline = SessionPool(backend="pooled", **params).run(seeds)
+    inline = SessionPool(config=SweepConfig(backend="pooled"), **params).run(seeds)
     assert [r.digest for r in recycled.results] == [r.digest for r in inline.results]

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.runtime import (
     BatchScheduler,
     SessionPool,
+    SweepConfig,
     TraceDigestUnavailable,
     compare_trace_digests,
     reports_match,
@@ -184,13 +185,14 @@ def test_compare_trace_digests_guards_vacuous_equality():
 
 def test_reports_match_errors_on_trace_off_pools():
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
-    light = SessionPool(backend="batched", **params).run([0, 1])
+    light = SessionPool(config=SweepConfig(backend="batched"), **params).run([0, 1])
     with pytest.raises(TraceDigestUnavailable):
         reports_match(light, light)
-    full = SessionPool(backend="pooled", **params).run([0, 1])
+    full = SessionPool(config=SweepConfig(backend="pooled"), **params).run([0, 1])
     assert reports_match(full, full)
+    shorter = SessionPool(config=SweepConfig(backend="pooled"), **params).run([0])
     with pytest.raises(ValueError):
-        reports_match(full, SessionPool(backend="pooled", **params).run([0]))
+        reports_match(full, shorter)
 
 
 # ---------------------------------------------------------------------------

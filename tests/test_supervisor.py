@@ -31,9 +31,9 @@ from repro.runtime import (
     ChaosPlan,
     DeadlinePolicy,
     MaterialStore,
-    ParallelSweep,
     RetryPolicy,
     SessionPool,
+    SweepConfig,
     SweepJournal,
     reports_match,
     run_sbc_trial,
@@ -215,18 +215,18 @@ def test_journal_load_rejects_missing_or_corrupt_header(tmp_path):
 
 def test_supervision_kwargs_require_process_executor():
     with pytest.raises(ValueError, match="process"):
-        SessionPool(executor="inline", chaos="kill@1", **PARAMS)
+        SweepConfig(executor="inline", chaos="kill@1")
     with pytest.raises(ValueError, match="process"):
-        SessionPool(executor="thread", retry=FAST_RETRY, **PARAMS)
+        SweepConfig(executor="thread", retry=FAST_RETRY)
 
 
 def test_resume_requires_a_journal():
     with pytest.raises(ValueError, match="journal"):
-        SessionPool(executor="process", resume=True, **PARAMS)
+        SweepConfig(executor="process", resume=True)
 
 
 def test_inline_report_has_no_supervision_block():
-    report = SessionPool(executor="inline", **PARAMS).run(range(2))
+    report = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).run(range(2))
     assert report.supervision is None
     assert "retries" not in report.summary()
 
@@ -240,11 +240,15 @@ def test_sigkilled_worker_mid_sweep_stays_digest_equal():
     respawns the pool, replays the lost chunk with the same seed, and
     the report is digest-equal to the undisturbed run."""
     undisturbed = SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full", **PARAMS
+        config=SweepConfig(executor="process", workers=2, chunksize=2, trace="full"),
+        **PARAMS,
     ).run(range(6))
     chaotic = SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full",
-        chaos="kill@2", retry=FAST_RETRY, deadline=FAST_DEADLINE, **PARAMS
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=2, trace="full", chaos="kill@2",
+            retry=FAST_RETRY, deadline=FAST_DEADLINE,
+        ),
+        **PARAMS,
     ).run(range(6))
     assert reports_match(undisturbed, chaotic)
     assert chaotic.supervision["respawns"] >= 1
@@ -257,11 +261,15 @@ def test_sigkilled_worker_mid_sweep_stays_digest_equal():
 
 def test_injected_exception_retries_clean_and_digest_equal():
     undisturbed = SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full", **PARAMS
+        config=SweepConfig(executor="process", workers=2, chunksize=2, trace="full"),
+        **PARAMS,
     ).run(range(4))
     chaotic = SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full",
-        chaos="exc@1", retry=FAST_RETRY, **PARAMS
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=2, trace="full", chaos="exc@1",
+            retry=FAST_RETRY,
+        ),
+        **PARAMS,
     ).run(range(4))
     assert reports_match(undisturbed, chaotic)
     assert chaotic.supervision["retries"] >= 1
@@ -270,21 +278,28 @@ def test_injected_exception_retries_clean_and_digest_equal():
 
 def test_hung_worker_trips_deadline_and_recovers():
     chaotic = SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full",
-        chaos=ChaosPlan.parse("hang@0", hang_s=30.0),
-        retry=FAST_RETRY, deadline=FAST_DEADLINE, **PARAMS
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=2, trace="full",
+            chaos=ChaosPlan.parse("hang@0", hang_s=30.0), retry=FAST_RETRY,
+            deadline=FAST_DEADLINE,
+        ),
+        **PARAMS,
     ).run(range(4))
     reference = SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full", **PARAMS
+        config=SweepConfig(executor="process", workers=2, chunksize=2, trace="full"),
+        **PARAMS,
     ).run(range(4))
     assert reports_match(reference, chaotic)
     assert chaotic.supervision["respawns"] >= 1
 
 
 def test_chaos_sweep_verifies_against_inline_reference():
-    verdict = ParallelSweep(
-        executor="process", workers=2, chunksize=2, trace="full",
-        chaos="kill@3", retry=FAST_RETRY, deadline=FAST_DEADLINE, **PARAMS
+    verdict = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=2, trace="full", chaos="kill@3",
+            retry=FAST_RETRY, deadline=FAST_DEADLINE,
+        ),
+        **PARAMS,
     ).verify(range(6))
     assert verdict.matched
 
@@ -295,8 +310,11 @@ def test_persistent_fault_bisects_to_poison_task_and_quarantines():
     the honest partial report."""
     chaos = ChaosPlan(faults=(ChaosFault(task=2, kind="exc", repeat=CHAOS_FOREVER),))
     report = SessionPool(
-        executor="process", workers=2, chunksize=4, trace="full",
-        chaos=chaos, retry=FAST_RETRY, **PARAMS
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=4, trace="full", chaos=chaos,
+            retry=FAST_RETRY,
+        ),
+        **PARAMS,
     ).run(range(4))
     # Seed 2 is gone from the results; everything else completed.
     assert [result.seed for result in report.results] == [0, 1, 3]
@@ -325,11 +343,12 @@ def test_resume_skips_journaled_chunks_without_reexecution(tmp_path, monkeypatch
     marks.mkdir()
     monkeypatch.setenv(MARKER_ENV, str(marks))
     journal_path = tmp_path / "sweep.journal"
-    kwargs = dict(
-        runner=marked_sbc_trial, executor="process", workers=2,
-        chunksize=2, trace="full", **PARAMS
+    config = SweepConfig(
+        executor="process", workers=2, chunksize=2, trace="full",
+        journal=journal_path,
     )
-    full = SessionPool(journal=journal_path, **kwargs).run(range(6))
+    kwargs = dict(runner=marked_sbc_trial, **PARAMS)
+    full = SessionPool(config=config, **kwargs).run(range(6))
     assert sorted(marks.iterdir(), key=lambda p: p.name) == [
         marks / f"seed-{seed}" for seed in range(6)
     ]
@@ -340,7 +359,7 @@ def test_resume_skips_journaled_chunks_without_reexecution(tmp_path, monkeypatch
     journal_path.write_text("\n".join(lines[:2]) + "\n")
     for mark in marks.iterdir():
         mark.unlink()
-    resumed = SessionPool(journal=journal_path, resume=True, **kwargs).run(range(6))
+    resumed = SessionPool(config=config.replace(resume=True), **kwargs).run(range(6))
     executed = sorted(int(p.name.split("-")[1]) for p in marks.iterdir())
     assert executed == [2, 3, 4, 5]  # chunk (0, 1) came from the journal
     assert resumed.resumed == 2
@@ -351,14 +370,20 @@ def test_resume_skips_journaled_chunks_without_reexecution(tmp_path, monkeypatch
 def test_resume_refuses_a_mismatched_journal(tmp_path):
     journal_path = tmp_path / "sweep.journal"
     SessionPool(
-        executor="process", workers=2, chunksize=2, trace="full",
-        journal=journal_path, **PARAMS
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=2, trace="full",
+            journal=journal_path,
+        ),
+        **PARAMS,
     ).run(range(4))
     other = dict(PARAMS, n=4)
     with pytest.raises(ValueError, match="different sweep configuration"):
         SessionPool(
-            executor="process", workers=2, chunksize=2, trace="full",
-            journal=journal_path, resume=True, **other
+            config=SweepConfig(
+                executor="process", workers=2, chunksize=2, trace="full",
+                journal=journal_path, resume=True,
+            ),
+            **other,
         ).run(range(4))
 
 
@@ -368,17 +393,17 @@ def test_consume_forward_resume_does_not_double_spend(store, tmp_path):
     the freshly-executed trials."""
     store.build([TEST_GROUP], nonces=256, feldman=64)
     journal_path = tmp_path / "online.journal"
-    kwargs = dict(
-        runner=run_voting_trial, voters=3, executor="process", workers=2,
-        chunksize=2, material="disk", online=True, consume_forward=True,
-        trace="full",
+    config = SweepConfig(
+        executor="process", workers=2, chunksize=2, material="disk",
+        online=True, consume_forward=True, trace="full", journal=journal_path,
     )
-    first = SessionPool(journal=journal_path, **kwargs).run(range(4))
+    kwargs = dict(runner=run_voting_trial, voters=3)
+    first = SessionPool(config=config, **kwargs).run(range(4))
     plan = first.online_plan
     ledger_after_first = store.ledger(plan.fingerprint)
     lines = journal_path.read_text().splitlines()
     journal_path.write_text("\n".join(lines[:2]) + "\n")
-    resumed = SessionPool(journal=journal_path, resume=True, **kwargs).run(range(4))
+    resumed = SessionPool(config=config.replace(resume=True), **kwargs).run(range(4))
     assert reports_match(first, resumed)
     # The plan was restored, not re-reserved: same absolute offsets.
     assert resumed.online_plan == plan

@@ -1,4 +1,4 @@
-"""Tests for the multi-core sweep engine (`runtime/sweep.py`).
+"""Tests for the multi-core sweep engine (`SessionPool` process sweeps).
 
 The sweep driver's contract: any (runner, task list) workload shards
 across process workers with deterministic result ordering and
@@ -9,7 +9,8 @@ per-worker crypto warm-up and bounded worker lifetimes.
 import pytest
 
 from repro.runtime import (
-    ParallelSweep,
+    SessionPool,
+    SweepConfig,
     SweepPlan,
     TraceDigestUnavailable,
     run_sbc_trial,
@@ -24,7 +25,7 @@ PARAMS = dict(n=3, mode="hybrid", phi=4, delta=2)
 
 
 def test_plan_resolves_workers_and_chunks():
-    sweep = ParallelSweep(executor="process", workers=4, **PARAMS)
+    sweep = SessionPool(config=SweepConfig(executor="process", workers=4), **PARAMS)
     plan = sweep.plan(64)
     assert plan == SweepPlan(
         tasks=64, executor="process", workers=4, chunksize=4,
@@ -35,25 +36,27 @@ def test_plan_resolves_workers_and_chunks():
 
 
 def test_plan_honors_explicit_chunksize():
-    sweep = ParallelSweep(executor="process", workers=2, chunksize=5, **PARAMS)
+    sweep = SessionPool(
+        config=SweepConfig(executor="process", workers=2, chunksize=5), **PARAMS,
+    )
     plan = sweep.plan(12)
     assert plan.chunksize == 5
     assert plan.chunks == 3  # 5 + 5 + 2
 
 
 def test_plan_inline_executor_is_single_stream():
-    plan = ParallelSweep(executor="inline", **PARAMS).plan(10)
+    plan = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).plan(10)
     assert plan.workers == 1
     assert plan.chunksize == 1
 
 
 def test_invalid_config_fails_at_construction():
     with pytest.raises(ValueError, match="chunksize"):
-        ParallelSweep(chunksize=0)
+        SweepConfig(chunksize=0)
     with pytest.raises(ValueError, match="executor"):
-        ParallelSweep(executor="quantum")
+        SweepConfig(executor="quantum")
     with pytest.raises(ValueError, match="max_tasks_per_child"):
-        ParallelSweep(max_tasks_per_child=-1)
+        SweepConfig(max_tasks_per_child=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +65,8 @@ def test_invalid_config_fails_at_construction():
 
 
 def test_process_sweep_verifies_against_inline():
-    sweep = ParallelSweep(
-        executor="process", workers=2, chunksize=2, **PARAMS
+    sweep = SessionPool(
+        config=SweepConfig(executor="process", workers=2, chunksize=2), **PARAMS,
     )
     verdict = sweep.verify(range(4))
     assert verdict.matched
@@ -77,29 +80,33 @@ def test_process_sweep_verifies_against_inline():
 def test_inline_sweep_verify_is_reflexive():
     # executor="inline" keeps one code path for both modes; verify still
     # runs two executions and compares digests.
-    verdict = ParallelSweep(executor="inline", **PARAMS).verify(range(3))
+    verdict = SessionPool(
+        config=SweepConfig(executor="inline"), **PARAMS,
+    ).verify(range(3))
     assert verdict.matched
 
 
 def test_verify_refuses_trace_off_sweeps():
-    sweep = ParallelSweep(executor="inline", trace="light", **PARAMS)
+    sweep = SessionPool(config=SweepConfig(executor="inline", trace="light"), **PARAMS)
     with pytest.raises(TraceDigestUnavailable):
         sweep.verify(range(2))
 
 
 def test_verify_rejects_empty_task_list():
     with pytest.raises(ValueError, match="empty"):
-        ParallelSweep(executor="inline", **PARAMS).verify([])
+        SessionPool(config=SweepConfig(executor="inline"), **PARAMS).verify([])
 
 
 def test_run_results_keep_task_order_under_recycling():
-    sweep = ParallelSweep(
-        executor="process", workers=2, chunksize=1,
-        max_tasks_per_child=2, **PARAMS,
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=1, max_tasks_per_child=2,
+        ),
+        **PARAMS,
     )
     report = sweep.run(range(5))
     assert [r.seed for r in report.results] == list(range(5))
-    inline = ParallelSweep(executor="inline", **PARAMS).run(range(5))
+    inline = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).run(range(5))
     assert [r.digest for r in report.results] == [r.digest for r in inline.results]
 
 
@@ -116,8 +123,10 @@ def test_scenario_cells_shard_across_processes():
         if spec.stack == "ubc" and spec.backend == "sequential"
     ][:6]
     assert len(specs) >= 2
-    inline = run_matrix(specs, executor="inline")
-    fanned = run_matrix(specs, executor="process", workers=2, chunksize=2)
+    inline = run_matrix(specs, config=SweepConfig(executor="inline"))
+    fanned = run_matrix(
+        specs, config=SweepConfig(executor="process", workers=2, chunksize=2),
+    )
     assert [cell.cell_id for cell in fanned.cells] == [
         cell.cell_id for cell in inline.cells
     ]
@@ -130,8 +139,10 @@ def test_scenario_cells_shard_across_processes():
 def test_sbc_trial_worker_warmup_smoke():
     # The initializer path itself: one process worker, warmed, running the
     # default SBC trial runner end to end.
-    sweep = ParallelSweep(
-        runner=run_sbc_trial, executor="process", workers=1, **PARAMS
+    sweep = SessionPool(
+        runner=run_sbc_trial,
+        config=SweepConfig(executor="process", workers=1),
+        **PARAMS,
     )
     report = sweep.run([21])
     assert report.results[0].seed == 21
@@ -146,16 +157,18 @@ def test_sbc_trial_worker_warmup_smoke():
 def test_recycle_bound_clamps_chunksize():
     # multiprocessing.Pool counts one chunk as one task, so a chunk wider
     # than the recycle bound would overshoot it; the pool clamps.
-    from repro.runtime import SessionPool
-
     report = SessionPool(
-        executor="process", workers=2, chunksize=8,
-        max_tasks_per_child=2, **PARAMS,
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=8, max_tasks_per_child=2,
+        ),
+        **PARAMS,
     ).run(range(4))
     assert report.chunksize == 2  # clamped from 8 to the recycle bound
-    plan = ParallelSweep(
-        executor="process", workers=2, chunksize=8,
-        max_tasks_per_child=2, **PARAMS,
+    plan = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=8, max_tasks_per_child=2,
+        ),
+        **PARAMS,
     ).plan(4)
     assert plan.chunksize == 2  # plan() reports the same clamp
 
@@ -163,9 +176,11 @@ def test_recycle_bound_clamps_chunksize():
 def test_plan_thread_executor_reports_real_default_workers():
     import os
 
-    plan = ParallelSweep(executor="thread", **PARAMS).plan(10)
+    plan = SessionPool(config=SweepConfig(executor="thread"), **PARAMS).plan(10)
     assert plan.workers == min(32, (os.cpu_count() or 1) + 4)
-    explicit = ParallelSweep(executor="thread", workers=3, **PARAMS).plan(10)
+    explicit = SessionPool(
+        config=SweepConfig(executor="thread", workers=3), **PARAMS,
+    ).plan(10)
     assert explicit.workers == 3
 
 
@@ -183,8 +198,11 @@ def test_cli_sweep_rejects_empty_session_count(capsys):
 
 
 def test_plan_carries_material_and_adaptive_fields():
-    sweep = ParallelSweep(
-        executor="process", workers=2, material="disk", adaptive=True, **PARAMS
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, material="disk", adaptive=True,
+        ),
+        **PARAMS,
     )
     plan = sweep.plan(8)
     assert plan.material_source == "disk"
@@ -194,13 +212,16 @@ def test_plan_carries_material_and_adaptive_fields():
     assert summary["adaptive"] is True
     assert summary["adaptivity"] == [{"wave": 0}]
     # Non-process executors never re-plan, whatever the constructor said.
-    inline = ParallelSweep(executor="inline", adaptive=True, **PARAMS).plan(8)
+    inline = SessionPool(
+        config=SweepConfig(executor="inline", adaptive=True), **PARAMS,
+    ).plan(8)
     assert inline.adaptive is False
 
 
 def test_adaptive_sweep_matches_inline_and_records_trace():
-    sweep = ParallelSweep(
-        executor="process", workers=2, chunksize=1, adaptive=True, **PARAMS
+    sweep = SessionPool(
+        config=SweepConfig(executor="process", workers=2, chunksize=1, adaptive=True),
+        **PARAMS,
     )
     verdict = sweep.verify(range(10))
     assert verdict.matched
@@ -229,12 +250,15 @@ def test_adaptive_never_grows_chunks_under_recycling():
 
 
 def test_adaptive_sweep_with_recycling_stays_deterministic():
-    sweep = ParallelSweep(
-        executor="process", workers=2, chunksize=2, adaptive=True,
-        max_tasks_per_child=2, **PARAMS
+    sweep = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, chunksize=2, adaptive=True,
+            max_tasks_per_child=2,
+        ),
+        **PARAMS,
     )
     report = sweep.run(range(8))
     assert [r.seed for r in report.results] == list(range(8))
     assert all(entry["chunksize"] <= 2 for entry in report.adaptivity)
-    inline = ParallelSweep(executor="inline", **PARAMS).run(range(8))
+    inline = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).run(range(8))
     assert [r.digest for r in report.results] == [r.digest for r in inline.results]

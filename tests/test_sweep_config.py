@@ -1,15 +1,14 @@
 """SweepConfig: one validated knob set for every execution entry point.
 
-The api_redesign contract: every execution knob lives on one frozen
-dataclass, validation fires at construction (with the legacy error
-messages), the keyword back-compat shim refuses ambiguous mixes, and
-— the drift regression that motivated the redesign — ``SessionPool``,
-``ParallelSweep`` and ``run_matrix`` accept the identical knob set.
+Every execution knob lives on one frozen dataclass, validation fires at
+construction, and ``config=`` is the only way into an entry point: a knob
+passed to ``SessionPool`` as a loose keyword is refused rather than
+forwarded to the runner, and ``run_matrix`` takes nothing but specs and
+a config.
 """
 
 import argparse
 import inspect
-import warnings
 
 import pytest
 
@@ -56,6 +55,8 @@ from repro.runtime.supervisor import ChaosPlan, RetryPolicy
             },
             "warmup=True",
         ),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"workers": -2, "executor": "thread"}, "workers must be >= 1"),
     ],
 )
 def test_validation_fails_fast(kwargs, match):
@@ -139,23 +140,7 @@ def test_executor_choices_come_from_one_place():
 
 
 # ---------------------------------------------------------------------------
-# the back-compat shim
-
-
-def test_keyword_knobs_stay_silent():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        pool = SessionPool(run_sbc_trial, backend="sequential", executor="inline")
-    assert pool.config.executor == "inline"
-
-
-def test_config_plus_knobs_is_ambiguous():
-    with pytest.raises(TypeError, match="not both"):
-        SessionPool(run_sbc_trial, config=SweepConfig(), executor="thread")
-
-
-# ---------------------------------------------------------------------------
-# the drift regression: three entry points, one knob set
+# config= is the only way in
 
 
 KNOB_VALUES = dict(
@@ -184,31 +169,30 @@ def test_knob_values_cover_the_whole_contract():
     assert set(KNOB_VALUES) == set(SweepConfig.knob_names())
 
 
-@pytest.mark.parametrize("owner", [SessionPool, ParallelSweep])
-def test_pool_and_sweep_accept_every_knob_by_keyword(owner):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        instance = owner(run_sbc_trial, **KNOB_VALUES)
-    config = instance.config
-    assert config.executor == "process"
-    assert config.workers == 2
-    assert config.trace == "light"
-    # Every name was consumed as a knob — nothing leaked to the runner.
-    assert instance.runner_kwargs == {}
+@pytest.mark.parametrize("knob", SweepConfig.knob_names())
+def test_knob_keywords_are_refused(knob):
+    """A knob passed as a runner keyword would reach the runner while the
+    report and verify() followed the config; the pool refuses it."""
+    with pytest.raises(TypeError, match=rf"config=SweepConfig.*\b{knob}\b"):
+        SessionPool(run_sbc_trial, **{knob: KNOB_VALUES[knob]})
 
 
-def test_run_matrix_signature_regained_the_supervision_knobs():
-    """run_matrix silently lacked retry/deadline/journal/resume/trace for
-    two PRs; the unified config closed the gap and this pins it shut."""
+def test_config_and_runner_kwargs_stay_apart():
+    config = SweepConfig(**KNOB_VALUES)
+    pool = SessionPool(run_sbc_trial, config=config, n=3, mode="hybrid")
+    assert pool.config is config
+    assert pool.runner_kwargs == {"n": 3, "mode": "hybrid"}
+    assert SessionPool(run_sbc_trial).config == SweepConfig()
+
+
+def test_run_matrix_takes_specs_and_a_config():
     from repro.scenarios.runner import run_matrix
 
-    params = set(inspect.signature(run_matrix).parameters)
-    assert "config" in params
-    missing = set(SweepConfig.knob_names()) - params
-    # Two knobs are interpreted, not forwarded: the backend is a matrix
-    # axis (forced to sequential), and material_groups only travels via
-    # config= — everything else is first-class.
-    assert missing == {"backend", "material_groups"}
+    assert list(inspect.signature(run_matrix).parameters) == ["specs", "config"]
+
+
+def test_parallel_sweep_is_the_pool():
+    assert ParallelSweep is SessionPool
 
 
 def test_async_host_shares_the_config_object():
