@@ -520,8 +520,8 @@ class PickleSafetyRule(Rule):
         for keyword in call.keywords:
             if keyword.arg == "initializer" or (
                 # target= only crosses a pickle boundary for Process;
-                # threading.Thread targets run in-process and may close
-                # over anything.
+                # a thread's target runs in-process and may close over
+                # anything.
                 keyword.arg == "target"
                 and name is not None
                 and name.split(".")[-1] == "Process"

@@ -227,15 +227,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    watch = None
+    replenisher = None
     if args.replenish:
         if not args.online:
-            print("--replenish watches the online spend ledger; it needs "
+            print("--replenish reads the online spend ledger; it needs "
                   "--online", file=sys.stderr)
             return 2
         from repro.runtime import Replenisher
 
-        watch = Replenisher().watch()
+        # Poll before the sweep to pin the burn baseline; the poll after
+        # it sees the sweep's whole ledger delta.
+        replenisher = Replenisher()
+        replenisher.poll()
     seeds = list(range(args.seed, args.seed + args.sessions))
     plan = sweep.plan(len(seeds))
     if not args.json:
@@ -255,10 +258,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 2
     finally:
-        if watch is not None:
-            watch.stop()
+        if replenisher is not None:
+            replenisher.poll()
             if not args.json:
-                done = watch.replenisher.replenishments
+                done = replenisher.replenishments
                 for record in done:
                     print(f"replenished ({record['mode']}): "
                           f"+{record['nonces_added']} nonces "
@@ -277,7 +280,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "speedup_vs_inline": round(verdict.speedup, 4),
                     "digests_match": verdict.matched,
                     "replenishments": (
-                        watch.replenisher.replenishments if watch else None
+                        replenisher.replenishments if replenisher else None
                     ),
                 },
                 indent=2,
@@ -300,7 +303,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "plan": plan.summary(adaptivity=report.adaptivity),
                 "report": report.summary(),
                 "replenishments": (
-                    watch.replenisher.replenishments if watch else None
+                    replenisher.replenishments if replenisher else None
                 ),
             },
             indent=2,
@@ -487,6 +490,11 @@ def _cmd_material(args: argparse.Namespace) -> int:
 
     from repro.runtime import MaterialStore
 
+    if args.action in ("build", "replenish"):
+        for flag, value in (("--nonces", args.nonces), ("--feldman", args.feldman)):
+            if value < 0:
+                print(f"{flag} must be >= 0", file=sys.stderr)
+                return 2
     store = MaterialStore(args.dir)
     if args.action == "build":
         nonces, feldman = args.nonces, args.feldman
@@ -666,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--replenish", action="store_true",
-        help="run a background replenisher during the sweep: it watches "
+        help="poll the replenisher before and after the sweep: it reads "
              "the spend ledger and extends the pools when remaining "
              "capacity drops below the burn-rate watermark (requires "
              "--online)",

@@ -825,11 +825,12 @@ class MaterialCursor(RandomnessSource):
         self.material = material
         self.nonce_range = (int(nonce_range[0]), int(nonce_range[1]))
         self.feldman_range = (int(feldman_range[0]), int(feldman_range[1]))
-        # Pool sizes as *planned*, not as currently on disk: a background
-        # replenisher may append entries mid-sweep, and a trial that
-        # resolved the longer blob must still see exactly the pools the
-        # plan (and therefore the recorded digest) was made with.  Direct
-        # constructions without a plan cap at whatever is attached.
+        # Pool sizes as *planned*, not as currently on disk: another
+        # process's replenisher may append entries mid-sweep, and a
+        # trial that resolved the longer blob must still see exactly the
+        # pools the plan (and therefore the recorded digest) was made
+        # with.  Direct constructions without a plan cap at whatever is
+        # attached.
         self.pool_nonces = (
             int(pool_nonces)
             if pool_nonces is not None
@@ -1458,49 +1459,6 @@ def extend_or_rebuild(
     return "rebuild" if dead >= dead_fraction * extended else "extend"
 
 
-@dataclass
-class ReplenishWatch:
-    """Handle on a background replenisher thread (see :meth:`Replenisher.watch`)."""
-
-    replenisher: "Replenisher"
-    _stop: threading.Event
-    _thread: threading.Thread
-
-    def stop(self, timeout: Optional[float] = 5.0) -> bool:
-        """Stop the watcher; returns True if the thread leaked.
-
-        The final poll is what catches a sweep whose ledger write landed
-        after the last timed tick — ``repro sweep --replenish`` relies
-        on it so a watermark crossed *by* the sweep is acted on before
-        the process exits.
-
-        ``join(timeout)`` returns regardless of whether the thread
-        actually exited, so liveness is re-checked afterwards: a thread
-        stuck in a poll (e.g. a hung filesystem) is reported with a
-        :class:`RuntimeWarning` and by the ``True`` return value, and
-        the final poll is *skipped* — the stuck thread may be holding
-        the replenisher mid-operation, and a second concurrent poll
-        would race it.
-        """
-        self._stop.set()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            warnings.warn(
-                f"replenisher watch thread did not stop within {timeout}s; "
-                "leaking the daemon thread (a poll may be stuck on ledger "
-                "or store I/O) and skipping the final poll",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return True
-        self.replenisher.poll()
-        return False
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()
-
-
 class Replenisher:
     """Keep one material's pools above a burn-rate-sized watermark.
 
@@ -1517,9 +1475,9 @@ class Replenisher:
 
     * **inline** — call :meth:`observe` with each sweep's aggregate
       online record, then :meth:`maybe_replenish`;
-    * **background** — :meth:`watch` starts a daemon thread that polls
-      the ledger sidecar during a sweep and replenishes mid-flight
-      (safe: extension is append-only and cursors cap at plan sizes);
+    * **between sweeps** — :meth:`poll` diffs the ledger sidecar's
+      sums since the previous poll; ``repro sweep --replenish`` polls
+      once before the sweep and once after it;
     * **one-shot** — :meth:`replenish` with explicit amounts
       (``repro material replenish``).
 
@@ -1575,8 +1533,10 @@ class Replenisher:
             )
 
     def _observe_ledger(self, ledger: SpendLedger) -> None:
-        """Burn tracking for the watcher: diff the ledger's sums between
-        polls (the sidecar is the only signal a background thread has)."""
+        """Burn tracking for :meth:`poll`: diff the ledger's sums between
+        polls.  Every ledgered run counts, a ``--verify`` inline replay
+        included; trials restored from a resume journal are not
+        ledgered again, so they add nothing."""
         if not ledger.ok:
             return
         sums = (ledger.nonces_spent, ledger.feldman_spent)
@@ -1757,49 +1717,26 @@ class Replenisher:
         self.replenishments.append(record)
         return record
 
-    # -- background mode ----------------------------------------------------
+    # -- between sweeps -----------------------------------------------------
 
     def poll(self) -> Optional[Dict[str, Any]]:
-        """One watcher tick: fold ledger activity into the burn rate,
-        then replenish if a watermark is crossed."""
+        """Fold ledger activity since the last poll into the burn rate,
+        then replenish if a watermark is crossed.
+
+        ``repro sweep --replenish`` polls once before the sweep, which
+        pins the burn baseline, and once after it, which sees the
+        sweep's whole ledger delta.  Preprocessing thus runs between
+        online phases, never alongside one.
+        """
         try:
             fingerprint = group_fingerprint(self.group)
             self._observe_ledger(self.store.ledger(fingerprint))
             return self.maybe_replenish()
         except Exception as exc:
-            # The watcher must never take a sweep down over bookkeeping.
+            # Bookkeeping must never take a sweep down.
             warnings.warn(
-                f"replenisher poll failed ({exc}); will retry on the next tick",
+                f"replenisher poll failed ({exc}); pools left unchanged",
                 RuntimeWarning,
                 stacklevel=2,
             )
             return None
-
-    def watch(self, interval_s: float = 0.25) -> ReplenishWatch:
-        """Start a daemon thread polling the ledger every ``interval_s``.
-
-        Mid-sweep replenishment is safe by construction: extension only
-        appends (atomic file replace, unchanged prefix) and cursors cap
-        reads at their plan's recorded pool sizes, so running trials
-        never observe the growth.  Call :meth:`ReplenishWatch.stop` when
-        the sweep finishes; it runs one final poll.
-        """
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        # Pin the burn-tracking baseline *now*, synchronously: a sweep
-        # that finishes inside the first tick interval would otherwise
-        # meet a final poll whose only job is setting the baseline —
-        # the sweep's whole ledger delta would go unobserved and a
-        # crossed watermark would never fire.
-        self.poll()
-        stop = threading.Event()
-
-        def _loop() -> None:
-            while not stop.wait(interval_s):
-                self.poll()
-
-        thread = threading.Thread(
-            target=_loop, name="repro-replenisher", daemon=True
-        )
-        thread.start()
-        return ReplenishWatch(replenisher=self, _stop=stop, _thread=thread)

@@ -545,13 +545,24 @@ def test_watermark_crossing_sweep_replenishes_exactly_once(store):
     assert record["nonces"] == first["pool_nonces"] > 24
 
 
-def test_cli_sweep_consume_forward_replenish_round_trip(store, capsys):
+def test_cli_sweep_consume_forward_replenish_round_trip(
+    store, capsys, monkeypatch
+):
     import json
+    import threading
 
     from repro.cli import main
 
     assert main(["material", "build", "--nonces", "24", "--feldman", "8"]) == 0
     capsys.readouterr()
+    started = []
+    original_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        original_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
     argv = [
         "sweep", "--sessions", "2", "--workload", "voting",
         "--executor", "inline", "--material", "disk",
@@ -561,11 +572,18 @@ def test_cli_sweep_consume_forward_replenish_round_trip(store, capsys):
     one = json.loads(capsys.readouterr().out)
     assert one["digests_match"] is True
     assert one["plan"]["consume_forward"] is True
+    # The poll after the sweep sees its whole ledger delta, the --verify
+    # replay included, so the one watermark crossing fires exactly once.
+    [record] = one["replenishments"]
+    assert record["mode"] == "extend"
+    assert record["nonces_added"] == 48
+    assert record["pool_nonces"] == 72
+    assert record["material_seed"] == 0
     assert main(argv) == 0
     two = json.loads(capsys.readouterr().out)
     assert two["digests_match"] is True
-    # The pools grew (or the ledger advanced) between runs; either way
-    # the store still passes inspect cleanly afterwards.
+    assert two["replenishments"] == []
+    assert started == []
     assert main(["material", "inspect"]) == 0
 
 
@@ -590,6 +608,23 @@ def test_cli_material_build_for_sweep_sizes_pools(store, capsys):
     record = next(r for r in store.inspect() if r["bits"] == 256)
     assert record["nonces"] == 128  # --nonces default already covers 6*8
     assert record["feldman"] == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["material", "build", "--nonces", "-1"],
+        ["material", "build", "--feldman", "-1"],
+        ["material", "replenish", "--nonces", "-3"],
+        ["material", "replenish", "--feldman", "-3"],
+    ],
+)
+def test_cli_material_negative_pool_sizes_exit_2(store, capsys, argv):
+    from repro.cli import main
+
+    assert main(argv) == 2
+    assert f"{argv[2]} must be >= 0" in capsys.readouterr().err
+    assert store.inspect() == []
 
 
 def test_cli_sweep_online_verify_json(store, capsys):

@@ -6,8 +6,8 @@ replenish amount, extend-vs-rebuild choice) so its edge cases are
 testable without building material or running sweeps.  The second half
 exercises the :class:`~repro.runtime.material.Replenisher` itself
 against a real store: exactly-once firing under hysteresis, append-only
-extension, capacity-preserving rebuild, and a background watcher that
-never takes a sweep down.
+extension, capacity-preserving rebuild, and a poll that never takes a
+sweep down.
 """
 
 import math
@@ -254,59 +254,8 @@ def test_poll_never_raises(store, monkeypatch):
         raise OSError("disk on fire")
 
     monkeypatch.setattr(rep.store, "ledger", boom)
-    with pytest.warns(RuntimeWarning, match="will retry"):
+    with pytest.warns(RuntimeWarning, match="pools left unchanged"):
         assert rep.poll() is None
-
-
-def test_watch_thread_polls_and_stops_cleanly(store):
-    store.save(build_material(TEST_GROUP, nonces=16, feldman=4, seed=0))
-    fingerprint = group_fingerprint(TEST_GROUP)
-    rep = Replenisher(group=TEST_GROUP, store=store)
-    # Burn already observed from a previous sweep: watermark 40 > pool.
-    rep.observe({"nonces_spent": 20})
-    watch = rep.watch(interval_s=0.01)
-    assert watch.alive
-    # Ledger traffic lands while the watcher runs; stop() runs one final
-    # poll, so the crossing is acted on even if every timed tick missed it.
-    store.record_spend(fingerprint, nonces=12, nonce_high=12, material_seed=0)
-    leaked = watch.stop()
-    assert leaked is False
-    assert not watch.alive
-    assert len(rep.replenishments) >= 1
-    assert store.inspect()[0]["ok"]
-
-
-def test_watch_stop_reports_leaked_thread():
-    """A watcher stuck in a poll must be *reported*, not silently leaked:
-    stop() re-checks liveness after join(timeout), warns, returns True,
-    and skips the final poll (the stuck thread may hold the replenisher
-    mid-operation)."""
-    import threading
-
-    from repro.runtime.material import ReplenishWatch
-
-    class DummyReplenisher:
-        polled = 0
-
-        def poll(self):
-            self.polled += 1
-
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, daemon=True)
-    thread.start()
-    rep = DummyReplenisher()
-    watch = ReplenishWatch(
-        replenisher=rep, _stop=threading.Event(), _thread=thread
-    )
-    try:
-        with pytest.warns(RuntimeWarning, match="did not stop"):
-            leaked = watch.stop(timeout=0.05)
-        assert leaked is True
-        assert watch.alive
-        assert rep.polled == 0
-    finally:
-        release.set()
-        thread.join(1.0)
 
 
 def test_observe_counts_sampling_as_demand(store):
