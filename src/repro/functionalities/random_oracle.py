@@ -10,7 +10,7 @@ the proofs of Lemma 2 and Theorem 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.uc.entity import Functionality
@@ -45,13 +45,38 @@ class RandomOracle(Functionality):
 
     def query(self, x: bytes, querier: str = "?") -> bytes:
         """Return ``H(x)``, sampling it fresh on first use."""
-        if not isinstance(x, bytes):
-            raise TypeError("oracle inputs are byte strings")
-        if x not in self._table:
-            self._table[x] = self.session.random_bytes(self.digest_size)
-        self.queried_by.setdefault(x, set()).add(querier)
-        self.session.metrics.count_ro_query(self.fid, querier)
-        return self._table[x]
+        return self.query_many((x,), querier)[0]
+
+    def query_many(self, points: Sequence[bytes], querier: str = "?") -> List[bytes]:
+        """``[H(x) for x in points]``: the same responses, samples,
+        ``queried_by`` entries and per-query counts as one :meth:`query`
+        per point, in order.
+
+        Raises:
+            TypeError: if any point is not ``bytes``; checked before any
+                point is sampled or counted, so nothing changes.
+        """
+        for x in points:
+            if not isinstance(x, bytes):
+                raise TypeError("oracle inputs are byte strings")
+        table = self._table
+        queried_by = self.queried_by
+        sample = self.session.random_bytes
+        count = self.session.metrics.count_ro_query
+        fid = self.fid
+        responses = []
+        for x in points:
+            response = table.get(x)
+            if response is None:
+                response = table[x] = sample(self.digest_size)
+            queriers = queried_by.get(x)
+            if queriers is None:
+                queried_by[x] = {querier}
+            else:
+                queriers.add(querier)
+            count(fid, querier)
+            responses.append(response)
+        return responses
 
     def hash_fn(self, querier: str = "?"):
         """A ``bytes -> bytes`` closure querying this oracle as ``querier``."""

@@ -74,6 +74,8 @@ class QueryWrapper(Functionality):
 
         Raises:
             ResourceExhausted: if the round's ``q`` batches are spent.
+            TypeError: if a point is not ``bytes``; the batch is then
+                neither resolved nor charged.
         """
         inputs = list(inputs)
         key = (self._budget_key(entity_id), self.time)
@@ -82,10 +84,14 @@ class QueryWrapper(Functionality):
             raise ResourceExhausted(
                 f"{entity_id}: batch {used + 1} > q={self.q} in round {self.time}"
             )
+        # Resolve first: a batch with a non-``bytes`` point raises there
+        # before anything is sampled, charged or counted.
+        responses = self.oracle.query_many(inputs, entity_id)
         self._used[key] = used + 1
-        self.session.metrics.inc("ro.batches")
-        self.session.metrics.inc("ro.points", len(inputs))
-        return [self.oracle.query(x, querier=entity_id) for x in inputs]
+        counters = self.session.metrics.counters
+        counters["ro.batches"] += 1
+        counters["ro.points"] += len(inputs)
+        return responses
 
     def evaluate_one(self, entity_id: str, x: bytes) -> bytes:
         """Single-query convenience wrapper around :meth:`evaluate`."""

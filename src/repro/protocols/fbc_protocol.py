@@ -101,7 +101,10 @@ class FBCProtocolAdapter(Functionality):
             party.clock_recipients.append(self)
 
     def _st(self, pid: str) -> _PartyState:
-        return self._state.setdefault(pid, _PartyState())
+        state = self._state.get(pid)
+        if state is None:
+            state = self._state[pid] = _PartyState()
+        return state
 
     # -- broadcast input -------------------------------------------------------
 
@@ -172,13 +175,13 @@ class FBCProtocolAdapter(Functionality):
         # (independent) encryption randomness; every batch advances every
         # active solver by one sequential link.
         enc_responses: Dict[bytes, bytes] = {}
-        solvers = [e.solver for e in fresh + finishing]
+        active = [e.solver for e in fresh + finishing if e.solver is not None]
         for j in range(q):
             points: List[bytes] = []
             if j == 0:
                 for values in randomness.values():
                     points.extend(values)
-            active = [s for s in solvers if s is not None and not s.solved]
+            active = [s for s in active if not s.solved]
             offsets = []
             for solver in active:
                 offsets.append(len(points))
@@ -224,8 +227,10 @@ class FBCProtocolAdapter(Functionality):
             except ValueError:
                 continue
 
-        # Steps 6-7: deliver sorted.
-        ready.sort(key=sort_key)
+        # Steps 6-7: deliver sorted (``sort_key`` encodes each non-bytes
+        # payload, and a single message has no order to fix).
+        if len(ready) > 1:
+            ready.sort(key=sort_key)
         for message in ready:
             self.deliver(party, ("Broadcast", message))
 

@@ -115,7 +115,10 @@ class SBCProtocolAdapter(Functionality):
             party.clock_recipients.append(self)
 
     def _st(self, pid: str) -> _SBCState:
-        return self._state.setdefault(pid, _SBCState())
+        state = self._state.get(pid)
+        if state is None:
+            state = self._state[pid] = _SBCState()
+        return state
 
     # -- broadcast input ---------------------------------------------------------
 

@@ -57,6 +57,9 @@ class _Puzzle:
 class _TLEState:
     records: List[_EncRecord] = field(default_factory=list)  # L^P_rec
     puzzles: Dict[bytes, _Puzzle] = field(default_factory=dict)  # L^P_puzzle
+    #: Solvers of ``puzzles`` not yet solved, in registration order (the
+    #: order ``puzzles`` iterates), so a query slot visits only live ones.
+    unsolved: List[PuzzleSolver] = field(default_factory=list)
     inbox: List[Tuple[WireCiphertext, int]] = field(default_factory=list)
     last_tick: int = -1
 
@@ -114,7 +117,10 @@ class TLEProtocolAdapter(Functionality):
             party.clock_recipients.append(self)
 
     def _st(self, pid: str) -> _TLEState:
-        return self._state.setdefault(pid, _TLEState())
+        state = self._state.get(pid)
+        if state is None:
+            state = self._state[pid] = _TLEState()
+        return state
 
     # -- Enc input -------------------------------------------------------------
 
@@ -213,9 +219,9 @@ class TLEProtocolAdapter(Functionality):
             key = _puzzle_key(ciphertext)
             if key in state.puzzles:
                 continue
-            state.puzzles[key] = _Puzzle(
-                ciphertext=ciphertext, tau=tau, solver=PuzzleSolver(ciphertext[0])
-            )
+            solver = PuzzleSolver(ciphertext[0])
+            state.puzzles[key] = _Puzzle(ciphertext=ciphertext, tau=tau, solver=solver)
+            state.unsolved.append(solver)
 
         # Step 3: ENCRYPT&SOLVE.
         fresh = [record for record in state.records if record.ciphertext is None]
@@ -234,10 +240,8 @@ class TLEProtocolAdapter(Functionality):
             if j == 0:
                 for values in randomness.values():
                     points.extend(values)
-            active = [
-                puzzle.solver
-                for puzzle in state.puzzles.values()
-                if not puzzle.solver.solved
+            active = state.unsolved = [
+                solver for solver in state.unsolved if not solver.solved
             ]
             offsets = []
             for solver in active:

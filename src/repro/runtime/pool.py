@@ -76,19 +76,25 @@ def trace_digest(log) -> str:
     recorded in many events (a composed session leaks and delivers each
     time-lock ciphertext to every party) is rendered once.  It is freed
     on return; the digest is byte-identical to rendering each event
-    alone.
+    alone.  An event whose ``seq``/``time`` are exact ``int`` and whose
+    ``kind``/``source`` are exact ``str`` has its head formatted here,
+    the text :func:`canonical_detail` gives those four items, and only
+    its detail goes through the renderer; its fresh head tuple never
+    enters the memo.
     """
     if isinstance(log, NullEventLog):
         return ""
     h = hashlib.sha256()
     memo: RenderMemo = {}
     for event in log:
-        h.update(
-            canonical_detail(
-                (event.seq, event.time, event.kind, event.source, event.detail),
-                memo,
-            ).encode()
+        seq, time_, kind, source, detail = (
+            event.seq, event.time, event.kind, event.source, event.detail,
         )
+        if type(seq) is int and type(time_) is int and type(kind) is str and type(source) is str:
+            text = f"({seq}, {time_}, {kind!r}, {source!r}, {canonical_detail(detail, memo)})"
+        else:
+            text = canonical_detail((seq, time_, kind, source, detail), memo)
+        h.update(text.encode())
     return h.hexdigest()
 
 

@@ -10,7 +10,23 @@ of the payloads we pass around: ``bytes``, ``str``, ``int``, ``bool``,
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from typing import Any, Dict, Tuple
+
+#: Per-dataclass encoding header (tag, name length, name) and field
+#: names, filled on first encode.  ``dataclasses.fields`` rebuilds its
+#: tuple on every call; a class's fields never change after creation,
+#: so two threads filling one entry at once store equal values.
+_DATACLASS_LAYOUT: Dict[type, Tuple[bytes, Tuple[str, ...]]] = {}
+
+
+def _dataclass_layout(cls: type) -> Tuple[bytes, Tuple[str, ...]]:
+    layout = _DATACLASS_LAYOUT.get(cls)
+    if layout is None:
+        name = cls.__name__.encode("utf-8")
+        header = b"D" + len(name).to_bytes(2, "big") + name
+        layout = (header, tuple(field.name for field in dataclasses.fields(cls)))
+        _DATACLASS_LAYOUT[cls] = layout
+    return layout
 
 
 def encode(value: Any) -> bytes:
@@ -28,15 +44,18 @@ def encode(value: Any) -> bytes:
         raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
         return b"I" + len(raw).to_bytes(8, "big") + raw
     if isinstance(value, (tuple, list)):
-        parts = [encode(item) for item in value]
-        header = b"L" + len(parts).to_bytes(8, "big")
-        return header + b"".join(parts)
+        # Byte strings (puzzle chains, masks) are the common item: encode
+        # them inline, sparing the call.
+        parts = [b"L" + len(value).to_bytes(8, "big")]
+        for item in value:
+            if type(item) is bytes:
+                parts.append(b"B" + len(item).to_bytes(8, "big") + item)
+            else:
+                parts.append(encode(item))
+        return b"".join(parts)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = tuple(
-            getattr(value, field.name) for field in dataclasses.fields(value)
-        )
-        name = type(value).__name__.encode("utf-8")
-        return b"D" + len(name).to_bytes(2, "big") + name + encode(fields)
+        header, names = _dataclass_layout(type(value))
+        return header + encode(tuple([getattr(value, name) for name in names]))
     raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 
@@ -74,54 +93,68 @@ def decode(data: bytes) -> Any:
     """Inverse of :func:`encode`.
 
     Raises:
-        DecodeError: on malformed input or trailing bytes.
+        DecodeError: on malformed input or trailing bytes, including a
+            registered dataclass whose fields do not decode to a list or
+            whose constructor rejects them (an equivocation mismatch or
+            a corrupted sender's payload must read as invalid, never
+            raise the constructor's own error).
     """
-    value, rest = _decode_one(data)
-    if rest:
-        raise DecodeError(f"{len(rest)} trailing bytes")
+    value, end = _decode_at(data, 0)
+    if end != len(data):
+        raise DecodeError(f"{len(data) - end} trailing bytes")
     return value
 
 
-def _decode_one(data: bytes):
-    if not data:
+def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
+    """Decode the value starting at ``pos``; return it and the offset after it."""
+    tag = data[pos : pos + 1]
+    if not tag:
         raise DecodeError("empty input")
-    tag, rest = data[:1], data[1:]
+    pos += 1
     if tag == b"N":
-        return None, rest
+        return None, pos
     if tag == b"T":
-        return True, rest
+        return True, pos
     if tag == b"F":
-        return False, rest
+        return False, pos
     if tag in (b"B", b"S", b"I"):
-        if len(rest) < 8:
+        start = pos + 8
+        if start > len(data):
             raise DecodeError("truncated length")
-        length = int.from_bytes(rest[:8], "big")
-        payload, rest = rest[8 : 8 + length], rest[8 + length :]
-        if len(payload) != length:
+        end = start + int.from_bytes(data[pos:start], "big")
+        if end > len(data):
             raise DecodeError("truncated payload")
+        payload = data[start:end]
         if tag == b"B":
-            return payload, rest
+            return payload, end
         if tag == b"S":
-            return payload.decode("utf-8"), rest
-        return int.from_bytes(payload, "big", signed=True), rest
+            return payload.decode("utf-8"), end
+        return int.from_bytes(payload, "big", signed=True), end
     if tag == b"L":
-        if len(rest) < 8:
+        start = pos + 8
+        if start > len(data):
             raise DecodeError("truncated list length")
-        count = int.from_bytes(rest[:8], "big")
-        rest = rest[8:]
+        count = int.from_bytes(data[pos:start], "big")
+        pos = start
         items = []
         for _ in range(count):
-            item, rest = _decode_one(rest)
+            item, pos = _decode_at(data, pos)
             items.append(item)
-        return tuple(items), rest
+        return tuple(items), pos
     if tag == b"D":
-        if len(rest) < 2:
+        start = pos + 2
+        if start > len(data):
             raise DecodeError("truncated dataclass name")
-        name_len = int.from_bytes(rest[:2], "big")
-        name, rest = rest[2 : 2 + name_len].decode("utf-8"), rest[2 + name_len :]
-        fields, rest = _decode_one(rest)
+        end = start + int.from_bytes(data[pos:start], "big")
+        name = data[start:end].decode("utf-8")
+        fields, pos = _decode_at(data, end)
         cls = _DATACLASS_REGISTRY.get(name)
         if cls is None:
             raise DecodeError(f"unregistered dataclass {name!r}")
-        return cls(*fields), rest
+        if type(fields) is not tuple:
+            raise DecodeError(f"dataclass {name!r} fields are not a list")
+        try:
+            return cls(*fields), pos
+        except Exception as exc:
+            raise DecodeError(f"invalid {name!r} fields: {exc}") from exc
     raise DecodeError(f"unknown tag {tag!r}")

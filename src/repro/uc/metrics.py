@@ -38,9 +38,10 @@ class Metrics:
 
     def count_ro_query(self, oracle: str, entity: str) -> None:
         """Record one random-oracle query by ``entity`` against ``oracle``."""
-        self.inc("ro.total")
-        self.inc(f"ro.{oracle}")
-        self.inc(f"ro.by.{entity}")
+        counters = self.counters
+        counters["ro.total"] += 1
+        counters["ro." + oracle] += 1
+        counters["ro.by." + entity] += 1
 
     def count_signature(self, op: str) -> None:
         """Record a signing/verification operation (``op`` in {sign, verify})."""

@@ -133,3 +133,21 @@ def test_roundtrip_property(message, difficulty, rate, seed):
     rng = random.Random(seed)
     ct = ast_encrypt(message, difficulty=difficulty, rate=rate, hash_fn=_hash, rng=rng)
     assert ast_decrypt(ct, ast_solve(ct, _hash)) == message
+
+
+@pytest.mark.parametrize("difficulty", [0, 1, 2])
+def test_solved_tracks_absorb(rng, difficulty):
+    ct = ast_encrypt(b"m", difficulty=difficulty, rate=2, hash_fn=_hash, rng=rng)
+    solver = PuzzleSolver(ct)
+    for absorbed in range(ct.length):
+        assert solver.solved is False
+        assert solver.position == absorbed
+        solver.absorb(_hash(solver.next_query()))
+    assert solver.solved is True
+    assert solver.position == ct.length
+    assert ast_decrypt(ct, solver.witness) == b"m"
+    with pytest.raises(PuzzleError):
+        solver.next_query()
+    with pytest.raises(PuzzleError):
+        solver.absorb(bytes(32))
+    assert solver.position == ct.length

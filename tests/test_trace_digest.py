@@ -20,6 +20,7 @@ digest and while ``repr`` depends on value alone.  These tests pin:
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass
+from enum import IntEnum
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -35,7 +36,7 @@ from repro.functionalities.dummy import DummyBroadcastParty
 from repro.runtime import canonical_detail, trace_digest
 from repro.uc.environment import Environment
 from repro.uc.session import Session
-from repro.uc.trace import EventLog
+from repro.uc.trace import Event, EventLog
 
 from tests.conftest import broadcast_action
 
@@ -193,6 +194,31 @@ def test_shared_payload_rendered_once_per_digest():
     assert all(repr(payload) in text for text in texts)
     assert sum(1 for obj, _text in memo.values() if obj is payload) == 1
     assert trace_digest(log) == _reference_digest(log)
+
+
+class Level(IntEnum):
+    HIGH = 2
+
+
+class Tagged(str):
+    def __repr__(self):
+        return f"Tagged({str.__repr__(self)})"
+
+
+def test_inexact_event_heads_digest_like_the_reference():
+    # The digest formats an exact int/str head itself; anything else
+    # (bool, enum, str subclass) renders through the full tuple path.
+    log = EventLog()
+    log.record(0, "leak", "F", b"x")
+    log.record(True, "leak", "F", b"x")
+    log.record(Level.HIGH, Tagged("deliver"), "P0", (1, b"y"))
+    log.record(3, "deliver", Tagged("P1"), None)
+    log.events.append(Event(seq=False, time=4, kind="tick", source="P2"))
+    assert trace_digest(log) == _reference_digest(log)
+    exact = EventLog()
+    for event in log:
+        exact.record(int(event.time), str(event.kind), str(event.source), event.detail)
+    assert trace_digest(exact) != trace_digest(log)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.functionalities.random_oracle import RandomOracle
 from repro.functionalities.wrapper import QueryWrapper
 from repro.uc.entity import Party
 from repro.uc.errors import ResourceExhausted
+from repro.uc.session import Session
 
 
 @pytest.fixture
@@ -104,3 +105,58 @@ def test_hash_fn_closure_metered(session, wrapper):
     h(b"3")
     with pytest.raises(ResourceExhausted):
         h(b"4")
+
+
+def _reference_evaluate(wrapper, entity_id, inputs):
+    """``QueryWrapper.evaluate`` as it was: charge, count, then one
+    ``query`` call per point (the oracle's per-point semantics are pinned
+    against a copy in ``tests/test_random_oracle.py``)."""
+    key = (wrapper._budget_key(entity_id), wrapper.time)
+    wrapper._used[key] = wrapper._used.get(key, 0) + 1
+    wrapper.session.metrics.inc("ro.batches")
+    wrapper.session.metrics.inc("ro.points", len(inputs))
+    return [wrapper.oracle.query(x, querier=entity_id) for x in inputs]
+
+
+def _twin_wrappers():
+    twins = []
+    for _ in range(2):
+        session = Session(seed=5)
+        for pid in ("P0", "P1"):
+            Party(session, pid)
+        oracle = RandomOracle(session, fid="F*RO")
+        oracle.program(b"prog", b"\x01" * 32)
+        twins.append(QueryWrapper(session, oracle, q=3))
+    return twins
+
+
+def _state(wrapper):
+    oracle, session = wrapper.oracle, wrapper.session
+    return (
+        dict(wrapper._used),
+        dict(oracle._table),
+        {point: set(who) for point, who in oracle.queried_by.items()},
+        dict(session.metrics.counters),
+        session.rng.getstate(),
+    )
+
+
+def test_batch_matches_per_point_reference():
+    batched, reference = _twin_wrappers()
+    for pid, points in [
+        ("P0", [b"a", b"prog", b"a", b"b"]),
+        ("P1", [b"b", b"c"]),
+        ("P0", []),
+    ]:
+        assert batched.evaluate(pid, points) == _reference_evaluate(reference, pid, points)
+        assert _state(batched) == _state(reference)
+
+
+def test_non_bytes_batch_is_neither_resolved_nor_charged():
+    wrapper, _ = _twin_wrappers()
+    wrapper.evaluate("P0", [b"a"])
+    before = _state(wrapper)
+    with pytest.raises(TypeError):
+        wrapper.evaluate("P0", [b"fresh", 7])
+    assert _state(wrapper) == before
+    assert wrapper.remaining("P0") == 2
