@@ -25,17 +25,20 @@ seeded executions are unaffected):
   :math:`g^{d \\cdot 2^{wi}}` digits (built lazily; small groups build it
   on first use, large groups after :data:`FIXED_BASE_AUTO_CALLS` uses or
   via an explicit :meth:`precompute_fixed_base`);
-* **registered bases** — other long-lived public bases (the election's
-  verification-key base ``w`` and ballot seed ``r``, proved and checked
-  against once per OR-proof branch and per verifier) get a table of the
-  same shape via :meth:`register_fixed_base`, which :meth:`exp` consults
-  before falling back to ``pow``.  The window is
+* **registered bases** — other long-lived public bases get cheap
+  exponentiation via :meth:`register_fixed_base`, which :meth:`exp` and
+  :meth:`multi_exp` consult (through one resolver) before falling back
+  to ``pow``.  A base registered with its discrete log (the election's
+  ballot seed ``r = g^h``, whose ``h`` is a public hash) is checked once
+  and then served as ``g^{h·e}`` from ``g``'s table, with no table of
+  its own.  A base whose log is secret (FSKG's verification-key base
+  ``w``) gets a table of the same shape as ``g``'s, with window
   :data:`FIXED_BASE_REGISTERED_WINDOW` (4: at 256 bits a table costs
   about 4.8 exponentiations to build, and width 5 would save only 0.2 ms
   more per ~70-use election for 60% more memory).  At most
-  :data:`FIXED_BASE_REGISTERED_MAX` tables live per group (16: two bases
-  per election, so eight concurrent elections); the oldest is evicted
-  first, and an evicted base just goes back to ``pow``;
+  :data:`FIXED_BASE_REGISTERED_MAX` entries of either kind live per
+  group (16); the oldest is evicted first, and an evicted base just goes
+  back to ``pow``;
 * **simultaneous multi-exponentiation** — :meth:`multi_exp` evaluates
   :math:`\\prod b_i^{e_i}` sharing the squaring ladder between bases
   (Straus interleaving) when the modulus is large enough for Python-level
@@ -85,8 +88,9 @@ FIXED_BASE_AUTO_CALLS = 32
 #: cheap: at 256 bits, 4 breaks even after ~5 uses.
 FIXED_BASE_REGISTERED_WINDOW = 4
 
-#: Registered-base tables kept per group, oldest evicted first: the two
-#: public bases (``w``, ``r``) of eight concurrent elections.
+#: Registered bases kept per group, tables and logs alike, oldest evicted
+#: first: the table-registered ``w`` and log-registered ``r`` of eight
+#: concurrent elections (one table per election).
 FIXED_BASE_REGISTERED_MAX = 16
 
 #: Interleaved multi-exponentiation beats repeated C ``pow`` only once the
@@ -356,12 +360,29 @@ class SchnorrGroup:
 
     def exp(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` (exponent reduced mod q)."""
-        if base == self.g:
-            return self.power_of_g(exponent)
-        state = self._fb_bases.get(base)
+        e = exponent % self.q
+        log, state = self._resolve(base)
+        if log is not None:
+            return self.power_of_g(log * e)
         if state is not None:
-            return _window_pow(state, exponent % self.q, self.p)
-        return _ARITH.powmod(base, exponent % self.q, self.p)
+            return _window_pow(state, e, self.p)
+        return _ARITH.powmod(base, e, self.p)
+
+    def _resolve(self, base: int) -> Tuple[Optional[int], Any]:
+        """How :meth:`exp` and :meth:`multi_exp` raise ``base``: ``(log, state)``.
+
+        ``log`` is ``base``'s discrete log to ``g`` when it is known (1
+        for ``g`` itself, the verified log of a log-registered base), so
+        ``base^e = g^{log·e}`` comes from ``g``'s table.  Otherwise
+        ``state`` is the base's registered window table, or ``None`` for
+        a plain ``pow``.
+        """
+        if base == self.g:
+            return 1, None
+        entry = self._fb_bases.get(base)
+        if type(entry) is int:
+            return entry, None
+        return None, entry
 
     def power_of_g(self, exponent: int) -> int:
         """``g ** exponent mod p`` (fixed-base windowed once warmed up)."""
@@ -391,10 +412,14 @@ class SchnorrGroup:
 
         Safe-prime groups use the Jacobi-symbol fast path (identical
         verdicts to the Euler-criterion pow, orders of magnitude
-        cheaper); other parameter sets keep the direct order check.
+        cheaper); other parameter sets keep the direct order check.  An
+        element with a known log (``g``, a log-registered base) is a
+        power of ``g`` and needs neither.
         """
         if not 0 < a < self.p:
             return False
+        if self._resolve(a)[0] is not None:
+            return True
         if self._safe_prime:
             return _ARITH.jacobi(a, self.p) == 1
         return _ARITH.powmod(a, self.q, self.p) == 1
@@ -541,27 +566,47 @@ class SchnorrGroup:
         with self._accel_lock:
             object.__setattr__(self, "_fb_state", (window, [list(row) for row in table]))
 
-    def register_fixed_base(self, base: int) -> None:
-        """Build a window table for a long-lived base other than ``g``.
+    def register_fixed_base(self, base: int, log: Optional[int] = None) -> None:
+        """Make a long-lived base other than ``g`` cheap to exponentiate.
 
-        :meth:`exp` then serves ``base`` from the table instead of a
-        full-width ``pow``.  Idempotent by value (``g`` is a no-op: it has
-        its own table) and thread-safe.  At most
-        :data:`FIXED_BASE_REGISTERED_MAX` tables are kept, the oldest
-        evicted first; an evicted base goes back to ``pow`` with the same
-        values.
+        Without ``log``, builds a window table for ``base``: :meth:`exp`
+        and :meth:`multi_exp` then walk it instead of a full-width
+        ``pow``.  With ``log`` (a public discrete log, ``base = g^log``),
+        checks that claim once and builds nothing: the base is served as
+        ``g^{log·e}`` from ``g``'s own table.  Idempotent by value (``g``
+        and an already registered base are no-ops once any ``log`` given
+        has been checked) and thread-safe.  At
+        most :data:`FIXED_BASE_REGISTERED_MAX` entries of either kind are
+        kept, the oldest evicted first; an evicted base goes back to
+        ``pow`` with the same values.
+
+        Raises:
+            ValueError: ``log`` is given and ``g^log != base``; nothing
+                is registered.
         """
+        if log is not None:
+            log %= self.q
+            if self._fb_bases.get(base) == log:
+                return
+            if self.power_of_g(log) != base:
+                raise ValueError("registered log does not match the base")
         if base == self.g or base in self._fb_bases:
             return
         with self._accel_lock:
             if base in self._fb_bases:
                 return
-            table = _window_table(
-                base, self.p, self.q.bit_length(), FIXED_BASE_REGISTERED_WINDOW
-            )
+            if log is None:
+                entry: Any = (
+                    FIXED_BASE_REGISTERED_WINDOW,
+                    _window_table(
+                        base, self.p, self.q.bit_length(), FIXED_BASE_REGISTERED_WINDOW
+                    ),
+                )
+            else:
+                entry = log
             if len(self._fb_bases) >= FIXED_BASE_REGISTERED_MAX:
                 self._fb_bases.pop(next(iter(self._fb_bases)))
-            self._fb_bases[base] = (FIXED_BASE_REGISTERED_WINDOW, table)
+            self._fb_bases[base] = entry
 
     # -- simultaneous multi-exponentiation ----------------------------------
 
@@ -571,9 +616,10 @@ class SchnorrGroup:
         Ballot and ZKP verification equations have the shape
         ``a · y^e``; expressing them as ``multi_exp(((a, 1), (y, e)))``
         lets the group share squarings between simultaneous large
-        exponentiations (Straus interleaving) where that pays off, and
-        fold generator powers into the fixed-base table.  Identical
-        results to multiplying individual :meth:`exp` outputs.
+        exponentiations (Straus interleaving) where that pays off, fold
+        generator powers and log-registered bases into one walk of the
+        fixed-base table, and walk registered tables.  Identical results
+        to multiplying individual :meth:`exp` outputs.
         """
         q = self.q
         p = self.p
@@ -597,6 +643,12 @@ class SchnorrGroup:
                 continue
             if e == 1:
                 result = result * b % p
+                continue
+            log, state = self._resolve(b)
+            if log is not None:
+                g_exponent = (g_exponent + log * e) % q
+            elif state is not None:
+                result = result * _window_pow(state, e, p) % p
             else:
                 general.append((b, e))
         if g_exponent:

@@ -198,8 +198,33 @@ def _ballot_statement(
     group: SchnorrGroup, seed: int, w: int, ballot: int, vote: int
 ) -> Tuple[int, int]:
     """Statement for branch ``vote``: log_g(w) = log_seed(ballot / g^vote)."""
-    shifted = group.mul(ballot, group.inv(group.power_of_g(vote)))
+    shifted = group.mul(ballot, group.power_of_g(-vote))
     return w, shifted
+
+
+def _ballot_statement_holds(
+    group: SchnorrGroup,
+    seed: int,
+    w: int,
+    ballot: int,
+    secret: int,
+    vote: int,
+    key_base: int,
+) -> bool:
+    """``w = key_base^secret`` and ``ballot = seed^secret · g^vote``, in the subgroup.
+
+    When this holds, every simulated branch's commitments have a closed
+    form in the witness (see :func:`ballot_prove`).  Both bases must be
+    subgroup members: :meth:`~SchnorrGroup.exp` reduces exponents mod
+    ``q``, which commutes with the closed form only for elements of
+    order ``q``.
+    """
+    return (
+        group.is_member(key_base)
+        and group.is_member(seed)
+        and group.exp(key_base, secret) == w
+        and group.mul(group.exp(seed, secret), group.power_of_g(vote)) == ballot
+    )
 
 
 def ballot_prove(
@@ -222,6 +247,12 @@ def ballot_prove(
     other branch is simulated with a random challenge/response pair, and
     the real branch's challenge absorbs the difference so the challenges
     sum to the global Fiat–Shamir challenge.
+
+    The prover holds the witness, so when the statement is true each
+    simulated branch's commitments are computed straight from it (two
+    exponentiations, no inversions); a false statement takes the
+    general simulation.  Both paths draw the same randomness and return
+    the same proof.
     """
     key_base = key_base or group.g
     choices = list(choices)
@@ -233,13 +264,25 @@ def ballot_prove(
     responses: List[int] = [0] * len(choices)
 
     k, real_a1 = _commitment_nonce(group, key_base, rng)
+    holds = _ballot_statement_holds(group, seed, w, ballot, secret, vote, key_base)
     for index, choice in enumerate(choices):
-        public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
         if index == real_index:
             commitments[index] = (real_a1, group.exp(seed, k))
+            continue
+        challenges[index] = group.random_scalar(rng)
+        responses[index] = group.random_scalar(rng)
+        if holds:
+            # a1 = key_base^s / w^e and a2 = seed^s / (ballot / g^choice)^e
+            # fold, with w = key_base^x and ballot = seed^x · g^vote, to
+            # one exponent per base.
+            folded = (responses[index] - challenges[index] * secret) % group.q
+            a1 = group.exp(key_base, folded)
+            a2 = group.mul(
+                group.exp(seed, folded),
+                group.power_of_g(-(vote - choice) * challenges[index]),
+            )
         else:
-            challenges[index] = group.random_scalar(rng)
-            responses[index] = group.random_scalar(rng)
+            public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
             a1 = group.mul(
                 group.exp(key_base, responses[index]),
                 group.inv(group.exp(public1, challenges[index])),
@@ -248,7 +291,7 @@ def ballot_prove(
                 group.exp(seed, responses[index]),
                 group.inv(group.exp(public2, challenges[index])),
             )
-            commitments[index] = (a1, a2)
+        commitments[index] = (a1, a2)
 
     flat: List[int] = [seed, w, ballot]
     for a1, a2 in commitments:

@@ -54,20 +54,29 @@ register_dataclass(BallotProof)
 # ---------------------------------------------------------------------------
 
 
+def _share_width(group: SchnorrGroup) -> int:
+    """Bytes in an encrypted share: the byte width of ``q`` (32 for TEST_GROUP)."""
+    return (group.q.bit_length() + 7) // 8
+
+
 def encrypt_share(
     group: SchnorrGroup, public: int, share: int, rng
 ) -> Tuple[int, bytes]:
     """Encrypt scalar ``share`` to ``public``: ``(g^k, share ⊕ H(pk^k))``."""
+    width = _share_width(group)
     k = group.random_scalar(rng)
-    pad = expand(group.element_to_bytes(group.exp(public, k)), 32, domain=b"share")
-    body = xor_bytes(share.to_bytes(32, "big"), pad)
+    pad = expand(group.element_to_bytes(group.exp(public, k)), width, domain=b"share")
+    body = xor_bytes(share.to_bytes(width, "big"), pad)
     return group.power_of_g(k), body
 
 
 def decrypt_share(group: SchnorrGroup, secret: int, ciphertext: Tuple[int, bytes]) -> int:
     """Inverse of :func:`encrypt_share` for the key owner."""
     ephemeral, body = ciphertext
-    pad = expand(group.element_to_bytes(group.exp(ephemeral, secret)), 32, domain=b"share")
+    pad = expand(
+        group.element_to_bytes(group.exp(ephemeral, secret)), _share_width(group),
+        domain=b"share",
+    )
     return int.from_bytes(xor_bytes(body, pad), "big") % group.q
 
 
@@ -260,7 +269,8 @@ class VoterParty(Party):
         digest = self.oracle.query(b"election-seed:" + self.session.sid.encode(), self.pid)
         exponent = hash_to_int(digest, modulus=self.group.q, domain=b"seed")
         seed = self.group.power_of_g(exponent)
-        self.group.register_fixed_base(seed)
+        # The seed's log is public, so its powers are g-powers: no table.
+        self.group.register_fixed_base(seed, log=exponent)
         return seed
 
     def vote(self, candidate: str) -> None:

@@ -79,12 +79,15 @@ def test_setup_verifies_share_consistency():
 
 
 def test_hybrid_election_registers_exactly_w_and_r(monkeypatch):
-    """FSKG's ``w`` and the ballot seed ``r`` get fixed-base tables.
+    """FSKG's ``w`` gets a fixed-base table; the ballot seed ``r`` a verified log.
 
-    Pins the hit path of ``SchnorrGroup.exp``: digests stay equal whether
-    or not the tables exist, so only this check notices a lost registration.
+    Pins the hit paths of ``SchnorrGroup.exp``: digests stay equal whether
+    or not the registrations exist, so only this check notices a lost one.
+    ``r = g^h`` with a public ``h``, so its powers are ``g``-powers and it
+    needs no table; ``w``'s log is FSKG's secret.
     """
     import repro.core.stacks as stacks
+    from repro.crypto.hashing import hash_to_int
     from repro.functionalities.keygen import AuthorityKeyGen
 
     cold = SchnorrGroup(p=TEST_GROUP.p, q=TEST_GROUP.q, g=TEST_GROUP.g)
@@ -94,10 +97,17 @@ def test_hybrid_election_registers_exactly_w_and_r(monkeypatch):
     stack = build_voting_stack(voters=3, mode="hybrid", seed=30)
     results = _drive(stack, [("V0", "yes"), ("V1", "no"), ("V2", "yes")])
     assert all(r == {"yes": 2, "no": 1} for r in results.values())
-    registered = set(cold._fb_bases)  # before the seed is derived again below
+    registered = dict(cold._fb_bases)  # before the seed is derived again below
     voter = stack.parties["V0"]
     assert voter.group is cold
-    assert registered == {voter.w, voter._seed()}
+    seed = voter._seed()
+    assert set(registered) == {voter.w, seed}
+    window, table = registered[voter.w]
+    assert window >= 1 and table[0][1] == voter.w
+    log = registered[seed]
+    assert type(log) is int and cold.power_of_g(log) == seed
+    digest = voter.oracle.query(b"election-seed:" + stack.session.sid.encode(), voter.pid)
+    assert log == hash_to_int(digest, modulus=cold.q, domain=b"seed")
 
 
 def test_vote_before_setup_queued():
