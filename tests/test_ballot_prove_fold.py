@@ -91,12 +91,11 @@ def _reference_prove(
     )
 
 
-def _group(register: bool, seed_log: int, seed: int, key_base: int) -> SchnorrGroup:
+def _group(register: bool, seed_log: int, key_base: int) -> SchnorrGroup:
     """A cold group, optionally with the election's registrations."""
     group = SchnorrGroup(p=P, q=Q, g=G)
     if register:
-        if pow(G, seed_log, P) == seed:
-            group.register_fixed_base(seed, log=seed_log)
+        group.register_fixed_base(pow(G, seed_log, P), log=seed_log)
         group.register_fixed_base(key_base)
     return group
 
@@ -132,7 +131,7 @@ def test_prove_matches_the_general_simulation(
     vote = choices[real % candidates]
     seed = pow(G, seed_log, P)
     key_base = G if key_kind == "g" else pow(G, key_log, P)
-    group = _group(register, seed_log, seed, key_base)
+    group = _group(register, seed_log, key_base)
     w = pow(key_base, secret, P)
     ballot = pow(seed, secret, P) * pow(G, vote, P) % P
     if fault in ("wrong-w", "both"):
