@@ -412,14 +412,10 @@ class SchnorrGroup:
 
         Safe-prime groups use the Jacobi-symbol fast path (identical
         verdicts to the Euler-criterion pow, orders of magnitude
-        cheaper); other parameter sets keep the direct order check.  An
-        element with a known log (``g``, a log-registered base) is a
-        power of ``g`` and needs neither.
+        cheaper); other parameter sets keep the direct order check.
         """
         if not 0 < a < self.p:
             return False
-        if self._resolve(a)[0] is not None:
-            return True
         if self._safe_prime:
             return _ARITH.jacobi(a, self.p) == 1
         return _ARITH.powmod(a, self.q, self.p) == 1

@@ -111,14 +111,15 @@ def _cold_group() -> SchnorrGroup:
 def test_lazy_caches_thread_safe_under_stress():
     # One cold group hammered by 8 threads released simultaneously: the
     # fixed-base table build, the encoding-cache population and the
-    # registered-base map (inserts and FIFO evictions) race on first use,
-    # and every accelerated result must still be exact.
+    # registered-base map (table and log inserts, FIFO evictions) race on
+    # first use, and every accelerated result must still be exact.
     import random
     import threading
 
     group = _cold_group()
     # More shared bases than the map holds, so threads also race evictions.
-    bases = [pow(group.g, 1000 + i, group.p) for i in range(FIXED_BASE_REGISTERED_MAX + 4)]
+    logs = [1000 + i for i in range(FIXED_BASE_REGISTERED_MAX + 4)]
+    bases = [pow(group.g, log, group.p) for log in logs]
     barrier = threading.Barrier(8)
     failures = []
 
@@ -133,10 +134,18 @@ def test_lazy_caches_thread_safe_under_stress():
             encoded = group.element_to_bytes(value)
             if int.from_bytes(encoded, "big") != value:
                 failures.append(("encode", seed, e))
-            base = rng.choice(bases)
-            group.register_fixed_base(base)
+            index = rng.randrange(len(bases))
+            base = bases[index]
+            if rng.random() < 0.5:
+                group.register_fixed_base(base)
+            else:
+                group.register_fixed_base(base, log=logs[index])
             if group.exp(base, e) != pow(base, e, group.p):
                 failures.append(("registered", seed, e))
+            pairs = ((base, e), (bases[0], e + 1))
+            expected = pow(base, e, group.p) * pow(bases[0], e + 1, group.p) % group.p
+            if group.multi_exp(pairs) != expected:
+                failures.append(("multi", seed, e))
 
     threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
     for thread in threads:
@@ -171,10 +180,11 @@ def test_group_pickles_without_acceleration_state():
     group = _cold_group()
     group.warm_up()
     group.register_fixed_base(pow(group.g, 7, group.p))
+    group.register_fixed_base(pow(group.g, 8, group.p), log=8)
     clone = pickle.loads(pickle.dumps(group))
     assert clone == group
     assert clone._fb_table is None  # caches did not travel
-    assert clone._fb_bases == {}  # nor did registered-base tables
+    assert clone._fb_bases == {}  # nor did registered tables or logs
     assert clone.power_of_g(12345) == group.power_of_g(12345)
     clone.warm_up()
     assert clone._fb_table is not None
@@ -260,6 +270,7 @@ def test_registered_base_exp_is_exact(base):
 def test_registering_g_is_a_noop():
     group = _cold_group()
     group.register_fixed_base(group.g)
+    group.register_fixed_base(group.g, log=1 + _Q)  # g's own log, unreduced
     assert group._fb_bases == {}
     assert group.exp(group.g, _Q + 3) == pow(group.g, 3, group.p)
 
@@ -274,11 +285,18 @@ def test_registration_is_idempotent_by_value():
 
 
 def test_registration_past_the_bound_evicts_the_oldest():
-    group = _cold_group()
-    bases = [pow(group.g, 100 + i, group.p) for i in range(FIXED_BASE_REGISTERED_MAX + 1)]
-    for base in bases:
-        group.register_fixed_base(base)
-    assert list(group._fb_bases) == bases[1:]  # FIFO: the first one went
-    oldest = bases[0]
-    for e in (0, 1, _Q - 1, _Q + 1, -1):
-        assert group.exp(oldest, e) == pow(oldest, e % _Q, group.p)
+    # Tables and logs share one bound: registered alone or interleaved,
+    # the oldest entry of either kind goes first.
+    logs = [100 + i for i in range(FIXED_BASE_REGISTERED_MAX + 1)]
+    for kinds in (("table",), ("log",), ("log", "table")):
+        group = _cold_group()
+        bases = [pow(group.g, log, group.p) for log in logs]
+        for index, base in enumerate(bases):
+            if kinds[index % len(kinds)] == "log":
+                group.register_fixed_base(base, log=logs[index])
+            else:
+                group.register_fixed_base(base)
+        assert list(group._fb_bases) == bases[1:], kinds  # FIFO: the first one went
+        for base in bases:  # evicted or not, the values are exact
+            for e in (0, 1, _Q - 1, _Q + 1, -1):
+                assert group.exp(base, e) == pow(base, e % _Q, group.p)

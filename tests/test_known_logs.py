@@ -4,19 +4,19 @@
 knows ``base = g^log`` have ``base``'s powers served as ``g``-powers; one
 private resolver routes :meth:`exp` and :meth:`multi_exp` to ``g``'s
 table, a verified log, a registered table or plain ``pow``.  Every route
-must return exactly what ``pow`` returns.
+must return exactly what ``pow`` returns.  Bookkeeping that logs share
+with tables (the ``g`` no-op, pickling, the FIFO bound, thread races)
+is tested with both kinds in ``tests/test_groups.py``.
 """
 
-import pickle
 import random
-import threading
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto.groups import FIXED_BASE_REGISTERED_MAX, TEST_GROUP, SchnorrGroup
+from repro.crypto.groups import TEST_GROUP, SchnorrGroup
 
 P, Q, G = TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g
 
@@ -142,12 +142,6 @@ def test_log_registration_is_idempotent_and_reduces_mod_q():
     assert group._fb_bases == {base: 42}
 
 
-def test_registering_g_with_its_log_is_a_noop():
-    group = _cold_group()
-    group.register_fixed_base(G, log=1 + Q)
-    assert group._fb_bases == {}
-
-
 def test_a_log_for_a_table_registered_base_keeps_the_table():
     group = _cold_group()
     base = pow(G, 42, P)
@@ -157,67 +151,3 @@ def test_a_log_for_a_table_registered_base_keeps_the_table():
     assert group._fb_bases == {base: state}
     for e in EXPONENTS:
         assert group.exp(base, e) == pow(base, e % Q, P)
-
-
-def test_fifo_bound_counts_logs_and_tables_alike():
-    group = _cold_group()
-    bases = [pow(G, 100 + i, P) for i in range(FIXED_BASE_REGISTERED_MAX + 3)]
-    for index, base in enumerate(bases):
-        if index % 2:
-            group.register_fixed_base(base)
-        else:
-            group.register_fixed_base(base, log=100 + index)
-    assert list(group._fb_bases) == bases[3:]  # FIFO across both kinds
-    assert len(group._fb_bases) == FIXED_BASE_REGISTERED_MAX
-    for base in bases:  # evicted or not, the values are exact
-        for e in (0, 1, Q - 1, Q + 1, -1):
-            assert group.exp(base, e) == pow(base, e % Q, P)
-
-
-def test_pickle_clone_carries_no_logs():
-    group, _, _ = _registered_group()
-    clone = pickle.loads(pickle.dumps(group))
-    assert clone == group
-    assert clone._fb_bases == {}
-
-
-def test_log_and_table_registrations_race_exactly():
-    """Threads register both kinds and evict each other's entries."""
-    group = _cold_group()
-    logs = [1000 + i for i in range(FIXED_BASE_REGISTERED_MAX + 4)]
-    bases = [pow(G, log, P) for log in logs]
-    barrier = threading.Barrier(4)
-    failures = []
-
-    def worker(seed: int) -> None:
-        rng = random.Random(seed)
-        barrier.wait()
-        for _ in range(30):
-            index = rng.randrange(len(bases))
-            base = bases[index]
-            if rng.random() < 0.5:
-                group.register_fixed_base(base, log=logs[index])
-            else:
-                group.register_fixed_base(base)
-            e = rng.randrange(Q)
-            if group.exp(base, e) != pow(base, e, P):
-                failures.append((seed, index, e))
-            pairs = ((base, e), (bases[0], e + 1))
-            if group.multi_exp(pairs) != _reference_multi_exp(pairs):
-                failures.append((seed, "multi", e))
-
-    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not failures
-    assert len(group._fb_bases) <= FIXED_BASE_REGISTERED_MAX
-
-
-def test_membership_of_registered_bases_is_exact():
-    group, log_base, table_base = _registered_group()
-    group.register_fixed_base(P - 1)  # a table for a non-member
-    for element in (log_base, table_base, G, P - 1, 3, log_base + P, 0, 1):
-        assert group.is_member(element) == TEST_GROUP.is_member(element), element
-    assert group.is_member(log_base) and not group.is_member(P - 1)

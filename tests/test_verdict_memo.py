@@ -189,16 +189,18 @@ def _report_view(report):
 
 def test_batched_clean_run_evaluates_each_equation_once(monkeypatch):
     stack = _setup()
+    calls = _count_calls(monkeypatch, "multi_exp", "is_member")
     for index in range(3):
         stack.parties[f"V{index}"].vote(("yes", "no")[index % 2])
-    # Counted from the tally on: each prover screens its own two bases.
-    calls = _count_calls(monkeypatch, "multi_exp", "is_member")
+    # Casting screens each prover's two bases and nothing else.
+    assert calls == {"multi_exp": 0, "is_member": 6}
     with batching(BatchPolicy()):
         stack.run_until_result()
     assert all(r == {"yes": 2, "no": 1} for r in stack.results().values())
-    # One combined equation (two multi-exps) and 20 distinct elements:
-    # 2 shared bases, 3 verification keys, 3 ballots, 3 x 4 commitments.
-    assert calls == {"multi_exp": 2, "is_member": 20}
+    # The tally adds one combined equation (two multi-exps) and 20
+    # distinct elements: 2 shared bases, 3 verification keys, 3 ballots,
+    # 3 x 4 commitments.
+    assert calls == {"multi_exp": 2, "is_member": 26}
     metrics = stack.session.metrics
     assert metrics.get("rlc.evaluated") == 1
     assert metrics.get("rlc.shared") == 2
