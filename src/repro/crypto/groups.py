@@ -34,8 +34,9 @@ seeded executions are unaffected):
   its own.  A base whose log is secret (FSKG's verification-key base
   ``w``) gets a table of the same shape as ``g``'s, with window
   :data:`FIXED_BASE_REGISTERED_WINDOW` (4: at 256 bits a table costs
-  about 4.8 exponentiations to build, and width 5 would save only 0.2 ms
-  more per ~70-use election for 60% more memory).  At most
+  about 4.8 exponentiations to build, and over the ~35 uses of ``w`` in
+  a 5-voter election width 5's larger build outweighs its shorter walks,
+  for 60% more memory).  At most
   :data:`FIXED_BASE_REGISTERED_MAX` entries of either kind live per
   group (16); the oldest is evicted first, and an evicted base just goes
   back to ``pow``;
@@ -83,9 +84,10 @@ FIXED_BASE_AUTO_BITS = 512
 FIXED_BASE_AUTO_CALLS = 32
 
 #: Digit width of the tables :meth:`SchnorrGroup.register_fixed_base`
-#: builds.  These bases live for one election (~70 uses), not for the
-#: process like ``g``, so a narrower window than ``g``'s keeps the build
-#: cheap: at 256 bits, 4 breaks even after ~5 uses.
+#: builds.  These bases live for one election (``w``: ~35 uses in a
+#: 5-voter election), not for the process like ``g``, so a narrower
+#: window than ``g``'s keeps the build cheap: at 256 bits, 4 breaks even
+#: after ~5 uses.
 FIXED_BASE_REGISTERED_WINDOW = 4
 
 #: Registered bases kept per group, tables and logs alike, oldest evicted

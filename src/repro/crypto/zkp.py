@@ -194,39 +194,6 @@ class BallotProof:
     branches: Tuple[Tuple[int, int, int, int], ...]  # (a1, a2, e, s) per choice
 
 
-def _ballot_statement(
-    group: SchnorrGroup, seed: int, w: int, ballot: int, vote: int
-) -> Tuple[int, int]:
-    """Statement for branch ``vote``: log_g(w) = log_seed(ballot / g^vote)."""
-    shifted = group.mul(ballot, group.power_of_g(-vote))
-    return w, shifted
-
-
-def _ballot_statement_holds(
-    group: SchnorrGroup,
-    seed: int,
-    w: int,
-    ballot: int,
-    secret: int,
-    vote: int,
-    key_base: int,
-) -> bool:
-    """``w = key_base^secret`` and ``ballot = seed^secret · g^vote``, in the subgroup.
-
-    When this holds, every simulated branch's commitments have a closed
-    form in the witness (see :func:`ballot_prove`).  Both bases must be
-    subgroup members: :meth:`~SchnorrGroup.exp` reduces exponents mod
-    ``q``, which commutes with the closed form only for elements of
-    order ``q``.
-    """
-    return (
-        group.is_member(key_base)
-        and group.is_member(seed)
-        and group.exp(key_base, secret) == w
-        and group.mul(group.exp(seed, secret), group.power_of_g(vote)) == ballot
-    )
-
-
 def ballot_prove(
     group: SchnorrGroup,
     seed: int,
@@ -248,11 +215,14 @@ def ballot_prove(
     the real branch's challenge absorbs the difference so the challenges
     sum to the global Fiat–Shamir challenge.
 
-    The prover holds the witness, so when the statement is true each
-    simulated branch's commitments are computed straight from it (two
-    exponentiations, no inversions); a false statement takes the
-    general simulation.  Both paths draw the same randomness and return
-    the same proof.
+    Precondition: ``w = key_base^secret``, ``ballot = seed^secret ·
+    g^vote``, and ``key_base`` and ``seed`` lie in the order-``q``
+    subgroup.  The prover does not re-check it.  Because it holds, each
+    simulated branch's commitments ``a1 = key_base^s / w^e`` and ``a2 =
+    seed^s / (ballot / g^choice)^e`` fold to ``key_base^{s−e·x}`` and
+    ``seed^{s−e·x} · g^{−(vote−choice)·e}``: two exponentiations and a
+    ``g``-power, no inversions.  A false statement over subgroup elements
+    yields a proof that :func:`ballot_verify` rejects.
     """
     key_base = key_base or group.g
     choices = list(choices)
@@ -264,34 +234,20 @@ def ballot_prove(
     responses: List[int] = [0] * len(choices)
 
     k, real_a1 = _commitment_nonce(group, key_base, rng)
-    holds = _ballot_statement_holds(group, seed, w, ballot, secret, vote, key_base)
     for index, choice in enumerate(choices):
         if index == real_index:
             commitments[index] = (real_a1, group.exp(seed, k))
             continue
         challenges[index] = group.random_scalar(rng)
         responses[index] = group.random_scalar(rng)
-        if holds:
-            # a1 = key_base^s / w^e and a2 = seed^s / (ballot / g^choice)^e
-            # fold, with w = key_base^x and ballot = seed^x · g^vote, to
-            # one exponent per base.
-            folded = (responses[index] - challenges[index] * secret) % group.q
-            a1 = group.exp(key_base, folded)
-            a2 = group.mul(
+        folded = (responses[index] - challenges[index] * secret) % group.q
+        commitments[index] = (
+            group.exp(key_base, folded),
+            group.mul(
                 group.exp(seed, folded),
                 group.power_of_g(-(vote - choice) * challenges[index]),
-            )
-        else:
-            public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
-            a1 = group.mul(
-                group.exp(key_base, responses[index]),
-                group.inv(group.exp(public1, challenges[index])),
-            )
-            a2 = group.mul(
-                group.exp(seed, responses[index]),
-                group.inv(group.exp(public2, challenges[index])),
-            )
-        commitments[index] = (a1, a2)
+            ),
+        )
 
     flat: List[int] = [seed, w, ballot]
     for a1, a2 in commitments:
@@ -309,24 +265,31 @@ def ballot_prove(
     )
 
 
-def _ballot_well_formed(ballot: int, proof: BallotProof, choices: Sequence[int]) -> bool:
+def _ballot_well_formed(
+    group: SchnorrGroup, ballot: int, proof: BallotProof, choices: Sequence[int]
+) -> bool:
     """Structural screen: an int ballot and one ``(a1, a2, e, s)`` tuple
-    of ints per choice.
+    of ints per choice, with the ballot and every commitment encodable.
 
     A corrupted voter controls the ballot and every field of the proof it
-    signs, so the shape is checked before any branch is unpacked; a
-    malformed cast is a rejected ballot, never an exception in an honest
-    tally.
+    signs, so the shape is checked before any branch is unpacked, and the
+    hashed elements are checked against the group's byte width before the
+    Fiat–Shamir challenge encodes them; a malformed cast is a rejected
+    ballot, never an exception in an honest tally.
     """
     branches = proof.branches
+    limit = 1 << 8 * ((group.p.bit_length() + 7) // 8)
     return (
         isinstance(ballot, int)
+        and 0 <= ballot < limit
         and isinstance(branches, tuple)
         and len(branches) == len(choices)
         and all(
             isinstance(branch, tuple)
             and len(branch) == 4
             and all(isinstance(value, int) for value in branch)
+            and 0 <= branch[0] < limit
+            and 0 <= branch[1] < limit
             for branch in branches
         )
     )
@@ -341,10 +304,16 @@ def ballot_verify(
     choices: Sequence[int],
     key_base: int = 0,
 ) -> bool:
-    """Verify a disjunctive ballot proof against the allowed choice set."""
+    """Verify a disjunctive ballot proof against the allowed choice set.
+
+    Each branch checks ``key_base^s == a1 · w^e`` and ``seed^s ·
+    g^{choice·e} == a2 · ballot^e``: the statement ``seed^s == a2 ·
+    (ballot / g^choice)^e`` with the choice shift moved to the left, where
+    it shares one walk of ``g``'s table with a log-registered seed.
+    """
     key_base = key_base or group.g
     choices = list(choices)
-    if not _ballot_well_formed(ballot, proof, choices):
+    if not _ballot_well_formed(group, ballot, proof, choices):
         return False
     flat: List[int] = [seed, w, ballot]
     for a1, a2, _, _ in proof.branches:
@@ -353,10 +322,11 @@ def ballot_verify(
     if sum(e for _, _, e, _ in proof.branches) % group.q != global_challenge:
         return False
     for (a1, a2, e, s), choice in zip(proof.branches, choices):
-        public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
-        if group.exp(key_base, s) != group.multi_exp(((a1, 1), (public1, e))):
+        if group.exp(key_base, s) != group.multi_exp(((a1, 1), (w, e))):
             return False
-        if group.exp(seed, s) != group.multi_exp(((a2, 1), (public2, e))):
+        if group.multi_exp(((seed, s), (group.g, choice * e))) != group.multi_exp(
+            ((a2, 1), (ballot, e))
+        ):
             return False
     return True
 
@@ -382,7 +352,7 @@ def ballot_batch_item(
     check = partial(ballot_verify, group, seed, w, ballot, proof, choices, key_base)
     key_base = key_base or group.g
     choice_list = list(choices)
-    if not _ballot_well_formed(ballot, proof, choice_list):
+    if not _ballot_well_formed(group, ballot, proof, choice_list):
         return BatchItem(bases=(), equations=(), check=check)
     elements = (key_base, seed, w, ballot) + tuple(
         element for a1, a2, _, _ in proof.branches for element in (a1, a2)
@@ -397,10 +367,10 @@ def ballot_batch_item(
         return BatchItem(bases=(), equations=(), check=check)
     equations: List[Equation] = []
     for (a1, a2, e, s), choice in zip(proof.branches, choice_list):
-        public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
-        equations.append(Equation(lhs=((key_base, s),), rhs=((a1, 1), (public1, e))))
-        equations.append(Equation(lhs=((seed, s),), rhs=((a2, 1), (public2, e))))
-    # Membership of the derived statements follows from the screened
-    # inputs (the subgroup is closed under mul/inv), so ``elements``
-    # covers every base the equations touch.
+        equations.append(Equation(lhs=((key_base, s),), rhs=((a1, 1), (w, e))))
+        equations.append(
+            Equation(lhs=((seed, s), (group.g, choice * e)), rhs=((a2, 1), (ballot, e)))
+        )
+    # ``g`` has order q by construction, so ``elements`` covers every
+    # base the equations touch that needs a membership screen.
     return BatchItem(bases=elements, equations=tuple(equations), check=check)

@@ -210,6 +210,8 @@ class VoterParty(Party):
         self.tally_failure: Optional[str] = None
         self._pending_vote: Optional[str] = None
         self._cast = False
+        #: (RO answer, seed derived from it): the seed is derived once.
+        self._seed_cache: Optional[Tuple[bytes, int]] = None
 
         if hasattr(sbc, "attach"):
             sbc.attach(self)
@@ -228,10 +230,51 @@ class VoterParty(Party):
             return
         if not (isinstance(payload, tuple) and payload and payload[0] == "Shares"):
             return
-        _, encrypted_items, commitment_items = payload
-        self.dealings[sender] = (dict(encrypted_items), dict(commitment_items))
+        dealing = self._parse_dealing(payload)
+        if dealing is None:
+            # A malformed dealing fails scrutiny like shares that do not
+            # sum to zero: setup stays incomplete.
+            self.record("scrutineer_reject", sender)
+            return
+        self.dealings[sender] = dealing
         if set(self.dealings) == self._expected_authorities:
             self._finish_setup()
+
+    def _parse_dealing(self, payload: Tuple[Any, ...]) -> Optional[Tuple[dict, dict]]:
+        """``(encrypted shares, commitments)`` of a ``Shares`` payload, or
+        ``None`` when it is malformed.
+
+        A corrupted authority controls every field it broadcasts, so the
+        shape :meth:`_finish_setup` relies on is checked first: two tuples
+        of ``(voter pid, value)`` pairs, int commitments, and an entry for
+        this voter holding an ``(int, bytes)`` ciphertext whose body is
+        :func:`_share_width` bytes long.
+        """
+        if len(payload) != 3:
+            return None
+        tables = []
+        for items in payload[1:]:
+            if not (
+                isinstance(items, tuple)
+                and all(
+                    isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+                    for item in items
+                )
+            ):
+                return None
+            tables.append(dict(items))
+        encrypted, commitments = tables
+        own = encrypted.get(self.pid)
+        if not (
+            all(isinstance(value, int) for value in commitments.values())
+            and isinstance(own, tuple)
+            and len(own) == 2
+            and isinstance(own[0], int)
+            and isinstance(own[1], bytes)
+            and len(own[1]) == _share_width(self.group)
+        ):
+            return None
+        return encrypted, commitments
 
     def _finish_setup(self) -> None:
         group, w = self.group, self.w
@@ -265,12 +308,21 @@ class VoterParty(Party):
     # -- casting ----------------------------------------------------------------
 
     def _seed(self) -> int:
-        """The public random seed ``r`` (a group element from the RO)."""
+        """The public random seed ``r`` (a group element from the RO).
+
+        Every call queries the RO: the point's first query samples the
+        session RNG, so the query pattern is part of the execution.  An
+        answer already seen returns the seed derived from it.
+        """
         digest = self.oracle.query(b"election-seed:" + self.session.sid.encode(), self.pid)
+        cached = self._seed_cache
+        if cached is not None and cached[0] == digest:
+            return cached[1]
         exponent = hash_to_int(digest, modulus=self.group.q, domain=b"seed")
         seed = self.group.power_of_g(exponent)
         # The seed's log is public, so its powers are g-powers: no table.
         self.group.register_fixed_base(seed, log=exponent)
+        self._seed_cache = (digest, seed)
         return seed
 
     def vote(self, candidate: str) -> None:

@@ -12,6 +12,7 @@ from repro.crypto.batch import BATCH_EVENT_KIND, BatchPolicy, batching, verify_b
 from repro.crypto.groups import TEST_GROUP, SchnorrGroup
 from repro.crypto.schnorr import schnorr_batch_item, schnorr_keygen, schnorr_sign
 from repro.crypto.zkp import BallotProof, ballot_prove, ballot_verify
+from repro.protocols import voting_protocol
 from repro.uc.encoding import encode
 from repro.uc.session import Session
 from repro.runtime import trace_digest
@@ -104,17 +105,20 @@ def test_new_session_starts_with_an_empty_memo():
 
 
 def test_clean_run_checks_each_proof_once(monkeypatch):
-    calls = []
-    original = SchnorrGroup.multi_exp
+    calls = _count_calls(monkeypatch, "multi_exp", "is_member")
+    verified = []
 
-    def counting(self, pairs):
-        calls.append(1)
-        return original(self, pairs)
+    def counting_verify(*args, **kwargs):
+        verified.append(1)
+        return ballot_verify(*args, **kwargs)
 
-    monkeypatch.setattr(SchnorrGroup, "multi_exp", counting)
+    monkeypatch.setattr(voting_protocol, "ballot_verify", counting_verify)
     stack = _setup(voters=5, seed=1)
     for index in range(5):
         stack.parties[f"V{index}"].vote(("yes", "no")[index % 2])
+    # Setup makes none either, and casting proves from the witness: no
+    # multi-exp, no membership screen.
+    assert calls == {"multi_exp": 0, "is_member": 0}
     stack.run_until_result()
     assert all(r == {"yes": 3, "no": 2} for r in stack.results().values())
     metrics = stack.session.metrics
@@ -122,8 +126,11 @@ def test_clean_run_checks_each_proof_once(monkeypatch):
     assert metrics.get("sig.verify") == 25
     assert metrics.get("proofs.checked") == 5
     assert metrics.get("proofs.shared") == 20
-    # 5 distinct proofs × 2 branches × 2 equations.
-    assert len(calls) == 20
+    assert len(verified) == 5
+    # 5 distinct proofs × 2 branches × 2 equations, 3 multi-exps per
+    # branch: the key equation's right side, and both sides of the seed
+    # equation (its left side folds the choice shift into one walk).
+    assert calls == {"multi_exp": 30, "is_member": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +171,10 @@ def _capture_reports(monkeypatch):
     return reports
 
 
-def _batched_election(memo=True, voters=3, tamper=None):
-    """A hybrid election tallied under ``BatchPolicy()``; ``tamper`` names
-    a voter that is corrupted and casts a proof tampered after signing."""
+def _batched_cast(memo=True, voters=3, tamper=None):
+    """A hybrid election's setup and casting, ready to tally; ``tamper``
+    names a voter that is corrupted and casts a proof tampered after
+    signing."""
     stack = _setup(voters=voters)
     if not memo:
         stack.session.proof_verdicts = _NoMemo()
@@ -178,9 +186,18 @@ def _batched_election(memo=True, voters=3, tamper=None):
         pid = f"V{index}"
         if pid != tamper:
             stack.parties[pid].vote(("yes", "no")[index % 2])
+    return stack
+
+
+def _batched_tally(stack):
     with batching(BatchPolicy()):
         stack.run_until_result()
     return stack
+
+
+def _batched_election(memo=True, voters=3, tamper=None):
+    """A hybrid election tallied under ``BatchPolicy()``."""
+    return _batched_tally(_batched_cast(memo, voters, tamper))
 
 
 def _report_view(report):
@@ -192,15 +209,15 @@ def test_batched_clean_run_evaluates_each_equation_once(monkeypatch):
     calls = _count_calls(monkeypatch, "multi_exp", "is_member")
     for index in range(3):
         stack.parties[f"V{index}"].vote(("yes", "no")[index % 2])
-    # Casting screens each prover's two bases and nothing else.
-    assert calls == {"multi_exp": 0, "is_member": 6}
+    # Casting proves from the witness: no multi-exp, no membership screen.
+    assert calls == {"multi_exp": 0, "is_member": 0}
     with batching(BatchPolicy()):
         stack.run_until_result()
     assert all(r == {"yes": 2, "no": 1} for r in stack.results().values())
-    # The tally adds one combined equation (two multi-exps) and 20
-    # distinct elements: 2 shared bases, 3 verification keys, 3 ballots,
-    # 3 x 4 commitments.
-    assert calls == {"multi_exp": 2, "is_member": 26}
+    # The tally evaluates one combined equation (two multi-exps) and
+    # screens 20 distinct elements: 2 shared bases, 3 verification keys,
+    # 3 ballots, 3 x 4 commitments.
+    assert calls == {"multi_exp": 2, "is_member": 20}
     metrics = stack.session.metrics
     assert metrics.get("rlc.evaluated") == 1
     assert metrics.get("rlc.shared") == 2
@@ -229,12 +246,17 @@ def test_batched_trace_detail_matches_unmemoised_run(monkeypatch):
 def test_batched_tampered_proof_rejected_in_every_view(monkeypatch):
     reports = _capture_reports(monkeypatch)
     calls = _count_calls(monkeypatch, "multi_exp")
-    alone = _batched_election(memo=False, voters=4, tamper="V2")
+    alone = _batched_cast(memo=False, voters=4, tamper="V2")
+    # Setup and casting, the tampered prover's included, make no multi-exp.
+    assert calls["multi_exp"] == 0
+    _batched_tally(alone)
     baseline = [_report_view(report) for report in reports]
     calls_alone = calls["multi_exp"]
     reports.clear()
     calls["multi_exp"] = 0
-    stack = _batched_election(voters=4, tamper="V2")
+    stack = _batched_cast(voters=4, tamper="V2")
+    assert calls["multi_exp"] == 0
+    _batched_tally(stack)
     honest = [p for p in stack.parties.values() if not p.corrupted]
     for party in honest:
         assert party.result is None

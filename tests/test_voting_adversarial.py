@@ -6,6 +6,7 @@ import pytest
 from repro.core import build_voting_stack
 from repro.crypto.batch import BatchPolicy, batching
 from repro.crypto.zkp import BallotProof, ballot_prove
+from repro.protocols.voting_protocol import encrypt_share
 from repro.uc.encoding import encode
 
 
@@ -145,8 +146,6 @@ def test_cheating_authority_detected_by_scrutineers():
     group, w = bad.skg.parameters()
     voters = bad.election.voters
     shares = [group.random_scalar(session.rng) for _ in voters]  # no zero-sum!
-    from repro.protocols.voting_protocol import encrypt_share
-
     encrypted = {}
     commitments = {}
     for voter, share in zip(voters, shares):
@@ -172,8 +171,15 @@ def test_cheating_authority_detected_by_scrutineers():
         (None, ((1, 2, 3, 4), "x")),  # a non-tuple branch
         (None, ((1, 2, "a", 4), (1, 2, 3, 4))),  # a non-int field
         ("x", ((1, 2, 3, 4), (1, 2, 3, 4))),  # a ballot that is not an int
+        # Ints the Fiat–Shamir challenge cannot encode in the group's width:
+        (-1, ((1, 2, 3, 4), (1, 2, 3, 4))),  # a negative ballot
+        (None, ((2**300, 2, 3, 4), (1, 2, 3, 4))),  # an a1 wider than p
+        (None, ((1, -5, 3, 4), (1, 2, 3, 4))),  # a negative a2
     ],
-    ids=["short-branches", "str-branch", "str-field", "str-ballot"],
+    ids=[
+        "short-branches", "str-branch", "str-field", "str-ballot",
+        "negative-ballot", "wide-a1", "negative-a2",
+    ],
 )
 def test_malformed_signed_cast_is_a_missing_ballot(ballot, branches, batched):
     """A signed cast of the wrong shape is rejected, not raised on."""
@@ -198,3 +204,52 @@ def test_malformed_signed_cast_is_a_missing_ballot(ballot, branches, batched):
             continue
         assert party.result is None
         assert party.tally_failure == "missing ballots: ['V2']"
+
+
+def _honest_dealing(authority, rng):
+    """``authority``'s encrypted shares and commitments, as ``deal`` builds them."""
+    group, w = authority.skg.parameters()
+    voters = authority.election.voters
+    shares = [group.random_scalar(rng) for _ in voters[:-1]]
+    shares.append((-sum(shares)) % group.q)
+    encrypted, commitments = {}, {}
+    for voter, share in zip(voters, shares):
+        public = authority.pkg.public_key(voter) or authority.pkg.keygen(voter)[1]
+        encrypted[voter] = encrypt_share(group, public, share, rng)
+        commitments[voter] = group.exp(w, share)
+    return tuple(sorted(encrypted.items())), tuple(sorted(commitments.items()))
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda encrypted, commitments: ("Shares", "garbage", ()),
+        lambda encrypted, commitments: ("Shares", ()),
+        lambda encrypted, commitments: (
+            "Shares",
+            tuple((voter, (eph, body[:-1])) for voter, (eph, body) in encrypted),
+            commitments,
+        ),
+        lambda encrypted, commitments: (
+            "Shares", encrypted, commitments[:-1] + ((commitments[-1][0], "x"),)
+        ),
+        lambda encrypted, commitments: ("Shares", (), commitments),
+    ],
+    ids=["non-pair-items", "wrong-arity", "short-body", "str-commitment", "no-entry"],
+)
+def test_malformed_dealing_fails_scrutiny(malform):
+    """A corrupted authority's malformed dealing is rejected, not raised on."""
+    stack = build_voting_stack(voters=3, mode="hybrid", seed=83)
+    session = stack.session
+    good, bad = stack.authorities.values()
+    good.deal()
+    bad.rbc.broadcast(bad, malform(*_honest_dealing(bad, session.rng)))
+    stack.run_rounds(1)
+    rejects = {
+        event.source: event.detail
+        for event in session.log.filter(kind="scrutineer_reject")
+    }
+    for voter in stack.parties.values():
+        assert voter.secret_exponent is None
+        assert not voter.verification_keys
+        assert rejects[voter.entity_id] == bad.pid
