@@ -556,9 +556,9 @@ class WorkerSupervisionRule(Rule):
     sweep forever and discarded every finished result.  In ``runtime/``,
     waiting on pools, executors, workers or async results must be
     bounded (``.get(timeout=...)``, ``.join(timeout)``) or go through
-    the :class:`~repro.runtime.supervisor.Supervisor`; the few sites
-    where an unbounded wait is provably safe (thread executors,
-    post-``terminate()`` reaping) carry ``# repro: allow[RPR007]``.
+    the :class:`~repro.runtime.supervisor.Supervisor`; a site where an
+    unbounded wait is provably safe (post-``terminate()`` reaping)
+    carries ``# repro: allow[RPR007]``.
 
     The same invariant holds for coroutines: every
     ``asyncio.wait_for``/``asyncio.wait`` must carry a concrete (non-

@@ -17,13 +17,15 @@ Usage::
     python -m repro.cli serve     --sessions 256 --duration 30 --online --material disk
 
 Every protocol command accepts ``--backend`` to pick the execution
-backend (``sequential`` is the reference engine; ``pooled`` / ``batched``
-are the runtime's throughput drivers; ``async`` yields to the event loop
-between rounds and runs ``serve``).  The top-level ``--arith`` flag
-selects the big-integer arithmetic tier (``auto`` picks gmpy2 when
-installed; results are identical across tiers, only speed changes), and
-``--batch-verify`` on the sweep/bench/scenario/election commands batches
-verification rounds through random-linear-combination multi-exps.
+backend.  There is one engine: ``sequential`` is the reference, and
+``pooled`` and ``batched`` are other spellings of it (``batched`` turns
+the trace off); ``async`` runs the same round and yields to the event
+loop between rounds, which is how ``serve`` interleaves sessions.  The
+top-level ``--arith`` flag selects the big-integer arithmetic tier
+(``auto`` picks gmpy2 when installed; results are identical across
+tiers, only speed changes), and ``--batch-verify`` on the
+sweep/bench/scenario/election commands batches verification rounds
+through random-linear-combination multi-exps.
 
 The execution knobs on ``bench``/``sweep``/``scenarios run``/``serve``
 are one shared flag set (:func:`repro.runtime.config.add_sweep_options`)
@@ -780,6 +782,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Size flags that count parties, voters or senders: none can be < 1.
+_SIZE_FLAGS = ("n", "voters", "senders")
+
+
+def _size_error(args: argparse.Namespace) -> Optional[str]:
+    """The message for the first size flag below 1, or None."""
+    for name in _SIZE_FLAGS:
+        value = getattr(args, name, None)
+        values = value if isinstance(value, list) else [value]
+        bad = [v for v in values if v is not None and v < 1]
+        if bad:
+            return f"--{name} must be >= 1, got {bad[0]}"
+    return None
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint.cli import main as lint_main
 
@@ -799,6 +816,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     argv = raw
     args = parser.parse_args(argv)
+    error = _size_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.arith is not None:
         from repro.crypto.groups import set_arith_backend
 

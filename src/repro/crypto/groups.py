@@ -334,8 +334,8 @@ class SchnorrGroup:
         # so Euler's criterion replaces a full-width pow.
         object.__setattr__(self, "_safe_prime", self.p == 2 * self.q + 1)
         # Acceleration state (not dataclass fields: excluded from eq/hash/repr).
-        # A group instance is shared across SessionPool thread workers, so
-        # lazy population of these caches is guarded by ``_accel_lock``;
+        # A group instance is a process-wide constant any thread may use,
+        # so lazy population of these caches is guarded by ``_accel_lock``;
         # reads stay lock-free (once set, the table never changes, the
         # encoding cache only ever gains idempotently-computed entries,
         # and a registered base's table is immutable while it is mapped).

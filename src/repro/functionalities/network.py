@@ -25,8 +25,7 @@ class SyncNetwork(Functionality):
     Queued messages live in the session's
     :class:`~repro.runtime.scheduler.BatchScheduler` under this
     functionality's fid; the round-advance hook drains them as one batch
-    (global FIFO under the default backend, grouped per recipient under
-    the ``batched`` backend).
+    in global FIFO order, under every backend.
     """
 
     def __init__(self, session: "Session", fid: str = "Net") -> None:
@@ -65,7 +64,7 @@ class SyncNetwork(Functionality):
     # -- delivery ------------------------------------------------------------
 
     def on_round_advanced(self, new_time: int) -> None:
-        """Deliver last round's queue in one batch (FIFO per recipient)."""
+        """Deliver last round's queue in one batch (global FIFO order)."""
         parties = self.session.parties
         for recipient, (sender, payload) in self.session.scheduler.drain(self.fid):
             party = parties.get(recipient)

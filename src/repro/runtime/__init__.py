@@ -4,19 +4,20 @@ The runtime separates *what* a protocol does (parties, functionalities,
 the clock — :mod:`repro.uc`) from *how* an execution is driven:
 
 * :class:`~repro.runtime.backend.ExecutionBackend` — a named bundle of
-  round driver, scheduler drain policy and trace mode (``sequential``,
-  ``pooled``, ``batched``, ``async``);
+  round driver and trace mode: the reference engine (``sequential``,
+  spelled ``pooled`` for sweeps and ``batched`` with the trace off)
+  and the same round plus a yield (``async``);
 * :class:`~repro.runtime.driver.RoundDriver` — the round loop behind
   :class:`~repro.uc.environment.Environment` and every stack builder;
   every driver runs the one reference round body;
-* :class:`~repro.runtime.scheduler.BatchScheduler` — per-round message
-  queues drained in batches instead of per-message callbacks;
+* :class:`~repro.runtime.scheduler.BatchScheduler` — per-round FIFO
+  message queues drained in batches instead of per-message callbacks;
 * :class:`~repro.runtime.pool.SessionPool` — N independent sessions
   (seed sweeps, repeated executions) through one driver, inline or via
-  ``concurrent.futures`` workers with chunked dispatch and per-worker
-  crypto warm-up; each workload's session body is written once there
-  and run either blocking (``run_*_trial``) or awaited
-  (``async_*_session``); it plans worker/chunk shape for any
+  process workers with chunked dispatch and per-worker crypto warm-up;
+  each workload's session body is written once there and run either
+  blocking (``run_*_trial``) or awaited (``async_*_session``); it
+  plans worker/chunk shape for any
   ``(runner, task list)`` workload and verifies digest equality
   against the inline reference (``ParallelSweep`` is an alias kept for
   existing imports);

@@ -9,13 +9,15 @@ round body, then yields once to the loop.  Each session's trace stays
 byte-identical to ``sequential``; the differential suite enforces it.
 
 :class:`AsyncSessionHost` is the service-mode entry point (``repro
-serve``): it hosts N sessions concurrently on one loop — as coroutines
+serve``): it hosts N sessions concurrently — under the ``inline``
+executor as coroutines on the one loop
 (:func:`~repro.runtime.pool.async_sbc_session` /
 :func:`~repro.runtime.pool.async_voting_session`, which share their
-session bodies with the sync trial runners) or as executor-offloaded
-sync trials — and leases each session a disjoint online-pool slot
-through :class:`~repro.runtime.material.HostSlotAllocator`, so
-concurrent sessions can never double-spend preprocessed randomness.
+session bodies with the sync trial runners), under the ``process``
+executor as sync trials offloaded to warmed process workers — and
+leases each session a disjoint online-pool slot through
+:class:`~repro.runtime.material.HostSlotAllocator`, so concurrent
+sessions can never double-spend preprocessed randomness.
 
 The host writes no orchestration of its own: it resolves its online
 plan, worker count, process-worker warm-up (material published once in
@@ -159,10 +161,10 @@ class AsyncSessionHost:
             **kwargs)``.  A coroutine function (the default
             :func:`async_voting_session`) runs inline on the host loop
             and interleaves with every other session at each round
-            boundary; a plain function under ``executor="thread"`` /
-            ``"process"`` is offloaded through ``run_in_executor`` to a
-            warmed pool (it must be picklable for processes — the sweep
-            trial runners qualify).
+            boundary; a plain function under ``executor="process"`` is
+            offloaded through ``run_in_executor`` to a warmed process
+            pool (it must be picklable — the sweep trial runners
+            qualify).
         config: A :class:`~repro.runtime.config.SweepConfig`; the host
             reads ``backend`` (defaults to ``async``), ``executor``,
             ``workers``, ``warmup``, ``material``, ``material_groups``,
@@ -242,8 +244,8 @@ class AsyncSessionHost:
 
     def _make_executor(self, sessions: int) -> Optional[Any]:
         config = self.config
-        workers = SweepPlan.resolve(config, sessions).workers
         if config.executor == "process":
+            workers = SweepPlan.resolve(config, sessions).workers
             executor, _ = start_warm_workers(
                 config,
                 self._backend,
@@ -251,12 +253,9 @@ class AsyncSessionHost:
             )
             return executor
         if config.warmup:
-            # Inline and thread sessions share this process's caches:
-            # warm once, here.
+            # Inline sessions share this process's caches: warm once, here.
             self._backend.warm_up(config.material)
-        if config.executor == "inline":
-            return None
-        return futures.ThreadPoolExecutor(max_workers=workers)
+        return None
 
     async def _session(
         self,

@@ -1,36 +1,36 @@
 """Pluggable execution backends.
 
-An :class:`ExecutionBackend` bundles the three runtime policies one knob
+An :class:`ExecutionBackend` bundles the two runtime policies one knob
 apart from protocol logic:
 
 * which :class:`~repro.runtime.driver.RoundDriver` drives rounds;
-* how the session's :class:`~repro.runtime.scheduler.BatchScheduler`
-  drains per-round message queues (``fifo`` vs ``grouped``);
 * how much of the event trace is kept (``full`` vs ``light``).
 
-Four backends ship:
+There is one engine, the reference round, plus a yield and a trace
+switch.  Four names ship:
 
-========== ============ ========= ======= ==========================================
-name       driver       drain     trace   contract
-========== ============ ========= ======= ==========================================
-sequential sequential   fifo      full    byte-identical traces to the pre-runtime
-                                          engine for any fixed seed (the default)
-pooled     sequential   fifo      full    the reference engine under the name
-                                          SessionPool sweeps default to; traces
-                                          identical to ``sequential``
-batched    batched      grouped   light   maximum throughput; per-recipient batch
-                                          delivery, tracing off; protocol outputs
-                                          equal, trace interleaving differs
-async      async        fifo      full    the sequential round plus a yield at
-                                          each round boundary, so sessions hosted
-                                          on one event loop interleave; traces
-                                          identical to ``sequential``
-========== ============ ========= ======= ==========================================
+========== ============ ======= ==========================================
+name       driver       trace   contract
+========== ============ ======= ==========================================
+sequential sequential   full    the reference engine (the default):
+                                byte-identical traces for any fixed seed
+pooled     sequential   full    a spelling of ``sequential``, the name
+                                SessionPool sweeps default to
+batched    sequential   light   a spelling of ``sequential`` with the
+                                trace off, for throughput sweeps
+async      async        full    the sequential round plus a yield at
+                                each round boundary, so sessions hosted
+                                on one event loop interleave
+========== ============ ======= ==========================================
 
-Every driver runs the same round body (see :mod:`repro.runtime.driver`),
-so backends differ only in drain policy and trace mode.  Stack builders
-and the CLI accept either a backend name or an :class:`ExecutionBackend`
-instance everywhere.
+Every backend drains the session's
+:class:`~repro.runtime.scheduler.BatchScheduler` in FIFO order and runs
+the same round body (see :mod:`repro.runtime.driver`), so under one
+trace mode all four produce identical traces.  ``pooled`` and
+``batched`` keep their own names so reports (``PoolReport.backend``,
+``HostReport.backend``) and sweep-journal headers still say which
+spelling ran.  Stack builders and the CLI accept either a backend name
+or an :class:`ExecutionBackend` instance everywhere.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Type, Union
 
-from repro.runtime.driver import (
-    AsyncRoundDriver,
-    BatchedRoundDriver,
-    RoundDriver,
-    SequentialRoundDriver,
-)
+from repro.runtime.driver import AsyncRoundDriver, RoundDriver, SequentialRoundDriver
 
 #: Trace modes: ``full`` keeps the whole EventLog, ``light`` disables it.
 TRACE_MODES = ("full", "light")
@@ -56,14 +51,12 @@ class ExecutionBackend:
     Attributes:
         name: Registry key (also what ``--backend`` accepts on the CLI).
         driver_cls: Round driver class instantiated per environment.
-        scheduler_policy: Drain policy for per-round message queues.
         trace: Default trace mode for sessions created under this backend.
         description: One-line summary for ``--help`` and reports.
     """
 
     name: str
     driver_cls: Type[RoundDriver]
-    scheduler_policy: str = "fifo"
     trace: str = "full"
     description: str = ""
 
@@ -131,25 +124,21 @@ class ExecutionBackend:
 SEQUENTIAL = ExecutionBackend(
     name="sequential",
     driver_cls=SequentialRoundDriver,
-    scheduler_policy="fifo",
     trace="full",
     description="reference engine: per-message callbacks, full trace (default)",
 )
 
-POOLED = ExecutionBackend(
+POOLED = replace(
+    SEQUENTIAL,
     name="pooled",
-    driver_cls=SequentialRoundDriver,
-    scheduler_policy="fifo",
-    trace="full",
     description="SessionPool default: the reference engine, full trace",
 )
 
-BATCHED = ExecutionBackend(
+BATCHED = replace(
+    SEQUENTIAL,
     name="batched",
-    driver_cls=BatchedRoundDriver,
-    scheduler_policy="grouped",
     trace="light",
-    description="throughput engine: grouped batch delivery, tracing off",
+    description="the reference engine with tracing off, for throughput sweeps",
 )
 
 ASYNC = ExecutionBackend(

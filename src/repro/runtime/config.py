@@ -33,7 +33,7 @@ __all__ = [
 
 #: The executors every entry point understands, in one place (the CLI
 #: ``choices`` and the validation error both read from it).
-EXECUTORS: Tuple[str, ...] = ("inline", "thread", "process")
+EXECUTORS: Tuple[str, ...] = ("inline", "process")
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,10 @@ class SweepConfig:
         backend: Execution backend applied inside each session (name or
             :class:`~repro.runtime.backend.ExecutionBackend` instance);
             forwarded to runners as ``backend=``.
-        executor: ``"inline"`` (one warm driver, no worker overhead),
-            ``"thread"`` or ``"process"`` for ``concurrent.futures``
-            fan-out.
-        workers: Worker count for the concurrent executors (default:
-            all cores for processes, the executor default for threads).
+        executor: ``"inline"`` (one warm driver in this process, no
+            worker overhead) or ``"process"`` (supervised
+            ``concurrent.futures`` process fan-out).
+        workers: Process worker count (default: all cores).
         chunksize: Tasks shipped per process dispatch (default: auto
             via :func:`~repro.runtime.pool.auto_chunksize`).
         max_tasks_per_child: Recycle each process worker after this
@@ -68,7 +67,7 @@ class SweepConfig:
             ``True`` partitions the pools across tasks by position; an
             explicit :class:`~repro.runtime.material.OnlinePlan` pins
             custom slot assignments.  Requires a pool-bearing
-            ``material`` source, ``warmup``, and a non-thread executor.
+            ``material`` source and ``warmup``.
         consume_forward: Offset the online plan by the persisted spend
             ledger so successive sweeps spend disjoint pool slices.
             Requires ``online``.
@@ -76,7 +75,6 @@ class SweepConfig:
             random-linear-combination multi-exp per round.  ``True``
             uses the stock :class:`~repro.crypto.batch.BatchPolicy`;
             an explicit policy pins seed/threshold/trace behaviour.
-            Not supported on the thread executor.
         retry: :class:`~repro.runtime.supervisor.RetryPolicy` for the
             supervised process fan-out.  Process executor only.
         deadline: :class:`~repro.runtime.supervisor.DeadlinePolicy`
@@ -118,7 +116,7 @@ class SweepConfig:
 
         if self.executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be inline/thread/process, got {self.executor!r}"
+                f"executor must be {'/'.join(EXECUTORS)}, got {self.executor!r}"
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -139,11 +137,6 @@ class SweepConfig:
             raise ValueError(
                 "consume_forward offsets the online plan by the spend "
                 "ledger; it needs online=True (or an explicit plan)"
-            )
-        if self.batch_verify and self.executor == "thread":
-            raise ValueError(
-                "batch_verify is not supported on the thread executor "
-                "(interleaved trials would race on the ambient policy)"
             )
         if isinstance(self.chaos, str):
             # Lazy import: supervisor imports the runtime at top level,
@@ -180,11 +173,6 @@ class SweepConfig:
                 raise ValueError(
                     "online mode spends the preprocessing store: pick "
                     "material='disk' or 'shared' (compute has no pools)"
-                )
-            if self.executor == "thread":
-                raise ValueError(
-                    "online mode is not supported on the thread executor "
-                    "(interleaved trials would share one ambient cursor)"
                 )
             if not self.warmup:
                 raise ValueError(

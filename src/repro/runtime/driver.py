@@ -16,15 +16,15 @@ the per-party adversary hook is skipped when the installed adversary
 keeps the base no-op.
 
 * :class:`SequentialRoundDriver` — the reference driver, bound by the
-  ``sequential`` and ``pooled`` backends.
-* :class:`BatchedRoundDriver` — the same round under the ``batched``
-  backend's name; the backend's grouped drain and light trace make the
-  difference, not the driver.
+  ``sequential``, ``pooled`` and ``batched`` backends.
 * :class:`AsyncRoundDriver` — the reference round, awaitable.  Its
   :meth:`~AsyncRoundDriver.run_round_async` runs the round body and then
   yields to the event loop once, so sessions hosted on one loop take
   turns at round boundaries, the only points where the global clock lets
   parties observe one another.
+
+:class:`BatchedRoundDriver` is bound by no backend.  It is kept only
+because the perf harness (``benchmarks/perf/spans.py``) names it.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def _reference_round(
 class SequentialRoundDriver(RoundDriver):
     """Reference driver: one party, one message, one callback at a time.
 
-    The ``sequential`` and ``pooled`` backends bind it; traces are
-    byte-identical to the pre-runtime engine seed-for-seed.
+    The ``sequential``, ``pooled`` and ``batched`` backends bind it;
+    traces are byte-identical to the pre-runtime engine seed-for-seed.
     """
 
     name = "sequential"
@@ -188,12 +188,12 @@ class SequentialRoundDriver(RoundDriver):
 
 
 class BatchedRoundDriver(SequentialRoundDriver):
-    """The reference driver under the ``batched`` backend's name.
+    """Unbound: no backend uses it since ``batched`` binds the reference
+    driver.
 
-    It adds nothing to :class:`SequentialRoundDriver`.  It stays because
-    the perf harness (``benchmarks/perf/spans.py``) times rounds by
-    wrapping ``run_round`` in each driver class's own ``__dict__``, so
-    the method is defined here again rather than inherited.
+    It stays only because the perf harness (``benchmarks/perf/spans.py``)
+    wraps ``run_round`` in this class's own ``__dict__`` by name, so the
+    method is defined here again rather than inherited.
     """
 
     name = "batched"

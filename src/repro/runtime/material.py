@@ -689,7 +689,7 @@ def warm_with_material(
     """Warm this process's crypto caches from the given material source.
 
     Accepts a :class:`MaterialHandle` (process workers read the files it
-    names), a source name (inline/thread executors, ``serve()`` and
+    names), a source name (the inline executor, ``serve()`` and
     direct callers attach what the store's load-and-validate step
     returns, so each file is read and deserialized once), or
     ``None``/"compute".  A source name attaches once per process: a

@@ -4,7 +4,7 @@ Benchmarks and repeated-execution experiments (the [FKL08] workload) need
 many independent executions — same protocol, different seeds or configs.
 :class:`SessionPool` owns that loop: it maps a picklable *trial runner*
 over a seed list, either inline (one driver, warm interpreter and crypto
-tables) or via ``concurrent.futures`` workers, and collects uniform
+tables) or via supervised process workers, and collects uniform
 :class:`TrialResult` records including a deterministic trace digest so
 pooled and sequential runs can be byte-compared.
 
@@ -35,7 +35,6 @@ import hashlib
 import os
 import time
 import warnings
-from concurrent import futures
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -534,7 +533,7 @@ class PoolReport:
     #: (retries/respawns/quarantined + events; see
     #: :class:`~repro.runtime.supervisor.SupervisorStats`).  Always set
     #: for process runs — zeros are the honest "nothing degraded" —
-    #: and ``None`` for inline/thread executors.
+    #: and ``None`` for the inline executor.
     supervision: Optional[Dict[str, Any]] = None
     #: Trials restored from a :class:`~repro.runtime.supervisor.SweepJournal`
     #: instead of executed (``repro sweep --resume``).
@@ -743,11 +742,6 @@ class SweepPlan:
                 # A chunk larger than the recycle bound could never be
                 # dispatched without exceeding it.
                 chunksize = min(chunksize, config.max_tasks_per_child)
-        elif config.executor == "thread":
-            # ThreadPoolExecutor's documented default when max_workers is
-            # None; tasks interleave on these threads, chunking is moot.
-            workers = config.workers or min(32, (os.cpu_count() or 1) + 4)
-            chunksize = 1
         else:
             workers = 1
             chunksize = 1
@@ -1230,22 +1224,15 @@ class SessionPool:
                         results.append(result)
         else:
             if config.material != "compute" and config.warmup:
-                # Inline and thread trials share this process's caches:
-                # attach once here.
+                # Inline trials share this process's caches: attach once
+                # here.
                 self._backend.warm_up(config.material)
-            if plan.executor == "inline":
-                results = [self.runner(seed, **kwargs) for seed in seeds]
-            else:
-                with futures.ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                    # Thread trials run in-process: no worker can be
-                    # OOM-killed or leak, so the unbounded map is the
-                    # honest simple thing.  # repro: allow[RPR007]
-                    results = list(pool.map(bound, seeds))
+            results = [self.runner(seed, **kwargs) for seed in seeds]
         elapsed = time.perf_counter() - start
         # Process reports always say where worker caches came from: the
         # requested source only when a handle was published, since a
         # failed or skipped publish leaves workers computing their own.
-        # Inline/thread runs only mention material when they attached any.
+        # Inline runs only mention material when they attached any.
         material_source: Optional[str] = config.material
         if plan.executor == "process":
             if handle is None:

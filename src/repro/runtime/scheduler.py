@@ -1,22 +1,11 @@
-"""Batched per-round message queues.
+"""Per-round message queues, drained in FIFO order.
 
 The synchronous network model delivers every message queued in round ``r``
-at the start of round ``r+1``.  Pre-runtime, each functionality kept its
-own ad-hoc list and invoked a callback per message.  :class:`BatchScheduler`
-centralises that queueing: producers enqueue ``(key, item)`` pairs under a
-named channel during the round, and the round-advance hook drains the whole
-channel as one batch.
-
-Two drain policies are supported:
-
-* ``"fifo"`` — the batch preserves global enqueue order.  This reproduces
-  the pre-runtime delivery order exactly, so event traces are byte-identical
-  to the reference engine (the default backend's contract).
-* ``"grouped"`` — the batch is regrouped by key (e.g. recipient pid),
-  preserving per-key FIFO order but delivering each recipient's messages
-  contiguously.  Cache-friendlier and one recipient lookup per group, at
-  the cost of a different (still deterministic) interleaving across
-  recipients in the trace.
+at the start of round ``r+1``.  :class:`BatchScheduler` centralises that
+queueing: producers enqueue ``(key, item)`` pairs under a named channel
+during the round, and the round-advance hook drains the whole channel as
+one batch, in global enqueue order.  That order is the reference engine's
+delivery order, so every backend's trace is byte-identical to it.
 
 Every backend, ``async`` included, drains through these queues at round
 advance; nothing observes an enqueue as it happens.
@@ -26,27 +15,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Tuple
 
-#: Valid drain policies.
-POLICIES = ("fifo", "grouped")
-
 
 class BatchScheduler:
-    """Named per-round queues with batch draining.
+    """Named per-round FIFO queues with batch draining."""
 
-    Args:
-        policy: ``"fifo"`` (trace-preserving global order) or ``"grouped"``
-            (per-key grouping, per-key FIFO preserved).
-    """
-
-    def __init__(self, policy: str = "fifo") -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {list(POLICIES)}, got {policy!r}")
-        self.policy = policy
+    def __init__(self) -> None:
         self._queues: Dict[str, List[Tuple[Hashable, Any]]] = {}
 
     def enqueue(self, channel: str, key: Hashable, item: Any) -> None:
-        """Queue ``item`` under ``channel``; ``key`` is the grouping key
-        (typically the recipient pid) used by the ``grouped`` policy."""
+        """Queue ``item`` under ``channel``; ``key`` is the recipient
+        (or other routing key) handed back with the item at drain."""
         self._queues.setdefault(channel, []).append((key, item))
 
     def pending(self, channel: str) -> int:
@@ -56,19 +34,8 @@ class BatchScheduler:
     def drain(self, channel: str) -> List[Tuple[Hashable, Any]]:
         """Remove and return the whole batch queued under ``channel``.
 
-        The returned list is ordered according to :attr:`policy`; the
-        channel's queue is empty afterwards (items enqueued while the
-        batch is being processed land in the *next* drain).
+        The batch is in enqueue order; the channel's queue is empty
+        afterwards (items enqueued while the batch is being processed
+        land in the *next* drain).
         """
-        queue = self._queues.pop(channel, None)
-        if not queue:
-            return []
-        if self.policy == "fifo":
-            return queue
-        grouped: Dict[Hashable, List[Tuple[Hashable, Any]]] = {}
-        for key, item in queue:
-            grouped.setdefault(key, []).append((key, item))
-        batch: List[Tuple[Hashable, Any]] = []
-        for items in grouped.values():
-            batch.extend(items)
-        return batch
+        return self._queues.pop(channel, None) or []

@@ -114,9 +114,7 @@ class FaultPlan:
         immediately after session construction.
         """
         if self.has_net_faults:
-            session.scheduler = FaultyScheduler(
-                policy=session.scheduler.policy, plan=self
-            )
+            session.scheduler = FaultyScheduler(plan=self)
 
 
 class FaultyScheduler(BatchScheduler):
@@ -130,8 +128,8 @@ class FaultyScheduler(BatchScheduler):
     through unfiltered.
     """
 
-    def __init__(self, policy: str = "fifo", plan: Optional[FaultPlan] = None) -> None:
-        super().__init__(policy)
+    def __init__(self, plan: Optional[FaultPlan] = None) -> None:
+        super().__init__()
         self.plan = plan or FaultPlan()
         self.dropped: List[Tuple[Hashable, Any]] = []
         self._drains = 0

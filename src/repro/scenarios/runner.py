@@ -6,7 +6,7 @@ staggered inputs, scheduler faults), drives the world for a
 deterministic number of rounds, and evaluates the expected trace
 properties against the finished execution.  Whole matrices run through
 :class:`~repro.runtime.pool.SessionPool` — inline for determinism-
-sensitive sweeps, thread/process workers for wall-clock — and the
+sensitive sweeps, process workers for wall-clock — and the
 resulting :class:`CellResult` records are picklable and JSON-friendly.
 """
 

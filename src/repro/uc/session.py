@@ -6,9 +6,9 @@ the deterministic randomness source, the metrics and the event trace.
 
 The session is also where the execution *runtime* plugs in: the
 :class:`~repro.runtime.backend.ExecutionBackend` chosen at construction
-fixes the trace mode and the drain policy of the per-round message
-scheduler, and tells :class:`~repro.uc.environment.Environment` which
-round driver to instantiate.  The default (``sequential``) backend
+fixes the trace mode and tells
+:class:`~repro.uc.environment.Environment` which round driver to
+instantiate.  The default (``sequential``) backend
 reproduces the pre-runtime engine byte-for-byte.
 """
 
@@ -40,7 +40,7 @@ class Session:
         adversary: The adversary for this execution; defaults to a
             :class:`~repro.uc.adversary.PassiveAdversary`.
         backend: Execution backend (name or instance) fixing the trace
-            mode and message-drain policy; default ``"sequential"``.
+            mode and round driver; default ``"sequential"``.
         trace: Optional trace-mode override (``"full"`` / ``"light"``);
             ``None`` uses the backend's default.
     """
@@ -58,7 +58,7 @@ class Session:
         self.backend = get_backend(backend)
         trace_mode = trace if trace is not None else self.backend.trace
         self.log = NullEventLog() if trace_mode == "light" else EventLog()
-        self.scheduler = BatchScheduler(policy=self.backend.scheduler_policy)
+        self.scheduler = BatchScheduler()
         self.metrics = Metrics()
         #: Verdicts of pure public-input proof checks, keyed on their exact
         #: inputs (the signed encoding plus the checker's public values),

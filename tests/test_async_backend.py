@@ -205,7 +205,7 @@ def test_coroutine_runner_requires_inline_executor():
     with pytest.raises(ValueError, match="inline"):
         AsyncSessionHost(
             async_voting_session,
-            config=SweepConfig(backend="async", executor="thread"),
+            config=SweepConfig(backend="async", executor="process"),
         )
 
 

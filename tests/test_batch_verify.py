@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.crypto.batch import (
     BATCH_EVENT_KIND,
     BatchItem,
@@ -49,7 +47,6 @@ from repro.crypto.zkp import (
 )
 from repro.functionalities.cert_adapter import real_cert_suite
 from repro.functionalities.certification import RealCertification
-from repro.runtime import SweepConfig
 from repro.runtime.pool import run_voting_trial
 
 G = TEST_GROUP
@@ -299,11 +296,6 @@ def test_policy_seam_scopes_and_restores():
     assert previous is None
     assert install_policy(previous) is policy
     assert current_policy() is None
-
-
-def test_thread_executor_rejects_batch_verify():
-    with pytest.raises(ValueError, match="thread"):
-        SweepConfig(executor="thread", batch_verify=True)
 
 
 # ---------------------------------------------------------------------------

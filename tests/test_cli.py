@@ -110,11 +110,38 @@ def test_bench_command_process_executor(capsys):
     "argv",
     [
         ["sweep", "--sessions", "2", "--executor", "process", "--workers", "0"],
-        ["bench", "--sessions", "2", "--executor", "thread", "--workers", "-2"],
-        ["bench", "--sessions", "2", "--executor", "thread", "--workers", "0"],
+        ["bench", "--sessions", "2", "--executor", "process", "--workers", "-2"],
+        ["bench", "--sessions", "2", "--executor", "process", "--workers", "0"],
         ["serve", "--sessions", "2", "--executor", "process", "--workers", "0"],
     ],
 )
 def test_non_positive_workers_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["bench"], ["sweep"], ["serve"], ["scenarios", "run"]])
+def test_unknown_executor_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--executor", "thread"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sbc", "--n", "0"], "--n"),
+        (["sbc", "--n", "-2"], "--n"),
+        (["beacon", "--n", "0"], "--n"),
+        (["election", "--voters", "0"], "--voters"),
+        (["bench", "--sessions", "2", "--n", "0"], "--n"),
+        (["bench", "--sessions", "2", "--senders", "0"], "--senders"),
+        (["sweep", "--sessions", "2", "--executor", "inline", "--n", "0"], "--n"),
+        (["serve", "--sessions", "2", "--n", "0"], "--n"),
+        (["lineage", "--n", "4", "0"], "--n"),
+    ],
+)
+def test_non_positive_size_flags_exit_2(argv, flag, capsys):
+    assert main(argv) == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err

@@ -6,7 +6,11 @@ reference: ``pooled`` and the round-yielding ``async`` driver must match
 it digest-for-digest (via the guarded
 :func:`~repro.runtime.pool.compare_trace_digests`, so a vacuous
 empty-vs-empty comparison can never slip through), and ``batched``
-(trace-off) must reproduce its protocol outputs exactly.
+(trace-off) must reproduce its protocol outputs exactly; with its trace
+switched back on, ``batched`` must match the golden digests too.
+Dolev–Strong is the one driver whose messages go through the session's
+:class:`~repro.runtime.scheduler.BatchScheduler`, so it is where a
+backend's drain order would show.
 """
 
 import pytest
@@ -23,12 +27,16 @@ from repro.crypto.groups import (
     get_arith_backend,
     set_arith_backend,
 )
+from repro.protocols.dolev_strong import make_dolev_strong_instance
 from repro.runtime import (
     TraceDigestUnavailable,
     available_backends,
     compare_trace_digests,
+    get_backend,
     trace_digest,
 )
+from repro.uc.environment import Environment
+from repro.uc.session import Session
 
 BACKENDS = sorted(available_backends())
 
@@ -82,7 +90,22 @@ def _drive_voting(backend):
     return stack.session, stack.results()
 
 
+def _drive_dolev_strong(backend):
+    t = 3
+    session = Session(seed=15, backend=backend)
+    parties = make_dolev_strong_instance(
+        session, [f"P{i}" for i in range(5)], "P0", t=t
+    )
+    env = Environment(session)
+    for party in parties.values():
+        party.arm(0)
+    parties["P0"].broadcast(b"diff-ds")
+    env.run_rounds(t + 2)
+    return session, {pid: party.outputs for pid, party in parties.items()}
+
+
 DRIVERS = {
+    "dolev-strong": _drive_dolev_strong,
     "sbc-hybrid": _drive_sbc_hybrid,
     "sbc-composed": _drive_sbc_composed,
     "tle-hybrid": _drive_tle,
@@ -135,6 +158,16 @@ def test_batched_matches_sequential_outputs(name, golden):
         compare_trace_digests(
             trace_digest(session.log), trace_digest(second_session.log)
         )
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_batched_full_trace_matches_sequential_golden(name, golden):
+    """``batched`` is the reference engine with the trace off: turning the
+    trace back on must reproduce the sequential golden digest."""
+    reference_digest, reference_outputs = golden[name]
+    session, outputs = DRIVERS[name](get_backend("batched").with_trace("full"))
+    assert compare_trace_digests(trace_digest(session.log), reference_digest)
+    assert outputs == reference_outputs
 
 
 def test_every_registered_backend_is_covered():

@@ -246,8 +246,6 @@ def test_plan_open_without_material_degrades_to_counted_sampling(store, monkeypa
 def test_online_requires_pool_bearing_material_and_warmup():
     with pytest.raises(ValueError, match="material"):
         SweepConfig(online=True)
-    with pytest.raises(ValueError, match="thread"):
-        SweepConfig(online=True, material="disk", executor="thread")
     with pytest.raises(ValueError, match="warmup"):
         SweepConfig(online=True, material="disk", warmup=False)
 

@@ -23,6 +23,7 @@ from repro.core import RepeatedSBC, build_sbc_stack, build_voting_stack
 from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
 from repro.runtime import (
     BatchScheduler,
+    SequentialRoundDriver,
     SessionPool,
     SweepConfig,
     available_backends,
@@ -213,22 +214,6 @@ def test_session_pool_matches_sequential_loop_digests():
     assert [r.digest for r in pooled.results] == [r.digest for r in baseline.results]
 
 
-def test_session_pool_thread_executor():
-    seeds = list(range(4))
-    pool = SessionPool(
-        n=3,
-        mode="hybrid",
-        config=SweepConfig(backend="pooled", executor="thread", workers=2),
-    )
-    report = pool.run(seeds)
-    inline = SessionPool(
-        n=3, mode="hybrid", config=SweepConfig(backend="pooled"),
-    ).run(seeds)
-    assert [r.digest for r in report.results] == [r.digest for r in inline.results]
-    # The report gives the resolved worker count, as the plan does.
-    assert report.workers == pool.plan(len(seeds)).workers
-
-
 def test_run_sbc_trial_is_self_contained():
     result = run_sbc_trial(17, n=3, mode="hybrid", backend="sequential")
     assert result.seed == 17
@@ -290,16 +275,17 @@ def test_backend_registry():
     backends = available_backends()
     assert {"sequential", "pooled", "batched"} <= set(backends)
     assert get_backend(None).name == "sequential"
-    # pooled is the reference driver under its SessionPool name.
-    assert get_backend("pooled").driver_cls.name == "sequential"
-    assert get_backend("batched").driver_cls.name == "batched"
+    # pooled and batched are spellings of the reference engine.
+    assert get_backend("pooled").driver_cls is SequentialRoundDriver
+    assert get_backend("batched").driver_cls is SequentialRoundDriver
+    assert get_backend("batched").trace == "light"
     assert get_backend(backends["batched"]) is backends["batched"]
     with pytest.raises(ValueError):
         get_backend("warp-drive")
 
 
 def test_scheduler_fifo_preserves_global_order():
-    scheduler = BatchScheduler(policy="fifo")
+    scheduler = BatchScheduler()
     scheduler.enqueue("net", "A", 1)
     scheduler.enqueue("net", "B", 2)
     scheduler.enqueue("net", "A", 3)
@@ -307,16 +293,6 @@ def test_scheduler_fifo_preserves_global_order():
     assert scheduler.drain("net") == [("A", 1), ("B", 2), ("A", 3)]
     assert scheduler.pending("net") == 0
     assert scheduler.drain("net") == []
-
-
-def test_scheduler_grouped_preserves_per_key_fifo():
-    scheduler = BatchScheduler(policy="grouped")
-    scheduler.enqueue("net", "A", 1)
-    scheduler.enqueue("net", "B", 2)
-    scheduler.enqueue("net", "A", 3)
-    assert scheduler.drain("net") == [("A", 1), ("A", 3), ("B", 2)]
-    with pytest.raises(ValueError):
-        BatchScheduler(policy="bogus")
 
 
 # ---------------------------------------------------------------------------

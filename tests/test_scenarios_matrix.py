@@ -11,7 +11,7 @@ stays in the default selection.
 
 import pytest
 
-from repro.runtime import SweepConfig, compare_trace_digests
+from repro.runtime import compare_trace_digests
 from repro.scenarios import (
     default_matrix,
     evaluate_scenario,
@@ -92,11 +92,3 @@ def test_matrix_seed_sensitivity():
         assert original.ok
         assert not compare_trace_digests(reseeded.digest, original.digest)
         assert baseline[spec.cell_id].digest == reseeded.digest  # deterministic
-
-
-def test_thread_executor_matches_inline():
-    specs = [spec for spec in SMOKE if spec.stack in ("ubc", "fbc")]
-    inline = run_matrix(specs, config=SweepConfig(executor="inline"))
-    threaded = run_matrix(specs, config=SweepConfig(executor="thread", workers=2))
-    assert [c.digest for c in inline.cells] == [c.digest for c in threaded.cells]
-    assert threaded.ok

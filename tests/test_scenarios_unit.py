@@ -104,7 +104,7 @@ def test_faulty_scheduler_drop_and_delay_and_reorder():
         name="chaos", net_drop_from=("P2",), net_delay_from=("P0",),
         net_reorder=True, net_reorder_seed=3,
     )
-    scheduler = FaultyScheduler(policy="fifo", plan=plan)
+    scheduler = FaultyScheduler(plan=plan)
     for sender in ("P0", "P1", "P2", "P3", "P1"):
         key, item = _net_item(sender)
         scheduler.enqueue("net", key, item)
@@ -115,7 +115,7 @@ def test_faulty_scheduler_drop_and_delay_and_reorder():
     assert senders[-1] == "P0"  # delayed to the batch tail
     assert sorted(senders) == ["P0", "P1", "P1", "P3"]  # nothing else lost
     # Deterministic: an identical scheduler produces the identical batch.
-    again = FaultyScheduler(policy="fifo", plan=plan)
+    again = FaultyScheduler(plan=plan)
     for sender in ("P0", "P1", "P2", "P3", "P1"):
         key, item = _net_item(sender)
         again.enqueue("net", key, item)
@@ -139,7 +139,6 @@ def test_fault_install_swaps_scheduler_only_when_needed():
     faulty = Session(seed=1)
     FaultPlan(net_reorder=True).install(faulty)
     assert isinstance(faulty.scheduler, FaultyScheduler)
-    assert faulty.scheduler.policy == faulty.backend.scheduler_policy
 
 
 # ---------------------------------------------------------------------------

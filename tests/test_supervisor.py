@@ -217,7 +217,7 @@ def test_supervision_kwargs_require_process_executor():
     with pytest.raises(ValueError, match="process"):
         SweepConfig(executor="inline", chaos="kill@1")
     with pytest.raises(ValueError, match="process"):
-        SweepConfig(executor="thread", retry=FAST_RETRY)
+        SweepConfig(executor="inline", retry=FAST_RETRY)
 
 
 def test_resume_requires_a_journal():

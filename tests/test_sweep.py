@@ -173,17 +173,6 @@ def test_recycle_bound_clamps_chunksize():
     assert plan.chunksize == 2  # plan() reports the same clamp
 
 
-def test_plan_thread_executor_reports_real_default_workers():
-    import os
-
-    plan = SessionPool(config=SweepConfig(executor="thread"), **PARAMS).plan(10)
-    assert plan.workers == min(32, (os.cpu_count() or 1) + 4)
-    explicit = SessionPool(
-        config=SweepConfig(executor="thread", workers=3), **PARAMS,
-    ).plan(10)
-    assert explicit.workers == 3
-
-
 def test_cli_sweep_rejects_empty_session_count(capsys):
     from repro.cli import main
 

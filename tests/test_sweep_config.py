@@ -29,23 +29,17 @@ from repro.runtime.supervisor import ChaosPlan, RetryPolicy
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"executor": "fork"}, "executor must be inline/thread/process"),
+        ({"executor": "fork"}, "executor must be inline/process"),
         ({"chunksize": 0}, "chunksize must be >= 1"),
         ({"max_tasks_per_child": 0}, "max_tasks_per_child must be >= 1"),
         ({"consume_forward": True}, "needs online=True"),
-        (
-            {"batch_verify": True, "executor": "thread"},
-            "not supported on the thread executor",
-        ),
+        ({"executor": "thread"}, "executor must be inline/process"),
         ({"retry": RetryPolicy(max_attempts=2)}, "executor='process'"),
         ({"journal": "sweep.jsonl"}, "executor='process'"),
         ({"resume": True, "executor": "process"}, "journal"),
         ({"trace": "loud"}, "trace must be one of"),
         ({"online": True, "executor": "process"}, "disk.*shared|pools"),
-        (
-            {"online": True, "material": "disk", "executor": "thread"},
-            "thread executor",
-        ),
+        ({"chaos": "kill@3"}, "executor='process'"),
         (
             {
                 "online": True,
@@ -56,7 +50,7 @@ from repro.runtime.supervisor import ChaosPlan, RetryPolicy
             "warmup=True",
         ),
         ({"workers": 0}, "workers must be >= 1"),
-        ({"workers": -2, "executor": "thread"}, "workers must be >= 1"),
+        ({"workers": -2, "executor": "process"}, "workers must be >= 1"),
     ],
 )
 def test_validation_fails_fast(kwargs, match):
@@ -136,7 +130,7 @@ def test_executor_choices_come_from_one_place():
     parser = argparse.ArgumentParser()
     add_sweep_options(parser)
     action = next(a for a in parser._actions if a.dest == "executor")
-    assert tuple(action.choices) == EXECUTORS
+    assert tuple(action.choices) == EXECUTORS == ("inline", "process")
 
 
 # ---------------------------------------------------------------------------
