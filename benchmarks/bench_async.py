@@ -5,8 +5,9 @@ concurrent coroutine sessions on a single event loop, with sessions
 finishing out of submission order (the interleaving evidence) and a
 ``sessions/sec`` headline recorded for the cross-PR trajectory; (ii) a
 hosted full-protocol voting service stays digest-equal to the
-synchronous reference trial, seed for seed — concurrency never touches
-the trace; (iii) with the preprocessing store attached, concurrently
+synchronous reference trial, seed for seed, and its sessions complete
+in admission order — each takes the loop's session turn oldest-first,
+and the hosting order never touches the trace; (iii) with the preprocessing store attached, concurrently
 hosted online sessions spend **disjoint** pool slices (zero
 double-spend, checked span-by-span via
 :func:`~repro.runtime.aio.online_ranges_disjoint`).
@@ -63,13 +64,15 @@ def test_e22_service_mode_concurrency(benchmark):
         assert bulk.interleaved > HOST_SESSIONS // 2
 
         # (ii) hosted full-protocol voting == the synchronous reference,
-        # digest for digest, while VOTING_SESSIONS of them interleave.
+        # digest for digest, with VOTING_SESSIONS of them admitted at
+        # once and served oldest-first.
         service = AsyncSessionHost(
             async_voting_session,
             config=SweepConfig(backend="async", executor="inline"),
         )
         voting = service.run(range(VOTING_SESSIONS))
         assert voting.sessions == VOTING_SESSIONS
+        assert voting.completion_order == list(range(VOTING_SESSIONS))
         for seed, result in zip(range(VOTING_SESSIONS), voting.results):
             reference = run_voting_trial(seed)
             assert result.digest == reference.digest, (

@@ -20,7 +20,8 @@ Every protocol command accepts ``--backend`` to pick the execution
 backend.  There is one engine: ``sequential`` is the reference, and
 ``pooled`` and ``batched`` are other spellings of it (``batched`` turns
 the trace off); ``async`` runs the same round and yields to the event
-loop between rounds, which is how ``serve`` interleaves sessions.  The
+loop between rounds, which keeps ``serve``'s loop responsive while it
+runs its sessions oldest-first.  The
 top-level ``--arith`` flag selects the big-integer arithmetic tier
 (``auto`` picks gmpy2 when installed; results are identical across
 tiers, only speed changes), and ``--batch-verify`` on the
@@ -147,8 +148,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     seeds = list(range(args.seed, args.seed + args.sessions))
-    report = pool.run(seeds)
-    rows = [report.summary()]
+    try:
+        report = pool.run(seeds)
+        rows = [report.summary()]
+    except ValueError as exc:
+        # Parameters only a session can check (Theorem 2's phi > delay)
+        # fail in the first trial: report them the way bad flags are.
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.compare:
         if args.batch_verify:
             # The baseline must batch too, or the verify.batch trace
@@ -341,8 +348,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    # Inline hosting interleaves coroutine sessions on the loop; the
-    # executor modes offload the picklable synchronous trial runners.
+    # Inline hosting runs coroutine sessions oldest-first on the loop;
+    # the executor modes offload the picklable synchronous trial runners.
     if args.workload == "voting":
         runner = async_voting_session if config.executor == "inline" else run_voting_trial
         params = dict(voters=args.n, mode=args.mode)

@@ -2,11 +2,12 @@
 
 The paper's synchrony is a global clock (Katz et al., TCC 2013): parties
 act inside a round and observe one another only when the clock advances.
-A host running many sessions therefore only needs to switch between them
-at round boundaries, and that is all the ``async`` backend does — its
-:class:`~repro.runtime.driver.AsyncRoundDriver` runs the sequential
-round body, then yields once to the loop.  Each session's trace stays
-byte-identical to ``sequential``; the differential suite enforces it.
+Each session is its own UC instance on its own clock, so the order in
+which a host advances different sessions never shows in any trace.  The
+``async`` backend's :class:`~repro.runtime.driver.AsyncRoundDriver`
+runs the sequential round body, then yields once to the loop.  Each
+session's trace stays byte-identical to ``sequential``; the
+differential suite enforces it.
 
 :class:`AsyncSessionHost` is the service-mode entry point (``repro
 serve``): it hosts N sessions concurrently — under the ``inline``
@@ -18,6 +19,14 @@ executor as sync trials offloaded to warmed process workers — and
 leases each session a disjoint online-pool slot through
 :class:`~repro.runtime.material.HostSlotAllocator`, so concurrent
 sessions can never double-spend preprocessed randomness.
+
+Inline protocol sessions run oldest-first: each takes its loop's one
+session turn and holds it until it returns, so a session finishes after
+its queue wait plus its own CPU time, not at the makespan of every
+session admitted with it.  Admission, other hosts and any other task on
+the loop still run at each of its round boundaries.  The one rule that
+follows: a session body must not await another async session on the
+same loop, which would wait forever for the turn its caller holds.
 
 The host writes no orchestration of its own: it resolves its online
 plan, worker count, process-worker warm-up (material published once in
@@ -31,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import inspect
+import math
 import time
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -102,9 +112,11 @@ class HostReport:
     executor: str
     wall_time_s: float
     results: List[Any] = field(default_factory=list)
-    #: Task indices in the order sessions *finished* — evidence of
-    #: interleaving (``results`` itself stays in submission order).
+    #: Task indices in the order sessions *finished* (``results`` itself
+    #: stays in submission order).
     completion_order: List[int] = field(default_factory=list)
+    #: Admission-to-completion seconds per session, in submission order.
+    latencies_s: List[float] = field(default_factory=list)
     #: Aggregate pool consumption for online hosts (None otherwise).
     online_spend: Optional[Dict[str, int]] = None
 
@@ -121,14 +133,22 @@ class HostReport:
     def interleaved(self) -> int:
         """Completions that finished out of submission order.
 
-        Zero means the sessions ran back-to-back (no concurrency
-        observed); coroutine hosts should report a large fraction.
+        Protocol sessions run oldest-first, so they report zero; a
+        nonzero count means short runners overtook long ones, which only
+        runners that never take the session turn (plain coroutines,
+        executor-offloaded trials) can do.
         """
         return sum(
             1
             for position, index in enumerate(self.completion_order)
             if index != position
         )
+
+    def latency_ms(self, percent: float) -> float:
+        """Nearest-rank percentile of the sessions' latencies, in ms."""
+        ranked = sorted(self.latencies_s)
+        rank = max(1, math.ceil(percent / 100 * len(ranked)))
+        return ranked[rank - 1] * 1000
 
     def summary(self) -> Dict[str, Any]:
         """Uniform record for benchmark JSON emission.
@@ -147,6 +167,9 @@ class HostReport:
             "sessions_per_s": round(self.sessions_per_s, 3),
             "interleaved": self.interleaved,
         }
+        # Wall-clock telemetry: reported, never part of a digest.
+        for percent in (50, 95, 99):
+            record[f"latency_p{percent}_ms"] = round(self.latency_ms(percent), 3)
         if self.online_spend is not None:
             record["online"] = True
             record.update(self.online_spend)
@@ -159,9 +182,12 @@ class AsyncSessionHost:
     Args:
         runner: Per-session workload, called as ``runner(seed,
             **kwargs)``.  A coroutine function (the default
-            :func:`async_voting_session`) runs inline on the host loop
-            and interleaves with every other session at each round
-            boundary; a plain function under ``executor="process"`` is
+            :func:`async_voting_session`) runs inline on the host loop;
+            protocol sessions take the loop's session turn oldest-first
+            and let the loop's other tasks run at each round boundary,
+            while a plain coroutine runs wherever it awaits.  It must
+            not await another async session on the same loop.  A plain
+            function under ``executor="process"`` is
             offloaded through ``run_in_executor`` to a warmed process
             pool (it must be picklable — the sweep trial runners
             qualify).
@@ -222,8 +248,6 @@ class AsyncSessionHost:
             for parameter in parameters.values()
         )
         self._accepted = frozenset(parameters)
-        #: Completion order of the most recent run (also on its report).
-        self.completion_order: List[int] = []
 
     def _accepts(self, name: str) -> bool:
         return self._accepts_any or name in self._accepted
@@ -263,7 +287,9 @@ class AsyncSessionHost:
         seed: Any,
         allocator: Optional[Any],
         executor: Optional[Any],
+        finished: List[Tuple[int, float]],
     ) -> Any:
+        admitted = time.perf_counter()
         lease = allocator.lease(seed) if allocator is not None else None
         kwargs = self._session_kwargs(lease)
         if executor is None:
@@ -271,7 +297,7 @@ class AsyncSessionHost:
                 result = await self.runner(seed, **kwargs)
             else:
                 # Synchronous runner inline: correct but blocks the loop
-                # per session (no interleaving) — mainly for testing.
+                # for the whole session — mainly for testing.
                 result = self.runner(seed, **kwargs)
         else:
             loop = asyncio.get_running_loop()
@@ -280,7 +306,7 @@ class AsyncSessionHost:
                 loop.run_in_executor(executor, bound),
                 timeout=self.session_timeout_s,
             )
-        self.completion_order.append(index)
+        finished.append((index, time.perf_counter() - admitted))
         return result
 
     async def serve(
@@ -291,9 +317,10 @@ class AsyncSessionHost:
         ``duration_s`` bounds *admission*: once the wall budget is
         spent, no further sessions start (already-admitted ones run to
         completion, each bounded by its own round budget or timeout).
-        Results come back in submission order regardless of completion
-        interleaving; the report's ``completion_order`` keeps the
-        finish sequence as concurrency evidence.
+        Results and latencies come back in submission order; the
+        report's ``completion_order`` keeps the finish sequence.  The
+        record of finished sessions is local to this call, so waves
+        served concurrently on one host each get their own report.
         """
         loop = asyncio.get_running_loop()
         seeds = list(seeds)
@@ -306,7 +333,7 @@ class AsyncSessionHost:
 
             allocator = HostSlotAllocator(plan)
         executor = self._make_executor(len(seeds))
-        self.completion_order = []
+        finished: List[Tuple[int, float]] = []
         started = time.perf_counter()
         tasks: List["asyncio.Task[Any]"] = []
         try:
@@ -318,11 +345,11 @@ class AsyncSessionHost:
                     break
                 tasks.append(
                     loop.create_task(
-                        self._session(index, seed, allocator, executor)
+                        self._session(index, seed, allocator, executor, finished)
                     )
                 )
                 if len(tasks) % self.admission_chunk == 0:
-                    # Yield so admitted sessions start interleaving
+                    # Yield so admitted sessions start making progress
                     # while the rest are still being created.
                     await asyncio.sleep(0)
             results = list(await asyncio.gather(*tasks)) if tasks else []
@@ -342,7 +369,8 @@ class AsyncSessionHost:
             executor=self.config.executor,
             wall_time_s=time.perf_counter() - started,
             results=results,
-            completion_order=list(self.completion_order),
+            completion_order=[index for index, _ in finished],
+            latencies_s=[latency for _, latency in sorted(finished)],
             online_spend=online_spend,
         )
 

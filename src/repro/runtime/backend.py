@@ -19,8 +19,8 @@ pooled     sequential   full    a spelling of ``sequential``, the name
 batched    sequential   light   a spelling of ``sequential`` with the
                                 trace off, for throughput sweeps
 async      async        full    the sequential round plus a yield at
-                                each round boundary, so sessions hosted
-                                on one event loop interleave
+                                each round boundary, so an event loop
+                                hosting sessions stays responsive
 ========== ============ ======= ==========================================
 
 Every backend drains the session's

@@ -213,8 +213,10 @@ class AsyncRoundDriver(SequentialRoundDriver):
     inside a running event loop or outside one alike.
     :meth:`run_round_async` runs the same body directly (not through
     :meth:`run_round`, so a round has one entry point) and then yields
-    once: sessions on one loop interleave round by round while each
-    trace stays digest-equal to ``sequential``.
+    once, so the loop's other tasks run between rounds while the trace
+    stays digest-equal to ``sequential``.  Hosted sessions do not take
+    turns here: a host's session keeps its loop's session turn across
+    these yields (:func:`~repro.runtime.pool._drive_async`).
     """
 
     name = "async"

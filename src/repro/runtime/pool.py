@@ -24,17 +24,20 @@ a :class:`Drive` request wherever it advances rounds and returns its
 :class:`TrialResult`.  The sync trial runners (:func:`run_sbc_trial`,
 :func:`run_voting_trial`) answer each request with the driver's blocking
 loop; their coroutine twins (:func:`async_sbc_session`,
-:func:`async_voting_session`) await it, so hosted sessions interleave at
-round boundaries.
+:func:`async_voting_session`) await it.  An event loop gives one such
+session its turn at a time, oldest first, and the loop's other tasks
+run at every round boundary.
 """
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import hashlib
 import os
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -259,9 +262,9 @@ class Drive(NamedTuple):
     async def run_async(self) -> int:
         """Answer by awaiting the rounds of an ``async`` driver.
 
-        That driver yields at every round boundary, so hosted sessions
-        interleave; any other driver runs its blocking loop — correct,
-        just not cooperative.
+        That driver yields at every round boundary, so the loop's other
+        tasks run between rounds; any other driver runs its blocking
+        loop — correct, just not cooperative.
         """
         driver = self.driver
         if not isinstance(driver, AsyncRoundDriver):
@@ -290,17 +293,49 @@ def _drive_sync(body: SessionBody) -> TrialResult:
         body.close()
 
 
+#: Each running event loop's session turn (see :func:`_drive_async`).
+#: The turn belongs to the loop, and session bodies reach it with no host
+#: object in hand, so it is keyed here, weakly: a closed loop's turn goes
+#: with it, and a fresh loop starts with a free one.
+_TURNS: "weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, asyncio.Lock]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _session_turn() -> asyncio.Lock:
+    """The running loop's session turn, made on the loop's first session."""
+    loop = asyncio.get_running_loop()
+    turn = _TURNS.get(loop)
+    if turn is None:
+        turn = _TURNS[loop] = asyncio.Lock()
+    return turn
+
+
 async def _drive_async(body: SessionBody) -> TrialResult:
-    """Run a session body, awaiting :meth:`Drive.run_async` per request."""
-    try:
-        request = next(body)
-        while True:
-            await request.run_async()
-            request = body.send(None)
-    except StopIteration as stop:
-        return stop.value
-    finally:
-        body.close()
+    """Run a session body, awaiting :meth:`Drive.run_async` per request.
+
+    The body holds its loop's session turn from its first step until it
+    returns, raises or is cancelled.  ``asyncio.Lock`` wakes waiters in
+    arrival order and lets no newcomer barge past them, so a loop's
+    sessions run oldest-first, one at a time: each finishes after its
+    queue wait plus its own CPU time, not at the makespan of everything
+    admitted with it.  Each session is its own UC instance on its own
+    clock, so the order never shows in a trace.  The driver still yields
+    at every round boundary, so admission and the loop's other tasks keep
+    running.  The one rule: a body must never await another async session
+    on the same loop, which would wait forever for the turn its caller
+    holds.
+    """
+    async with _session_turn():
+        try:
+            request = next(body)
+            while True:
+                await request.run_async()
+                request = body.send(None)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            body.close()
 
 
 def _trial_result(
@@ -475,8 +510,8 @@ async def async_sbc_session(
 
     Same body, same seed, same digest.  The randomness and batching
     seams are context-local (:mod:`contextvars`), so each hosted
-    session's ``spending`` cursor stays its own however sessions
-    interleave.
+    session's ``spending`` cursor stays its own whatever else runs on
+    the loop between its rounds.
     """
     return await _drive_async(
         _sbc_session(seed, n, mode, phi, delta, senders, backend, trace, online, batch)

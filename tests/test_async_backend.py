@@ -2,10 +2,11 @@
 
 The differential suite pins the ``async`` driver's digest contract;
 this module covers the service half: a thousand coroutine sessions
-interleaving on one loop, hosted sessions taking turns round by round,
-cancellation between rounds without leaking tasks, per-session
-online-pool leases that can never overlap, and the sync facades inside
-a running loop.
+interleaving on one loop, hosted protocol sessions running oldest-first
+while the loop stays responsive, the session turn surviving cancelled
+and failed sessions, cancellation between rounds without leaking tasks,
+per-session latency percentiles, per-session online-pool leases that
+can never overlap, and the sync facades inside a running loop.
 """
 
 import asyncio
@@ -18,6 +19,7 @@ from repro.core import build_voting_stack
 from repro.runtime import (
     AsyncRoundDriver,
     AsyncSessionHost,
+    HostReport,
     HostSlotAllocator,
     OnlinePlan,
     SweepConfig,
@@ -64,6 +66,31 @@ def test_host_runs_1000_concurrent_sessions():
     summary = report.summary()
     assert summary["sessions"] == 1000
     assert summary["sessions_per_s"] > 0
+
+
+def test_host_reports_latency_percentiles():
+    report = _toy_host().run(range(40))
+    # One admission-to-completion latency per session, in submission order.
+    assert len(report.latencies_s) == 40
+    assert all(latency > 0 for latency in report.latencies_s)
+    summary = report.summary()
+    assert 0 < summary["latency_p50_ms"] <= summary["latency_p95_ms"]
+    assert summary["latency_p95_ms"] <= summary["latency_p99_ms"]
+    assert summary["latency_p99_ms"] == round(max(report.latencies_s) * 1000, 3)
+
+
+def test_latency_percentiles_are_nearest_rank():
+    report = HostReport(
+        backend="async",
+        executor="inline",
+        wall_time_s=1.0,
+        results=list(range(100)),
+        latencies_s=[ms / 1000 for ms in range(100, 0, -1)],
+    )
+    summary = report.summary()
+    assert [summary[f"latency_p{percent}_ms"] for percent in (50, 95, 99)] == [50.0, 95.0, 99.0]
+    single = HostReport("async", "inline", 1.0, results=[0], latencies_s=[0.004])
+    assert [single.latency_ms(percent) for percent in (50, 95, 99)] == [4.0] * 3
 
 
 def test_duration_bounds_admission_not_completion():
@@ -127,7 +154,10 @@ def test_serve_attaches_store_material_once_per_process(tmp_path, monkeypatch):
         assert result.digest == run_voting_trial(seed).digest
 
 
-def test_hosted_sessions_interleave_round_by_round(monkeypatch):
+def _record_rounds(monkeypatch, fail=None):
+    """Log ``(session index, clock time)`` per async round, indexing
+    sessions by first appearance; ``fail=(index, time)`` makes that
+    round raise instead of running."""
     run_round_async = AsyncRoundDriver.run_round_async
     sessions = {}
     rounds_run = []
@@ -135,15 +165,125 @@ def test_hosted_sessions_interleave_round_by_round(monkeypatch):
     async def recording(driver, *args, **kwargs):
         index = sessions.setdefault(id(driver.session), len(sessions))
         rounds_run.append((index, driver.session.clock.time))
+        if (index, driver.session.clock.time) == fail:
+            raise RuntimeError("session failed mid-rounds")
         return await run_round_async(driver, *args, **kwargs)
 
     monkeypatch.setattr(AsyncRoundDriver, "run_round_async", recording)
+    return rounds_run
+
+
+def test_hosted_sessions_run_oldest_first(monkeypatch):
+    rounds_run = _record_rounds(monkeypatch)
     report = _async_host(async_voting_session).run(range(4))
     rounds = report.results[0].rounds
     assert rounds > 1
     assert [result.rounds for result in report.results] == [rounds] * 4
-    # One entry per round, and the four sessions take turns every round.
-    assert rounds_run == [(index, time) for time in range(rounds) for index in range(4)]
+    # One entry per round, session-major: each session holds the loop's
+    # turn from its first round to its last, in admission order.
+    assert rounds_run == [(index, time) for index in range(4) for time in range(rounds)]
+    assert report.completion_order == [0, 1, 2, 3]
+    assert report.interleaved == 0
+
+
+def test_loop_stays_responsive_between_a_sessions_rounds(monkeypatch):
+    ticks = 0
+    ticks_at_round = []
+    run_round_async = AsyncRoundDriver.run_round_async
+
+    async def recording(driver, *args, **kwargs):
+        ticks_at_round.append(ticks)
+        return await run_round_async(driver, *args, **kwargs)
+
+    monkeypatch.setattr(AsyncRoundDriver, "run_round_async", recording)
+
+    async def scenario():
+        nonlocal ticks
+        hosting = asyncio.get_running_loop().create_task(
+            _async_host(async_voting_session).serve(range(2))
+        )
+        while not hosting.done():
+            ticks += 1
+            await asyncio.sleep(0)
+        return await hosting
+
+    report = asyncio.run(scenario())
+    assert report.sessions == 2
+    # The side task ran between every pair of consecutive rounds.
+    assert len(ticks_at_round) > 2
+    assert all(later > earlier for earlier, later in zip(ticks_at_round, ticks_at_round[1:]))
+
+
+async def _hand_over(first, second, stop_first):
+    """Start two sessions on the running loop, let the first take the
+    turn and run some rounds, stop it with ``stop_first``, and return
+    the second's result."""
+    loop = asyncio.get_running_loop()
+    first_task = loop.create_task(first)
+    second_task = loop.create_task(second)
+    for _ in range(4):
+        await asyncio.sleep(0)
+    await stop_first(first_task)
+    # A turn the first session never gave back would hang the second.
+    return await asyncio.wait_for(second_task, timeout=60)
+
+
+def test_cancelled_session_hands_the_turn_on(monkeypatch):
+    rounds_run = _record_rounds(monkeypatch)
+
+    async def cancel(task):
+        # The first session is mid-rounds and holds the turn; the second
+        # has not run a round.
+        assert not task.done()
+        assert rounds_run and {index for index, _ in rounds_run} == {0}
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    result = asyncio.run(
+        _hand_over(async_voting_session(0), async_voting_session(1), cancel)
+    )
+    assert result.digest == run_voting_trial(1).digest
+
+
+def test_failed_session_hands_the_turn_on(monkeypatch):
+    _record_rounds(monkeypatch, fail=(0, 1))
+
+    async def expect_failure(task):
+        with pytest.raises(RuntimeError, match="mid-rounds"):
+            await task
+
+    result = asyncio.run(
+        _hand_over(async_voting_session(0), async_voting_session(1), expect_failure)
+    )
+    assert result.digest == run_voting_trial(1).digest
+
+
+def test_fresh_loop_after_a_cancelled_one_starts_clean():
+    async def start_two():
+        loop = asyncio.get_running_loop()
+        tasks = (
+            loop.create_task(async_voting_session(0)),
+            loop.create_task(async_voting_session(1)),
+        )
+        for _ in range(4):
+            await asyncio.sleep(0)
+        return tasks
+
+    loop = asyncio.new_event_loop()
+    try:
+        # Leave the loop with one session holding its turn, one waiting.
+        holder, waiter = loop.run_until_complete(start_two())
+        assert not holder.done() and not waiter.done()
+        for task in (holder, waiter):
+            task.cancel()
+        loop.run_until_complete(asyncio.gather(holder, waiter, return_exceptions=True))
+    finally:
+        loop.close()
+    # A new loop has its own turn: two contending sessions both finish.
+    report = _async_host(async_voting_session).run(range(2, 4))
+    for seed, result in zip(range(2, 4), report.results):
+        assert result.digest == run_voting_trial(seed).digest
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,28 @@ def test_unknown_executor_exits_2(command, capsys):
 def test_non_positive_size_flags_exit_2(argv, flag, capsys):
     assert main(argv) == 2
     assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--phi", "phi > delay"),
+        ("--delta", "delta > max"),
+    ],
+)
+def test_bench_theorem_2_bounds_exit_2(flag, message, capsys):
+    # The first trial refuses the parameters: one stderr line, no traceback.
+    assert main(["bench", "--sessions", "2", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_serve_json_reports_latency_percentiles(capsys):
+    import json
+
+    assert main(["serve", "--sessions", "3", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["interleaved"] == 0
+    assert 0 < record["latency_p50_ms"] <= record["latency_p95_ms"] <= record["latency_p99_ms"]
