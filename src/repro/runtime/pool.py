@@ -302,15 +302,6 @@ _TURNS: "weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, asyncio.Lock]" = (
 )
 
 
-def _session_turn() -> asyncio.Lock:
-    """The running loop's session turn, made on the loop's first session."""
-    loop = asyncio.get_running_loop()
-    turn = _TURNS.get(loop)
-    if turn is None:
-        turn = _TURNS[loop] = asyncio.Lock()
-    return turn
-
-
 async def _drive_async(body: SessionBody) -> TrialResult:
     """Run a session body, awaiting :meth:`Drive.run_async` per request.
 
@@ -326,7 +317,7 @@ async def _drive_async(body: SessionBody) -> TrialResult:
     on the same loop, which would wait forever for the turn its caller
     holds.
     """
-    async with _session_turn():
+    async with _TURNS.setdefault(asyncio.get_running_loop(), asyncio.Lock()):
         try:
             request = next(body)
             while True:
