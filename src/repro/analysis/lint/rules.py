@@ -334,7 +334,7 @@ class LockDisciplineRule(Rule):
 
     ``SchnorrGroup`` shares one instance across pool threads; its lazy
     fixed-base/encoding caches are guarded by ``_accel_lock`` (PR 6), and
-    the ``Replenisher``'s arming state by ``_lock`` (PR 7).  A mutation
+    ``HostSlotAllocator``'s lease table by ``_lock``.  A mutation
     outside the lock is a data race that presents as a once-a-month torn
     cache.  Constructors and unpickling hooks are exempt (no concurrent
     aliases exist yet).
@@ -343,8 +343,8 @@ class LockDisciplineRule(Rule):
     id = "RPR004"
     name = "lock-discipline"
     invariant = (
-        "registered guarded attributes (SchnorrGroup caches, Replenisher "
-        "arming state) mutate only inside their lock's with-block"
+        "registered guarded attributes (SchnorrGroup caches, "
+        "HostSlotAllocator leases) mutate only inside their lock's with-block"
     )
     paths = None
 
@@ -354,7 +354,7 @@ class LockDisciplineRule(Rule):
             {"_fb_state", "_encoding_cache", "_fb_calls", "_fb_bases"},
             "_accel_lock",
         ),
-        "Replenisher": ({"armed", "burn_nonces", "burn_feldman", "_seen_sums"}, "_lock"),
+        "HostSlotAllocator": ({"_slots", "_next_slot", "_warned_capacity"}, "_lock"),
     }
     EXEMPT_METHODS = {"__init__", "__post_init__", "__setstate__", "__new__"}
     MUTATORS = {"append", "add", "clear", "update", "pop", "popitem", "setdefault", "extend", "remove"}
@@ -419,7 +419,7 @@ class LockDisciplineRule(Rule):
 class WorkerDegradationRule(Rule):
     """RPR005 — degradation paths warn; nothing swallows blindly.
 
-    The runtime's contract (PR 4/5/7): every worker/attach/replenish
+    The runtime's contract (PR 4/5/7): every worker/attach/ledger
     failure degrades to a safe fallback *and says so* with a
     ``RuntimeWarning`` — a silent ``except: pass`` turns a mis-deployed
     material store into an unexplained 10x slowdown.  Bare ``except:``

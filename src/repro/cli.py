@@ -12,8 +12,7 @@ Usage::
     python -m repro.cli material  build --for-sweep 64
     python -m repro.cli sweep     --sessions 64 --material shared --adaptive
     python -m repro.cli sweep     --sessions 64 --workload voting --material shared --online --verify
-    python -m repro.cli sweep     --sessions 64 --material disk --online --consume-forward --replenish
-    python -m repro.cli material  replenish --nonces 256 --feldman 32
+    python -m repro.cli material  inspect
     python -m repro.cli serve     --sessions 256 --duration 30 --online --material disk
 
 Every protocol command accepts ``--backend`` to pick the execution
@@ -32,6 +31,11 @@ The execution knobs on ``bench``/``sweep``/``scenarios run``/``serve``
 are one shared flag set (:func:`repro.runtime.config.add_sweep_options`)
 feeding one :class:`repro.runtime.config.SweepConfig` — the same object
 the Python entry points take via ``config=``.
+
+Online mode is build, attach, spend, ledger: ``material build`` writes
+the pools, every online run spends its slices from index 0 of the blob
+it planned against, and ``material inspect`` shows the ledger's spend
+sums.  Rebuild the store to get fresh pools.
 """
 
 from __future__ import annotations
@@ -131,6 +135,27 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sbc_params_error(params: dict) -> Optional[str]:
+    """Build one SBC stack here; return the error a session would raise.
+
+    ΠSBC checks Theorem 2's timing conditions (phi > delay, delta >
+    leak advantage) when a session builds its stack.  Under the process
+    executor every trial would fail in a worker and be quarantined, so
+    the bad parameter would never be named; one stack built in this
+    process names it the way a bad flag is named.
+    """
+    from repro.core import build_sbc_stack
+
+    try:
+        build_sbc_stack(
+            n=params["n"], mode=params["mode"], phi=params["phi"],
+            delta=params["delta"],
+        )
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.runtime import SessionPool, SweepConfig, sequential_loop
 
@@ -141,6 +166,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = dict(
         n=args.n, mode=args.mode, phi=args.phi, delta=args.delta, senders=args.senders
     )
+    error = _sbc_params_error(params)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     try:
         config = SweepConfig.from_args(args, backend=args.backend)
         pool = SessionPool(config=config, **params)
@@ -152,8 +181,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         report = pool.run(seeds)
         rows = [report.summary()]
     except ValueError as exc:
-        # Parameters only a session can check (Theorem 2's phi > delay)
-        # fail in the first trial: report them the way bad flags are.
+        # An empty report (every trial quarantined) is reported the way
+        # bad flags are.
         print(str(exc), file=sys.stderr)
         return 2
     if args.compare:
@@ -225,6 +254,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             n=args.n, mode=args.mode, phi=args.phi, delta=args.delta,
             senders=args.senders,
         )
+        error = _sbc_params_error(params)
+        if error is not None:
+            print(error, file=sys.stderr)
+            return 2
     trace = args.trace
     if args.verify and trace != "full":
         if not args.json:
@@ -236,18 +269,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    replenisher = None
-    if args.replenish:
-        if not args.online:
-            print("--replenish reads the online spend ledger; it needs "
-                  "--online", file=sys.stderr)
-            return 2
-        from repro.runtime import Replenisher
-
-        # Poll before the sweep to pin the burn baseline; the poll after
-        # it sees the sweep's whole ledger delta.
-        replenisher = Replenisher()
-        replenisher.poll()
     seeds = list(range(args.seed, args.seed + args.sessions))
     plan = sweep.plan(len(seeds))
     if not args.json:
@@ -256,28 +277,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"sweep plan: {args.sessions} x {args.workload} ({args.mode})",
         ))
     try:
-        try:
-            if args.verify:
-                verdict = sweep.verify(seeds)
-            else:
-                report = sweep.run(seeds)
-        except (FileNotFoundError, ValueError) as exc:
-            # A missing/mismatched resume journal is an operator error,
-            # not a crash: report it the same way bad flags are.
-            print(str(exc), file=sys.stderr)
-            return 2
-    finally:
-        if replenisher is not None:
-            replenisher.poll()
-            if not args.json:
-                done = replenisher.replenishments
-                for record in done:
-                    print(f"replenished ({record['mode']}): "
-                          f"+{record['nonces_added']} nonces "
-                          f"+{record['feldman_added']} feldman -> pools "
-                          f"{record['pool_nonces']}/{record['pool_feldman']}")
-                if not done:
-                    print("replenisher: no watermark crossed")
+        if args.verify:
+            verdict = sweep.verify(seeds)
+        else:
+            report = sweep.run(seeds)
+    except (FileNotFoundError, ValueError) as exc:
+        # A missing/mismatched resume journal is an operator error,
+        # not a crash: report it the same way bad flags are.
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.verify:
         plan_summary = plan.summary(adaptivity=verdict.report.adaptivity)
         if args.json:
@@ -288,9 +296,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "reference": verdict.reference.summary(),
                     "speedup_vs_inline": round(verdict.speedup, 4),
                     "digests_match": verdict.matched,
-                    "replenishments": (
-                        replenisher.replenishments if replenisher else None
-                    ),
                 },
                 indent=2,
             ))
@@ -311,9 +316,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             {
                 "plan": plan.summary(adaptivity=report.adaptivity),
                 "report": report.summary(),
-                "replenishments": (
-                    replenisher.replenishments if replenisher else None
-                ),
             },
             indent=2,
         ))
@@ -499,7 +501,7 @@ def _cmd_material(args: argparse.Namespace) -> int:
 
     from repro.runtime import MaterialStore
 
-    if args.action in ("build", "replenish"):
+    if args.action == "build":
         for flag, value in (("--nonces", args.nonces), ("--feldman", args.feldman)):
             if value < 0:
                 print(f"{flag} must be >= 0", file=sys.stderr)
@@ -529,32 +531,6 @@ def _cmd_material(args: argparse.Namespace) -> int:
         rows = [material.summary() for material in built]
         print(format_table(rows, title=f"built {len(rows)} material sets -> {store.root}"))
         return 0
-    if args.action == "replenish":
-        # One-shot inline run of the replenisher: grow (or compact) the
-        # pools of every default parameter set with a cached blob.  The
-        # extend-vs-rebuild decision is the Replenisher's — extension
-        # preserves the fingerprint lineage and the spend ledger.
-        from repro.runtime import Replenisher
-        from repro.runtime.material import default_groups
-
-        rows = []
-        for group in default_groups():
-            replenisher = Replenisher(group=group, store=store)
-            record = replenisher.replenish(
-                nonces=args.nonces, feldman=args.feldman
-            )
-            if record is not None:
-                rows.append(record)
-        if args.json:
-            print(json.dumps(rows, indent=2))
-        elif not rows:
-            print(f"preprocessing store at {store.root} holds nothing to "
-                  "replenish (run 'repro material build')")
-        else:
-            print(format_table(
-                rows, title=f"replenished {len(rows)} material set(s)"
-            ))
-        return 0 if rows else 2
     if args.action == "inspect":
         records = store.inspect()
         if args.json:
@@ -682,13 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
              "digest equality (exit 1 on divergence)",
     )
     p.add_argument(
-        "--replenish", action="store_true",
-        help="poll the replenisher before and after the sweep: it reads "
-             "the spend ledger and extends the pools when remaining "
-             "capacity drops below the burn-rate watermark (requires "
-             "--online)",
-    )
-    p.add_argument(
         "--json", action="store_true",
         help="emit the resolved plan (with adaptivity trace) and report "
              "as JSON instead of tables",
@@ -728,18 +697,16 @@ def build_parser() -> argparse.ArgumentParser:
         "material",
         help="manage the preprocessing store (offline crypto material)",
     )
-    p.add_argument("action", choices=("build", "inspect", "clear", "replenish"))
+    p.add_argument("action", choices=("build", "inspect", "clear"))
     p.add_argument(
         "--dir", default=None,
         help="store directory (default: $REPRO_MATERIAL_DIR or "
              "~/.cache/repro-material)",
     )
     p.add_argument("--nonces", type=int, default=128,
-                   help="Schnorr nonce pairs (k, g^k) per parameter set "
-                        "(for 'replenish': how many to append)")
+                   help="Schnorr nonce pairs (k, g^k) per parameter set")
     p.add_argument("--feldman", type=int, default=16,
-                   help="Feldman-committed random polynomials per set "
-                        "(for 'replenish': how many to append)")
+                   help="Feldman-committed random polynomials per set")
     p.add_argument("--for-sweep", type=int, default=None, metavar="SESSIONS",
                    help="size the pools for an online sweep of this many "
                         "tasks (raises --nonces/--feldman to the sweep "

@@ -63,7 +63,6 @@ __all__ = [
     "NoncePair",
     "build_material",
     "deserialize_material",
-    "extend_material",
     "group_fingerprint",
     "serialize_material",
 ]
@@ -285,77 +284,6 @@ def build_material(
         nonces=tuple(nonce_pool),
         feldman=tuple(feldman_pool),
         built_with_seed=seed,
-    )
-
-
-def extend_material(
-    material: CryptoMaterial,
-    nonces: int = 0,
-    feldman: int = 0,
-    feldman_threshold: Optional[int] = None,
-) -> CryptoMaterial:
-    """Append freshly derived entries to the pools (the replenish phase).
-
-    The existing entries — and therefore every absolute pool index a
-    spend ledger or recorded :class:`~repro.runtime.material.OnlinePlan`
-    refers to — are preserved byte for byte: extension only appends, the
-    fingerprint is parameter-derived so the store filename is unchanged,
-    and ``built_with_seed`` stays the original offline seed, so the blob
-    lineage (seed + growing pools) remains one generation.  The appended
-    randomness is derived from a stream keyed on the *current* pool
-    lengths, so repeating the same extension from the same state is
-    deterministic, and no extension can ever replay an entry the original
-    build (or an earlier extension) already produced.
-
-    Raises:
-        ValueError: negative extension counts, or a ``feldman_threshold``
-            that disagrees with the existing entries (one pool, one
-            threshold — the serializer enforces it too).
-    """
-    if nonces < 0 or feldman < 0:
-        raise ValueError("extension counts must be >= 0")
-    existing_threshold = material.feldman[0].threshold if material.feldman else None
-    if feldman_threshold is None:
-        feldman_threshold = existing_threshold if existing_threshold is not None else 2
-    if existing_threshold is not None and feldman_threshold != existing_threshold:
-        raise ValueError(
-            f"existing feldman entries have threshold {existing_threshold}, "
-            f"cannot append threshold-{feldman_threshold} entries"
-        )
-    if not nonces and not feldman:
-        return material
-    scratch = SchnorrGroup(p=material.p, q=material.q, g=material.g)
-    # The material carries a validated table already; reuse it instead of
-    # paying a full fixed-base rebuild per replenishment.
-    scratch.install_fixed_base(material.fb_table, material.fb_window)
-    rng = random.Random(
-        f"repro-material|{material.fingerprint}|{material.built_with_seed}"
-        f"|extend|{len(material.nonces)}|{len(material.feldman)}"
-    )
-    nonce_pool = list(material.nonces)
-    for _ in range(nonces):
-        k = rng.randrange(1, material.q)
-        nonce_pool.append(NoncePair(k=k, r=scratch.power_of_g(k)))
-    feldman_pool = list(material.feldman)
-    for _ in range(feldman):
-        coefficients = tuple(
-            rng.randrange(material.q) for _ in range(feldman_threshold + 1)
-        )
-        feldman_pool.append(
-            FeldmanEntry(
-                coefficients=coefficients,
-                commitments=tuple(scratch.power_of_g(a) for a in coefficients),
-            )
-        )
-    return CryptoMaterial(
-        p=material.p,
-        q=material.q,
-        g=material.g,
-        fb_window=material.fb_window,
-        fb_table=material.fb_table,
-        nonces=tuple(nonce_pool),
-        feldman=tuple(feldman_pool),
-        built_with_seed=material.built_with_seed,
     )
 
 

@@ -68,18 +68,12 @@ from repro.runtime.material import (
     MaterialHandle,
     MaterialStore,
     OnlinePlan,
-    Replenisher,
     SpendLedger,
     attached_material,
-    ewma_burn_rate,
-    extend_or_rebuild,
     online_pool_requirement,
     publish_material,
-    replenish_amount,
-    replenish_decision,
     resolve_material_source,
     warm_with_material,
-    watermark_for,
 )
 from repro.runtime.pool import (
     ParallelSweep,
@@ -140,7 +134,6 @@ __all__ = [
     "POOLED",
     "ParallelSweep",
     "PoolReport",
-    "Replenisher",
     "RetryPolicy",
     "RoundDriver",
     "SEQUENTIAL",
@@ -165,15 +158,11 @@ __all__ = [
     "canonical_detail",
     "compare_trace_digests",
     "ensure_agreement",
-    "ewma_burn_rate",
-    "extend_or_rebuild",
     "get_backend",
     "online_pool_requirement",
     "online_ranges_disjoint",
     "publish_material",
     "record_online_spend",
-    "replenish_amount",
-    "replenish_decision",
     "reports_match",
     "resolve_material_source",
     "resolve_workers",
@@ -182,5 +171,4 @@ __all__ = [
     "sequential_loop",
     "trace_digest",
     "warm_with_material",
-    "watermark_for",
 ]

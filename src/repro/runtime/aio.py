@@ -194,8 +194,7 @@ class AsyncSessionHost:
         config: A :class:`~repro.runtime.config.SweepConfig`; the host
             reads ``backend`` (defaults to ``async``), ``executor``,
             ``workers``, ``warmup``, ``material``, ``material_groups``,
-            ``online``, ``consume_forward``, ``batch_verify`` and
-            ``trace``.
+            ``online``, ``batch_verify`` and ``trace``.
         session_timeout_s: Wall-clock bound on one executor-offloaded
             session (inline coroutine sessions are bounded by their
             round budgets instead).

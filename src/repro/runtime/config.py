@@ -68,9 +68,6 @@ class SweepConfig:
             explicit :class:`~repro.runtime.material.OnlinePlan` pins
             custom slot assignments.  Requires a pool-bearing
             ``material`` source and ``warmup``.
-        consume_forward: Offset the online plan by the persisted spend
-            ledger so successive sweeps spend disjoint pool slices.
-            Requires ``online``.
         batch_verify: Batch verification-heavy rounds through one
             random-linear-combination multi-exp per round.  ``True``
             uses the stock :class:`~repro.crypto.batch.BatchPolicy`;
@@ -101,7 +98,6 @@ class SweepConfig:
     material_groups: Optional[Sequence[Any]] = None
     adaptive: bool = False
     online: Any = False
-    consume_forward: bool = False
     batch_verify: Any = False
     retry: Optional[Any] = None
     deadline: Optional[Any] = None
@@ -132,12 +128,6 @@ class SweepConfig:
         if self.material_groups is not None:
             object.__setattr__(self, "material_groups", tuple(self.material_groups))
         object.__setattr__(self, "adaptive", bool(self.adaptive))
-        object.__setattr__(self, "consume_forward", bool(self.consume_forward))
-        if self.consume_forward and not self.online:
-            raise ValueError(
-                "consume_forward offsets the online plan by the spend "
-                "ledger; it needs online=True (or an explicit plan)"
-            )
         if isinstance(self.chaos, str):
             # Lazy import: supervisor imports the runtime at top level,
             # so the reverse edge must stay inside functions.
@@ -236,7 +226,6 @@ class SweepConfig:
             material=getattr(args, "material", None),
             adaptive=getattr(args, "adaptive", False),
             online=getattr(args, "online", False),
-            consume_forward=getattr(args, "consume_forward", False),
             batch_verify=getattr(args, "batch_verify", False),
             retry=retry,
             deadline=deadline,
@@ -296,15 +285,10 @@ def add_sweep_options(
         "--online", action="store_true",
         help="spend the preprocessed randomness pools inside trials "
              "(offline/online protocol mode; requires --material "
-             "disk or shared — see 'repro material build --for-sweep')",
-    )
-    parser.add_argument(
-        "--consume-forward", action="store_true",
-        help="offset the online plan by the persisted spend ledger "
-             "so successive runs spend disjoint pool slices (the "
-             "plan's range is reserved in the ledger up front); "
-             "without it, re-running --online re-spends from index 0 "
-             "and warns when the ledger shows prior spends",
+             "disk or shared — see 'repro material build --for-sweep'). "
+             "Each run spends its slices from index 0 of the store blob "
+             "it planned against; a trial that finds another blob, or "
+             "runs past its slice, samples instead (counted)",
     )
     parser.add_argument(
         "--batch-verify", action="store_true",

@@ -549,11 +549,10 @@ class PoolReport:
     #: Aggregate pool consumption for online-mode sweeps (None otherwise).
     online_spend: Optional[Dict[str, int]] = None
     #: The resolved :class:`~repro.runtime.material.OnlinePlan` the sweep
-    #: executed (None for offline sweeps).  Verification replays must
-    #: reuse this exact plan: re-planning a consume-forward sweep would
-    #: read the already-advanced ledger and reserve *different* slices,
-    #: so the replay would spend different absolute entries and the
-    #: digest check could never pass.  Not part of :meth:`summary`.
+    #: executed (None for offline sweeps).  Verification replays reuse
+    #: this exact plan, pinned blob included: a plan made afresh after a
+    #: rebuild would pin a different blob, and the replay would spend
+    #: different entries.  Not part of :meth:`summary`.
     online_plan: Optional[Any] = None
     #: Degradation counters from the supervised process fan-out
     #: (retries/respawns/quarantined + events; see
@@ -750,9 +749,6 @@ class SweepPlan:
     #: Whether trials spend the preprocessed randomness pools (online
     #: protocol mode; digests pinned separately from compute runs).
     online: bool = False
-    #: Whether the online plan is offset by the persisted spend ledger
-    #: (consume-forward mode: successive sweeps spend disjoint slices).
-    consume_forward: bool = False
     #: Whether trials batch verification rounds through random-linear-
     #: combination multi-exps (digest-pinned via ``verify.batch`` events
     #: when the policy records them).
@@ -781,8 +777,6 @@ class SweepPlan:
             material_source=config.material,
             adaptive=config.adaptive and config.executor == "process",
             online=bool(config.online),
-            consume_forward=config.consume_forward
-            or bool(getattr(config.online, "consume_forward", False)),
             batch_verify=config.batch_policy is not None,
         )
 
@@ -810,7 +804,6 @@ class SweepPlan:
             "material_source": self.material_source,
             "adaptive": self.adaptive,
             "online": self.online,
-            "consume_forward": self.consume_forward,
             "batch_verify": self.batch_verify,
         }
         if adaptivity is not None:
@@ -852,35 +845,23 @@ def resolve_online_plan(config: SweepConfig, tasks: Sequence[Any]) -> Optional[A
     from repro.crypto.groups import TEST_GROUP
 
     group = (config.material_groups or (TEST_GROUP,))[0]
-    return OnlinePlan.for_tasks(
-        list(tasks), group=group, consume_forward=config.consume_forward
-    )
+    return OnlinePlan.for_tasks(list(tasks), group=group)
 
 
-def _spend_totals(results: Sequence[Any]) -> Tuple[Dict[str, int], int, int]:
-    """Traffic sums plus observed reach over a set of trial results."""
+def _spend_totals(results: Sequence[Any]) -> Dict[str, int]:
+    """Traffic sums over a set of trial results' spend records."""
     totals = {
         "nonces_spent": 0,
         "feldman_spent": 0,
         "nonces_sampled": 0,
         "feldman_sampled": 0,
     }
-    nonce_reach = 0
-    feldman_reach = 0
     for result in results:
         record = getattr(result, "online", None)
         if record:
             for key in totals:
                 totals[key] += int(record.get(key, 0))
-            nonce_range = record.get("nonce_range") or (0, 0)
-            feldman_range = record.get("feldman_range") or (0, 0)
-            spent = int(record.get("nonces_spent", 0))
-            if spent:
-                nonce_reach = max(nonce_reach, int(nonce_range[0]) + spent)
-            spent = int(record.get("feldman_spent", 0))
-            if spent:
-                feldman_reach = max(feldman_reach, int(feldman_range[0]) + spent)
-    return totals, nonce_reach, feldman_reach
+    return totals
 
 
 def ledger_online_spend(
@@ -890,24 +871,14 @@ def ledger_online_spend(
 ) -> Dict[str, int]:
     """Sum per-trial spend records and ledger them against the store.
 
-    Besides the traffic sums, the ledger gets the *observed reach*: the
-    largest absolute pool index any trial actually consumed through (its
-    reserved range's start plus what it spent).  High marks merge by
-    ``max``, so for consume-forward runs this never exceeds the
-    reservation made at plan time, and for classic runs it records how
-    deep into the pool slot-0-based plans have actually reached — the
-    number ``inspect`` subtracts to report true remaining capacity.
-
     ``ledgered`` restricts what is *recorded* (not what is summed for the
     report): a resumed sweep reports totals over every trial, but only
     its freshly-executed trials may ledger spend — the journaled ones
     were ledgered by the run that executed them, and re-adding their
     traffic would double-count it.
     """
-    totals, nonce_reach, feldman_reach = _spend_totals(results)
-    recorded = totals
-    if ledgered is not None:
-        recorded, nonce_reach, feldman_reach = _spend_totals(ledgered)
+    totals = _spend_totals(results)
+    recorded = totals if ledgered is None else _spend_totals(ledgered)
     try:
         from repro.runtime.material import MaterialStore
 
@@ -915,17 +886,13 @@ def ledger_online_spend(
             plan.fingerprint,
             nonces=recorded["nonces_spent"],
             feldman=recorded["feldman_spent"],
-            nonce_high=nonce_reach,
-            feldman_high=feldman_reach,
-            material_seed=plan.material_seed,
         )
     except OSError as exc:
-        # Advisory bookkeeping must never fail a finished run — but a
-        # ledger that silently stops advancing breaks the next
-        # consume-forward run's disjointness, so say it degraded.
+        # Advisory bookkeeping must never fail a finished run — but the
+        # ledger's sums now undercount, so say it degraded.
         warnings.warn(
             f"could not record online spend in the material ledger ({exc}); "
-            "the next consume-forward run may re-spend these pool slices",
+            "its spend sums will undercount this run",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -1143,7 +1110,6 @@ class SessionPool:
             "backend": self._backend.name,
             "trace": config.trace,
             "online": bool(config.online),
-            "consume_forward": config.consume_forward,
             "batch_verify": config.batch_policy is not None,
             "kwargs_digest": hashlib.sha256(
                 canonical_detail(self.runner_kwargs).encode()
@@ -1157,10 +1123,9 @@ class SessionPool:
         """Open/resume the sweep journal; resolve the online plan.
 
         Returns ``(journal, resumed_results, online_plan)``.  On resume
-        the journaled plan is reconstructed and replayed verbatim —
-        re-planning would re-read the ledger the original run already
-        advanced (and re-reserve a consume-forward range), a
-        double-spend.
+        the journaled plan is reconstructed and replayed verbatim, so
+        the resumed trials spend the slices of the blob the journaled
+        ones spent; a store rebuilt in between makes them sample.
         """
         config = self.config
         if config.journal is None:
@@ -1298,9 +1263,6 @@ class SessionPool:
         run published) and replays the report's resolved
         :class:`~repro.runtime.material.OnlinePlan` verbatim — which is
         how pool-consuming process runs stay seed-for-seed verifiable.
-        Re-planning here would re-read the spend ledger, which a
-        consume-forward run has already advanced, and the replay would
-        land on different absolute slices than the recorded run.
         """
         from repro.runtime.material import MATERIAL_DISK
 

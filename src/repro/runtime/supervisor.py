@@ -29,9 +29,9 @@ dispatch and a bounded wait per chunk, so worker failure becomes a
   (tasks, results, record digest) to an append-only JSONL sidecar with
   the same mkstemp+fsync+rename discipline as the spend ledger, so a
   killed sweep resumes (``repro sweep --resume``) without re-running
-  finished work — and, composed with the consume-forward
+  finished work — and, replaying the
   :class:`~repro.runtime.material.OnlinePlan` recorded in the header,
-  without double-spending material.
+  without spending pool slices the journaled trials did not.
 * **Chaos** — :class:`ChaosPlan` injects worker faults (in-worker
   SIGKILL at task *k*, an exception, a hang) for tests/CI.  Faults fire
   on the first ``repeat`` dispatches of a task only, so every chaos run
@@ -736,22 +736,19 @@ def plan_to_record(plan: Any) -> Dict[str, Any]:
         "assignments": [[task, slot] for task, slot in plan.assignments],
         "nonces_per_task": plan.nonces_per_task,
         "feldman_per_task": plan.feldman_per_task,
-        "material_seed": plan.material_seed,
+        "blob_sha256": plan.blob_sha256,
         "pool_nonces": plan.pool_nonces,
         "pool_feldman": plan.pool_feldman,
-        "nonce_offset": plan.nonce_offset,
-        "feldman_offset": plan.feldman_offset,
-        "consume_forward": plan.consume_forward,
     }
 
 
 def plan_from_record(record: Dict[str, Any]) -> Any:
     """Reconstruct the journaled plan — resume must replay it *verbatim*.
 
-    Re-planning on resume would re-read the spend ledger the original
-    run already advanced (and, consume-forward, reserve a fresh range):
-    the resumed trials would spend different absolute pool entries than
-    the journaled ones and the run could never be digest-checked.
+    Re-planning on resume would pin whatever blob the store holds now:
+    after a rebuild, the resumed trials would spend different pool
+    entries than the journaled ones and the run could never be
+    digest-checked.
     """
     from repro.runtime.material import OnlinePlan
 
@@ -760,12 +757,9 @@ def plan_from_record(record: Dict[str, Any]) -> Any:
         assignments=tuple((task, slot) for task, slot in record["assignments"]),
         nonces_per_task=record["nonces_per_task"],
         feldman_per_task=record["feldman_per_task"],
-        material_seed=record["material_seed"],
+        blob_sha256=record["blob_sha256"],
         pool_nonces=record["pool_nonces"],
         pool_feldman=record["pool_feldman"],
-        nonce_offset=record["nonce_offset"],
-        feldman_offset=record["feldman_offset"],
-        consume_forward=record["consume_forward"],
     )
 
 

@@ -603,8 +603,7 @@ def run_matrix(
     :class:`~repro.runtime.material.OnlinePlan` whose backend-variant
     replays of one execution share a pool slot (see
     :func:`online_slots_for`) — so the cross-backend digest check holds
-    in online mode.  ``consume_forward`` offsets that plan by the
-    persisted spend ledger; ``chaos``/``retry``/``deadline``/``journal``
+    in online mode.  ``chaos``/``retry``/``deadline``/``journal``
     /``resume`` configure the supervised process fan-out exactly as in
     :class:`~repro.runtime.pool.SessionPool`.
     """
@@ -616,13 +615,9 @@ def run_matrix(
         from repro.runtime.material import OnlinePlan
 
         online_plan = OnlinePlan.for_tasks(
-            range(len(specs)),
-            slots=online_slots_for(specs),
-            consume_forward=config.consume_forward,
+            range(len(specs)), slots=online_slots_for(specs)
         )
-    config = config.replace(
-        backend="sequential", online=online_plan, consume_forward=False
-    )
+    config = config.replace(backend="sequential", online=online_plan)
     pool = SessionPool(run_scenario_trial, config=config, specs=specs)
     report = pool.run(range(len(specs)))
     return MatrixReport(

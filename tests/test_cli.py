@@ -163,6 +163,40 @@ def test_bench_theorem_2_bounds_exit_2(flag, message, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sessions", "2", "--workers", "2", "--phi", "-1"],
+        ["bench", "--sessions", "2", "--executor", "process", "--workers", "2",
+         "--phi", "0"],
+    ],
+    ids=["sweep", "bench-process"],
+)
+def test_process_executor_names_theorem_2_bound(argv, capsys):
+    # A worker would quarantine every trial; the parent names the bound.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "Theorem 2 requires phi > delay of FTLE"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sessions", "2", "--online", "--material", "disk",
+         "--consume-forward"],
+        ["sweep", "--sessions", "2", "--replenish"],
+        ["material", "replenish"],
+    ],
+    ids=["consume-forward", "replenish", "material-replenish"],
+)
+def test_pool_lifecycle_flags_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_serve_json_reports_latency_percentiles(capsys):
     import json
 

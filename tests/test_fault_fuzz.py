@@ -191,7 +191,6 @@ def test_fuzzed_pool_exhaustion_degrades_to_sampling_and_verifies(
                     voters=3,
                     config=SweepConfig(
                         executor="inline", material="disk", online=True,
-                        consume_forward=True,
                     ),
                 ).verify(range(tasks))
             assert verdict.matched
@@ -200,12 +199,14 @@ def test_fuzzed_pool_exhaustion_degrades_to_sampling_and_verifies(
             assert spend["feldman_spent"] <= feldman
             # Demand is conserved: every draw either spent or sampled.
             demand = spend["nonces_spent"] + spend["nonces_sampled"]
-            assert demand > 0  # ballots always need nonces
-            # The ledger's high mark never exceeds the built pool.
+            assert demand == 3 * tasks  # one ballot nonce per voter
+            # The ledger's sums hold exactly the run's and the inline
+            # reference's spends.
             ledger = store.ledger(verdict.report.online_plan.fingerprint)
             assert ledger.ok
-            assert ledger.nonce_high <= nonces
-            assert ledger.feldman_high <= feldman
+            assert ledger.nonces_spent == (
+                spend["nonces_spent"] + verdict.reference.online_spend["nonces_spent"]
+            )
         finally:
             if previous is None:
                 os.environ.pop("REPRO_MATERIAL_DIR", None)

@@ -272,17 +272,20 @@ def test_rpr004_flags_unlocked_registered_base_insert():
     assert "_fb_bases" in findings[0].message
 
 
-def test_rpr004_flags_replenisher_registry():
+def test_rpr004_flags_slot_allocator_leases():
     findings, _ = findings_for(
         """
-        class Replenisher:
-            def disarm(self):
-                self.armed = False
+        class HostSlotAllocator:
+            def lease(self, key):
+                slot = self._next_slot
+                self._next_slot += 1
+                self._slots[key] = slot
+                return slot
         """,
         "runtime/material.py",
     )
-    assert rule_ids(findings) == ["RPR004"]
-    assert "_lock" in findings[0].message
+    assert rule_ids(findings) == ["RPR004", "RPR004"]
+    assert all("_lock" in finding.message for finding in findings)
 
 
 def test_rpr004_negative_under_lock_and_in_init():

@@ -10,10 +10,10 @@ The store's contract, end to end:
 * every corruption (truncated, garbage, bit-flipped) degrades to
   compute with a warning — it never crashes a worker, and never changes
   results;
-* the spend-ledger sidecar inherits the same posture: a truncated,
-  garbage or stale sidecar degrades consume-forward planning to
-  conservative sampling with a warning, never a crashed worker, and
-  sweeps stay ``--verify``-clean throughout.
+* the spend-ledger sidecar inherits the same posture: a truncated or
+  garbage sidecar reads as zeros and is replaced by the next record,
+  never a crashed worker, and sweeps stay ``--verify``-clean
+  throughout.
 """
 
 import json
@@ -30,7 +30,6 @@ from repro.crypto.preprocessing import (
     MaterialIntegrityError,
     build_material,
     deserialize_material,
-    extend_material,
     group_fingerprint,
     serialize_material,
 )
@@ -43,7 +42,6 @@ from repro.runtime.material import (
     MaterialRef,
     MaterialStore,
     OnlinePlan,
-    Replenisher,
     attached_material,
     publish_material,
     resolve_material_source,
@@ -126,47 +124,6 @@ def test_attach_refuses_foreign_parameters():
     material = build_material(TEST_GROUP, nonces=0, feldman=0)
     with pytest.raises(MaterialError, match="does not match"):
         material.attach(GROUP_2048)
-
-
-def test_extend_material_appends_without_touching_the_prefix():
-    base = build_material(TEST_GROUP, nonces=6, feldman=3, seed=7)
-    grown = extend_material(base, nonces=4, feldman=2)
-    assert grown.fingerprint == base.fingerprint
-    assert grown.built_with_seed == base.built_with_seed
-    assert grown.fb_table == base.fb_table
-    # Append-only: the original draws survive byte-for-byte, so every
-    # in-flight plan keeps verifying against the same prefix.
-    assert grown.nonces[:6] == base.nonces
-    assert grown.feldman[:3] == base.feldman
-    assert len(grown.nonces) == 10 and len(grown.feldman) == 5
-    # The appended entries are real: nonce pairs satisfy r = g^k and
-    # Feldman rows verify against their own commitments.
-    for pair in grown.nonces[6:]:
-        assert pow(TEST_GROUP.g, pair.k, TEST_GROUP.p) == pair.r
-    for entry in grown.feldman[3:]:
-        share = Share(x=1, y=_evaluate(entry.coefficients, 1, TEST_GROUP.q))
-        assert feldman_verify(TEST_GROUP, share, entry.commitment)
-
-
-def test_extend_material_is_deterministic_and_composable():
-    base = build_material(TEST_GROUP, nonces=4, feldman=2, seed=3)
-    once = extend_material(base, nonces=6, feldman=2)
-    again = extend_material(base, nonces=6, feldman=2)
-    assert serialize_material(once) == serialize_material(again)
-    # Two small extensions and one big one diverge (the stream is keyed
-    # on current pool sizes), but both stay prefix-compatible.
-    stepped = extend_material(extend_material(base, nonces=3), nonces=3)
-    assert stepped.nonces[:4] == base.nonces
-    assert len(stepped.nonces) == 10
-
-
-def test_extend_material_validates_inputs():
-    base = build_material(TEST_GROUP, nonces=2, feldman=1, feldman_threshold=2)
-    assert extend_material(base) is base  # 0/0 is a no-op
-    with pytest.raises(ValueError, match=">= 0"):
-        extend_material(base, nonces=-1)
-    with pytest.raises(ValueError, match="threshold"):
-        extend_material(base, feldman=1, feldman_threshold=3)
 
 
 @pytest.mark.parametrize(
@@ -306,18 +263,6 @@ def test_rebuilt_store_is_reattached_and_spent_from(store, deserialized):
     assert cursor.spend_summary()["nonces_spent"] == 1
 
 
-def test_replenished_store_is_reattached_with_longer_pools(store, deserialized):
-    store.build([TEST_GROUP], nonces=4, feldman=1)
-    warm_with_material("disk", store=store)
-    record = Replenisher(store=store).replenish(nonces=6, feldman=1)
-    assert record["mode"] == "extend"
-    reads = len(deserialized)  # the replenisher read the blob it grew
-    warm_with_material("disk", store=store)
-    assert len(deserialized) == reads + 1
-    attached = attached_material(group_fingerprint(TEST_GROUP))
-    assert (len(attached.nonces), len(attached.feldman)) == (10, 2)
-
-
 @pytest.mark.parametrize("kind", ["truncated", "garbage"])
 def test_store_corrupted_after_attach_is_repaired(store, deserialized, kind):
     """A file corrupted after this process attached it takes the store's
@@ -438,7 +383,7 @@ def _mangle_sidecar(path: pathlib.Path, kind: str) -> None:
 def test_ledger_parses_missing_corrupt_and_legacy_sidecars(store):
     fingerprint = group_fingerprint(TEST_GROUP)
     clean = store.ledger(fingerprint)
-    assert clean.ok and clean.nonces_spent == 0 and clean.nonce_high == 0
+    assert clean.ok and clean.nonces_spent == 0 and clean.feldman_spent == 0
 
     path = _sidecar_for(store, fingerprint)
     for kind in ("truncated", "garbage", "negative", "non-object"):
@@ -446,16 +391,20 @@ def test_ledger_parses_missing_corrupt_and_legacy_sidecars(store):
         ledger = store.ledger(fingerprint)
         assert not ledger.ok, kind
         assert "corrupt" in ledger.note, kind
-        # The flat-dict view reads corrupt as zeros (back-compat), but
-        # never invents spends.
+        # The flat-dict view reads corrupt as zeros, but never invents
+        # spends.
         assert store.spent(fingerprint)["nonces_spent"] == 0
 
-    # Pre-consume-forward sidecars carry only the sums; the high marks
-    # are inferred from them (legacy sweeps spent contiguous prefixes).
-    path.write_text(json.dumps({"nonces_spent": 5, "feldman_spent": 2}))
+    # Sidecars written before the ledger held only sums also carry high
+    # marks and a build seed; the sums still parse, the rest is ignored.
+    path.write_text(json.dumps(
+        {"nonces_spent": 5, "feldman_spent": 2, "nonce_high": 9,
+         "feldman_high": 4, "material_seed": 0}
+    ))
     legacy = store.ledger(fingerprint)
     assert legacy.ok
-    assert legacy.nonce_high == 5 and legacy.feldman_high == 2
+    assert (legacy.nonces_spent, legacy.feldman_spent) == (5, 2)
+    assert store.spent(fingerprint) == {"nonces_spent": 5, "feldman_spent": 2}
 
 
 def test_record_spend_self_heals_a_corrupt_sidecar(store):
@@ -463,95 +412,47 @@ def test_record_spend_self_heals_a_corrupt_sidecar(store):
     path = _sidecar_for(store, fingerprint)
     _mangle_sidecar(path, "garbage")
     assert not store.ledger(fingerprint).ok
-    store.record_spend(fingerprint, nonces=4, nonce_high=16, material_seed=0)
+    store.record_spend(fingerprint, nonces=4, feldman=1)
     healed = store.ledger(fingerprint)
     assert healed.ok
     # Replaced wholesale: the unparseable numbers are gone, not merged.
-    assert healed.nonces_spent == 4 and healed.nonce_high == 16
-    assert healed.material_seed == 0
-
-
-def test_record_spend_replaces_a_stale_seed_ledger_wholesale(store):
-    fingerprint = group_fingerprint(TEST_GROUP)
-    store.record_spend(fingerprint, nonces=50, nonce_high=50, material_seed=7)
-    # A record against a different build seed drops the old counters:
-    # they index into pools that no longer exist.
-    store.record_spend(fingerprint, nonces=3, nonce_high=8, material_seed=8)
-    ledger = store.ledger(fingerprint)
-    assert ledger.nonces_spent == 3 and ledger.nonce_high == 8
-    assert ledger.material_seed == 8
+    assert (healed.nonces_spent, healed.feldman_spent) == (4, 1)
 
 
 @pytest.mark.parametrize("kind", ["truncated", "garbage"])
-def test_corrupt_sidecar_degrades_to_sampling_and_still_verifies(store, kind):
-    """Consume-forward planning over an unreadable ledger must assume the
-    whole pool is spent: every draw samples (counted, warned), no slice is
-    re-spent, and the sweep still passes seed-for-seed ``--verify``."""
+def test_corrupt_sidecar_never_changes_what_an_online_sweep_spends(store, kind):
+    """The ledger counts traffic and plans never read it: an online
+    sweep over an unreadable sidecar spends its slices from index 0,
+    passes seed-for-seed ``--verify``, and its record heals the
+    sidecar."""
     store.build([TEST_GROUP], nonces=32, feldman=8)
-    _mangle_sidecar(_sidecar_for(store, group_fingerprint(TEST_GROUP)), kind)
-    sweep = SessionPool(
-        config=SweepConfig(
-            executor="inline", material="disk", online=True, consume_forward=True,
-        ),
+    fingerprint = group_fingerprint(TEST_GROUP)
+    _mangle_sidecar(_sidecar_for(store, fingerprint), kind)
+    verdict = SessionPool(
+        config=SweepConfig(executor="inline", material="disk", online=True),
         **VOTING,
-    )
-    with pytest.warns(RuntimeWarning, match="unusable"):
-        verdict = sweep.verify(range(2))
+    ).verify(range(2))
     assert verdict.matched
     spend = verdict.report.online_spend
-    assert spend["nonces_spent"] == 0
-    assert spend["nonces_sampled"] > 0
-
-
-def test_stale_seed_sidecar_degrades_to_sampling_and_still_verifies(store):
-    """A ledger recorded against a different build seed is as untrustworthy
-    as a corrupt one: conservative sampling, warning, verify still holds."""
-    store.build([TEST_GROUP], nonces=32, feldman=8)
-    store.record_spend(
-        group_fingerprint(TEST_GROUP), nonces=4, nonce_high=4, material_seed=99
-    )
-    sweep = SessionPool(
-        config=SweepConfig(
-            executor="inline", material="disk", online=True, consume_forward=True,
-        ),
-        **VOTING,
-    )
-    with pytest.warns(RuntimeWarning, match="stale"):
-        verdict = sweep.verify(range(2))
-    assert verdict.matched
-    spend = verdict.report.online_spend
-    assert spend["nonces_spent"] == 0
-    assert spend["nonces_sampled"] > 0
-
-
-def test_crash_between_reserve_and_run_never_double_spends(store):
-    """Consume-forward reserves the plan's slices at *plan* time, so a
-    worker crashing before any trial records a spend still leaves the
-    slices marked: the next plan takes fresh ones."""
-    store.build([TEST_GROUP], nonces=64, feldman=16)
-    crashed = OnlinePlan.for_tasks([0, 1], store=store, consume_forward=True)
-    # The crashed sweep never runs; its reservation is already durable.
-    resumed = OnlinePlan.for_tasks([0, 1], store=store, consume_forward=True)
-    assert resumed.nonce_offset >= crashed.nonce_offset + crashed.required_pools()["nonces"]
-    first, _ = crashed.ranges_for(0)
-    second, _ = resumed.ranges_for(0)
-    assert first[1] <= second[0], "resumed plan re-spends the crashed slice"
+    assert spend["nonces_spent"] == 6 and spend["nonces_sampled"] == 0
+    ledger = store.ledger(fingerprint)
+    assert ledger.ok
+    # The run and its inline reference both recorded their traffic.
+    assert ledger.nonces_spent == 2 * spend["nonces_spent"]
 
 
 def test_concurrent_ledger_writers_never_tear_the_sidecar(store):
     """record_spend holds an advisory file lock across its
     read-merge-write cycle, so racing writers lose nothing: sums add up
-    exactly, highs max-merge exactly — and the sidecar always parses
-    afterwards: no torn files, no leftover temp files."""
+    exactly — and the sidecar always parses afterwards: no torn files,
+    no leftover temp files."""
     fingerprint = group_fingerprint(TEST_GROUP)
     start = threading.Barrier(8)
 
     def writer(index: int) -> None:
         start.wait()
         for _ in range(10):
-            store.record_spend(
-                fingerprint, nonces=1, nonce_high=index + 1, material_seed=0
-            )
+            store.record_spend(fingerprint, nonces=1, feldman=index % 2)
 
     threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
     for thread in threads:
@@ -560,8 +461,8 @@ def test_concurrent_ledger_writers_never_tear_the_sidecar(store):
         thread.join()
     ledger = store.ledger(fingerprint)
     assert ledger.ok, ledger.note
-    assert ledger.nonce_high == 8  # max of all writers, never lost
     assert ledger.nonces_spent == 80  # every increment survives the race
+    assert ledger.feldman_spent == 40
     assert not list(store.root.glob("*.tmp"))
 
 

@@ -11,8 +11,10 @@ The offline/online contract, end to end:
 * pool-consuming runs are digest-pinned separately from per-call runs
   (the spend lands in the trace) yet seed-for-seed reproducible and
   ``--verify``-able across process boundaries;
-* the store ledgers consumption so ``repro material inspect`` reports
-  remaining capacity, and flags misnamed blobs with a non-zero exit.
+* a plan pins the exact store blob it was made against, so a rebuilt
+  store is sampled, never spent;
+* the store ledgers consumption sums so ``repro material inspect``
+  reports them, and flags misnamed blobs with a non-zero exit.
 """
 
 import random
@@ -430,7 +432,7 @@ def test_matrix_online_run_keeps_cross_backend_digests(store):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_ledgers_consumption_and_inspect_reports_remaining(store):
+def test_sweep_ledgers_consumption_and_inspect_reports_it(store):
     store.build([TEST_GROUP], nonces=64, feldman=16)
     SessionPool(
         config=SweepConfig(executor="inline", material="disk", online=True), **VOTING,
@@ -441,11 +443,8 @@ def test_sweep_ledgers_consumption_and_inspect_reports_remaining(store):
     record = records[group_fingerprint(TEST_GROUP)]
     assert record["nonces"] == 64
     assert record["nonces_spent"] == 6
-    # Remaining capacity is high-water based: two voting trials occupy
-    # slots 0 and 1 (8 nonces each) and spend 3 nonces inside each, so
-    # the highest touched index is 8 + 3 = 11.
-    assert record["nonces_remaining"] == 64 - 11
-    assert record["feldman_remaining"] == 16
+    assert record["feldman_spent"] == 0
+    assert "nonces_remaining" not in record
 
 
 def test_inspect_flags_misnamed_blob_as_integrity_failure(store):
@@ -461,135 +460,54 @@ def test_inspect_flags_misnamed_blob_as_integrity_failure(store):
 
 
 # ---------------------------------------------------------------------------
-# Consume-forward: successive sweeps spend disjoint slices
+# Blob pinning: a plan spends only the blob it was made against
 # ---------------------------------------------------------------------------
 
 
-def test_consume_forward_requires_online():
-    with pytest.raises(ValueError, match="consume_forward"):
-        SweepConfig(consume_forward=True)
+def test_same_seed_rebuild_is_sampled_never_spent(store, monkeypatch):
+    """A rebuild under the same seed keeps the nonce prefix but redraws
+    every Feldman entry (the build draws them after the nonces from one
+    stream).  A plan made before the rebuild must not spend the new
+    blob: with the registry cleared, its cursor samples, counted."""
+    store.build([TEST_GROUP], nonces=24, feldman=8, seed=0)
+    planned = store.load(TEST_GROUP)
+    plan = OnlinePlan.for_tasks([0], store=store)
+    rebuilt = store.build([TEST_GROUP], nonces=32, feldman=8, seed=0)[0]
+    assert rebuilt.nonces[:24] == planned.nonces
+    assert all(
+        new.coefficients != old.coefficients
+        for new, old in zip(rebuilt.feldman, planned.feldman)
+    )
+    monkeypatch.setattr("repro.runtime.material._ATTACHED", {})
+    rng = random.Random(7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cursor = plan.open(0)
+        with spending(cursor):
+            _, commitment = feldman_share(TEST_GROUP, 42, 2, 5, rng)
+            schnorr_sign(schnorr_keygen(random.Random(1)), b"m", rng)
+    rebuilt_tails = {entry.commitments[1:] for entry in rebuilt.feldman}
+    assert commitment.commitments[1:] not in rebuilt_tails
+    summary = cursor.spend_summary()
+    assert (summary["feldman_spent"], summary["feldman_sampled"]) == (0, 1)
+    assert (summary["nonces_spent"], summary["nonces_sampled"]) == (0, 1)
+    assert any("unavailable or stale" in str(w.message) for w in caught)
 
 
-def test_consecutive_consume_forward_sweeps_spend_disjoint_slices(store):
-    """The acceptance contract: run the same consume-forward sweep twice;
-    the second run's absolute pool ranges start where the first stopped,
-    and both replay seed-for-seed under --verify."""
-    store.build([TEST_GROUP], nonces=64, feldman=16)
+def test_plan_pins_the_blob_and_open_reads_no_store(store, monkeypatch):
+    store.build([TEST_GROUP], nonces=16, feldman=4)
+    plan = OnlinePlan.for_tasks([0, 1], store=store)
+    assert plan.blob_sha256 == store.load_blob(TEST_GROUP)[4:36].hex()
+    assert (plan.pool_nonces, plan.pool_feldman) == (16, 4)
+    plan.open(0)  # the first open may load the blob into the registry
 
-    def sweep():
-        return SessionPool(
-            config=SweepConfig(
-                executor="inline", material="disk", online=True, consume_forward=True,
-            ),
-            **VOTING,
-        ).verify(range(2))
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-session open read the store")
 
-    first = sweep()
-    second = sweep()
-    assert first.matched and second.matched
-    plan_one = first.report.online_plan
-    plan_two = second.report.online_plan
-    assert plan_one.consume_forward and plan_two.consume_forward
-    one_end = plan_one.nonce_offset + plan_one.required_pools()["nonces"]
-    assert plan_one.nonce_offset == 0
-    assert plan_two.nonce_offset == one_end
-    # Slot-level view: every slice of run two sits past every slice of
-    # run one, for both pools.
-    for slot in range(2):
-        (n_lo_1, n_hi_1), (f_lo_1, f_hi_1) = plan_one.ranges_for(slot)
-        (n_lo_2, _), (f_lo_2, _) = plan_two.ranges_for(slot)
-        assert n_lo_2 >= one_end > n_hi_1 - 1 >= n_lo_1
-        assert f_lo_2 >= f_hi_1 - 1 >= f_lo_1
-    # And the ledger's high mark covers both reservations.
-    ledger = store.ledger(plan_two.fingerprint)
-    assert ledger.nonce_high == plan_two.nonce_offset + plan_two.required_pools()["nonces"]
-
-
-def test_online_without_consume_forward_warns_on_prior_spends(store):
-    """The advisory-ledger footgun: a classic online sweep over a ledger
-    that already records spends is about to re-spend them — warn."""
-    store.build([TEST_GROUP], nonces=64, feldman=16)
-    fingerprint = group_fingerprint(TEST_GROUP)
-    store.record_spend(fingerprint, nonces=6, nonce_high=6, material_seed=0)
-    with pytest.warns(RuntimeWarning, match="re-spends from index 0"):
-        OnlinePlan.for_tasks([0, 1], store=store)
-    # A clean ledger stays quiet.
-    (store.root / f"{fingerprint}{store.SUFFIX}.spent").unlink()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        OnlinePlan.for_tasks([0, 1], store=store)
-
-
-def test_watermark_crossing_sweep_replenishes_exactly_once(store):
-    """A sweep that drives remaining capacity under the watermark causes
-    one replenishment; the grown pools still pass inspect."""
-    from repro.runtime import Replenisher
-
-    store.build([TEST_GROUP], nonces=24, feldman=8)
-    verdict = SessionPool(
-        config=SweepConfig(
-            executor="inline", material="disk", online=True, consume_forward=True,
-        ),
-        **VOTING,
-    ).verify(range(2))
-    assert verdict.matched
-    rep = Replenisher(store=store)
-    rep.observe(verdict.report.online_spend)
-    first = rep.maybe_replenish()
-    assert first is not None and first["mode"] == "extend"
-    assert rep.maybe_replenish() is None  # hysteresis: exactly once
-    record = next(r for r in store.inspect() if r["fingerprint"] == first["fingerprint"])
-    assert record["ok"]
-    assert record["nonces"] == first["pool_nonces"] > 24
-
-
-def test_cli_sweep_consume_forward_replenish_round_trip(
-    store, capsys, monkeypatch
-):
-    import json
-    import threading
-
-    from repro.cli import main
-
-    assert main(["material", "build", "--nonces", "24", "--feldman", "8"]) == 0
-    capsys.readouterr()
-    started = []
-    original_start = threading.Thread.start
-
-    def recording_start(thread):
-        started.append(thread.name)
-        original_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    argv = [
-        "sweep", "--sessions", "2", "--workload", "voting",
-        "--executor", "inline", "--material", "disk",
-        "--online", "--consume-forward", "--replenish", "--verify", "--json",
-    ]
-    assert main(argv) == 0
-    one = json.loads(capsys.readouterr().out)
-    assert one["digests_match"] is True
-    assert one["plan"]["consume_forward"] is True
-    # The poll after the sweep sees its whole ledger delta, the --verify
-    # replay included, so the one watermark crossing fires exactly once.
-    [record] = one["replenishments"]
-    assert record["mode"] == "extend"
-    assert record["nonces_added"] == 48
-    assert record["pool_nonces"] == 72
-    assert record["material_seed"] == 0
-    assert main(argv) == 0
-    two = json.loads(capsys.readouterr().out)
-    assert two["digests_match"] is True
-    assert two["replenishments"] == []
-    assert started == []
-    assert main(["material", "inspect"]) == 0
-
-
-def test_cli_sweep_replenish_requires_online(store, capsys):
-    from repro.cli import main
-
-    assert main(["sweep", "--sessions", "2", "--replenish"]) == 2
-    assert "--online" in capsys.readouterr().err
+    monkeypatch.setattr(MaterialStore, "load_fingerprint", refuse)
+    cursor = plan.open(1)
+    assert cursor.material is not None
+    assert cursor.nonce_range == (8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +531,6 @@ def test_cli_material_build_for_sweep_sizes_pools(store, capsys):
     [
         ["material", "build", "--nonces", "-1"],
         ["material", "build", "--feldman", "-1"],
-        ["material", "replenish", "--nonces", "-3"],
-        ["material", "replenish", "--feldman", "-3"],
     ],
 )
 def test_cli_material_negative_pool_sizes_exit_2(store, capsys, argv):

@@ -19,7 +19,7 @@ from repro.runtime import (
     run_sbc_trial,
 )
 from repro.runtime.config import EXECUTORS, add_sweep_options
-from repro.runtime.supervisor import ChaosPlan, RetryPolicy
+from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ from repro.runtime.supervisor import ChaosPlan, RetryPolicy
         ({"executor": "fork"}, "executor must be inline/process"),
         ({"chunksize": 0}, "chunksize must be >= 1"),
         ({"max_tasks_per_child": 0}, "max_tasks_per_child must be >= 1"),
-        ({"consume_forward": True}, "needs online=True"),
+        ({"deadline": DeadlinePolicy()}, "executor='process'"),
         ({"executor": "thread"}, "executor must be inline/process"),
         ({"retry": RetryPolicy(max_attempts=2)}, "executor='process'"),
         ({"journal": "sweep.jsonl"}, "executor='process'"),
@@ -148,7 +148,6 @@ KNOB_VALUES = dict(
     material_groups=None,
     adaptive=False,
     online=False,
-    consume_forward=False,
     batch_verify=False,
     retry=None,
     deadline=None,
