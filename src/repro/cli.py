@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli bench     --sessions 32 --backend pooled --compare
     python -m repro.cli sweep     --sessions 64 --executor process --workers 4 --verify
     python -m repro.cli material  build --for-sweep 64
-    python -m repro.cli sweep     --sessions 64 --material shared --adaptive
+    python -m repro.cli sweep     --sessions 64 --material shared
     python -m repro.cli sweep     --sessions 64 --workload voting --material shared --online --verify
     python -m repro.cli material  inspect
     python -m repro.cli serve     --sessions 256 --duration 30 --online --material disk
@@ -30,7 +30,9 @@ through random-linear-combination multi-exps.
 The execution knobs on ``bench``/``sweep``/``scenarios run``/``serve``
 are one shared flag set (:func:`repro.runtime.config.add_sweep_options`)
 feeding one :class:`repro.runtime.config.SweepConfig` — the same object
-the Python entry points take via ``config=``.
+the Python entry points take via ``config=``.  The chunked fan-out flags
+(:func:`repro.runtime.config.add_fanout_options`: chunk size, journal,
+chaos, retry, deadline) go on the three sweep commands only.
 
 Online mode is build, attach, spend, ledger: ``material build`` writes
 the pools, every online run spends its slices from index 0 of the blob
@@ -156,6 +158,28 @@ def _sbc_params_error(params: dict) -> Optional[str]:
     return None
 
 
+def _quarantine_error(report) -> Optional[str]:
+    """The line to print when a process sweep came back empty, or None.
+
+    A worker can fail every trial for a reason this process cannot check
+    up front (an injected fault, a crash).  The supervisor quarantines
+    each one and the sweep completes with no results; the first
+    quarantined task's reason says why.
+    """
+    if report.results:
+        return None
+    quarantined = [
+        event
+        for event in report.supervision["events"]
+        if event["kind"] == "task.quarantined"
+    ]
+    first = quarantined[0]
+    return (
+        f"all {len(quarantined)} trials were quarantined; first, task "
+        f"{first['task']!r}: {first['reason']}"
+    )
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.runtime import SessionPool, SweepConfig, sequential_loop
 
@@ -179,12 +203,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seeds = list(range(args.seed, args.seed + args.sessions))
     try:
         report = pool.run(seeds)
-        rows = [report.summary()]
-    except ValueError as exc:
-        # An empty report (every trial quarantined) is reported the way
-        # bad flags are.
+    except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    error = _quarantine_error(report)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
+    rows = [report.summary()]
     if args.compare:
         if args.batch_verify:
             # The baseline must batch too, or the verify.batch trace
@@ -221,15 +247,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print("trace digests: not compared (sweep ran trace-off; "
                   "use --trace full to verify determinism)")
     return 0
-
-
-def _format_adaptivity(trace) -> str:
-    """One line per re-planning wave for the text front end."""
-    return "\n".join(
-        f"  wave {entry['wave']}: {entry['tasks']} tasks @ chunksize "
-        f"{entry['chunksize']} (ewma {entry['ewma_task_s'] * 1000:.2f} ms/task)"
-        for entry in trace
-    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -287,11 +304,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.verify:
-        plan_summary = plan.summary(adaptivity=verdict.report.adaptivity)
         if args.json:
             print(json.dumps(
                 {
-                    "plan": plan_summary,
+                    "plan": plan.summary(),
                     "report": verdict.report.summary(),
                     "reference": verdict.reference.summary(),
                     "speedup_vs_inline": round(verdict.speedup, 4),
@@ -304,26 +320,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 [verdict.report.summary(), verdict.reference.summary()],
                 title="sweep vs inline reference",
             ))
-            if verdict.report.adaptivity:
-                print("adaptivity trace:")
-                print(_format_adaptivity(verdict.report.adaptivity))
             print(f"speedup vs inline: {verdict.speedup:.2f}x")
             print(f"trace digests match inline reference, seed for seed: "
                   f"{'yes' if verdict.matched else 'NO'}")
         return 0 if verdict.matched else 1
+    error = _quarantine_error(report)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(
-            {
-                "plan": plan.summary(adaptivity=report.adaptivity),
-                "report": report.summary(),
-            },
-            indent=2,
+            {"plan": plan.summary(), "report": report.summary()}, indent=2,
         ))
         return 0
     print(format_table([report.summary()], title="sweep"))
-    if report.adaptivity:
-        print("adaptivity trace:")
-        print(_format_adaptivity(report.adaptivity))
     print(f"per-session: {report.wall_time_s / max(report.sessions, 1) * 1000:.2f} ms")
     return 0
 
@@ -617,9 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_auction)
 
     # One shared execution-flag block (the SweepConfig knob set) for
-    # bench/sweep/scenarios run/serve — defined once in runtime.config so
-    # the subcommands cannot drift apart again.
-    from repro.runtime.config import add_sweep_options
+    # bench/sweep/scenarios run/serve, plus the chunked fan-out block for
+    # the three sweep commands — defined once in runtime.config so the
+    # subcommands cannot drift apart again.
+    from repro.runtime.config import add_fanout_options, add_sweep_options
 
     p = sub.add_parser("bench", help="run a pooled SBC session sweep")
     common(p)
@@ -629,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("--senders", type=int, default=2)
     add_sweep_options(p, executor_default="inline", trace_default="light")
+    add_fanout_options(p)
     p.add_argument(
         "--compare", action="store_true",
         help="also run the sequential reference loop and print the speedup",
@@ -652,6 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
              "that visibly spends pools under --online)",
     )
     add_sweep_options(p, executor_default="process", trace_default="light")
+    add_fanout_options(p)
     p.add_argument(
         "--verify", action="store_true",
         help="also run the inline reference and require seed-for-seed "
@@ -659,8 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--json", action="store_true",
-        help="emit the resolved plan (with adaptivity trace) and report "
-             "as JSON instead of tables",
+        help="emit the resolved plan and report as JSON instead of tables",
     )
     p.set_defaults(func=_cmd_sweep, backend="pooled")
 
@@ -734,6 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to cells whose id contains SUBSTR (e.g. 'sbc-composed/')",
     )
     add_sweep_options(p, executor_default="inline", trace_default=None)
+    add_fanout_options(p)
     p.add_argument("--json", action="store_true", help="emit JSON records")
     p.set_defaults(func=_cmd_scenarios)
 

@@ -54,7 +54,7 @@ from repro.runtime.backend import (
     available_backends,
     get_backend,
 )
-from repro.runtime.config import SweepConfig, add_sweep_options
+from repro.runtime.config import SweepConfig, add_fanout_options, add_sweep_options
 from repro.runtime.driver import (
     AsyncRoundDriver,
     BatchedRoundDriver,
@@ -149,6 +149,7 @@ __all__ = [
     "TraceDigestUnavailable",
     "TrialDisagreement",
     "TrialResult",
+    "add_fanout_options",
     "add_sweep_options",
     "async_sbc_session",
     "async_voting_session",

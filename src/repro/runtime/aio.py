@@ -194,7 +194,10 @@ class AsyncSessionHost:
         config: A :class:`~repro.runtime.config.SweepConfig`; the host
             reads ``backend`` (defaults to ``async``), ``executor``,
             ``workers``, ``warmup``, ``material``, ``material_groups``,
-            ``online``, ``batch_verify`` and ``trace``.
+            ``online``, ``batch_verify`` and ``trace``.  The sweep
+            fan-out knobs (``chunksize``, ``retry``, ``deadline``,
+            ``chaos``, ``journal``, ``resume``) shape chunked sweeps,
+            which a host never runs, so a config setting any is refused.
         session_timeout_s: Wall-clock bound on one executor-offloaded
             session (inline coroutine sessions are bounded by their
             round budgets instead).
@@ -226,6 +229,16 @@ class AsyncSessionHost:
     ) -> None:
         if config is None:
             config = SweepConfig(backend="async", executor="inline")
+        fanout = [
+            name
+            for name in ("chunksize", "retry", "deadline", "chaos", "journal", "resume")
+            if getattr(config, name) not in (None, False)
+        ]
+        if fanout:
+            raise ValueError(
+                f"the session host runs no chunked sweep, so it cannot honour "
+                f"{', '.join(fanout)}; drop them from its SweepConfig"
+            )
         if config.executor != "inline" and inspect.iscoroutinefunction(runner):
             raise ValueError(
                 f"coroutine runners only work with executor='inline'; use a "

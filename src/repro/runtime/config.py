@@ -6,9 +6,10 @@ execution knobs — and silently drifting (``run_matrix`` lacked
 ``retry``/``deadline``/``journal``/``resume``/``trace`` for two PRs
 before anyone noticed).  :class:`SweepConfig` is the single source of
 truth: a frozen dataclass holding every knob, with *all* validation in
-:meth:`SweepConfig.__post_init__`, an argparse bridge
-(:func:`add_sweep_options` / :meth:`SweepConfig.from_args`) shared by
-``bench``/``sweep``/``scenarios``/``serve``.  ``config=`` is the only
+:meth:`SweepConfig.__post_init__`, and an argparse bridge
+(:func:`add_sweep_options` and :func:`add_fanout_options`, read back by
+:meth:`SweepConfig.from_args`): ``bench``/``sweep``/``scenarios run``
+take both flag sets, ``serve`` only the first.  ``config=`` is the only
 way into an entry point: ``SessionPool`` refuses a knob passed as a
 loose keyword, since it would otherwise reach the runner and skip this
 validation.
@@ -28,6 +29,7 @@ from repro.runtime.backend import TRACE_MODES, ExecutionBackend
 __all__ = [
     "EXECUTORS",
     "SweepConfig",
+    "add_fanout_options",
     "add_sweep_options",
 ]
 
@@ -45,13 +47,11 @@ class SweepConfig:
             :class:`~repro.runtime.backend.ExecutionBackend` instance);
             forwarded to runners as ``backend=``.
         executor: ``"inline"`` (one warm driver in this process, no
-            worker overhead) or ``"process"`` (supervised
-            ``concurrent.futures`` process fan-out).
+            worker overhead) or ``"process"`` (supervised process
+            fan-out; workers live for the whole run).
         workers: Process worker count (default: all cores).
         chunksize: Tasks shipped per process dispatch (default: auto
             via :func:`~repro.runtime.pool.auto_chunksize`).
-        max_tasks_per_child: Recycle each process worker after this
-            many tasks; ``None`` reuses workers for the whole sweep.
         warmup: Run the shared-crypto warm-up initializer in each
             process worker (False measures cold workers).
         material: Worker warm-up source — ``"compute"`` (default:
@@ -61,8 +61,6 @@ class SweepConfig:
         material_groups: Parameter sets published to process workers,
             the sweep's and the service host's alike (default: the test
             group); the first one also backs ``online=True`` plans.
-        adaptive: Re-plan the process chunk size mid-sweep from
-            observed per-task wall time.
         online: Spend the preprocessed randomness pools inside trials.
             ``True`` partitions the pools across tasks by position; an
             explicit :class:`~repro.runtime.material.OnlinePlan` pins
@@ -92,11 +90,9 @@ class SweepConfig:
     executor: str = "inline"
     workers: Optional[int] = None
     chunksize: Optional[int] = None
-    max_tasks_per_child: Optional[int] = None
     warmup: bool = True
     material: Optional[str] = None
     material_groups: Optional[Sequence[Any]] = None
-    adaptive: bool = False
     online: Any = False
     batch_verify: Any = False
     retry: Optional[Any] = None
@@ -118,16 +114,11 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
-        if self.max_tasks_per_child is not None and self.max_tasks_per_child < 1:
-            raise ValueError(
-                f"max_tasks_per_child must be >= 1, got {self.max_tasks_per_child}"
-            )
         get_backend(self.backend)  # unknown names raise here, not mid-sweep
         object.__setattr__(self, "warmup", bool(self.warmup))
         object.__setattr__(self, "material", resolve_material_source(self.material))
         if self.material_groups is not None:
             object.__setattr__(self, "material_groups", tuple(self.material_groups))
-        object.__setattr__(self, "adaptive", bool(self.adaptive))
         if isinstance(self.chaos, str):
             # Lazy import: supervisor imports the runtime at top level,
             # so the reverse edge must stay inside functions.
@@ -194,7 +185,8 @@ class SweepConfig:
 
         Knobs a command chose not to expose fall back to the dataclass
         defaults (``getattr`` with default), so one builder serves
-        ``bench``, ``sweep``, ``scenarios run`` and ``serve``.
+        ``bench``, ``sweep``, ``scenarios run`` and ``serve`` (which
+        takes no :func:`add_fanout_options` flags).
         ``overrides`` win over the namespace — commands pass
         ``backend=args.backend`` (or a forced value) explicitly, since
         ``--backend`` semantics differ per command.
@@ -221,10 +213,8 @@ class SweepConfig:
             executor=getattr(args, "executor", cls.executor),
             workers=getattr(args, "workers", None),
             chunksize=getattr(args, "chunksize", None),
-            max_tasks_per_child=getattr(args, "max_tasks_per_child", None),
             warmup=not getattr(args, "no_warmup", False),
             material=getattr(args, "material", None),
-            adaptive=getattr(args, "adaptive", False),
             online=getattr(args, "online", False),
             batch_verify=getattr(args, "batch_verify", False),
             retry=retry,
@@ -243,13 +233,13 @@ def add_sweep_options(
     executor_default: str = "inline",
     trace_default: Optional[str] = "light",
 ) -> None:
-    """Install the shared execution flags on ``parser``.
+    """Install the execution flags every session runner reads on ``parser``.
 
-    One definition for ``bench``/``sweep``/``scenarios run``/``serve``:
-    the flag set *is* :class:`SweepConfig`'s knob set, so subcommands
-    cannot drift apart again.  ``executor_default``/``trace_default``
-    carry the per-command defaults (bench and the matrix stay inline,
-    the sweep fans out to processes).
+    One definition for ``bench``/``sweep``/``scenarios run``/``serve``,
+    so subcommands cannot drift apart again.  ``executor_default``/
+    ``trace_default`` carry the per-command defaults (bench and the
+    matrix stay inline, the sweep fans out to processes).  Commands
+    that run a chunked sweep add :func:`add_fanout_options` too.
     """
     parser.add_argument(
         "--executor", choices=EXECUTORS, default=executor_default,
@@ -259,14 +249,6 @@ def add_sweep_options(
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count (default: all cores for processes)")
     parser.add_argument(
-        "--chunksize", type=int, default=None,
-        help="tasks per process dispatch (default: auto, ~4 chunks/worker)",
-    )
-    parser.add_argument(
-        "--max-tasks-per-child", type=int, default=None,
-        help="recycle process workers after this many tasks",
-    )
-    parser.add_argument(
         "--no-warmup", action="store_true",
         help="skip the per-worker crypto warm-up initializer",
     )
@@ -275,11 +257,6 @@ def add_sweep_options(
         help="worker crypto warm-up source: rebuild locally, or attach the "
              "preprocessing store file ('shared' is another spelling of "
              "'disk'; see 'repro material build')",
-    )
-    parser.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the process chunk size mid-sweep from observed "
-             "per-task wall time",
     )
     parser.add_argument(
         "--online", action="store_true",
@@ -300,6 +277,20 @@ def add_sweep_options(
     parser.add_argument(
         "--trace", choices=TRACE_MODES, default=trace_default,
         help="trace mode inside sessions (light = no EventLog, faster)",
+    )
+
+
+def add_fanout_options(parser: argparse.ArgumentParser) -> None:
+    """Install the supervised chunked fan-out flags on ``parser``.
+
+    Chunk size, journal and resume, chaos faults, retry and deadline
+    shape a sweep's chunks and their supervision, so only the commands
+    that run a sweep (``bench``/``sweep``/``scenarios run``) take them;
+    ``serve`` hosts sessions one by one and would ignore them.
+    """
+    parser.add_argument(
+        "--chunksize", type=int, default=None,
+        help="tasks per process dispatch (default: auto, ~4 chunks/worker)",
     )
     parser.add_argument(
         "--journal", default=None, metavar="PATH",

@@ -538,14 +538,12 @@ class PoolReport:
     executor: str
     wall_time_s: float
     results: List[TrialResult] = field(default_factory=list)
-    #: Worker count actually used (None for inline runs) and the initial
-    #: chunk size (process runs only); both read from :meth:`SessionPool.plan`.
+    #: Worker count actually used (None for inline runs) and the chunk
+    #: size (process runs only); both read from :meth:`SessionPool.plan`.
     workers: Optional[int] = None
     chunksize: Optional[int] = None
     #: Where worker crypto caches came from (compute/disk/shared).
     material_source: Optional[str] = None
-    #: Per-wave re-chunking trace for adaptive sweeps (None otherwise).
-    adaptivity: Optional[List[Dict[str, Any]]] = None
     #: Aggregate pool consumption for online-mode sweeps (None otherwise).
     online_spend: Optional[Dict[str, int]] = None
     #: The resolved :class:`~repro.runtime.material.OnlinePlan` the sweep
@@ -599,11 +597,6 @@ class PoolReport:
             record["chunksize"] = self.chunksize
         if self.material_source is not None:
             record["material_source"] = self.material_source
-        if self.adaptivity is not None:
-            # The full per-wave trace lives on ``adaptivity`` (and in
-            # SweepPlan.summary(adaptivity=...)); the flat record only
-            # says how many times the sweep re-chunked.
-            record["adaptive_waves"] = len(self.adaptivity)
         if self.online_spend is not None:
             record["online"] = True
             record.update(self.online_spend)
@@ -669,69 +662,6 @@ def _warm_worker(
     get_backend(backend).warm_up(material, arith=arith)
 
 
-# -- adaptive chunking -------------------------------------------------------
-
-#: Wall-clock seconds one dispatched chunk should aim to cost.  Scenario
-#: cells vary ~10x between the cheapest (`ubc`) and the dearest
-#: (`sbc-composed`), so a fixed chunk size either starves workers on
-#: heavy cells or drowns light ones in IPC; the re-planner sizes chunks
-#: so each dispatch stays near this budget.
-ADAPTIVE_TARGET_CHUNK_S = 0.2
-
-#: EWMA smoothing factor for observed per-task wall time.
-ADAPTIVE_EWMA_ALPHA = 0.5
-
-#: Bound on how far one re-plan may move the chunk size (x or /).
-ADAPTIVE_MAX_STEP = 4
-
-#: Chunks per worker dispatched between re-plans; each wave is a small
-#: barrier, so a couple of chunks per worker keeps stragglers short while
-#: giving the EWMA enough samples to be worth re-planning on.
-ADAPTIVE_CHUNKS_PER_WAVE = 2
-
-
-def _observed_task_seconds(results: Sequence[Any], elapsed: float) -> float:
-    """Mean per-task seconds for one wave, preferring in-task timings.
-
-    :class:`TrialResult` carries the task's own build+run wall time,
-    which excludes IPC and pickling; runners returning something else
-    fall back to wave wall time over task count.
-    """
-    timings = [
-        result.wall_time_s
-        for result in results
-        if getattr(result, "wall_time_s", None) is not None
-    ]
-    if timings:
-        return sum(timings) / len(timings)
-    return elapsed / max(len(results), 1)
-
-
-def _replan_chunksize(
-    current: int,
-    ewma_task_s: float,
-    max_tasks_per_child: Optional[int],
-) -> int:
-    """Next wave's chunk size, bounded so one re-plan can't overshoot.
-
-    The move is clamped to a factor of :data:`ADAPTIVE_MAX_STEP` per
-    wave, and under worker recycling the size may only shrink — the
-    recycle bound was translated into chunk units from the size the pool
-    started with, so growing a chunk later could push one worker past
-    its per-worker trial budget.
-    """
-    if ewma_task_s <= 0:
-        return current
-    desired = max(1, round(ADAPTIVE_TARGET_CHUNK_S / ewma_task_s))
-    bounded = max(
-        max(1, current // ADAPTIVE_MAX_STEP),
-        min(desired, current * ADAPTIVE_MAX_STEP),
-    )
-    if max_tasks_per_child is not None:
-        bounded = min(bounded, current)
-    return bounded
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     """The resolved execution shape of one run (:meth:`SessionPool.plan`)."""
@@ -740,12 +670,9 @@ class SweepPlan:
     executor: str
     workers: int
     chunksize: int
-    max_tasks_per_child: Optional[int] = None
     warmup: bool = True
     #: Where worker warm-up caches come from (compute/disk/shared).
     material_source: str = "compute"
-    #: Whether the chunk size re-plans mid-sweep from observed task times.
-    adaptive: bool = False
     #: Whether trials spend the preprocessed randomness pools (online
     #: protocol mode; digests pinned separately from compute runs).
     online: bool = False
@@ -760,10 +687,6 @@ class SweepPlan:
         if config.executor == "process":
             workers = resolve_workers(config.workers)
             chunksize = config.chunksize or auto_chunksize(tasks, workers)
-            if config.max_tasks_per_child is not None:
-                # A chunk larger than the recycle bound could never be
-                # dispatched without exceeding it.
-                chunksize = min(chunksize, config.max_tasks_per_child)
         else:
             workers = 1
             chunksize = 1
@@ -772,43 +695,30 @@ class SweepPlan:
             executor=config.executor,
             workers=workers,
             chunksize=chunksize,
-            max_tasks_per_child=config.max_tasks_per_child,
             warmup=config.warmup,
             material_source=config.material,
-            adaptive=config.adaptive and config.executor == "process",
             online=bool(config.online),
             batch_verify=config.batch_policy is not None,
         )
 
     @property
     def chunks(self) -> int:
-        """Number of dispatch units the task list shards into.
-
-        For an adaptive sweep this counts the *initial* sharding; the
-        re-planner may split later waves differently (the executed shape
-        lands in the report's adaptivity trace).
-        """
+        """Number of dispatch units the task list shards into."""
         return -(-self.tasks // self.chunksize) if self.tasks else 0
 
-    def summary(self, adaptivity: Optional[Any] = None) -> Dict[str, Any]:
-        """Uniform record; pass a report's ``adaptivity`` trace to embed
-        the executed re-chunking alongside the planned shape."""
-        record = {
+    def summary(self) -> Dict[str, Any]:
+        """Uniform record of the planned shape."""
+        return {
             "tasks": self.tasks,
             "executor": self.executor,
             "workers": self.workers,
             "chunksize": self.chunksize,
             "chunks": self.chunks,
-            "max_tasks_per_child": self.max_tasks_per_child,
             "warmup": self.warmup,
             "material_source": self.material_source,
-            "adaptive": self.adaptive,
             "online": self.online,
             "batch_verify": self.batch_verify,
         }
-        if adaptivity is not None:
-            record["adaptivity"] = adaptivity
-        return record
 
 
 @dataclass
@@ -990,25 +900,16 @@ class SessionPool:
         bound: Callable[..., TrialResult],
         seeds: Sequence[int],
         plan: SweepPlan,
-        adaptivity: Optional[List[Dict[str, Any]]] = None,
         journal: Optional[Any] = None,
     ) -> Tuple[List[Optional[TrialResult]], Any, Any]:
         """Supervised chunked process fan-out; input order preserved.
 
-        Every chunk is dispatched via ``apply_async`` under a
-        :class:`~repro.runtime.supervisor.Supervisor` with a bounded
+        One :meth:`~repro.runtime.supervisor.Supervisor.map` call at the
+        planned chunk size, over workers that live for the whole sweep.
+        Every chunk is dispatched via ``apply_async`` with a bounded
         per-chunk wait, so a SIGKILL-ed, hung or crashing worker costs
         a retry (and possibly a pool respawn or a quarantined task),
-        never the sweep.  Worker recycling stays on
-        ``multiprocessing.Pool``'s ``maxtasksperchild`` — an exact
-        per-worker bound, available on every supported Python, unlike
-        ``ProcessPoolExecutor(max_tasks_per_child=...)`` (3.11+, and
-        observed to deadlock on recycle in 3.11.7).  The pool counts
-        one ``apply_async`` chunk as one task, so the bound is
-        expressed in chunk units; the plan already clamps the chunk
-        size to ``max_tasks_per_child``, and adaptive re-plans only ever
-        shrink chunks under recycling (see ``_replan_chunksize``), so
-        the bound holds for every wave.
+        never the sweep.
 
         Returns ``(results, stats, handle)``; quarantined tasks appear
         as ``None`` at their position, and ``handle`` is the published
@@ -1017,16 +918,12 @@ class SessionPool:
         from repro.runtime.supervisor import Supervisor
 
         config = self.config
-        chunks_per_child: Optional[int] = None
-        if config.max_tasks_per_child is not None:
-            chunks_per_child = max(1, config.max_tasks_per_child // plan.chunksize)
         supervisor, handle = start_warm_workers(
             config,
             self._backend,
             functools.partial(
                 Supervisor,
                 workers=plan.workers,
-                max_chunks_per_child=chunks_per_child,
                 retry=config.retry,
                 deadline=config.deadline,
                 chaos=config.chaos,
@@ -1034,66 +931,10 @@ class SessionPool:
             ),
         )
         try:
-            results = self._drive_map(
-                lambda tasks, size: supervisor.map(bound, tasks, size),
-                seeds, plan.chunksize, plan.workers, adaptivity,
-            )
+            results = supervisor.map(bound, seeds, plan.chunksize)
         finally:
             supervisor.close()
         return results, supervisor.stats, handle
-
-    def _drive_map(
-        self,
-        mapper: Callable[[Sequence[int], int], List[TrialResult]],
-        seeds: Sequence[int],
-        chunksize: int,
-        workers: int,
-        adaptivity: Optional[List[Dict[str, Any]]],
-    ) -> List[TrialResult]:
-        """One map call, or adaptive waves of them over a live pool.
-
-        Adaptive mode dispatches the task list in waves of a few chunks
-        per worker against the *same* pool (workers stay warm), measures
-        each wave's per-task wall time, and re-plans the next wave's
-        chunk size toward :data:`ADAPTIVE_TARGET_CHUNK_S`.  Waves run in
-        task order and ``map`` preserves order within a wave, so results
-        are position-identical to the single-map path — digest
-        comparisons never see the difference.
-        """
-        if adaptivity is None:
-            return mapper(seeds, chunksize)
-        results: List[TrialResult] = []
-        ewma: Optional[float] = None
-        index = 0
-        wave = 0
-        while index < len(seeds):
-            width = max(1, chunksize * workers * ADAPTIVE_CHUNKS_PER_WAVE)
-            wave_tasks = seeds[index : index + width]
-            start = time.perf_counter()
-            wave_results = mapper(wave_tasks, chunksize)
-            elapsed = time.perf_counter() - start
-            results.extend(wave_results)
-            index += len(wave_tasks)
-            observed = _observed_task_seconds(wave_results, elapsed)
-            ewma = (
-                observed
-                if ewma is None
-                else ADAPTIVE_EWMA_ALPHA * observed + (1 - ADAPTIVE_EWMA_ALPHA) * ewma
-            )
-            adaptivity.append(
-                {
-                    "wave": wave,
-                    "tasks": len(wave_tasks),
-                    "chunksize": chunksize,
-                    "ewma_task_s": round(ewma, 6),
-                }
-            )
-            wave += 1
-            if index < len(seeds):
-                chunksize = _replan_chunksize(
-                    chunksize, ewma, self.config.max_tasks_per_child
-                )
-        return results
 
     def _journal_config(self, seeds: Sequence[Any]) -> Dict[str, Any]:
         """What must match between a journaled run and its resume.
@@ -1134,7 +975,6 @@ class SessionPool:
             SweepJournal,
             plan_from_record,
             plan_to_record,
-            trial_result_from_record,
         )
 
         journal = SweepJournal(config.journal)
@@ -1145,7 +985,7 @@ class SessionPool:
                 plan_to_record(online_plan) if online_plan is not None else None,
             )
             return journal, {}, online_plan
-        header, records = journal.load()
+        header, resumed = journal.load()
         expected = self._journal_config(seeds)
         if header.get("config") != expected:
             raise ValueError(
@@ -1157,10 +997,6 @@ class SessionPool:
         online_plan = (
             plan_from_record(plan_record) if plan_record is not None else None
         )
-        resumed: Dict[Any, TrialResult] = {}
-        for record in records:
-            for task, payload in zip(record["tasks"], record["results"]):
-                resumed[task] = trial_result_from_record(payload)
         return journal, resumed, online_plan
 
     def run(self, seeds: Iterable[int]) -> PoolReport:
@@ -1183,20 +1019,17 @@ class SessionPool:
             kwargs["online"] = online_plan
         if config.batch_policy is not None:
             kwargs["batch"] = config.batch_policy
-        adaptivity: Optional[List[Dict[str, Any]]] = None
         supervision: Optional[Dict[str, Any]] = None
         fresh_results: Optional[List[TrialResult]] = None
         handle: Any = None
         bound = functools.partial(self.runner, **kwargs)
         start = time.perf_counter()
         if plan.executor == "process":
-            if plan.adaptive:
-                adaptivity = []
             remaining = [seed for seed in seeds if seed not in resumed]
             mapped: List[Optional[TrialResult]] = []
             if remaining:
                 mapped, stats, handle = self._process_map(
-                    bound, remaining, plan, adaptivity=adaptivity, journal=journal
+                    bound, remaining, plan, journal=journal
                 )
                 supervision = stats.to_record()
             else:
@@ -1243,7 +1076,6 @@ class SessionPool:
             workers=plan.workers if plan.executor != "inline" else None,
             chunksize=plan.chunksize if plan.executor == "process" else None,
             material_source=material_source,
-            adaptivity=adaptivity,
             online_spend=online_spend,
             online_plan=online_plan,
             supervision=supervision,

@@ -1,15 +1,14 @@
 """Supervised process fan-out: deadlines, retries, quarantine, journal.
 
-The sweep engine used to drive one blocking ``pool.map`` per wave: a
-single SIGKILL-ed worker (OOM killer), hung trial or poison task wedged
-or aborted the whole sweep and discarded every finished chunk.  The
-:class:`Supervisor` replaces that with per-chunk ``apply_async``
-dispatch and a bounded wait per chunk, so worker failure becomes a
+A blocking ``pool.map`` lets a single SIGKILL-ed worker (OOM killer),
+hung trial or poison task wedge or abort the whole sweep and discard
+every finished chunk.  The :class:`Supervisor` dispatches each chunk
+with ``apply_async`` and bounds its wait, so worker failure becomes a
 *recoverable, accounted* event:
 
 * **Deadlines** — each chunk's wait is bounded by an EWMA of observed
-  per-task wall time (the adaptive-chunking estimator) times a
-  configurable factor (:class:`DeadlinePolicy`).  A deadline expiry
+  per-task wall time times a configurable factor
+  (:class:`DeadlinePolicy`).  A deadline expiry
   covers both failure modes a parent can see: a hung worker, and a
   killed one (``multiprocessing.Pool`` repopulates dead workers, but
   the lost job's result never arrives).
@@ -52,7 +51,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.pool import ADAPTIVE_EWMA_ALPHA, TrialResult
+from repro.runtime.pool import TrialResult
 from repro.uc.trace import canonical_detail
 
 __all__ = [
@@ -212,12 +211,16 @@ class RetryPolicy:
         )
 
 
+#: EWMA smoothing factor for the deadline estimator's observed per-task
+#: wall time.
+DEADLINE_EWMA_ALPHA = 0.5
+
+
 @dataclass(frozen=True)
 class DeadlinePolicy:
     """How long the supervisor waits on one chunk before declaring it dead.
 
-    The estimate reuses the adaptive-chunking estimator: an EWMA
-    (:data:`~repro.runtime.pool.ADAPTIVE_EWMA_ALPHA`) of observed
+    The estimate is an EWMA (:data:`DEADLINE_EWMA_ALPHA`) of observed
     per-task wall time from completed chunks, seeded with
     ``initial_task_s`` until the first chunk lands.  The deadline is
     ``max(floor_s, factor * est * chunk_len)``, clamped to ``cap_s``
@@ -316,22 +319,17 @@ class _Chunk:
 class Supervisor:
     """Drive chunks through a ``multiprocessing.Pool`` under supervision.
 
-    Owns the pool lifecycle (create, recycle via ``maxtasksperchild``,
-    terminate-and-respawn on failure).  :meth:`map` preserves input
-    order and is safe to call repeatedly against the same warm pool
-    (the adaptive re-planner dispatches waves through one supervisor),
-    with the deadline EWMA and degradation counters carried across
-    calls.  Quarantined tasks yield ``None`` in the result list; the
-    caller decides how to report the partial run.
+    Owns the pool lifecycle (create, terminate-and-respawn on
+    failure); workers otherwise live until :meth:`close`.  :meth:`map`
+    preserves input order and is safe to call repeatedly against the
+    same warm pool, with the deadline EWMA and degradation counters
+    carried across calls.  Quarantined tasks yield ``None`` in the
+    result list; the caller decides how to report the partial run.
 
     Args:
         workers: Worker process count.
         initializer: Per-worker warm-up callable (module-level).
         initargs: Arguments for ``initializer``.
-        max_chunks_per_child: Recycle a worker after this many chunk
-            dispatches (``multiprocessing.Pool``'s ``maxtasksperchild``,
-            which counts one ``apply_async`` as one task — i.e. chunk
-            units, exactly like the old ``pool.map`` path).
         retry: :class:`RetryPolicy` (default: stock policy).
         deadline: :class:`DeadlinePolicy` (default: stock policy).
         chaos: Optional :class:`ChaosPlan` of injected worker faults.
@@ -346,7 +344,6 @@ class Supervisor:
         workers: int,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
-        max_chunks_per_child: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         deadline: Optional[DeadlinePolicy] = None,
         chaos: Optional[ChaosPlan] = None,
@@ -357,7 +354,6 @@ class Supervisor:
         self.workers = workers
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.max_chunks_per_child = max_chunks_per_child
         self.retry = retry or RetryPolicy()
         self.deadline = deadline or DeadlinePolicy()
         self.chaos = chaos
@@ -383,7 +379,6 @@ class Supervisor:
                 processes=self.workers,
                 initializer=self.initializer,
                 initargs=self.initargs if self.initializer else (),
-                maxtasksperchild=self.max_chunks_per_child,
             )
             self._workers_seen = list(getattr(self._pool, "_pool", []))
         return self._pool
@@ -457,8 +452,8 @@ class Supervisor:
         self._ewma_task_s = (
             observed
             if self._ewma_task_s is None
-            else ADAPTIVE_EWMA_ALPHA * observed
-            + (1 - ADAPTIVE_EWMA_ALPHA) * self._ewma_task_s
+            else DEADLINE_EWMA_ALPHA * observed
+            + (1 - DEADLINE_EWMA_ALPHA) * self._ewma_task_s
         )
 
     def _complete(
@@ -508,7 +503,7 @@ class Supervisor:
         Reads the pool's internal ``_pool`` worker list (stable across
         CPython 3.x) but keeps its own ``Process`` references, so an
         exitcode stays readable after the pool reaps the corpse.  Clean
-        exits (code 0 — ``maxtasksperchild`` recycling) don't count.
+        exits (code 0) don't count.
         """
         if self._pool is None:
             return False
@@ -826,8 +821,11 @@ class SweepJournal:
         self._lines.append(json.dumps(record, sort_keys=True))
         self._flush()
 
-    def load(self) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-        """Read the journal back: ``(header, chunk records)``.
+    def load(self) -> Tuple[Dict[str, Any], Dict[Any, TrialResult]]:
+        """Read the journal back: ``(header, task -> result)``.
+
+        The second item holds every journaled chunk's results, keyed by
+        task: what a resumed sweep splices in instead of re-running.
 
         Raises:
             FileNotFoundError: no journal at this path.
@@ -836,7 +834,7 @@ class SweepJournal:
         """
         lines = self.path.read_text().splitlines()
         header: Optional[Dict[str, Any]] = None
-        records: List[Dict[str, Any]] = []
+        completed: Dict[Any, TrialResult] = {}
         kept: List[str] = []
         for index, line in enumerate(lines):
             if not line.strip():
@@ -872,22 +870,14 @@ class SweepJournal:
                 )
                 break
             else:
-                records.append(record)
+                for task, payload in zip(record["tasks"], record["results"]):
+                    completed[task] = trial_result_from_record(payload)
             kept.append(line)
         if header is None:
             raise ValueError(f"{self.path} is empty; cannot resume")
         # Future appends extend the validated prefix, dropping the torn tail.
         self._lines = kept
-        return header, records
-
-    def completed(self) -> Dict[Any, TrialResult]:
-        """Task -> result for every journaled chunk (after :meth:`load`)."""
-        _, records = self.load()
-        results: Dict[Any, TrialResult] = {}
-        for record in records:
-            for task, payload in zip(record["tasks"], record["results"]):
-                results[task] = trial_result_from_record(payload)
-        return results
+        return header, completed
 
     def _flush(self) -> None:
         """Atomically rewrite the journal (mkstemp + fsync + rename)."""

@@ -187,14 +187,53 @@ def test_process_executor_names_theorem_2_bound(argv, capsys):
          "--consume-forward"],
         ["sweep", "--sessions", "2", "--replenish"],
         ["material", "replenish"],
+        ["sweep", "--sessions", "2", "--adaptive"],
+        ["bench", "--sessions", "2", "--adaptive"],
+        ["scenarios", "run", "--cell", "ubc/", "--adaptive"],
+        ["sweep", "--sessions", "2", "--max-tasks-per-child", "2"],
+        ["bench", "--sessions", "2", "--max-tasks-per-child", "2"],
+        ["scenarios", "run", "--cell", "ubc/", "--max-tasks-per-child", "2"],
+        # serve runs no chunked sweep, so it takes no fan-out flags.
+        ["serve", "--sessions", "2", "--executor", "process", "--chaos", "kill@0"],
+        ["serve", "--sessions", "2", "--journal", "serve.jsonl"],
+        ["serve", "--sessions", "2", "--chunksize", "2"],
+        ["serve", "--sessions", "2", "--deadline-cap-s", "5"],
     ],
-    ids=["consume-forward", "replenish", "material-replenish"],
+    ids=[
+        "consume-forward", "replenish", "material-replenish",
+        "sweep-adaptive", "bench-adaptive", "scenarios-adaptive",
+        "sweep-max-tasks-per-child", "bench-max-tasks-per-child",
+        "scenarios-max-tasks-per-child",
+        "serve-chaos", "serve-journal", "serve-chunksize", "serve-deadline-cap-s",
+    ],
 )
 def test_pool_lifecycle_flags_are_gone(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["table", "json"])
+def test_all_quarantined_sweep_names_the_reason(output, capsys):
+    # Every trial fails in a worker, so the sweep has no results to
+    # report: one stderr line names the first quarantined task's reason.
+    argv = ["sweep", "--sessions", "2", "--workers", "2",
+            "--chaos", "exc@0:*,exc@1:*"]
+    assert main(argv + output) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "quarantined" in err and "task 0" in err
+    assert "ChaosInjected: injected failure at task 0" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "bench"])
+def test_missing_resume_journal_exits_2(command, tmp_path, capsys):
+    argv = [command, "--sessions", "2", "--executor", "process", "--workers", "2",
+            "--journal", str(tmp_path / "absent.jsonl"), "--resume"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "No such file" in err
 
 
 def test_serve_json_reports_latency_percentiles(capsys):

@@ -500,7 +500,7 @@ def test_scenario_smoke_subset_digests_across_sources(store):
         fanned = run_matrix(
             specs,
             config=SweepConfig(
-                executor="process", workers=2, material=source, adaptive=True,
+                executor="process", workers=2, material=source,
             ),
         )
         assert [cell.digest for cell in fanned.cells] == [
@@ -548,15 +548,13 @@ def test_cli_sweep_json_reports_plan_and_material(store, capsys):
 
     code = main([
         "sweep", "--sessions", "6", "--executor", "process", "--workers", "2",
-        "--chunksize", "1", "--material", "shared", "--adaptive",
+        "--chunksize", "1", "--material", "shared",
         "--verify", "--json",
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["digests_match"] is True
     assert payload["plan"]["material_source"] == "shared"
-    assert payload["plan"]["adaptive"] is True
-    assert payload["plan"]["adaptivity"], "adaptivity trace missing from plan"
     assert payload["report"]["material_source"] == "shared"
 
 

@@ -171,13 +171,10 @@ def test_journal_round_trip_and_quarantine_omission(tmp_path):
     journal.begin({"tasks": [0, 1, 2]}, plan_record=None)
     # A quarantined (None) result is omitted, so its task re-runs on resume.
     journal.append_chunk([0, 1, 2], [results[0], results[1], None])
-    header, records = SweepJournal(journal.path).load()
+    header, completed = SweepJournal(journal.path).load()
     assert header["schema"] == SweepJournal.SCHEMA
     assert header["config"] == {"tasks": [0, 1, 2]}
-    assert len(records) == 1 and records[0]["tasks"] == [0, 1]
-    assert SweepJournal(journal.path).completed() == {
-        0: results[0], 1: results[1],
-    }
+    assert completed == {0: results[0], 1: results[1]}
 
 
 def test_journal_append_requires_header(tmp_path):
@@ -196,8 +193,8 @@ def test_journal_load_tolerates_torn_tail(tmp_path):
     # discarded with a warning — those chunks just re-run.
     journal.path.write_text("\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2])
     with pytest.warns(RuntimeWarning, match="corrupt"):
-        _, records = SweepJournal(journal.path).load()
-    assert [record["tasks"] for record in records] == [[0]]
+        _, completed = SweepJournal(journal.path).load()
+    assert list(completed) == [0]
 
 
 def test_journal_load_rejects_missing_or_corrupt_header(tmp_path):

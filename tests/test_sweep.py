@@ -3,7 +3,7 @@
 The sweep driver's contract: any (runner, task list) workload shards
 across process workers with deterministic result ordering and
 seed-for-seed trace-digest equality against the inline executor, with
-per-worker crypto warm-up and bounded worker lifetimes.
+per-worker crypto warm-up and workers that live for the whole sweep.
 """
 
 import pytest
@@ -28,8 +28,7 @@ def test_plan_resolves_workers_and_chunks():
     sweep = SessionPool(config=SweepConfig(executor="process", workers=4), **PARAMS)
     plan = sweep.plan(64)
     assert plan == SweepPlan(
-        tasks=64, executor="process", workers=4, chunksize=4,
-        max_tasks_per_child=None, warmup=True,
+        tasks=64, executor="process", workers=4, chunksize=4, warmup=True,
     )
     assert plan.chunks == 16
     assert plan.summary()["chunks"] == 16
@@ -55,8 +54,6 @@ def test_invalid_config_fails_at_construction():
         SweepConfig(chunksize=0)
     with pytest.raises(ValueError, match="executor"):
         SweepConfig(executor="quantum")
-    with pytest.raises(ValueError, match="max_tasks_per_child"):
-        SweepConfig(max_tasks_per_child=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +92,6 @@ def test_verify_refuses_trace_off_sweeps():
 def test_verify_rejects_empty_task_list():
     with pytest.raises(ValueError, match="empty"):
         SessionPool(config=SweepConfig(executor="inline"), **PARAMS).verify([])
-
-
-def test_run_results_keep_task_order_under_recycling():
-    sweep = SessionPool(
-        config=SweepConfig(
-            executor="process", workers=2, chunksize=1, max_tasks_per_child=2,
-        ),
-        **PARAMS,
-    )
-    report = sweep.run(range(5))
-    assert [r.seed for r in report.results] == list(range(5))
-    inline = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).run(range(5))
-    assert [r.digest for r in report.results] == [r.digest for r in inline.results]
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +134,8 @@ def test_sbc_trial_worker_warmup_smoke():
 
 
 # ---------------------------------------------------------------------------
-# Review regressions: recycle bounds, plan accuracy, CLI edge cases
+# CLI edge cases
 # ---------------------------------------------------------------------------
-
-
-def test_recycle_bound_clamps_chunksize():
-    # multiprocessing.Pool counts one chunk as one task, so a chunk wider
-    # than the recycle bound would overshoot it; the pool clamps.
-    report = SessionPool(
-        config=SweepConfig(
-            executor="process", workers=2, chunksize=8, max_tasks_per_child=2,
-        ),
-        **PARAMS,
-    ).run(range(4))
-    assert report.chunksize == 2  # clamped from 8 to the recycle bound
-    plan = SessionPool(
-        config=SweepConfig(
-            executor="process", workers=2, chunksize=8, max_tasks_per_child=2,
-        ),
-        **PARAMS,
-    ).plan(4)
-    assert plan.chunksize == 2  # plan() reports the same clamp
 
 
 def test_cli_sweep_rejects_empty_session_count(capsys):
@@ -182,72 +147,20 @@ def test_cli_sweep_rejects_empty_session_count(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive chunking: EWMA re-planning, bounded moves, determinism
+# Plan fields
 # ---------------------------------------------------------------------------
 
 
 def test_plan_carries_material_and_adaptive_fields():
     sweep = SessionPool(
         config=SweepConfig(
-            executor="process", workers=2, material="disk", adaptive=True,
+            executor="process", workers=2, material="disk",
         ),
         **PARAMS,
     )
     plan = sweep.plan(8)
     assert plan.material_source == "disk"
-    assert plan.adaptive is True
-    summary = plan.summary(adaptivity=[{"wave": 0}])
+    summary = plan.summary()
     assert summary["material_source"] == "disk"
-    assert summary["adaptive"] is True
-    assert summary["adaptivity"] == [{"wave": 0}]
-    # Non-process executors never re-plan, whatever the constructor said.
-    inline = SessionPool(
-        config=SweepConfig(executor="inline", adaptive=True), **PARAMS,
-    ).plan(8)
-    assert inline.adaptive is False
-
-
-def test_adaptive_sweep_matches_inline_and_records_trace():
-    sweep = SessionPool(
-        config=SweepConfig(executor="process", workers=2, chunksize=1, adaptive=True),
-        **PARAMS,
-    )
-    verdict = sweep.verify(range(10))
-    assert verdict.matched
-    assert [r.seed for r in verdict.report.results] == list(range(10))
-    trace = verdict.report.adaptivity
-    assert trace, "adaptive process sweep must record its re-planning trace"
-    assert sum(entry["tasks"] for entry in trace) == 10
-    assert all(entry["chunksize"] >= 1 for entry in trace)
-    assert verdict.report.summary()["adaptive_waves"] == len(trace)
-
-
-def test_adaptive_never_grows_chunks_under_recycling():
-    from repro.runtime.pool import _replan_chunksize
-
-    # Trials looking instant would suggest huge chunks; recycling caps
-    # growth at the current size so the per-worker bound holds.
-    assert _replan_chunksize(4, 1e-6, max_tasks_per_child=8) == 4
-    assert _replan_chunksize(4, 1e-6, max_tasks_per_child=None) == 16  # 4x cap
-    # Slow trials shrink (bounded to /4 per step) in both modes.
-    assert _replan_chunksize(16, 10.0, max_tasks_per_child=8) == 4
-    assert _replan_chunksize(16, 10.0, max_tasks_per_child=None) == 4
-    # Near-target observations keep the size put.
-    from repro.runtime.pool import ADAPTIVE_TARGET_CHUNK_S
-
-    assert _replan_chunksize(4, ADAPTIVE_TARGET_CHUNK_S / 4, None) == 4
-
-
-def test_adaptive_sweep_with_recycling_stays_deterministic():
-    sweep = SessionPool(
-        config=SweepConfig(
-            executor="process", workers=2, chunksize=2, adaptive=True,
-            max_tasks_per_child=2,
-        ),
-        **PARAMS,
-    )
-    report = sweep.run(range(8))
-    assert [r.seed for r in report.results] == list(range(8))
-    assert all(entry["chunksize"] <= 2 for entry in report.adaptivity)
-    inline = SessionPool(config=SweepConfig(executor="inline"), **PARAMS).run(range(8))
-    assert [r.digest for r in report.results] == [r.digest for r in inline.results]
+    # One sweep shape: the plan has no re-chunking or recycling fields.
+    assert "adaptive" not in summary and "max_tasks_per_child" not in summary

@@ -18,7 +18,7 @@ from repro.runtime import (
     SweepConfig,
     run_sbc_trial,
 )
-from repro.runtime.config import EXECUTORS, add_sweep_options
+from repro.runtime.config import EXECUTORS, add_fanout_options, add_sweep_options
 from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
 
 
@@ -31,7 +31,7 @@ from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
     [
         ({"executor": "fork"}, "executor must be inline/process"),
         ({"chunksize": 0}, "chunksize must be >= 1"),
-        ({"max_tasks_per_child": 0}, "max_tasks_per_child must be >= 1"),
+        ({"executor": "process", "chaos": "boom@1"}, "bad chaos fault"),
         ({"deadline": DeadlinePolicy()}, "executor='process'"),
         ({"executor": "thread"}, "executor must be inline/process"),
         ({"retry": RetryPolicy(max_attempts=2)}, "executor='process'"),
@@ -56,6 +56,18 @@ from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
 def test_validation_fails_fast(kwargs, match):
     with pytest.raises(ValueError, match=match):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [{"adaptive": True}, {"max_tasks_per_child": 2}],
+    ids=["adaptive", "max_tasks_per_child"],
+)
+def test_removed_sweep_shape_knobs_are_refused(knob):
+    # A sweep has one shape: the planned chunk size over workers that
+    # live for the whole run.
+    with pytest.raises(TypeError):
+        SweepConfig(executor="process", **knob)
 
 
 def test_unknown_backend_rejected_at_construction():
@@ -91,6 +103,7 @@ def test_replace_revalidates():
 def _parse(argv, executor_default="inline", trace_default="light"):
     parser = argparse.ArgumentParser()
     add_sweep_options(parser, executor_default, trace_default)
+    add_fanout_options(parser)
     return parser.parse_args(argv)
 
 
@@ -142,11 +155,9 @@ KNOB_VALUES = dict(
     executor="process",
     workers=2,
     chunksize=1,
-    max_tasks_per_child=1,
     warmup=True,
     material=None,
     material_groups=None,
-    adaptive=False,
     online=False,
     batch_verify=False,
     retry=None,
@@ -194,3 +205,24 @@ def test_async_host_shares_the_config_object():
     config = SweepConfig(backend="async", executor="inline", trace="light")
     host = AsyncSessionHost(config=config)
     assert host.config is config
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        {"chunksize": 2},
+        {"retry": RetryPolicy(max_attempts=2)},
+        {"deadline": DeadlinePolicy()},
+        {"chaos": "kill@0"},
+        {"journal": "serve.jsonl"},
+        {"journal": "serve.jsonl", "resume": True},
+    ],
+    ids=["chunksize", "retry", "deadline", "chaos", "journal", "resume"],
+)
+def test_async_host_refuses_fanout_knobs(knob):
+    # The host runs no chunked sweep, so it could honour none of these.
+    from repro.runtime import AsyncSessionHost, run_voting_trial
+
+    config = SweepConfig(backend="async", executor="process", **knob)
+    with pytest.raises(ValueError, match="runs no chunked sweep"):
+        AsyncSessionHost(run_voting_trial, config=config)
