@@ -32,7 +32,7 @@ are one shared flag set (:func:`repro.runtime.config.add_sweep_options`)
 feeding one :class:`repro.runtime.config.SweepConfig` — the same object
 the Python entry points take via ``config=``.  The chunked fan-out flags
 (:func:`repro.runtime.config.add_fanout_options`: chunk size, journal,
-chaos, retry, deadline) go on the three sweep commands only.
+chaos, retry attempts, deadline cap) go on the three sweep commands only.
 
 Online mode is build, attach, spend, ledger: ``material build`` writes
 the pools, every online run spends its slices from index 0 of the blob
@@ -158,28 +158,6 @@ def _sbc_params_error(params: dict) -> Optional[str]:
     return None
 
 
-def _quarantine_error(report) -> Optional[str]:
-    """The line to print when a process sweep came back empty, or None.
-
-    A worker can fail every trial for a reason this process cannot check
-    up front (an injected fault, a crash).  The supervisor quarantines
-    each one and the sweep completes with no results; the first
-    quarantined task's reason says why.
-    """
-    if report.results:
-        return None
-    quarantined = [
-        event
-        for event in report.supervision["events"]
-        if event["kind"] == "task.quarantined"
-    ]
-    first = quarantined[0]
-    return (
-        f"all {len(quarantined)} trials were quarantined; first, task "
-        f"{first['task']!r}: {first['reason']}"
-    )
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.runtime import SessionPool, SweepConfig, sequential_loop
 
@@ -206,7 +184,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    error = _quarantine_error(report)
+    error = report.quarantine_error()
     if error is not None:
         print(error, file=sys.stderr)
         return 2
@@ -324,7 +302,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"trace digests match inline reference, seed for seed: "
                   f"{'yes' if verdict.matched else 'NO'}")
         return 0 if verdict.matched else 1
-    error = _quarantine_error(report)
+    error = report.quarantine_error()
     if error is not None:
         print(error, file=sys.stderr)
         return 2

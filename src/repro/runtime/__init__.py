@@ -104,8 +104,6 @@ from repro.runtime.supervisor import (
     ChaosFault,
     ChaosInjected,
     ChaosPlan,
-    DeadlinePolicy,
-    RetryPolicy,
     Supervisor,
     SupervisorStats,
     SweepJournal,
@@ -122,7 +120,6 @@ __all__ = [
     "ChaosFault",
     "ChaosInjected",
     "ChaosPlan",
-    "DeadlinePolicy",
     "ExecutionBackend",
     "HostReport",
     "HostSlotAllocator",
@@ -134,7 +131,6 @@ __all__ = [
     "POOLED",
     "ParallelSweep",
     "PoolReport",
-    "RetryPolicy",
     "RoundDriver",
     "SEQUENTIAL",
     "SequentialRoundDriver",

@@ -195,12 +195,14 @@ class AsyncSessionHost:
             reads ``backend`` (defaults to ``async``), ``executor``,
             ``workers``, ``warmup``, ``material``, ``material_groups``,
             ``online``, ``batch_verify`` and ``trace``.  The sweep
-            fan-out knobs (``chunksize``, ``retry``, ``deadline``,
-            ``chaos``, ``journal``, ``resume``) shape chunked sweeps,
-            which a host never runs, so a config setting any is refused.
+            fan-out knobs (``chunksize``, ``retry_attempts``,
+            ``deadline_cap_s``, ``chaos``, ``journal``, ``resume``)
+            shape chunked sweeps, which a host never runs, so a config
+            setting any is refused.
         session_timeout_s: Wall-clock bound on one executor-offloaded
-            session (inline coroutine sessions are bounded by their
-            round budgets instead).
+            session: on expiry the host kills its process workers and
+            :meth:`serve` raises ``TimeoutError`` (inline coroutine
+            sessions are bounded by their round budgets instead).
         admission_chunk: Hosted sessions are admitted in chunks of this
             many before yielding to the loop, so early sessions start
             making progress while late ones are still being created.
@@ -229,11 +231,8 @@ class AsyncSessionHost:
     ) -> None:
         if config is None:
             config = SweepConfig(backend="async", executor="inline")
-        fanout = [
-            name
-            for name in ("chunksize", "retry", "deadline", "chaos", "journal", "resume")
-            if getattr(config, name) not in (None, False)
-        ]
+        knobs = ("chunksize", "retry_attempts", "deadline_cap_s", "chaos", "journal", "resume")
+        fanout = [name for name in knobs if getattr(config, name) not in (None, False)]
         if fanout:
             raise ValueError(
                 f"the session host runs no chunked sweep, so it cannot honour "
@@ -365,6 +364,14 @@ class AsyncSessionHost:
                     # while the rest are still being created.
                     await asyncio.sleep(0)
             results = list(await asyncio.gather(*tasks)) if tasks else []
+        except asyncio.TimeoutError:
+            # The timed-out session's worker may never return, and the
+            # shutdown(wait=True) below would wait on it forever: kill
+            # the workers first (the supervisor reads Pool._pool alike).
+            if executor is not None:
+                for process in list((getattr(executor, "_processes", None) or {}).values()):
+                    process.terminate()
+            raise
         finally:
             for task in tasks:
                 if not task.done():

@@ -2,10 +2,10 @@
 
 Nine PRs of organic growth left ``SessionPool``, ``ParallelSweep``,
 ``run_matrix`` and four CLI subcommands each re-declaring the same ~20
-execution knobs — and silently drifting (``run_matrix`` lacked
-``retry``/``deadline``/``journal``/``resume``/``trace`` for two PRs
-before anyone noticed).  :class:`SweepConfig` is the single source of
-truth: a frozen dataclass holding every knob, with *all* validation in
+execution knobs — and silently drifting (``run_matrix`` once lacked
+the supervision, journal and trace knobs without anyone noticing).
+:class:`SweepConfig` is the single source of truth: a frozen dataclass
+holding every knob, with *all* validation in
 :meth:`SweepConfig.__post_init__`, and an argparse bridge
 (:func:`add_sweep_options` and :func:`add_fanout_options`, read back by
 :meth:`SweepConfig.from_args`): ``bench``/``sweep``/``scenarios run``
@@ -70,10 +70,11 @@ class SweepConfig:
             random-linear-combination multi-exp per round.  ``True``
             uses the stock :class:`~repro.crypto.batch.BatchPolicy`;
             an explicit policy pins seed/threshold/trace behaviour.
-        retry: :class:`~repro.runtime.supervisor.RetryPolicy` for the
-            supervised process fan-out.  Process executor only.
-        deadline: :class:`~repro.runtime.supervisor.DeadlinePolicy`
-            bounding each chunk's wait.  Process executor only.
+        retry_attempts: Dispatches per chunk before it is bisected
+            (default: 3).  Process executor only.
+        deadline_cap_s: Cap in seconds on a chunk's deadline (see
+            :func:`~repro.runtime.supervisor.deadline_s`).  Process
+            executor only.
         chaos: Fault-injection schedule — a
             :class:`~repro.runtime.supervisor.ChaosPlan` or a spec
             string (``"kill@3,exc@5:*"``).  Process executor only.
@@ -95,8 +96,8 @@ class SweepConfig:
     material_groups: Optional[Sequence[Any]] = None
     online: Any = False
     batch_verify: Any = False
-    retry: Optional[Any] = None
-    deadline: Optional[Any] = None
+    retry_attempts: Optional[int] = None
+    deadline_cap_s: Optional[float] = None
     chaos: Optional[Any] = None
     journal: Optional[Any] = None
     resume: bool = False
@@ -114,6 +115,10 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
+        if self.retry_attempts is not None and self.retry_attempts < 1:
+            raise ValueError(f"retry_attempts must be >= 1, got {self.retry_attempts}")
+        if self.deadline_cap_s is not None and self.deadline_cap_s <= 0:
+            raise ValueError(f"deadline_cap_s must be > 0, got {self.deadline_cap_s}")
         get_backend(self.backend)  # unknown names raise here, not mid-sweep
         object.__setattr__(self, "warmup", bool(self.warmup))
         object.__setattr__(self, "material", resolve_material_source(self.material))
@@ -127,15 +132,15 @@ class SweepConfig:
             object.__setattr__(self, "chaos", ChaosPlan.parse(self.chaos))
         object.__setattr__(self, "resume", bool(self.resume))
         supervised = (
-            self.retry is not None
-            or self.deadline is not None
+            self.retry_attempts is not None
+            or self.deadline_cap_s is not None
             or self.chaos is not None
             or self.journal is not None
             or self.resume
         )
         if supervised and self.executor != "process":
             raise ValueError(
-                "retry/deadline/chaos/journal/resume configure the "
+                "retry_attempts/deadline_cap_s/chaos/journal/resume configure the "
                 "supervised process fan-out; they need executor='process' "
                 "(chaos faults would kill the coordinator inline, and a "
                 "journal of an unsupervised run could not be trusted)"
@@ -183,47 +188,22 @@ class SweepConfig:
     def from_args(cls, args: argparse.Namespace, **overrides: Any) -> "SweepConfig":
         """Build a config from an :func:`add_sweep_options` namespace.
 
-        Knobs a command chose not to expose fall back to the dataclass
-        defaults (``getattr`` with default), so one builder serves
-        ``bench``, ``sweep``, ``scenarios run`` and ``serve`` (which
-        takes no :func:`add_fanout_options` flags).
-        ``overrides`` win over the namespace — commands pass
-        ``backend=args.backend`` (or a forced value) explicitly, since
-        ``--backend`` semantics differ per command.
+        Every flag carries its knob's name (``--retry-attempts`` sets
+        ``retry_attempts``; ``--no-warmup`` is the one inversion), so
+        the knobs the namespace holds are copied and the rest keep their
+        defaults: one builder serves ``bench``, ``sweep``, ``scenarios
+        run`` and ``serve`` (which takes no :func:`add_fanout_options`
+        flags).  The ``--chaos`` spec string is parsed by
+        ``__post_init__``.  ``backend`` comes from ``overrides`` only,
+        which win over the namespace: ``--backend`` means different
+        things per command.
         """
-        retry = deadline = None
-        retry_attempts = getattr(args, "retry_attempts", None)
-        if retry_attempts is not None:
-            from repro.runtime.supervisor import RetryPolicy
-
-            retry = RetryPolicy(max_attempts=retry_attempts)
-        deadline_cap_s = getattr(args, "deadline_cap_s", None)
-        if deadline_cap_s is not None:
-            from repro.runtime.supervisor import DeadlinePolicy
-
-            deadline = DeadlinePolicy(
-                floor_s=min(deadline_cap_s, 60.0), cap_s=deadline_cap_s
-            )
-        chaos = getattr(args, "chaos", None)
-        if chaos is not None:
-            from repro.runtime.supervisor import ChaosPlan
-
-            chaos = ChaosPlan.parse(chaos, hang_s=getattr(args, "chaos_hang_s", 30.0))
-        kwargs = dict(
-            executor=getattr(args, "executor", cls.executor),
-            workers=getattr(args, "workers", None),
-            chunksize=getattr(args, "chunksize", None),
-            warmup=not getattr(args, "no_warmup", False),
-            material=getattr(args, "material", None),
-            online=getattr(args, "online", False),
-            batch_verify=getattr(args, "batch_verify", False),
-            retry=retry,
-            deadline=deadline,
-            chaos=chaos,
-            journal=getattr(args, "journal", None),
-            resume=getattr(args, "resume", False),
-            trace=getattr(args, "trace", None),
-        )
+        kwargs = {
+            name: getattr(args, name)
+            for name in cls.knob_names()
+            if name != "backend" and hasattr(args, name)
+        }
+        kwargs["warmup"] = not getattr(args, "no_warmup", False)
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -307,13 +287,9 @@ def add_fanout_options(parser: argparse.ArgumentParser) -> None:
         "--chaos", default=None, metavar="SPEC",
         help="inject worker faults for resilience testing: "
              "comma-separated kind@task[:repeat] with kind in "
-             "kill/exc/hang and ':*' for every dispatch "
+             "kill/exc/hang (a 30 s sleep) and ':*' for every dispatch "
              "(e.g. 'kill@3,exc@7:2'); recovery keeps the sweep "
              "digest-equal, so combine with --verify",
-    )
-    parser.add_argument(
-        "--chaos-hang-s", type=float, default=30.0,
-        help="how long an injected 'hang' fault sleeps (default: 30)",
     )
     parser.add_argument(
         "--retry-attempts", type=int, default=None,

@@ -574,6 +574,21 @@ class PoolReport:
     def total_messages(self) -> int:
         return sum(result.messages for result in self.results)
 
+    def quarantine_error(self) -> Optional[str]:
+        """The line naming why a process sweep came back empty, or None:
+        every trial failed in a worker (an injected fault, a crash the
+        parent could not check up front), so the supervisor quarantined
+        each one; the first quarantined task's reason says why."""
+        events = (self.supervision or {}).get("events", [])
+        quarantined = [event for event in events if event["kind"] == "task.quarantined"]
+        if self.results or not quarantined:
+            return None
+        first = quarantined[0]
+        return (
+            f"all {len(quarantined)} trials were quarantined; first, task "
+            f"{first['task']!r}: {first['reason']}"
+        )
+
     def summary(self) -> Dict[str, Any]:
         """Uniform record for benchmark JSON emission.
 
@@ -924,8 +939,8 @@ class SessionPool:
             functools.partial(
                 Supervisor,
                 workers=plan.workers,
-                retry=config.retry,
-                deadline=config.deadline,
+                retry_attempts=config.retry_attempts,
+                deadline_cap_s=config.deadline_cap_s,
                 chaos=config.chaos,
                 on_chunk=journal.append_chunk if journal is not None else None,
             ),
@@ -1119,12 +1134,17 @@ class SessionPool:
         """Run the tasks *and* an inline reference; compare digests.
 
         Raises:
-            ValueError: the task list is empty.
+            ValueError: the task list is empty, or every trial was
+                quarantined (the message names the first one's reason;
+                the reference is not run).
             TraceDigestUnavailable: the run was trace-off (``light``),
                 so there are no digests to compare.
         """
         tasks = list(tasks)
         report = self.run(tasks)
+        error = report.quarantine_error()
+        if error is not None:
+            raise ValueError(error)
         reference = self._inline_reference(report).run(tasks)
         return SweepVerification(
             report=report,

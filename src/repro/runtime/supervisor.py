@@ -7,16 +7,16 @@ with ``apply_async`` and bounds its wait, so worker failure becomes a
 *recoverable, accounted* event:
 
 * **Deadlines** — each chunk's wait is bounded by an EWMA of observed
-  per-task wall time times a configurable factor
-  (:class:`DeadlinePolicy`).  A deadline expiry
-  covers both failure modes a parent can see: a hung worker, and a
-  killed one (``multiprocessing.Pool`` repopulates dead workers, but
-  the lost job's result never arrives).
-* **Retry** — failed or timed-out chunks are re-dispatched under a
-  deterministic :class:`RetryPolicy` (max attempts, exponential
-  backoff).  Trials are seed-deterministic and wall-clock never enters
-  trace digests, so a retried chunk reproduces the undisturbed run's
-  digests exactly.
+  per-task wall time (:func:`deadline_s`); a sweep may only cap it
+  (``deadline_cap_s``).  A deadline expiry covers both failure modes a
+  parent can see: a hung worker, and a killed one
+  (``multiprocessing.Pool`` repopulates dead workers, but the lost
+  job's result never arrives).
+* **Retry** — failed or timed-out chunks are re-dispatched up to
+  ``retry_attempts`` times after a fixed exponential backoff
+  (:func:`backoff_s`).  Trials are seed-deterministic and wall-clock
+  never enters trace digests, so a retried chunk reproduces the
+  undisturbed run's digests exactly.
 * **Respawn** — a deadline expiry terminates the pool (the only safe
   move once a worker may have died holding a queue lock) and restarts
   it; chunks already completed are kept, unfinished ones re-dispatch.
@@ -58,11 +58,11 @@ __all__ = [
     "ChaosFault",
     "ChaosInjected",
     "ChaosPlan",
-    "DeadlinePolicy",
-    "RetryPolicy",
     "Supervisor",
     "SupervisorStats",
     "SweepJournal",
+    "backoff_s",
+    "deadline_s",
     "plan_from_record",
     "plan_to_record",
     "run_chunk",
@@ -82,6 +82,10 @@ CHAOS_KINDS = ("kill", "exc", "hang")
 #: and quarantine instead of a clean retry).
 CHAOS_FOREVER = 1 << 30
 
+#: How long an injected ``"hang"`` fault sleeps: past the few-second
+#: deadline cap a chaos run sets, so it models a wedged worker.
+CHAOS_HANG_S = 30.0
+
 
 @dataclass(frozen=True)
 class ChaosFault:
@@ -90,28 +94,23 @@ class ChaosFault:
     Attributes:
         task: The task value (seed / index) the fault triggers on.
         kind: ``"kill"`` (SIGKILL the worker process), ``"exc"`` (raise
-            :class:`ChaosInjected`) or ``"hang"`` (sleep ``hang_s``
-            before running the task — longer than the chunk deadline to
-            model a wedged worker, shorter to model a stall).
+            :class:`ChaosInjected`) or ``"hang"`` (sleep
+            :data:`CHAOS_HANG_S` before running the task).
         repeat: How many dispatches of the task the fault fires on
             (default 1: first attempt only, so the retry runs clean and
             the sweep stays digest-equal to an undisturbed run).  Use
             :data:`CHAOS_FOREVER` for a persistent poison task.
-        hang_s: Sleep length for ``"hang"`` faults.
     """
 
     task: Any
     kind: str
     repeat: int = 1
-    hang_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.kind not in CHAOS_KINDS:
             raise ValueError(f"fault kind must be one of {CHAOS_KINDS}, got {self.kind!r}")
         if self.repeat < 1:
             raise ValueError(f"fault repeat must be >= 1, got {self.repeat}")
-        if self.hang_s <= 0:
-            raise ValueError(f"fault hang_s must be > 0, got {self.hang_s}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class ChaosPlan:
     faults: Tuple[ChaosFault, ...]
 
     @classmethod
-    def parse(cls, spec: str, hang_s: float = 30.0) -> "ChaosPlan":
+    def parse(cls, spec: str) -> "ChaosPlan":
         """Parse ``kind@task[:repeat][,...]`` (e.g. ``kill@3,exc@5:*``).
 
         ``repeat`` defaults to 1 (first dispatch only); ``*`` means
@@ -150,11 +149,7 @@ class ChaosPlan:
                 repeat = 1
                 if repeat_text:
                     repeat = CHAOS_FOREVER if repeat_text == "*" else int(repeat_text)
-                faults.append(
-                    ChaosFault(
-                        task=int(task_text), kind=kind, repeat=repeat, hang_s=hang_s
-                    )
-                )
+                faults.append(ChaosFault(task=int(task_text), kind=kind, repeat=repeat))
             except ValueError as exc:
                 raise ValueError(
                     f"bad chaos fault {part!r} (want kind@task[:repeat] with "
@@ -171,99 +166,49 @@ class ChaosPlan:
         return None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic retry schedule for failed/timed-out chunks.
-
-    Backoff is a pure function of the attempt number — no jitter, no
-    wall-clock reads — so a chaos run's retry schedule is reproducible.
-    Backoff delays only pace re-dispatch; wall time never enters trace
-    digests, so the schedule is digest-neutral by construction.
-
-    Attributes:
-        max_attempts: Dispatches a chunk gets before it is bisected
-            (or, at size one, quarantined).
-        backoff_base_s: Delay before the first retry.
-        backoff_factor: Multiplier per further attempt.
-        backoff_max_s: Cap on any single delay.
-    """
-
-    max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-
-    def delay_s(self, attempt: int) -> float:
-        """Pre-retry delay after ``attempt`` failed dispatches (>= 1)."""
-        if attempt < 1:
-            return 0.0
-        return min(
-            self.backoff_base_s * self.backoff_factor ** (attempt - 1),
-            self.backoff_max_s,
-        )
-
-
-#: EWMA smoothing factor for the deadline estimator's observed per-task
-#: wall time.
+#: The supervision schedule.  A sweep sets only ``retry_attempts``
+#: (default :data:`DEFAULT_RETRY_ATTEMPTS`) and ``deadline_cap_s``; the
+#: rest is fixed here (see :func:`backoff_s` and :func:`deadline_s`).
+DEFAULT_RETRY_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+DEADLINE_FLOOR_S = 60.0
+DEADLINE_FACTOR = 32.0
+#: The per-task estimate before the first chunk completes.
+INITIAL_TASK_S = 1.0
+#: EWMA smoothing factor for the observed per-task wall time.
 DEADLINE_EWMA_ALPHA = 0.5
 
 
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """How long the supervisor waits on one chunk before declaring it dead.
+def backoff_s(attempt: int) -> float:
+    """Pre-retry delay after ``attempt`` failed dispatches: doubling from
+    50 ms up to 2 s.  No jitter and no clock reads, so a chaos run's
+    retry schedule is reproducible (and wall time never enters digests)."""
+    return min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_MAX_S)
 
-    The estimate is an EWMA (:data:`DEADLINE_EWMA_ALPHA`) of observed
-    per-task wall time from completed chunks, seeded with
-    ``initial_task_s`` until the first chunk lands.  The deadline is
-    ``max(floor_s, factor * est * chunk_len)``, clamped to ``cap_s``
-    when one is set, then escalated per retry so a merely-slow chunk is
-    not killed twice for the same reason.  The generous defaults mean
-    healthy sweeps never trip it; chaos tests and CI smoke steps pass a
-    small ``cap_s`` so hang detection fails fast even before the first
-    completed chunk has taught the estimator anything.
-    """
 
-    factor: float = 32.0
-    floor_s: float = 60.0
-    initial_task_s: float = 1.0
-    escalation: float = 2.0
-    cap_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.factor <= 0 or self.floor_s <= 0 or self.initial_task_s <= 0:
-            raise ValueError("deadline factor/floor_s/initial_task_s must be > 0")
-        if self.escalation < 1.0:
-            raise ValueError(f"escalation must be >= 1, got {self.escalation}")
-        if self.cap_s is not None and self.cap_s <= 0:
-            raise ValueError(f"cap_s must be > 0, got {self.cap_s}")
-
-    def deadline_s(
-        self, est_task_s: Optional[float], tasks: int, attempt: int = 0
-    ) -> float:
-        est = est_task_s if est_task_s and est_task_s > 0 else self.initial_task_s
-        base = max(self.floor_s, self.factor * est * max(1, tasks))
-        if self.cap_s is not None:
-            base = min(base, self.cap_s)
-        return base * self.escalation ** max(0, attempt)
+def deadline_s(
+    est_task_s: Optional[float], tasks: int, attempt: int = 0, cap_s: Optional[float] = None
+) -> float:
+    """The wait for a ``tasks``-long chunk: ``max(60, 32 * est * tasks)``
+    seconds, capped at ``cap_s``, then doubled per earlier attempt so a
+    merely slow chunk is not killed twice.  The generous floor means
+    healthy sweeps never trip it; a cap makes hang detection fast."""
+    base = max(DEADLINE_FLOOR_S, DEADLINE_FACTOR * (est_task_s or INITIAL_TASK_S) * max(1, tasks))
+    if cap_s is not None:
+        base = min(base, cap_s)
+    return base * 2 ** attempt
 
 
 def run_chunk(
     runner: Callable[[Any], Any],
     tasks: Sequence[Any],
-    faults: Optional[Dict[Any, Tuple[str, float]]] = None,
+    faults: Optional[Dict[Any, str]] = None,
 ) -> List[Any]:
     """Worker-side chunk body: run ``runner`` over ``tasks`` in order.
 
     Module-level (hence picklable) by construction.  ``faults`` maps a
-    task to its active injected fault, applied *before* the task runs:
+    task to its active injected fault kind, applied *before* the task runs:
     ``kill`` SIGKILLs this worker (the parent sees a chunk deadline
     expire), ``exc`` raises :class:`ChaosInjected` (the parent sees the
     apply_async result fail), ``hang`` sleeps before proceeding.  The
@@ -272,15 +217,13 @@ def run_chunk(
     """
     results: List[Any] = []
     for task in tasks:
-        fault = (faults or {}).get(task)
-        if fault is not None:
-            kind, hang_s = fault
-            if kind == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif kind == "hang":
-                time.sleep(hang_s)
-            elif kind == "exc":
-                raise ChaosInjected(f"injected failure at task {task!r}")
+        kind = (faults or {}).get(task)
+        if kind == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif kind == "hang":
+            time.sleep(CHAOS_HANG_S)
+        elif kind == "exc":
+            raise ChaosInjected(f"injected failure at task {task!r}")
         results.append(runner(task))
     return results
 
@@ -330,8 +273,10 @@ class Supervisor:
         workers: Worker process count.
         initializer: Per-worker warm-up callable (module-level).
         initargs: Arguments for ``initializer``.
-        retry: :class:`RetryPolicy` (default: stock policy).
-        deadline: :class:`DeadlinePolicy` (default: stock policy).
+        retry_attempts: Dispatches per chunk before bisection (default:
+            :data:`DEFAULT_RETRY_ATTEMPTS`).
+        deadline_cap_s: Upper bound on any chunk's first-dispatch
+            deadline (default: none, see :func:`deadline_s`).
         chaos: Optional :class:`ChaosPlan` of injected worker faults.
         on_chunk: ``on_chunk(tasks, results)`` called as each chunk
             completes (the journal seam).  ``OSError`` from the callback
@@ -344,8 +289,8 @@ class Supervisor:
         workers: int,
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
-        retry: Optional[RetryPolicy] = None,
-        deadline: Optional[DeadlinePolicy] = None,
+        retry_attempts: Optional[int] = None,
+        deadline_cap_s: Optional[float] = None,
         chaos: Optional[ChaosPlan] = None,
         on_chunk: Optional[Callable[[List[Any], List[Any]], None]] = None,
     ) -> None:
@@ -354,8 +299,8 @@ class Supervisor:
         self.workers = workers
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.retry = retry or RetryPolicy()
-        self.deadline = deadline or DeadlinePolicy()
+        self.retry_attempts = retry_attempts or DEFAULT_RETRY_ATTEMPTS
+        self.deadline_cap_s = deadline_cap_s
         self.chaos = chaos
         self.on_chunk = on_chunk
         self.stats = SupervisorStats()
@@ -414,9 +359,7 @@ class Supervisor:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _active_faults(
-        self, chunk: _Chunk
-    ) -> Optional[Dict[Any, Tuple[str, float]]]:
+    def _active_faults(self, chunk: _Chunk) -> Optional[Dict[Any, str]]:
         """Faults to ship with this dispatch; advances the attempt counts.
 
         A fault stays active while the task's dispatch count is below
@@ -424,7 +367,7 @@ class Supervisor:
         faults replay clean on retry (digest equality) and persistent
         faults drive bisection.
         """
-        faults: Dict[Any, Tuple[str, float]] = {}
+        faults: Dict[Any, str] = {}
         for task in chunk.tasks:
             seen = self._dispatches.get(task, 0)
             self._dispatches[task] = seen + 1
@@ -432,7 +375,7 @@ class Supervisor:
                 continue
             fault = self.chaos.fault_for(task)
             if fault is not None and seen < fault.repeat:
-                faults[task] = (fault.kind, fault.hang_s)
+                faults[task] = fault.kind
         return faults or None
 
     def _submit(self, pool: Any, runner: Callable[[Any], Any], chunk: _Chunk) -> None:
@@ -556,7 +499,7 @@ class Supervisor:
 
     def _fail(self, chunks: List[_Chunk], chunk: _Chunk, reason: str) -> None:
         chunk.attempts += 1
-        if chunk.attempts < self.retry.max_attempts:
+        if chunk.attempts < self.retry_attempts:
             self.stats.retries += 1
             self.stats.events.append(
                 {
@@ -566,9 +509,7 @@ class Supervisor:
                     "reason": reason,
                 }
             )
-            delay = self.retry.delay_s(chunk.attempts)
-            if delay:
-                time.sleep(delay)
+            time.sleep(backoff_s(chunk.attempts))
         elif len(chunk.tasks) > 1:
             # Attempts exhausted on a multi-task chunk: split it so the
             # poison task is isolated instead of taking siblings down.
@@ -642,17 +583,14 @@ class Supervisor:
                 if chunk not in self._inflight:
                     self._submit(pool, runner, chunk)
             target = open_chunks[0]
-            budget = self.deadline.deadline_s(
-                self._ewma_task_s, len(target.tasks), target.attempts
+            budget = deadline_s(
+                self._ewma_task_s, len(target.tasks), target.attempts,
+                self.deadline_cap_s,
             )
             # Once a worker death is observed, a healthy target should
             # still finish within a few multiples of the running
             # estimate — if it doesn't, its job died with the worker.
-            est = (
-                self._ewma_task_s
-                if self._ewma_task_s is not None
-                else self.deadline.initial_task_s
-            )
+            est = self._ewma_task_s if self._ewma_task_s is not None else INITIAL_TASK_S
             grace = min(budget, max(4.0 * est * len(target.tasks), 1.0))
             handle = self._inflight[target]
             status, outcome = self._await_result(handle, budget, grace)

@@ -603,9 +603,9 @@ def run_matrix(
     :class:`~repro.runtime.material.OnlinePlan` whose backend-variant
     replays of one execution share a pool slot (see
     :func:`online_slots_for`) — so the cross-backend digest check holds
-    in online mode.  ``chaos``/``retry``/``deadline``/``journal``
-    /``resume`` configure the supervised process fan-out exactly as in
-    :class:`~repro.runtime.pool.SessionPool`.
+    in online mode.  ``chaos``/``retry_attempts``/``deadline_cap_s``
+    /``journal``/``resume`` configure the supervised process fan-out
+    exactly as in :class:`~repro.runtime.pool.SessionPool`.
     """
     specs = tuple(specs)
     if config is None:

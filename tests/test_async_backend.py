@@ -10,6 +10,8 @@ can never overlap, and the sync facades inside a running loop.
 """
 
 import asyncio
+import multiprocessing
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -352,6 +354,29 @@ def test_coroutine_runner_requires_inline_executor():
 def test_session_timeout_must_be_positive():
     with pytest.raises(ValueError, match="session_timeout_s"):
         _toy_host(session_timeout_s=0.0)
+
+
+def _hung_trial(seed):
+    """A process-offloaded session that outlives any sane timeout."""
+    time.sleep(10)
+    return seed
+
+
+def test_session_timeout_bounds_a_hung_process_session():
+    # The timeout must bound serve() itself: the host kills the hung
+    # worker instead of waiting for it in the executor's shutdown.
+    host = AsyncSessionHost(
+        _hung_trial,
+        config=SweepConfig(
+            backend="async", executor="process", workers=1, warmup=False
+        ),
+        session_timeout_s=0.5,
+    )
+    started = time.monotonic()
+    with pytest.raises(asyncio.TimeoutError):
+        host.run([0])
+    assert time.monotonic() - started < 5
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

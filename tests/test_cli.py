@@ -198,6 +198,8 @@ def test_process_executor_names_theorem_2_bound(argv, capsys):
         ["serve", "--sessions", "2", "--journal", "serve.jsonl"],
         ["serve", "--sessions", "2", "--chunksize", "2"],
         ["serve", "--sessions", "2", "--deadline-cap-s", "5"],
+        # A hang fault always sleeps 30 s; its length is not a knob.
+        ["sweep", "--sessions", "2", "--chaos", "hang@0", "--chaos-hang-s", "30"],
     ],
     ids=[
         "consume-forward", "replenish", "material-replenish",
@@ -205,6 +207,7 @@ def test_process_executor_names_theorem_2_bound(argv, capsys):
         "sweep-max-tasks-per-child", "bench-max-tasks-per-child",
         "scenarios-max-tasks-per-child",
         "serve-chaos", "serve-journal", "serve-chunksize", "serve-deadline-cap-s",
+        "sweep-chaos-hang-s",
     ],
 )
 def test_pool_lifecycle_flags_are_gone(argv, capsys):
@@ -214,10 +217,13 @@ def test_pool_lifecycle_flags_are_gone(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("output", [[], ["--json"]], ids=["table", "json"])
+@pytest.mark.parametrize(
+    "output", [[], ["--json"], ["--verify"]], ids=["table", "json", "verify"]
+)
 def test_all_quarantined_sweep_names_the_reason(output, capsys):
     # Every trial fails in a worker, so the sweep has no results to
-    # report: one stderr line names the first quarantined task's reason.
+    # report (or to verify): one stderr line names the first quarantined
+    # task's reason.
     argv = ["sweep", "--sessions", "2", "--workers", "2",
             "--chaos", "exc@0:*,exc@1:*"]
     assert main(argv + output) == 2
@@ -225,6 +231,27 @@ def test_all_quarantined_sweep_names_the_reason(output, capsys):
     assert len(err.splitlines()) == 1
     assert "quarantined" in err and "task 0" in err
     assert "ChaosInjected: injected failure at task 0" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, knob",
+    [
+        ("--retry-attempts", "0", "retry_attempts"),
+        ("--deadline-cap-s", "0", "deadline_cap_s"),
+    ],
+    ids=["retry-attempts", "deadline-cap-s"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["sweep", "--sessions", "2"], ["bench", "--sessions", "2"],
+     ["scenarios", "run", "--cell", "ubc/"]],
+    ids=["sweep", "bench", "scenarios"],
+)
+def test_bad_supervision_flag_names_its_knob(command, flag, value, knob, capsys):
+    argv = command + ["--executor", "process", "--workers", "2", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and knob in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "bench"])

@@ -29,9 +29,7 @@ from repro.runtime import (
     ChaosFault,
     ChaosInjected,
     ChaosPlan,
-    DeadlinePolicy,
     MaterialStore,
-    RetryPolicy,
     SessionPool,
     SweepConfig,
     SweepJournal,
@@ -40,6 +38,8 @@ from repro.runtime import (
     run_voting_trial,
 )
 from repro.runtime.supervisor import (
+    backoff_s,
+    deadline_s,
     plan_from_record,
     plan_to_record,
     run_chunk,
@@ -48,9 +48,9 @@ from repro.runtime.supervisor import (
 )
 
 PARAMS = dict(n=3, mode="hybrid", phi=4, delta=2, senders=1)
-#: Fast-failing policies so chaos tests converge in seconds, not minutes.
-FAST_RETRY = RetryPolicy(max_attempts=2, backoff_base_s=0.01, backoff_max_s=0.02)
-FAST_DEADLINE = DeadlinePolicy(cap_s=2.0)
+#: Fast-failing supervision so chaos tests converge in seconds, not minutes.
+FAST_RETRY = 2
+FAST_DEADLINE = 2.0
 
 #: Directory (via env, so forked workers see it) where the marker runner
 #: below records which seeds actually executed.
@@ -77,47 +77,43 @@ def store(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Policies and chaos-plan parsing
+# The supervision schedule and chaos-plan parsing
 
 
 def test_retry_policy_backoff_progression_and_cap():
-    policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.3)
-    assert policy.delay_s(1) == pytest.approx(0.1)
-    assert policy.delay_s(2) == pytest.approx(0.2)
-    assert policy.delay_s(3) == pytest.approx(0.3)  # capped
-    assert policy.delay_s(9) == pytest.approx(0.3)
-
-
-def test_retry_policy_validates():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_factor=0.5)
+    # Backoff before retry k: 0.05 s doubling per attempt, capped at 2 s.
+    backoff = {1: 0.05, 2: 0.1, 3: 0.2, 6: 1.6, 7: 2.0, 20: 2.0}
+    for attempt, delay in backoff.items():
+        assert backoff_s(attempt) == pytest.approx(delay), attempt
 
 
 def test_deadline_floor_factor_cap_and_escalation():
-    policy = DeadlinePolicy(factor=10.0, floor_s=5.0, escalation=2.0)
-    # Floor dominates small chunks; factor * est * tasks dominates big ones.
-    assert policy.deadline_s(0.01, 4) == pytest.approx(5.0)
-    assert policy.deadline_s(1.0, 4) == pytest.approx(40.0)
-    # No observation yet: the initial estimate stands in.
-    assert policy.deadline_s(None, 4) == pytest.approx(40.0)
-    # Retries escalate, so a merely-slow chunk isn't killed twice.
-    assert policy.deadline_s(1.0, 4, attempt=2) == pytest.approx(160.0)
-    capped = DeadlinePolicy(factor=10.0, floor_s=5.0, cap_s=2.0)
-    assert capped.deadline_s(1.0, 4) == pytest.approx(2.0)
-    assert capped.deadline_s(1.0, 4, attempt=1) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        DeadlinePolicy(cap_s=0.0)
+    # (estimate, tasks, attempt, cap) -> deadline in seconds.
+    deadlines = {
+        # The 60 s floor rules small chunks; 32 x est x tasks big ones.
+        (0.01, 4, 0, None): 60.0,
+        (1.0, 4, 0, None): 128.0,
+        # No completed chunk yet: a 1 s per-task estimate stands in.
+        (None, 1, 0, None): 60.0,
+        (None, 4, 0, None): 128.0,
+        # Each retry doubles the wait, so a slow chunk isn't killed twice.
+        (1.0, 4, 2, None): 512.0,
+        # The cap bounds floor and estimate alike, before escalation.
+        (1.0, 4, 0, 2.0): 2.0,
+        (0.01, 4, 0, 5.0): 5.0,
+        (1.0, 4, 1, 2.0): 4.0,
+        (0.01, 4, 0, 90.0): 60.0,
+    }
+    for args, deadline in deadlines.items():
+        assert deadline_s(*args) == pytest.approx(deadline), args
 
 
 def test_chaos_plan_parses_spec_grammar():
-    plan = ChaosPlan.parse("kill@3,exc@7:2,hang@1:*", hang_s=5.0)
+    plan = ChaosPlan.parse("kill@3,exc@7:2,hang@1:*")
     by_task = {fault.task: fault for fault in plan.faults}
     assert by_task[3].kind == "kill" and by_task[3].repeat == 1
     assert by_task[7].kind == "exc" and by_task[7].repeat == 2
     assert by_task[1].kind == "hang" and by_task[1].repeat == CHAOS_FOREVER
-    assert by_task[1].hang_s == 5.0
     assert plan.fault_for(3) is by_task[3]
     assert plan.fault_for(99) is None
 
@@ -132,13 +128,13 @@ def test_chaos_fault_validates():
     with pytest.raises(ValueError):
         ChaosFault(task=1, kind="segfault")
     with pytest.raises(ValueError):
-        ChaosFault(task=1, kind="hang", hang_s=-1.0)
+        ChaosFault(task=1, kind="hang", repeat=0)
 
 
 def test_run_chunk_inline_clean_and_injected_exception():
     assert run_chunk(lambda t: t * 2, [1, 2, 3]) == [2, 4, 6]
     with pytest.raises(ChaosInjected):
-        run_chunk(lambda t: t, [1, 2], faults={2: ("exc", 0.0)})
+        run_chunk(lambda t: t, [1, 2], faults={2: "exc"})
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def test_supervision_kwargs_require_process_executor():
     with pytest.raises(ValueError, match="process"):
         SweepConfig(executor="inline", chaos="kill@1")
     with pytest.raises(ValueError, match="process"):
-        SweepConfig(executor="inline", retry=FAST_RETRY)
+        SweepConfig(executor="inline", retry_attempts=FAST_RETRY)
 
 
 def test_resume_requires_a_journal():
@@ -243,7 +239,7 @@ def test_sigkilled_worker_mid_sweep_stays_digest_equal():
     chaotic = SessionPool(
         config=SweepConfig(
             executor="process", workers=2, chunksize=2, trace="full", chaos="kill@2",
-            retry=FAST_RETRY, deadline=FAST_DEADLINE,
+            retry_attempts=FAST_RETRY, deadline_cap_s=FAST_DEADLINE,
         ),
         **PARAMS,
     ).run(range(6))
@@ -264,7 +260,7 @@ def test_injected_exception_retries_clean_and_digest_equal():
     chaotic = SessionPool(
         config=SweepConfig(
             executor="process", workers=2, chunksize=2, trace="full", chaos="exc@1",
-            retry=FAST_RETRY,
+            retry_attempts=FAST_RETRY,
         ),
         **PARAMS,
     ).run(range(4))
@@ -277,8 +273,7 @@ def test_hung_worker_trips_deadline_and_recovers():
     chaotic = SessionPool(
         config=SweepConfig(
             executor="process", workers=2, chunksize=2, trace="full",
-            chaos=ChaosPlan.parse("hang@0", hang_s=30.0), retry=FAST_RETRY,
-            deadline=FAST_DEADLINE,
+            chaos="hang@0", retry_attempts=FAST_RETRY, deadline_cap_s=FAST_DEADLINE,
         ),
         **PARAMS,
     ).run(range(4))
@@ -294,7 +289,7 @@ def test_chaos_sweep_verifies_against_inline_reference():
     verdict = SessionPool(
         config=SweepConfig(
             executor="process", workers=2, chunksize=2, trace="full", chaos="kill@3",
-            retry=FAST_RETRY, deadline=FAST_DEADLINE,
+            retry_attempts=FAST_RETRY, deadline_cap_s=FAST_DEADLINE,
         ),
         **PARAMS,
     ).verify(range(6))
@@ -309,7 +304,7 @@ def test_persistent_fault_bisects_to_poison_task_and_quarantines():
     report = SessionPool(
         config=SweepConfig(
             executor="process", workers=2, chunksize=4, trace="full", chaos=chaos,
-            retry=FAST_RETRY,
+            retry_attempts=FAST_RETRY,
         ),
         **PARAMS,
     ).run(range(4))
@@ -326,6 +321,28 @@ def test_persistent_fault_bisects_to_poison_task_and_quarantines():
     }
     for result in report.results:
         assert result.digest == inline[result.seed].digest
+
+
+def test_verify_names_the_quarantine_without_running_the_reference(monkeypatch):
+    # Nothing survived, so there is nothing to compare: verify() raises
+    # the one-line quarantine reason before replaying anything inline.
+    def no_reference(self, report):
+        raise AssertionError("the inline reference ran")
+
+    monkeypatch.setattr(SessionPool, "_inline_reference", no_reference)
+    pool = SessionPool(
+        config=SweepConfig(
+            executor="process", workers=2, trace="full", chaos="exc@0:*,exc@1:*",
+            retry_attempts=FAST_RETRY,
+        ),
+        **PARAMS,
+    )
+    with pytest.raises(ValueError) as error:
+        pool.verify(range(2))
+    assert str(error.value) == (
+        "all 2 trials were quarantined; first, task 0: "
+        "worker raised ChaosInjected: injected failure at task 0"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.runtime import (
     run_sbc_trial,
 )
 from repro.runtime.config import EXECUTORS, add_fanout_options, add_sweep_options
-from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
+from repro.runtime.supervisor import ChaosPlan
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +32,9 @@ from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
         ({"executor": "fork"}, "executor must be inline/process"),
         ({"chunksize": 0}, "chunksize must be >= 1"),
         ({"executor": "process", "chaos": "boom@1"}, "bad chaos fault"),
-        ({"deadline": DeadlinePolicy()}, "executor='process'"),
+        ({"deadline_cap_s": 5.0}, "executor='process'"),
         ({"executor": "thread"}, "executor must be inline/process"),
-        ({"retry": RetryPolicy(max_attempts=2)}, "executor='process'"),
+        ({"retry_attempts": 2}, "executor='process'"),
         ({"journal": "sweep.jsonl"}, "executor='process'"),
         ({"resume": True, "executor": "process"}, "journal"),
         ({"trace": "loud"}, "trace must be one of"),
@@ -51,6 +51,10 @@ from repro.runtime.supervisor import ChaosPlan, DeadlinePolicy, RetryPolicy
         ),
         ({"workers": 0}, "workers must be >= 1"),
         ({"workers": -2, "executor": "process"}, "workers must be >= 1"),
+        ({"retry_attempts": 0, "executor": "process"}, "retry_attempts must be >= 1"),
+        ({"deadline_cap_s": 0.0, "executor": "process"}, "deadline_cap_s must be > 0"),
+        # Bad values are named before the executor rule, inline or not.
+        ({"deadline_cap_s": -1.0}, "deadline_cap_s must be > 0"),
     ],
 )
 def test_validation_fails_fast(kwargs, match):
@@ -60,12 +64,13 @@ def test_validation_fails_fast(kwargs, match):
 
 @pytest.mark.parametrize(
     "knob",
-    [{"adaptive": True}, {"max_tasks_per_child": 2}],
-    ids=["adaptive", "max_tasks_per_child"],
+    [{"adaptive": True}, {"max_tasks_per_child": 2}, {"retry": None}, {"deadline": None}],
+    ids=["adaptive", "max_tasks_per_child", "retry", "deadline"],
 )
 def test_removed_sweep_shape_knobs_are_refused(knob):
     # A sweep has one shape: the planned chunk size over workers that
-    # live for the whole run.
+    # live for the whole run.  Its supervision is two numbers,
+    # retry_attempts and deadline_cap_s, not policy objects.
     with pytest.raises(TypeError):
         SweepConfig(executor="process", **knob)
 
@@ -112,11 +117,12 @@ def test_from_args_defaults():
     assert config.backend == "sequential"
     assert config.executor == "inline"
     assert config.trace == "light"
-    assert config.retry is None and config.deadline is None
+    assert config.retry_attempts is None and config.deadline_cap_s is None
     assert config.chaos is None
 
 
 def test_from_args_builds_supervision_policies():
+    # The flags carry their knobs' names, so their values pass through.
     namespace = _parse(
         [
             "--executor", "process",
@@ -126,9 +132,8 @@ def test_from_args_builds_supervision_policies():
         ]
     )
     config = SweepConfig.from_args(namespace, backend="pooled")
-    assert config.retry.max_attempts == 5
-    assert config.deadline.cap_s == 7.5
-    assert config.deadline.floor_s == 7.5  # min(cap, 60): never above the cap
+    assert config.retry_attempts == 5
+    assert config.deadline_cap_s == 7.5
     assert isinstance(config.chaos, ChaosPlan)
 
 
@@ -160,8 +165,8 @@ KNOB_VALUES = dict(
     material_groups=None,
     online=False,
     batch_verify=False,
-    retry=None,
-    deadline=None,
+    retry_attempts=None,
+    deadline_cap_s=None,
     chaos=None,
     journal=None,
     resume=False,
@@ -211,8 +216,8 @@ def test_async_host_shares_the_config_object():
     "knob",
     [
         {"chunksize": 2},
-        {"retry": RetryPolicy(max_attempts=2)},
-        {"deadline": DeadlinePolicy()},
+        {"retry_attempts": 2},
+        {"deadline_cap_s": 5.0},
         {"chaos": "kill@0"},
         {"journal": "serve.jsonl"},
         {"journal": "serve.jsonl", "resume": True},
