@@ -101,8 +101,11 @@ class TLEProtocolAdapter(Functionality):
         self.alpha = fbc.alpha
         #: The functionality parameters this protocol realizes (Theorem 1).
         self.delay = self.delta + 1
-        self.leak_fn = lambda cl: cl + self.alpha
         self._state: Dict[str, _TLEState] = {}
+
+    def leak_fn(self, cl: int) -> int:
+        """The realized functionality's leakage: ``Cl + α``."""
+        return cl + self.alpha
 
     # -- wiring -------------------------------------------------------------
 

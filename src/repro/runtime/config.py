@@ -50,8 +50,11 @@ class SweepConfig:
             worker overhead) or ``"process"`` (supervised process
             fan-out; workers live for the whole run).
         workers: Process worker count (default: all cores).
-        chunksize: Tasks shipped per process dispatch (default: auto
-            via :func:`~repro.runtime.pool.auto_chunksize`).
+        chunksize: Tasks shipped per process dispatch, every chunk the
+            same size.  Default: an auto plan whose chunks start at
+            :func:`~repro.runtime.pool.auto_chunksize` and shrink
+            toward the end of the sweep
+            (:attr:`~repro.runtime.pool.SweepPlan.sizes`).
         warmup: Run the shared-crypto warm-up initializer in each
             process worker (False measures cold workers).
         material: Worker warm-up source — ``"compute"`` (default:
@@ -270,7 +273,8 @@ def add_fanout_options(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument(
         "--chunksize", type=int, default=None,
-        help="tasks per process dispatch (default: auto, ~4 chunks/worker)",
+        help="tasks per process dispatch, every chunk this size (default: "
+             "auto, ~4 chunks/worker shrinking toward the end of the sweep)",
     )
     parser.add_argument(
         "--journal", default=None, metavar="PATH",

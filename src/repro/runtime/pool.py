@@ -26,7 +26,9 @@ a :class:`Drive` request wherever it advances rounds and returns its
 loop; their coroutine twins (:func:`async_sbc_session`,
 :func:`async_voting_session`) await it.  An event loop gives one such
 session its turn at a time, oldest first, and the loop's other tasks
-run at every round boundary.
+run at every round boundary.  A body closes its session
+(:meth:`~repro.uc.session.Session.close`) once the result is built, so
+reference counting frees it on return.
 """
 
 from __future__ import annotations
@@ -384,7 +386,9 @@ def _sbc_session(
         for pid, view in stack.delivered().items()
         if not stack.session.is_corrupted(pid)
     }
-    return _trial_result(stack, seed, honest_views, elapsed, online_record)
+    result = _trial_result(stack, seed, honest_views, elapsed, online_record)
+    stack.session.close()
+    return result
 
 
 def _voting_session(
@@ -426,7 +430,9 @@ def _voting_session(
         for pid, tally in stack.results().items()
         if not stack.session.is_corrupted(pid)
     }
-    return _trial_result(stack, seed, honest_tallies, elapsed, online_record)
+    result = _trial_result(stack, seed, honest_tallies, elapsed, online_record)
+    stack.session.close()
+    return result
 
 
 def run_sbc_trial(
@@ -538,8 +544,9 @@ class PoolReport:
     executor: str
     wall_time_s: float
     results: List[TrialResult] = field(default_factory=list)
-    #: Worker count actually used (None for inline runs) and the chunk
-    #: size (process runs only); both read from :meth:`SessionPool.plan`.
+    #: Worker count actually used (None for inline runs) and the largest
+    #: chunk size (process runs only); both read from
+    #: :meth:`SessionPool.plan`.
     workers: Optional[int] = None
     chunksize: Optional[int] = None
     #: Where worker crypto caches came from (compute/disk/shared).
@@ -631,6 +638,10 @@ class PoolReport:
 #: chunks per worker amortise IPC while still balancing uneven trials.
 CHUNKS_PER_WORKER = 4
 
+#: An auto plan's smallest chunk, as a fraction of its largest: the tail
+#: shrinks no further, so IPC per task stays bounded.
+CHUNK_FLOOR_DIVISOR = 32
+
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Effective worker count: the explicit value or every available core."""
@@ -642,12 +653,13 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def auto_chunksize(tasks: int, workers: int) -> int:
-    """Chunk size yielding ~:data:`CHUNKS_PER_WORKER` chunks per worker.
+    """The largest chunk of an auto plan: ceil(tasks / (workers * 4)).
 
-    One task per IPC round-trip (``chunksize=1``) dominates small-session
-    sweeps with pickling overhead; one chunk per worker loses load
-    balancing.  The middle ground ships ceil(tasks / (workers * 4)) tasks
-    per dispatch.
+    One task per IPC round-trip (``chunksize=1``) drowns small-session
+    sweeps in pickling overhead; one chunk per worker loses load
+    balancing.  An auto plan opens with chunks of this size, about
+    :data:`CHUNKS_PER_WORKER` per worker, then shrinks them toward the
+    end of the sweep (:attr:`SweepPlan.sizes`).
     """
     if tasks <= 0:
         return 1
@@ -684,6 +696,7 @@ class SweepPlan:
     tasks: int
     executor: str
     workers: int
+    #: The largest chunk; every chunk's size when ``uniform``.
     chunksize: int
     warmup: bool = True
     #: Where worker warm-up caches come from (compute/disk/shared).
@@ -695,6 +708,9 @@ class SweepPlan:
     #: combination multi-exps (digest-pinned via ``verify.batch`` events
     #: when the policy records them).
     batch_verify: bool = False
+    #: Whether every chunk holds ``chunksize`` tasks (an explicit
+    #: ``chunksize``) instead of shrinking toward the end (auto).
+    uniform: bool = False
 
     @classmethod
     def resolve(cls, config: SweepConfig, tasks: int) -> "SweepPlan":
@@ -714,12 +730,39 @@ class SweepPlan:
             material_source=config.material,
             online=bool(config.online),
             batch_verify=config.batch_policy is not None,
+            uniform=config.chunksize is not None,
         )
+
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        """Each chunk's task count, in dispatch order; they sum to ``tasks``.
+
+        Uniform plans cut ``chunksize``-task chunks.  An auto plan
+        (guided self-scheduling) sizes chunk k as
+        ``min(cap, max(floor, ceil(remaining / (2 * workers))))`` with
+        ``cap = chunksize`` and ``floor = ceil(cap / 32)``: full chunks
+        while much work is left, then ever smaller ones, so the workers
+        run out of work together instead of one idling through the
+        other's last full chunk.  4000 tasks on 2 workers give 5 × 500,
+        then 375, 282, ..., 16, 14 (20 chunks).
+        """
+        cap = self.chunksize
+        floor = -(-cap // CHUNK_FLOOR_DIVISOR)
+        sizes: List[int] = []
+        remaining = self.tasks
+        while remaining > 0:
+            size = cap
+            if not self.uniform:
+                size = min(cap, max(floor, -(-remaining // (2 * self.workers))))
+            size = min(size, remaining)
+            sizes.append(size)
+            remaining -= size
+        return tuple(sizes)
 
     @property
     def chunks(self) -> int:
         """Number of dispatch units the task list shards into."""
-        return -(-self.tasks // self.chunksize) if self.tasks else 0
+        return len(self.sizes)
 
     def summary(self) -> Dict[str, Any]:
         """Uniform record of the planned shape."""
@@ -919,8 +962,9 @@ class SessionPool:
     ) -> Tuple[List[Optional[TrialResult]], Any, Any]:
         """Supervised chunked process fan-out; input order preserved.
 
-        One :meth:`~repro.runtime.supervisor.Supervisor.map` call at the
-        planned chunk size, over workers that live for the whole sweep.
+        One :meth:`~repro.runtime.supervisor.Supervisor.map` call over
+        the planned chunk sizes (:attr:`SweepPlan.sizes`), on workers
+        that live for the whole sweep.
         Every chunk is dispatched via ``apply_async`` with a bounded
         per-chunk wait, so a SIGKILL-ed, hung or crashing worker costs
         a retry (and possibly a pool respawn or a quarantined task),
@@ -946,7 +990,7 @@ class SessionPool:
             ),
         )
         try:
-            results = supervisor.map(bound, seeds, plan.chunksize)
+            results = supervisor.map(bound, seeds, plan.sizes)
         finally:
             supervisor.close()
         return results, supervisor.stats, handle
@@ -1027,9 +1071,12 @@ class SessionPool:
         """
         config = self.config
         seeds = list(seeds)
-        plan = self.plan(len(seeds))
         kwargs = self._call_kwargs()
         journal, resumed, online_plan = self._journal_open(seeds)
+        # A resumed sweep dispatches only its unjournaled tasks, so its
+        # chunks are planned over those.
+        remaining = [seed for seed in seeds if seed not in resumed]
+        plan = self.plan(len(remaining))
         if online_plan is not None:
             kwargs["online"] = online_plan
         if config.batch_policy is not None:
@@ -1040,7 +1087,6 @@ class SessionPool:
         bound = functools.partial(self.runner, **kwargs)
         start = time.perf_counter()
         if plan.executor == "process":
-            remaining = [seed for seed in seeds if seed not in resumed]
             mapped: List[Optional[TrialResult]] = []
             if remaining:
                 mapped, stats, handle = self._process_map(

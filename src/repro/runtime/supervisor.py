@@ -41,6 +41,7 @@ with ``apply_async`` and bounds its wait, so worker failure becomes a
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -550,25 +551,38 @@ class Supervisor:
         self,
         runner: Callable[[Any], Any],
         tasks: Sequence[Any],
-        chunksize: int,
+        sizes: Sequence[int],
     ) -> List[Optional[Any]]:
         """Run ``runner`` over ``tasks``; results in input order.
+
+        ``sizes`` lists each chunk's task count in dispatch order (a
+        :attr:`~repro.runtime.pool.SweepPlan.sizes`); they must sum to
+        ``len(tasks)``.  Chunks are queued in that order and a free
+        worker takes the next one, so the small chunks at the end of a
+        shrinking plan even out the workers' finishing times.
 
         Quarantined tasks yield ``None`` at their position.  Raises
         nothing for worker failure — every failure mode ends in a
         retry, a respawn, a bisection or a quarantine entry.
+
+        Raises:
+            ValueError: ``sizes`` does not cover ``tasks`` exactly.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        chunksize = max(1, chunksize)
+        starts = list(itertools.accumulate(sizes, initial=0))
+        if starts[-1] != len(tasks) or any(size < 1 for size in sizes):
+            raise ValueError(
+                f"chunk sizes {list(sizes)!r} do not cover {len(tasks)} tasks"
+            )
         chunks: List[_Chunk] = [
             _Chunk(
                 order=(index,),
-                positions=list(range(start, min(start + chunksize, len(tasks)))),
-                tasks=tasks[start : start + chunksize],
+                positions=list(range(start, end)),
+                tasks=tasks[start:end],
             )
-            for index, start in enumerate(range(0, len(tasks), chunksize))
+            for index, (start, end) in enumerate(zip(starts, starts[1:]))
         ]
         results: Dict[int, Any] = {}
         while True:

@@ -466,7 +466,7 @@ def evaluate_scenario(
     """Run one cell and judge its expected properties."""
     outcome = run_scenario(spec, cursor=cursor, batch=batch)
     results = evaluate(outcome, spec.expectations())
-    return CellResult(
+    cell = CellResult(
         cell_id=spec.cell_id,
         stack=spec.stack,
         adversary=spec.adversary,
@@ -479,6 +479,8 @@ def evaluate_scenario(
         digest=outcome.digest,
         properties=tuple(results),
     )
+    outcome.session.close()
+    return cell
 
 
 def run_scenario_trial(

@@ -171,6 +171,32 @@ class Session:
         self.adversary.on_corrupted(party)
         return party
 
+    # -- teardown -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Unwire a finished session so reference counting frees it.
+
+        A running session is one strongly connected object graph: the
+        session reaches every party and functionality, each of which
+        points back at the session, and routing closures point back at
+        their parties.  Only the cyclic garbage collector could free
+        such a graph.  ``close()`` drops the forward edges (every
+        party's ``route`` and ``clock_recipients``, the registries, the
+        honest caches) and the clock's and adversary's pointers back at
+        the session, so what is left is acyclic.  The log, metrics, rng
+        and corruption set stay readable.  Idempotent; the session can
+        run no further rounds.
+        """
+        for party in self.parties.values():
+            party.route = {}
+            party.clock_recipients = []
+        self.parties = {}
+        self.functionalities = {}
+        self._honest_cache = None
+        self._honest_pids = None
+        self.clock._session = None
+        self.adversary.session = None
+
     # -- randomness helpers ---------------------------------------------------------
 
     def random_bytes(self, n: int) -> bytes:

@@ -33,6 +33,7 @@ from repro.runtime import (
     SessionPool,
     SweepConfig,
     SweepJournal,
+    auto_chunksize,
     reports_match,
     run_sbc_trial,
     run_voting_trial,
@@ -381,6 +382,28 @@ def test_resume_skips_journaled_chunks_without_reexecution(tmp_path, monkeypatch
     assert reports_match(full, resumed)
 
 
+def test_resume_plans_chunks_over_the_unjournaled_tasks(tmp_path):
+    """A resume dispatches only the tasks its journal lacks, so its auto
+    chunks are sized for those, not for the whole task list: 8 tasks
+    left on 2 workers must not ride in one 8-task chunk."""
+    journal_path = tmp_path / "sweep.journal"
+    config = SweepConfig(
+        executor="process", workers=2, chunksize=8, journal=journal_path,
+    )
+    full = SessionPool(config=config, **PARAMS).run(range(64))
+    # Header plus 7 of the 8 uniform chunks: 56 tasks journaled, 8 not.
+    lines = journal_path.read_text().splitlines()
+    assert len(lines) == 9
+    journal_path.write_text("\n".join(lines[:8]) + "\n")
+    resumed = SessionPool(
+        config=config.replace(chunksize=None, resume=True), **PARAMS,
+    ).run(range(64))
+    assert resumed.resumed == 56
+    assert resumed.chunksize == auto_chunksize(8, 2)
+    assert [r.seed for r in resumed.results] == list(range(64))
+    assert [r.outputs for r in resumed.results] == [r.outputs for r in full.results]
+
+
 def test_resume_refuses_a_mismatched_journal(tmp_path):
     journal_path = tmp_path / "sweep.journal"
     SessionPool(
@@ -458,7 +481,7 @@ def test_journal_append_failure_degrades_with_warning(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with Supervisor(workers=2, on_chunk=journal.append_chunk) as supervisor:
-            results = supervisor.map(_sbc, [0, 1], 1)
+            results = supervisor.map(_sbc, [0, 1], (1, 1))
     assert len(results) == 2
     assert any("journal append failed" in str(w.message) for w in caught)
 

@@ -13,6 +13,7 @@ from repro.runtime import (
     SweepConfig,
     SweepPlan,
     TraceDigestUnavailable,
+    auto_chunksize,
     run_sbc_trial,
 )
 
@@ -30,8 +31,9 @@ def test_plan_resolves_workers_and_chunks():
     assert plan == SweepPlan(
         tasks=64, executor="process", workers=4, chunksize=4, warmup=True,
     )
-    assert plan.chunks == 16
-    assert plan.summary()["chunks"] == 16
+    # Ten chunks at the cap of 4, then 3, 3, 3, 2, 2, 2, 2 and seven 1s.
+    assert plan.chunks == 24
+    assert plan.summary()["chunks"] == 24
 
 
 def test_plan_honors_explicit_chunksize():
@@ -41,6 +43,42 @@ def test_plan_honors_explicit_chunksize():
     plan = sweep.plan(12)
     assert plan.chunksize == 5
     assert plan.chunks == 3  # 5 + 5 + 2
+
+
+@pytest.mark.parametrize(
+    "tasks, workers",
+    [(4000, 2), (64, 4), (64, 2), (100, 3), (7, 4), (1, 1), (33, 1)],
+)
+def test_auto_plan_shrinks_toward_the_end(tasks, workers):
+    plan = SessionPool(
+        config=SweepConfig(executor="process", workers=workers), **PARAMS,
+    ).plan(tasks)
+    sizes = plan.sizes
+    cap = auto_chunksize(tasks, workers)
+    floor = -(-cap // 32)
+    assert plan.chunksize == cap
+    assert sum(sizes) == tasks
+    assert sizes[0] == min(cap, tasks)
+    assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert all(size >= floor for size in sizes[:-1])
+    assert plan.chunks == len(sizes)
+
+
+def test_auto_plan_for_the_sweep_benchmark_shape():
+    plan = SessionPool(
+        config=SweepConfig(executor="process", workers=2), **PARAMS,
+    ).plan(4000)
+    assert plan.chunksize == 500
+    assert plan.sizes[:7] == (500, 500, 500, 500, 500, 375, 282)
+    assert plan.sizes[-2:] == (16, 14)
+    assert plan.chunks == 20
+
+
+def test_explicit_chunksize_plan_is_uniform():
+    plan = SessionPool(
+        config=SweepConfig(executor="process", workers=2, chunksize=5), **PARAMS,
+    ).plan(12)
+    assert plan.sizes == (5, 5, 2)
 
 
 def test_plan_inline_executor_is_single_stream():
@@ -72,6 +110,15 @@ def test_process_sweep_verifies_against_inline():
     assert verdict.speedup > 0
     assert verdict.report.executor == "process"
     assert verdict.reference.executor == "inline"
+
+
+def test_auto_plan_process_sweep_verifies_against_inline():
+    sweep = SessionPool(config=SweepConfig(executor="process", workers=2), **PARAMS)
+    assert len(set(sweep.plan(24).sizes)) > 1  # the chunks really shrink
+    verdict = sweep.verify(range(24))
+    assert verdict.matched
+    assert [r.seed for r in verdict.report.results] == list(range(24))
+    assert verdict.report.chunksize == auto_chunksize(24, 2)
 
 
 def test_inline_sweep_verify_is_reflexive():
