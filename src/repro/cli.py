@@ -265,15 +265,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     seeds = list(range(args.seed, args.seed + args.sessions))
-    plan = sweep.plan(len(seeds))
-    if not args.json:
-        print(format_table(
-            [plan.summary()],
-            title=f"sweep plan: {args.sessions} x {args.workload} ({args.mode})",
-        ))
     try:
         if args.verify:
             verdict = sweep.verify(seeds)
+            report = verdict.report
         else:
             report = sweep.run(seeds)
     except (FileNotFoundError, ValueError) as exc:
@@ -281,6 +276,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # not a crash: report it the same way bad flags are.
         print(str(exc), file=sys.stderr)
         return 2
+    # The plan the run resolved: a resume plans only its unjournaled tasks.
+    plan = report.plan
+    if not args.json:
+        print(format_table(
+            [plan.summary()],
+            title=f"sweep plan: {args.sessions} x {args.workload} ({args.mode})",
+        ))
     if args.verify:
         if args.json:
             print(json.dumps(

@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from repro.crypto.hashing import DIGEST_SIZE, xor_bytes
 from repro.functionalities.random_oracle import RandomOracle
 from repro.functionalities.wrapper import QueryWrapper
-from repro.protocols.common import DEFAULT_MSG_LEN, pad_message, unpad_message
-from repro.tle.astrolabous import PuzzleSolver, TLECiphertext, ast_decrypt, ast_encrypt
+from repro.protocols.common import DEFAULT_MSG_LEN, open_padded, open_puzzle, pad_message
+from repro.tle.astrolabous import PuzzleSolver, TLECiphertext, ast_encrypt, is_exact_ciphertext
 from repro.uc.encoding import sort_key
 from repro.uc.entity import Functionality, Party
 
@@ -133,12 +133,12 @@ class FBCProtocolAdapter(Functionality):
         if not (isinstance(payload, tuple) and len(payload) == 2):
             return
         ciphertext, mask = payload
-        if not isinstance(ciphertext, TLECiphertext) or not isinstance(mask, bytes):
+        if not is_exact_ciphertext(ciphertext) or type(mask) is not bytes:
             return
         if ciphertext.difficulty != DIFFICULTY or len(mask) != self.msg_len:
             return  # malformed: honest parties ignore invalid messages
         state = self._st(party.pid)
-        replay_key = (bytes(b"".join(ciphertext.chain)), mask)
+        replay_key = (b"".join(ciphertext.chain), mask)
         if replay_key in state.seen:
             return
         state.seen.add(replay_key)
@@ -213,17 +213,19 @@ class FBCProtocolAdapter(Functionality):
             else:
                 self.ubc.broadcast(party, (ciphertext, mask))
 
-        # Step 5: open the puzzles received two rounds ago.
+        # Step 5: open the puzzles received two rounds ago.  Openings and
+        # decodes are shared across the session's parties; the RO query
+        # stays this party's own.
         ready: List[Any] = []
         for entry in finishing:
             state.waiting.remove(entry)
             try:
-                rho = ast_decrypt(entry.ciphertext, entry.solver.witness)
+                rho = open_puzzle(self.session, entry.ciphertext, entry.solver.witness)
             except Exception:
                 continue  # invalid puzzle: ignore, as honest parties do
             eta = self.oracle.query(rho, querier=party.pid)
             try:
-                ready.append(unpad_message(xor_bytes(entry.mask, eta)))
+                ready.append(open_padded(self.session, xor_bytes(entry.mask, eta)))
             except ValueError:
                 continue
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import DIGEST_SIZE, xor_bytes
 from repro.functionalities.random_oracle import RandomOracle
-from repro.protocols.common import DEFAULT_MSG_LEN, pad_message, unpad_message
+from repro.protocols.common import DEFAULT_MSG_LEN, open_padded, pad_message
 from repro.uc.encoding import sort_key
 from repro.uc.entity import Functionality, Party
 
@@ -231,7 +231,7 @@ class SBCProtocolAdapter(Functionality):
                     continue
                 eta = self.oracle.query(rho, querier=party.pid)
                 try:
-                    opened.append(unpad_message(xor_bytes(mask, eta)))
+                    opened.append(open_padded(self.session, xor_bytes(mask, eta)))
                 except ValueError:
                     continue
             opened.sort(key=sort_key)

@@ -26,8 +26,8 @@ from repro.crypto.hashing import DIGEST_SIZE, xor_bytes
 from repro.functionalities.random_oracle import RandomOracle
 from repro.functionalities.tle import BOTTOM, INVALID_TIME, MORE_TIME
 from repro.functionalities.wrapper import QueryWrapper
-from repro.protocols.common import pad_message, unpad_message
-from repro.tle.astrolabous import PuzzleSolver, TLECiphertext, ast_decrypt, ast_encrypt
+from repro.protocols.common import open_padded, open_puzzle, pad_message
+from repro.tle.astrolabous import PuzzleSolver, TLECiphertext, ast_encrypt, is_exact_ciphertext
 from repro.uc.entity import Functionality, Party
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,6 +62,21 @@ class _TLEState:
     unsolved: List[PuzzleSolver] = field(default_factory=list)
     inbox: List[Tuple[WireCiphertext, int]] = field(default_factory=list)
     last_tick: int = -1
+
+
+def _is_wire_ciphertext(value: Any) -> bool:
+    """Whether ``value`` has the shape :meth:`TLEProtocolAdapter.enc`
+    produces: a tuple of an exact :class:`TLECiphertext` and two
+    ``bytes``.  Anything else, from a corrupted sender or a ``Dec``
+    caller, is answered ⊥ (ignored), as FTLE answers an unknown
+    ciphertext, and never reaches :func:`_puzzle_key`."""
+    return (
+        type(value) is tuple
+        and len(value) == 3
+        and is_exact_ciphertext(value[0])
+        and type(value[1]) is bytes
+        and type(value[2]) is bytes
+    )
 
 
 def _puzzle_key(ciphertext: WireCiphertext) -> bytes:
@@ -162,6 +177,8 @@ class TLEProtocolAdapter(Functionality):
         now = self.time
         if now < tau:
             return MORE_TIME
+        if not _is_wire_ciphertext(ciphertext):
+            return BOTTOM
         state = self._st(party.pid)
         puzzle = state.puzzles.get(_puzzle_key(ciphertext))
         if puzzle is None:
@@ -172,7 +189,7 @@ class TLEProtocolAdapter(Functionality):
             return MORE_TIME
         c1, c2, c3 = puzzle.ciphertext
         try:
-            rho = ast_decrypt(c1, puzzle.solver.witness)
+            rho = open_puzzle(self.session, c1, puzzle.solver.witness)
         except Exception:
             return BOTTOM
         eta = self.oracle.query(rho, querier=party.pid)
@@ -181,7 +198,7 @@ class TLEProtocolAdapter(Functionality):
         if check != c3:
             return BOTTOM
         try:
-            return unpad_message(padded)
+            return open_padded(self.session, padded)
         except ValueError:
             return BOTTOM
 
@@ -194,11 +211,7 @@ class TLEProtocolAdapter(Functionality):
         if not (isinstance(payload, tuple) and len(payload) == 2):
             return
         ciphertext, tau = payload
-        if not (
-            isinstance(ciphertext, tuple)
-            and len(ciphertext) == 3
-            and isinstance(ciphertext[0], TLECiphertext)
-        ):
+        if not _is_wire_ciphertext(ciphertext):
             return
         self._st(party.pid).inbox.append((ciphertext, tau))
 

@@ -397,6 +397,26 @@ class VoterParty(Party):
         self.result = self.election.decode_tally(total)
         self.output(("Result", self.result, None))
 
+    def _signed_message(self, item: Tuple[Any, ...]) -> bytes:
+        """``encode((ballot, proof, voter))`` of a cast, once per session.
+
+        Every view of the session receives the same cast objects, so the
+        encoding is kept in
+        :attr:`~repro.uc.session.Session.public_values` keyed by the
+        cast tuple's identity, never by value: ``(1,) == (True,)`` yet
+        the two encode differently.  The entry holds the tuple, so its
+        id cannot pass to a later object.
+        """
+        _, voter, ballot, proof, _ = item
+        if type(item) is not tuple:
+            return encode((ballot, proof, voter))
+        values = self.session.public_values
+        key = ("signed", id(item))
+        entry = values.get(key)
+        if entry is None:
+            entry = values[key] = (item, encode((ballot, proof, voter)))
+        return entry[1]
+
     def _proof_verdict(
         self,
         message: bytes,
@@ -445,7 +465,7 @@ class VoterParty(Party):
             _, voter, ballot, proof, signature = item
             if voter in ballots or voter not in self.election.voters:
                 continue
-            message = encode((ballot, proof, voter))
+            message = self._signed_message(item)
             if not self.certs[voter].verify(message, signature):
                 continue
             if not isinstance(proof, BallotProof):
@@ -489,7 +509,7 @@ class VoterParty(Party):
             if voter not in self.election.voters:
                 continue
             cert = self.certs[voter]
-            message = encode((ballot, proof, voter))
+            message = self._signed_message(item)
             if hasattr(cert, "batch_verify_item"):
                 cert_item = cert.batch_verify_item(message, signature)
             else:

@@ -568,6 +568,10 @@ class PoolReport:
     #: Trials restored from a :class:`~repro.runtime.supervisor.SweepJournal`
     #: instead of executed (``repro sweep --resume``).
     resumed: int = 0
+    #: The execution shape the run resolved, over the tasks it dispatched
+    #: (a resume plans only its unjournaled ones); None for the
+    #: sequential loop.  Not part of :meth:`summary`.
+    plan: Optional[SweepPlan] = None
 
     @property
     def sessions(self) -> int:
@@ -1141,6 +1145,7 @@ class SessionPool:
             online_plan=online_plan,
             supervision=supervision,
             resumed=len(resumed),
+            plan=plan,
         )
 
     def _inline_reference(self, report: PoolReport) -> "SessionPool":

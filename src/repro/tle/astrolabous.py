@@ -20,7 +20,7 @@ key encrypting the message body.  The decryption witness is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import DIGEST_SIZE, xor_bytes
 from repro.crypto.ske import (
@@ -72,6 +72,26 @@ class TLECiphertext:
         for element in self.chain:
             if len(element) != DIGEST_SIZE:
                 raise PuzzleError("chain elements must be digest-sized")
+
+
+def is_exact_ciphertext(value: Any) -> bool:
+    """Whether ``value`` is a :class:`TLECiphertext` holding exactly the
+    types :func:`ast_encrypt` builds: ``int`` difficulty and rate, a
+    ``bytes`` body and a ``tuple`` of ``bytes`` chain links.
+
+    The constructor checks only sizes, so it admits look-alikes from a
+    corrupted sender (a digest-length ``str`` link, a ``list`` chain, a
+    ``bool`` rate) that break byte joins, cannot be hashed, or compare
+    equal to a value of another type.
+    """
+    return (
+        type(value) is TLECiphertext
+        and type(value.difficulty) is int
+        and type(value.rate) is int
+        and type(value.body) is bytes
+        and type(value.chain) is tuple
+        and all([type(link) is bytes for link in value.chain])
+    )
 
 
 def ast_encrypt(

@@ -67,6 +67,14 @@ class Session:
         #: digested or pickled into a trial result; each session starts
         #: empty, so no two sessions share verdicts.
         self.proof_verdicts: Dict[Any, bool] = {}
+        #: Results of pure functions of exact public inputs (a decoded
+        #: wire payload, an opened time-lock puzzle, a signed encoding),
+        #: so every party of this session that computes the same value
+        #: reuses one result (:mod:`repro.protocols.common`).  Same rules
+        #: as :attr:`proof_verdicts`: keys are exact inputs, a failure is
+        #: never stored, and the mapping is never recorded, digested or
+        #: pickled.
+        self.public_values: Dict[Any, Any] = {}
         self.parties: Dict[str, "Party"] = {}
         self.functionalities: Dict[str, "Functionality"] = {}
         self.corrupted: Set[str] = set()

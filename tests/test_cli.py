@@ -263,6 +263,30 @@ def test_missing_resume_journal_exits_2(command, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "No such file" in err
 
 
+def test_resumed_sweep_reports_the_plan_over_unjournaled_tasks(tmp_path, capsys):
+    """A resume dispatches only the tasks its journal lacks; the plan it
+    prints and reports is the one it ran, not one over every task."""
+    import json
+
+    from repro.runtime.pool import auto_chunksize
+
+    journal = tmp_path / "sweep.journal"
+    argv = ["sweep", "--sessions", "64", "--n", "3", "--executor", "process",
+            "--workers", "2", "--journal", str(journal), "--json"]
+    assert main(argv + ["--chunksize", "8"]) == 0
+    capsys.readouterr()
+    # Header plus 7 of the 8 uniform chunks: 56 tasks journaled, 8 not.
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 9
+    journal.write_text("\n".join(lines[:8]) + "\n")
+    assert main(argv + ["--resume"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["report"]["resumed"] == 56 and record["report"]["sessions"] == 64
+    assert record["plan"]["tasks"] == 8
+    assert record["plan"]["chunksize"] == auto_chunksize(8, 2)
+    assert record["plan"]["chunks"] == 8
+
+
 def test_serve_json_reports_latency_percentiles(capsys):
     import json
 

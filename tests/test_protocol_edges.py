@@ -39,6 +39,19 @@ def test_fbc_malformed_ubc_payloads_ignored():
     assert parties["P0"].outputs == []  # nothing valid was broadcast
 
 
+@pytest.mark.parametrize("chain", [("z" * 32,) * 9, [bytes(32)] * 9], ids=["str-links", "list"])
+def test_fbc_look_alike_chain_ignored(chain):
+    """The constructor admits a digest-length ``str`` link or a ``list``
+    chain; honest parties ignore such a ciphertext instead of raising."""
+    session, fixture, parties, env = _fbc_world(q=4)
+    session.corrupt("P2")
+    ct = TLECiphertext(difficulty=2, rate=4, body=b"x", chain=chain)
+    fixture.ubc.adv_broadcast("P2", (ct, bytes(fixture.fbc.msg_len)))
+    env.run_round([("P0", lambda p: p.broadcast(b"legit"))])
+    env.run_rounds(3)
+    assert parties["P1"].outputs == [("Broadcast", b"legit")]
+
+
 def test_fbc_wrong_difficulty_ciphertext_ignored():
     session, fixture, parties, env = _fbc_world()
     session.corrupt("P2")
