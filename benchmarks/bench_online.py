@@ -5,10 +5,10 @@ entry (the online phase of the offline/online split) is at least 2x
 faster per signature than sampling the nonce and exponentiating inside
 the call, because the fixed-base exponentiation — the dominant cost at
 production parameters — moved to the offline phase.  The ratio is a
-single-process crypto property, so unlike E17/E18 it is asserted on
-every host; an end-to-end online voting sweep (ballots burn pool
-nonces) is verified for seed-for-seed digest equality alongside, with
-its wall-clock recorded for the cross-PR trajectory.
+single-process crypto property, so it is asserted on every host; an
+end-to-end online voting sweep (ballots burn pool nonces) is verified
+for seed-for-seed digest equality alongside, with its wall-clock
+recorded.
 """
 
 import os

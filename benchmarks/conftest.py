@@ -1,16 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-experiment benchmarks.
 
-Every benchmark regenerates one experiment from DESIGN.md's index
-(E1..E15): it sweeps the experiment's parameters, checks the paper's
-qualitative claim as hard assertions, prints the paper-style table, and
-persists it under ``benchmarks/results/`` so the run's evidence survives
-pytest's output capture.
+Every benchmark regenerates one experiment (E1–E13, E16, E19 and the
+A1–A3 ablations): it sweeps the experiment's parameters, checks the
+paper's qualitative claim as hard assertions, prints the paper-style
+table, and persists it under ``benchmarks/results/`` so the run's
+evidence survives pytest's output capture.
 
 Besides the human-readable table, every experiment emits one **uniform
 JSON record** (``results/BENCH_<experiment>.json``, schema ``bench.v1``)
 with the protocol name, party count, round count, wall time and execution
-backend — so benchmark trajectories stay comparable across PRs and
-backends.
+backend.  Runtime performance is measured by ``benchmarks/perf/``
+(``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
@@ -44,21 +44,13 @@ def once(benchmark, fn):
 
 
 #: Experiments whose claims depend on where worker crypto caches came
-#: from; their records must say so explicitly (E17: process fan-out
-#: sweep, E18: the preprocessing-store warm-up comparison, E19: online
-#: pool spending vs per-call sampling).
-MATERIAL_SOURCE_REQUIRED = ("E17", "E18", "E19")
+#: from; their records must say so explicitly (E19: online pool spending
+#: vs per-call sampling).
+MATERIAL_SOURCE_REQUIRED = ("E19",)
 
 #: Experiments that must also state whether trials spent the
 #: preprocessed pools (the offline/online mode axis).
 ONLINE_REQUIRED = ("E19",)
-
-#: Experiments that run under the supervised process fan-out; their
-#: records must carry the degradation counters (``retries``,
-#: ``respawns``, ``quarantined``) so a reference-perf run that silently
-#: limped through retries can't pass as healthy.
-SUPERVISED_REQUIRED = ("E17",)
-SUPERVISION_COUNTERS = ("retries", "respawns", "quarantined")
 
 
 def bench_record(
@@ -106,14 +98,6 @@ def bench_record(
             f"{experiment} records must state online=True/False; "
             "see ONLINE_REQUIRED"
         )
-    if experiment in SUPERVISED_REQUIRED:
-        missing = [key for key in SUPERVISION_COUNTERS if key not in extra]
-        if missing:
-            raise ValueError(
-                f"{experiment} records must carry the supervision counters "
-                f"{SUPERVISION_COUNTERS} (missing {missing}); "
-                "see SUPERVISED_REQUIRED"
-            )
     if wall_time_s is None:
         wall_time_s = _LAST_ONCE_S
     record: Dict[str, Any] = {

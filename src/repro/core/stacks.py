@@ -6,17 +6,18 @@ runtime for the session, and ``trace=`` to override its trace mode; the
 default (``sequential``) reproduces the reference engine byte-for-byte.
 See ARCHITECTURE.md for the full layer map.
 
-Layer plumbing (composed SBC, the Corollary 1 world)::
+Layer plumbing (composed SBC, the Corollary 1 world with both unfair
+broadcasts left ideal)::
 
     SBCParty … SBCParty                      (top-of-stack parties)
         └── SBCProtocolAdapter (ΠSBC)
-              ├── UnfairBroadcast or ΠUBC    (session messages + Wake_Up)
+              ├── UnfairBroadcast (FUBC)     (session messages + Wake_Up)
               ├── RandomOracle (equivocation, digest = SBC msg_len)
               └── TLEProtocolAdapter (ΠTLE)
                     ├── RandomOracle (digest = TLE msg_len)
                     ├── QueryWrapper Wq(F*RO)   (TLE puzzle metering)
                     └── FBCProtocolAdapter (ΠFBC)
-                          ├── UnfairBroadcast or ΠUBC
+                          ├── UnfairBroadcast (FUBC)
                           ├── RandomOracle (digest = FBC msg_len)
                           └── QueryWrapper Wq(F*RO)  (FBC puzzle metering)
 
@@ -287,8 +288,9 @@ def build_sbc_stack(
           hybrid world's simulator advantage);
         * ``hybrid``  — ΠSBC over ideal ``FUBC`` + ``FTLE`` + ``FRO``
           (Theorem 2; ideal FTLE has leak = Cl + 1, so α = 2, ∆ ≥ 2);
-        * ``composed`` — the Corollary 1 world: ΠSBC over ΠUBC and
-          ΠTLE-over-ΠFBC-over-ΠUBC (α = 3, ∆ ≥ 3, Φ > 3).
+        * ``composed`` — the Corollary 1 world: ΠSBC over ideal
+          ``FUBC`` and ΠTLE-over-ΠFBC-over-ideal-``FUBC`` (α = 3, ∆ ≥ 3,
+          Φ > 3).  Neither level swaps in ΠUBC.
     """
     _modes(mode, ("ideal", "hybrid", "composed"))
     session = Session(sid=f"sbc-{mode}", seed=seed, adversary=adversary, backend=backend, trace=trace)

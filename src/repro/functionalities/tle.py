@@ -149,6 +149,9 @@ class TimeLockEncryption(Functionality):
             )
             return message if message is not None else BOTTOM
         record = matches[0]
+        if record.message is None:
+            # The adversary refused to explain it once: ⊥ for every request.
+            return BOTTOM
         if tau >= record.tau:
             return record.message
         if now < record.tau:

@@ -76,8 +76,9 @@ def online_ranges_disjoint(results: Sequence[Any]) -> Tuple[bool, int]:
 
     Returns ``(disjoint, spends_checked)`` over every result carrying an
     ``online`` spend summary that actually *spent* (sampled-only records
-    reserve nothing).  This is the zero-double-spend evidence the E22
-    bench and the stress tests assert.
+    reserve nothing).  This is the zero-double-spend evidence that
+    ``tests/test_online.py::test_hosted_online_sessions_spend_disjoint_slices``
+    and ``repro serve --online`` assert.
     """
     pools = (("nonce_range", "nonces_spent"), ("feldman_range", "feldman_spent"))
     spans_by_pool: Dict[str, List[Tuple[int, int]]] = {pool: [] for pool, _ in pools}

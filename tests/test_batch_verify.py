@@ -29,7 +29,7 @@ from repro.crypto.batch import (
     install_policy,
     verify_batch,
 )
-from repro.crypto.groups import TEST_GROUP
+from repro.crypto.groups import GROUP_2048, TEST_GROUP
 from repro.crypto.schnorr import (
     SchnorrSignature,
     schnorr_batch_item,
@@ -52,16 +52,16 @@ from repro.runtime.pool import run_voting_trial
 G = TEST_GROUP
 
 
-def signature_items(rng, count, forge=()):
+def signature_items(rng, count, forge=(), group=G):
     """``count`` signature batch items; indices in ``forge`` get tampered s."""
     items = []
     for index in range(count):
-        keypair = schnorr_keygen(rng)
+        keypair = schnorr_keygen(rng, group=group)
         message = f"msg-{index}".encode()
         signature = schnorr_sign(keypair, message, rng)
         if index in forge:
-            signature = SchnorrSignature(r=signature.r, s=(signature.s + 1) % G.q)
-        items.append(schnorr_batch_item(G, keypair.public, message, signature))
+            signature = SchnorrSignature(r=signature.r, s=(signature.s + 1) % group.q)
+        items.append(schnorr_batch_item(group, keypair.public, message, signature))
     return items
 
 
@@ -100,6 +100,15 @@ def test_verdict_parity_with_per_item_checks(rng):
         items = signature_items(rng, count, forge=forge)
         report = verify_batch(G, items)
         assert report.verdicts == tuple(item.check() for item in items)
+
+
+def test_group_2048_verdict_parity_and_exact_culprits(rng):
+    # Production parameters: bisection clears the clean half in one
+    # combined check and names the forgery, as per-item checks do.
+    items = signature_items(rng, 6, forge={4}, group=GROUP_2048)
+    report = verify_batch(GROUP_2048, items)
+    assert report.verdicts == tuple(item.check() for item in items)
+    assert report.culprits == (4,)
 
 
 def test_seeded_coefficients_reproducible(rng):

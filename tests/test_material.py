@@ -120,6 +120,16 @@ def test_attach_installs_the_exact_table():
     assert group.fb_table_bytes == material.fb_table_bytes
 
 
+def test_store_file_attach_installs_the_recomputed_2048_table(store):
+    """What a worker attaches from the store file is the table it would build."""
+    store.build([GROUP_2048], nonces=0, feldman=0)
+    attached = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
+    deserialize_material(store.path_for(GROUP_2048).read_bytes()).attach(attached)
+    recomputed = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
+    recomputed.precompute_fixed_base()
+    assert attached._fb_table == recomputed._fb_table
+
+
 def test_attach_refuses_foreign_parameters():
     material = build_material(TEST_GROUP, nonces=0, feldman=0)
     with pytest.raises(MaterialError, match="does not match"):

@@ -34,12 +34,15 @@ from repro.crypto.schnorr import schnorr_keygen, schnorr_sign, schnorr_verify
 from repro.crypto.shamir import feldman_share, feldman_verify
 from repro.crypto.zkp import cp_prove, cp_verify, pok_prove, pok_verify
 from repro.runtime import (
+    AsyncSessionHost,
     MaterialCursor,
     MaterialStore,
     OnlinePlan,
     SessionPool,
     SweepConfig,
+    async_voting_session,
     online_pool_requirement,
+    online_ranges_disjoint,
     run_voting_trial,
 )
 from repro.runtime.material import DEFAULT_NONCES_PER_TASK
@@ -353,6 +356,16 @@ def test_process_sweep_verify_and_no_double_spend(store):
                 )
     assert verdict.report.online_spend["nonces_spent"] == 18
     assert verdict.report.online_spend["nonces_sampled"] == 0
+
+
+def test_hosted_online_sessions_spend_disjoint_slices(store):
+    store.build([TEST_GROUP], nonces=4 * 8, feldman=4 * 2)
+    config = SweepConfig(backend="async", executor="inline", material="shared", online=True)
+    report = AsyncSessionHost(async_voting_session, config=config).run(range(4))
+    assert report.online_spend["nonces_spent"] == 12  # 4 sessions x 3 ballots
+    assert report.online_spend["nonces_sampled"] == 0
+    disjoint, spans = online_ranges_disjoint(report.results)
+    assert disjoint and spans >= 4
 
 
 def test_exhausted_pool_mid_sweep_still_verifies(store):

@@ -207,11 +207,21 @@ def test_session_pool_smoke_32_seeds():
 
 
 def test_session_pool_matches_sequential_loop_digests():
+    # The full-trace pool replays the loop digest for digest, and the
+    # light-trace pool runs it round for round, hybrid and composed.
     seeds = list(range(6))
-    params = dict(n=3, mode="hybrid", phi=4, delta=2)
-    baseline = sequential_loop(seeds, **params)
-    pooled = SessionPool(config=SweepConfig(backend="pooled"), **params).run(seeds)
-    assert [r.digest for r in pooled.results] == [r.digest for r in baseline.results]
+    for params in (
+        dict(n=3, mode="hybrid", phi=4, delta=2),
+        dict(n=4, mode="composed", phi=5, delta=3, senders=2),
+    ):
+        baseline = sequential_loop(seeds, **params)
+        pooled = SessionPool(config=SweepConfig(backend="pooled"), **params).run(seeds)
+        assert [r.digest for r in pooled.results] == [r.digest for r in baseline.results]
+        light = SessionPool(config=SweepConfig(backend="pooled", trace="light"), **params).run(seeds)
+        assert (light.total_rounds, light.total_messages) == (
+            baseline.total_rounds, baseline.total_messages,
+        )
+        assert [r.outputs for r in light.results] == [r.outputs for r in baseline.results]
 
 
 def test_run_sbc_trial_is_self_contained():

@@ -40,6 +40,20 @@ def test_real_and_ideal_dec_agree_on_malformed_ciphertexts(ciphertext, tau, expe
     assert answers == [expected, expected]
 
 
+@pytest.mark.parametrize("ciphertext", MALFORMED + _look_alikes(), ids=IDS + LOOK_ALIKE_IDS)
+def test_repeated_dec_of_a_refused_ciphertext_stays_bottom(ciphertext):
+    """FTLE records the adversary's refusal; every later ``Dec`` of that
+    ciphertext, by any party and for any past τ, is ⊥ as in ΠTLE."""
+    answers = []
+    for mode in ("hybrid", "ideal"):
+        stack = build_tle_stack(mode=mode, seed=4)
+        stack.run_rounds(3)
+        answers.append(
+            [stack.dec(pid, ciphertext, tau) for pid, tau in (("P0", 2), ("P0", 3), ("P1", 2), ("P1", 1))]
+        )
+    assert answers == [[BOTTOM] * 4] * 2
+
+
 @pytest.mark.parametrize("ciphertext", _look_alikes(), ids=LOOK_ALIKE_IDS)
 def test_dec_answers_bottom_to_look_alike_ciphertexts(ciphertext):
     stack = build_tle_stack(mode="hybrid", seed=4)
