@@ -67,6 +67,8 @@ class UnfairBroadcast(Functionality):
 
     def on_party_tick(self, party: Party) -> None:
         """Flush the ticking party's pending messages to everyone."""
+        if not self._pending:
+            return
         flush = [
             (tag, message)
             for tag, (message, sender) in self._pending.items()

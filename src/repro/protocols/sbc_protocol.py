@@ -205,8 +205,7 @@ class SBCProtocolAdapter(Functionality):
 
         # Drive the TLE layer first so earlier Enc requests have matured
         # by the time we Retrieve.
-        if hasattr(self.tle, "on_party_tick"):
-            self.tle.on_party_tick(party)
+        self.tle.on_party_tick(party)
 
         if state.t_awake is not None and state.t_awake <= now < state.t_end:
             # Step 2: fetch matured ciphertexts and UBC-broadcast them.

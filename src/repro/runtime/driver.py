@@ -8,12 +8,26 @@ code.
 
 Every driver runs one round body, :func:`_reference_round`: the
 pre-runtime ``Environment.run_round`` loop, so event traces are
-byte-identical to the original engine for any fixed seed.  It takes two
-shortcuts, both trace-neutral because they skip only work that records
-nothing: the default activation list is resolved once per topology epoch
-(registration and corruption bump the session's ``topology_epoch``), and
-the per-party adversary hook is skipped when the installed adversary
-keeps the base no-op.
+byte-identical to the original engine for any fixed seed.  It and the
+kernel under it take shortcuts that are trace-neutral because they skip
+only work that records nothing:
+
+* the default activation list is resolved once per topology epoch
+  (registration and corruption bump the session's ``topology_epoch``);
+* the per-party adversary hook is skipped when the installed adversary
+  keeps the base no-op (checked once per round, so a hook assigned to
+  the adversary mid-round takes effect from the next round);
+* ``Gclock``'s round-advance fan-out calls only functionalities whose
+  ``on_round_advanced`` is not the base no-op.  That set is resolved at
+  the first advance after any functionality registration
+  (:attr:`~repro.uc.session.Session.round_listeners`), so an
+  instance-assigned hook must be set before that advance;
+* a light session's log keeps nothing (``NullEventLog.keeps`` is
+  false), so the kernel neither calls its ``record`` nor reads the clock
+  for it;
+* corruption is read straight from the session's ``corrupted`` set,
+  which corruption mutates in place, so a party corrupted mid-round (by
+  the activation hook or from a leak) is seen at once.
 
 * :class:`SequentialRoundDriver` — the reference driver, bound by the
   ``sequential``, ``pooled`` and ``batched`` backends.
@@ -149,9 +163,12 @@ def _reference_round(
     Every driver runs it, which is why their traces are byte-identical.
     """
     session = driver.session
+    # The set is mutated in place by corruption, never replaced, so one
+    # read serves the whole round, mid-round corruptions included.
+    corrupted = session.corrupted
     for pid, action in actions:
         party = session.party(pid)
-        if party.corrupted:
+        if pid in corrupted:
             continue
         action(party)
     # Bound-method aware: catches both subclass overrides and
@@ -159,11 +176,11 @@ def _reference_round(
     hook = session.adversary.on_party_activated
     hooked = getattr(hook, "__func__", hook) is not _base_activation_hook()
     for party in driver._parties(order):
-        if party.corrupted:
+        if party.pid in corrupted:
             continue
         if hooked:
             hook(party)
-            if party.corrupted:
+            if party.pid in corrupted:
                 # on_party_activated may have corrupted it.
                 continue
         party.advance_clock()

@@ -14,7 +14,7 @@ explicitly guarantees).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, Set
+from typing import TYPE_CHECKING, Set
 
 from repro.uc.errors import UnknownEntity
 
@@ -27,12 +27,14 @@ class GlobalClock:
 
     Attributes:
         time: The current round number, starting at 0.
+        ticked: Ids of the parties that have ticked in the current round
+            (read it, do not mutate it).
     """
 
     def __init__(self, session: "Session") -> None:
         self._session = session
         self.time: int = 0
-        self._ticked: Set[str] = set()
+        self.ticked: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Paper interface
@@ -51,18 +53,17 @@ class GlobalClock:
         Raises:
             UnknownEntity: if ``pid`` is not a registered party.
         """
-        if pid not in self._session.parties:
+        session = self._session
+        if pid not in session.parties:
             raise UnknownEntity(f"clock tick from unregistered party {pid!r}")
-        if self._session.is_corrupted(pid):
+        if pid in session.corrupted:
             # The adversary's ticks carry no weight: honest advancement only.
             return False
-        self._ticked.add(pid)
-        self._session.log.record(self.time, "tick", pid)
+        self.ticked.add(pid)
+        log = session.log
+        if log.keeps:
+            log.record(self.time, "tick", pid)
         return self._maybe_advance()
-
-    def has_ticked(self, pid: str) -> bool:
-        """Whether ``pid`` has already ticked in the current round."""
-        return pid in self._ticked
 
     # ------------------------------------------------------------------
     # Session plumbing
@@ -74,28 +75,32 @@ class GlobalClock:
         Called by the session when a party is corrupted; if the corrupted
         party was the last holdout, the round advances immediately.
         """
-        self._ticked.discard(pid)
+        self.ticked.discard(pid)
         self._maybe_advance()
 
-    def _expected(self) -> FrozenSet[str]:
-        # Cached on the session and invalidated on registration/corruption;
-        # rebuilding this set per tick made round advancement O(n^2).
-        return self._session.honest_pids
-
     def _maybe_advance(self) -> bool:
-        expected = self._expected()
-        if not expected or not expected.issubset(self._ticked):
+        session = self._session
+        # Cached on the session between topology changes (rebuilding this
+        # set per tick made round advancement O(n^2)); read the cache
+        # itself and build it only when a change has dropped it.
+        expected = session._honest_pids
+        if expected is None:
+            expected = session.honest_pids
+        if not expected or not expected.issubset(self.ticked):
             # No honest parties means nobody can advance time: rounds are
             # driven by honest participation.
             return False
         self.time += 1
-        self._ticked.clear()
-        self._session.log.record(self.time, "round", "Gclock", f"advanced to {self.time}")
-        self._session.metrics.inc("rounds.advanced")
+        self.ticked.clear()
+        log = session.log
+        if log.keeps:
+            log.record(self.time, "round", "Gclock", f"advanced to {self.time}")
+        session.metrics.inc("rounds.advanced")
         # Functionalities observe the new round (scheduled deliveries etc.),
         # then the adversary is activated, mirroring the paper's
-        # `Advanced_Clock` notification to A.
-        for functionality in list(self._session.functionalities.values()):
+        # `Advanced_Clock` notification to A.  Functionalities that keep
+        # the base no-op hook are not called.
+        for functionality in session.round_listeners:
             functionality.on_round_advanced(self.time)
-        self._session.adversary.on_round_advanced(self.time)
+        session.adversary.on_round_advanced(self.time)
         return True

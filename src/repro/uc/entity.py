@@ -35,11 +35,18 @@ class Entity:
     @property
     def time(self) -> int:
         """Current global round (a ``Read_Clock`` to ``Gclock``)."""
-        return self.session.clock.read()
+        return self.session.clock.time
 
     def record(self, kind: str, detail: Any = None) -> None:
-        """Append an event to the session trace, attributed to this entity."""
-        self.session.log.record(self.time, kind, self.entity_id, detail)
+        """Append an event to the session trace, attributed to this entity.
+
+        A light session's log keeps nothing, so it is neither called nor
+        handed the clock.
+        """
+        session = self.session
+        log = session.log
+        if log.keeps:
+            log.record(session.clock.time, kind, self.entity_id, detail)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.entity_id}>"
@@ -80,7 +87,7 @@ class Party(Entity):
     @property
     def corrupted(self) -> bool:
         """Whether this party is currently corrupted."""
-        return self.session.is_corrupted(self.pid)
+        return self.pid in self.session.corrupted
 
     def output(self, value: Any) -> None:
         """Return ``value`` to the environment Z."""
@@ -116,16 +123,19 @@ class Party(Entity):
             CorruptionError: if the environment drives a corrupted party
                 (corrupted parties are the adversary's to drive).
         """
-        if self.corrupted:
-            raise CorruptionError(f"{self.pid} is corrupted; Z cannot drive it")
-        if self.session.clock.has_ticked(self.pid):
+        session = self.session
+        pid = self.pid
+        if pid in session.corrupted:
+            raise CorruptionError(f"{pid} is corrupted; Z cannot drive it")
+        clock = session.clock
+        if pid in clock.ticked:
             # Paper: "if this is the first time P has received
             # Advance_Clock during round Cl" — duplicates are ignored.
             return
         self.end_of_round()
         for functionality in self.clock_recipients:
             functionality.on_party_tick(self)
-        self.session.clock.tick(self.pid)
+        clock.tick(pid)
 
 
 class Functionality(Entity):
@@ -177,10 +187,11 @@ class Functionality(Entity):
         Deliveries to corrupted parties route to the adversary (a corrupted
         machine is the adversary's puppet; its inbox is the adversary's).
         """
+        session = self.session
         self.record("deliver", (party.pid, message))
-        self.session.metrics.count_message(self.fid)
-        if party.corrupted:
-            self.session.adversary.on_leak(self, ("Deliver", party.pid, message))
+        session.metrics.count_message(self.fid)
+        if party.pid in session.corrupted:
+            session.adversary.on_leak(self, ("Deliver", party.pid, message))
         else:
             party.on_deliver(message, self)
 
@@ -197,4 +208,10 @@ class Functionality(Entity):
         """``Advance_Clock`` received from ``party`` (override as needed)."""
 
     def on_round_advanced(self, new_time: int) -> None:
-        """The global clock advanced to ``new_time`` (override as needed)."""
+        """The global clock advanced to ``new_time`` (override as needed).
+
+        ``Gclock`` calls only functionalities that replace this base
+        no-op, by subclass override or by an instance attribute set
+        before the first advance after registration
+        (:attr:`~repro.uc.session.Session.round_listeners`).
+        """

@@ -29,12 +29,11 @@ class Metrics:
 
     # Convenience wrappers for the units the paper reports. --------------
 
-    def count_message(self, channel: str, size_bits: int = 0) -> None:
+    def count_message(self, channel: str) -> None:
         """Record one point-to-point message on ``channel``."""
-        self.inc("messages.total")
-        self.inc(f"messages.{channel}")
-        if size_bits:
-            self.inc("messages.bits", size_bits)
+        counters = self.counters
+        counters["messages.total"] += 1
+        counters["messages." + channel] += 1
 
     def count_ro_query(self, oracle: str, entity: str) -> None:
         """Record one random-oracle query by ``entity`` against ``oracle``."""

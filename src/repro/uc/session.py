@@ -15,18 +15,19 @@ reproduces the pre-runtime engine byte-for-byte.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Set, Union
 
 from repro.runtime.backend import ExecutionBackend, get_backend
 from repro.runtime.scheduler import BatchScheduler
 from repro.uc.clock import GlobalClock
+from repro.uc.entity import Functionality
 from repro.uc.errors import CorruptionError, UnknownEntity
 from repro.uc.metrics import Metrics
 from repro.uc.trace import EventLog, NullEventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uc.adversary import Adversary
-    from repro.uc.entity import Functionality, Party
+    from repro.uc.entity import Party
 
 
 class Session:
@@ -83,6 +84,7 @@ class Session:
         self.topology_epoch = 0
         self._honest_cache: Optional[Dict[str, "Party"]] = None
         self._honest_pids: Optional[FrozenSet[str]] = None
+        self._round_listeners: Optional[List["Functionality"]] = None
         self.clock = GlobalClock(self)
         if adversary is None:
             from repro.uc.adversary import PassiveAdversary
@@ -106,6 +108,7 @@ class Session:
         if functionality.fid in self.functionalities:
             raise ValueError(f"duplicate functionality id {functionality.fid!r}")
         self.functionalities[functionality.fid] = functionality
+        self._round_listeners = None
 
     def party(self, pid: str) -> "Party":
         """Look up a party by id."""
@@ -158,6 +161,25 @@ class Session:
             )
         return self._honest_pids
 
+    @property
+    def round_listeners(self) -> List["Functionality"]:
+        """The functionalities ``Gclock`` notifies of a round advance.
+
+        Those whose ``on_round_advanced`` is not the base no-op (a
+        subclass override or an instance-assigned hook), in registration
+        order.  Resolved at the first advance after a registration and
+        cached until the next one, so a hook assigned to an instance
+        after that advance is not seen.
+        """
+        if self._round_listeners is None:
+            base = Functionality.on_round_advanced
+            self._round_listeners = [
+                functionality
+                for functionality in self.functionalities.values()
+                if getattr(functionality.on_round_advanced, "__func__", None) is not base
+            ]
+        return self._round_listeners
+
     def corrupt(self, pid: str) -> "Party":
         """Corrupt party ``pid`` (adaptive, possibly mid-round).
 
@@ -173,7 +195,8 @@ class Session:
             raise CorruptionError(f"{pid} is already corrupted")
         self.corrupted.add(pid)
         self._invalidate_topology()
-        self.log.record(self.clock.time, "corrupt", pid)
+        if self.log.keeps:
+            self.log.record(self.clock.time, "corrupt", pid)
         self.metrics.inc("corruptions")
         self.clock.note_corruption(pid)
         self.adversary.on_corrupted(party)
@@ -190,7 +213,7 @@ class Session:
         their parties.  Only the cyclic garbage collector could free
         such a graph.  ``close()`` drops the forward edges (every
         party's ``route`` and ``clock_recipients``, the registries, the
-        honest caches) and the clock's and adversary's pointers back at
+        honest and round-listener caches) and the clock's and adversary's pointers back at
         the session, so what is left is acyclic.  The log, metrics, rng
         and corruption set stay readable.  Idempotent; the session can
         run no further rounds.
@@ -202,6 +225,7 @@ class Session:
         self.functionalities = {}
         self._honest_cache = None
         self._honest_pids = None
+        self._round_listeners = None
         self.clock._session = None
         self.adversary.session = None
 

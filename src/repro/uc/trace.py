@@ -12,7 +12,7 @@ adversarial ``Allow``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Tuple
 
 #: Renderings already produced within one digest (or one scan): ``id(obj)``
 #: maps to ``(obj, text)``.  See :func:`canonical_detail`.
@@ -109,6 +109,11 @@ class EventLog:
     events: List[Event] = field(default_factory=list)
     _seq: int = 0
 
+    #: Whether :meth:`record` keeps anything.  The kernel's own call
+    #: sites (``Entity.record``, ``Gclock``, ``Session.corrupt``) skip
+    #: the call, and the clock read for its ``time``, when it does not.
+    keeps: ClassVar[bool] = True
+
     def record(self, time: int, kind: str, source: str, detail: Any = None) -> Event:
         """Append an event and return it."""
         event = Event(seq=self._seq, time=time, kind=kind, source=source, detail=detail)
@@ -184,6 +189,8 @@ class NullEventLog(EventLog):
     write-only state — but trace-based assertions obviously cannot run
     against it.
     """
+
+    keeps: ClassVar[bool] = False
 
     def record(self, time: int, kind: str, source: str, detail: Any = None) -> None:
         return None

@@ -99,6 +99,33 @@ def test_bad_generator_rejected():
         SchnorrGroup(p=23, q=11, g=1)
 
 
+@pytest.mark.parametrize("group", [SchnorrGroup(p=23, q=11, g=4), TEST_GROUP, GROUP_2048],
+                         ids=["p23", "test", "2048"])
+def test_safe_prime_non_residue_generator_rejected(group):
+    # p - 1 has order 2, not q: the Jacobi screen must refuse it.
+    with pytest.raises(ValueError, match="order q"):
+        SchnorrGroup(p=group.p, q=group.q, g=group.p - 1)
+
+
+def test_safe_prime_generator_check_agrees_with_pow():
+    # The Jacobi screen accepts exactly what the full-width pow accepted.
+    for g in range(-3, 50):
+        try:
+            SchnorrGroup(p=23, q=11, g=g)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (pow(g, 11, 23) == 1 and g not in (0, 1)), g
+
+
+def test_non_safe_prime_group_keeps_the_pow_check():
+    # p = 13 = 4 * 3 + 1: the order-3 subgroup is not the residues.
+    assert SchnorrGroup(p=13, q=3, g=3).q == 3
+    with pytest.raises(ValueError):
+        SchnorrGroup(p=13, q=3, g=4)  # a residue of order 6
+
+
 # ---------------------------------------------------------------------------
 # Cache thread-safety and pickling (shared instances under SessionPool)
 # ---------------------------------------------------------------------------

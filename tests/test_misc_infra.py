@@ -18,11 +18,14 @@ def test_metrics_summary_filters_prefixes():
     assert "internal.debug" not in summary
 
 
-def test_metrics_count_message_with_size():
+def test_metrics_count_message_counts_total_and_channel():
     metrics = Metrics()
-    metrics.count_message("chan", size_bits=128)
-    assert metrics.get("messages.bits") == 128
-    assert metrics.get("messages.chan") == 1
+    metrics.count_message("chan")
+    metrics.count_message("chan")
+    metrics.count_message("other")
+    assert metrics.snapshot() == {
+        "messages.total": 3, "messages.chan": 2, "messages.other": 1,
+    }
 
 
 def test_event_str_rendering():
