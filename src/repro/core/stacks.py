@@ -108,11 +108,11 @@ class _BaseStack:
 
     def honest_outputs_done(self, session: Session) -> bool:
         """Completion predicate: every honest party has produced an output."""
-        return all(
-            party.outputs
-            for pid, party in self.parties.items()
-            if not session.is_corrupted(pid)
-        )
+        corrupted = session.corrupted
+        for pid, party in self.parties.items():
+            if not party.outputs and pid not in corrupted:
+                return False
+        return True
 
 
 def _modes(mode: str, allowed: Sequence[str]) -> None:

@@ -69,22 +69,24 @@ class TimeLockEncryption(Functionality):
 
         Returns ``"Encrypting"`` on success, :data:`BOTTOM` for ``tau < 0``.
         """
-        if party.corrupted:
+        session = self.session
+        if party.pid in session.corrupted:
             raise ValueError("honest interface used by corrupted party")
         if tau < 0:
             return BOTTOM
-        tag = self.session.fresh_tag()
+        tag = session.fresh_tag()
+        now = session.clock.time
         self._records.append(
             _TLERecord(
                 message=message,
                 ciphertext=None,
                 tau=tau,
                 tag=tag,
-                recorded_at=self.time,
+                recorded_at=now,
                 owner=party.pid,
             )
         )
-        self.leak(("Enc", tau, tag, self.time, ("len", _size_of(message)), party.pid))
+        self.leak(("Enc", tau, tag, now, ("len", _size_of(message)), party.pid))
         return "Encrypting"
 
     def retrieve(self, party: Party) -> List[Tuple[Any, bytes, int]]:
@@ -93,7 +95,7 @@ class TimeLockEncryption(Functionality):
         Ciphertexts not supplied by the adversary are sampled uniformly —
         an ideal TLE ciphertext carries no information.
         """
-        now = self.time
+        now = self.session.clock.time
         ready: List[Tuple[Any, bytes, int]] = []
         for record in self._records:
             if record.owner != party.pid:
@@ -111,13 +113,13 @@ class TimeLockEncryption(Functionality):
         Returns the message, or one of :data:`MORE_TIME`,
         :data:`INVALID_TIME`, :data:`BOTTOM`.
         """
-        if party.corrupted:
+        if party.pid in self.session.corrupted:
             raise ValueError("honest interface used by corrupted party")
         if ciphertext is None:
             return BOTTOM
         if tau < 0:
             return BOTTOM
-        now = self.time
+        now = self.session.clock.time
         if now < tau:
             return MORE_TIME
         matches = [

@@ -49,7 +49,7 @@ class QueryWrapper(Functionality):
         self._used: Dict[Tuple[str, int], int] = {}
 
     def _budget_key(self, entity_id: str) -> str:
-        if self.session.is_corrupted(entity_id) or entity_id == CORRUPTED_POOL:
+        if entity_id in self.session.corrupted or entity_id == CORRUPTED_POOL:
             return CORRUPTED_POOL
         return entity_id
 
@@ -78,11 +78,12 @@ class QueryWrapper(Functionality):
                 neither resolved nor charged.
         """
         inputs = list(inputs)
-        key = (self._budget_key(entity_id), self.time)
+        now = self.session.clock.time
+        key = (self._budget_key(entity_id), now)
         used = self._used.get(key, 0)
         if used + 1 > self.q:
             raise ResourceExhausted(
-                f"{entity_id}: batch {used + 1} > q={self.q} in round {self.time}"
+                f"{entity_id}: batch {used + 1} > q={self.q} in round {now}"
             )
         # Resolve first: a batch with a non-``bytes`` point raises there
         # before anything is sampled, charged or counted.

@@ -54,8 +54,7 @@ class DURSParty(Party):
         self.waiting = False  # f^P_wait
         self.awake = False  # f^P_awake
 
-        if hasattr(sbc, "attach"):
-            sbc.attach(self)
+        sbc.attach(self)
         self.route[sbc.fid] = self._on_sbc
         for instance in rbc_instances.values():
             self.route[instance.fid] = self._on_rbc

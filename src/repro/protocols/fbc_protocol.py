@@ -21,6 +21,7 @@ account, exactly as Figure 11 schedules them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -88,23 +89,17 @@ class FBCProtocolAdapter(Functionality):
         self.wrapper = wrapper
         self.oracle = oracle
         self.msg_len = msg_len
+        #: Per-party state, created when the party attaches.
         self._state: Dict[str, _PartyState] = {}
 
     # -- wiring ------------------------------------------------------------
 
     def attach(self, party: Party) -> None:
-        """Wire ``party`` into this FBC instance (routes + clock chain)."""
-        party.route[self.ubc.fid] = lambda message, source: self._on_ubc(
-            party, message
-        )
+        """Wire ``party`` into this FBC instance (state, routes, clock chain)."""
+        self._state.setdefault(party.pid, _PartyState())
+        party.route[self.ubc.fid] = functools.partial(self._on_ubc, party)
         if self not in party.clock_recipients:
             party.clock_recipients.append(self)
-
-    def _st(self, pid: str) -> _PartyState:
-        state = self._state.get(pid)
-        if state is None:
-            state = self._state[pid] = _PartyState()
-        return state
 
     # -- broadcast input -------------------------------------------------------
 
@@ -113,20 +108,23 @@ class FBCProtocolAdapter(Functionality):
         if party.corrupted:
             raise ValueError("honest interface used by corrupted party")
         pad_message(message, self.msg_len)  # validate size early
-        self._st(party.pid).pending.append(message)
+        self._state[party.pid].pending.append(message)
 
     def adv_broadcast(self, pid: str, message: Any) -> None:
         """The adversary runs the sender code of corrupted ``pid``.
 
         A corrupted party may follow the protocol; its messages enter the
         same pipeline (and its puzzle queries bill the corrupted pool).
+        Any registered party may be corrupted, attached to this instance
+        or not, so its state is made here if it has none.
         """
         self.require_corrupted(pid)
-        self._st(pid).pending.append(message)
+        state = self._state.setdefault(pid, _PartyState())
+        state.pending.append(message)
 
     # -- UBC delivery -----------------------------------------------------------
 
-    def _on_ubc(self, party: Party, message: Any) -> None:
+    def _on_ubc(self, party: Party, message: Any, _source: Functionality) -> None:
         kind, payload, _sender = message
         if kind != "Broadcast":
             return
@@ -137,23 +135,30 @@ class FBCProtocolAdapter(Functionality):
             return
         if ciphertext.difficulty != DIFFICULTY or len(mask) != self.msg_len:
             return  # malformed: honest parties ignore invalid messages
-        state = self._st(party.pid)
+        state = self._state[party.pid]
         replay_key = (b"".join(ciphertext.chain), mask)
         if replay_key in state.seen:
             return
         state.seen.add(replay_key)
         state.waiting.append(
-            _WaitEntry(ciphertext=ciphertext, mask=mask, received_at=self.time)
+            _WaitEntry(ciphertext=ciphertext, mask=mask, received_at=self.session.clock.time)
         )
 
     # -- round work (Figure 11, Advance_Clock) ------------------------------------
 
     def on_party_tick(self, party: Party) -> None:
-        now = self.time
-        state = self._st(party.pid)
+        now = self.session.clock.time
+        state = self._state[party.pid]
         if state.last_tick == now:
             return  # only the first Advance_Clock of a round does work
         state.last_tick = now
+        waiting = state.waiting
+        # ``waiting`` is in receipt order, so when its oldest entry arrived
+        # this round no entry is due; with nothing pending either, steps
+        # 1-7 would draw, query and deliver nothing.
+        if not state.pending and (not waiting or waiting[0].received_at == now):
+            self.ubc.on_party_tick(party)
+            return
         q = self.wrapper.q
 
         fresh = [e for e in state.waiting if e.received_at == now - 1]

@@ -24,6 +24,7 @@ Like the layers below, the per-party machines are folded into one
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -100,25 +101,23 @@ class SBCProtocolAdapter(Functionality):
         self.delta = delta
         self.alpha = advantage + 1  # Theorem 2's simulator advantage
         self.msg_len = msg_len
+        #: Per-party state, created when the party attaches.
         self._state: Dict[str, _SBCState] = {}
+        #: Whether the TLE below has an ``Advance_Clock`` clause to drive
+        #: (ΠTLE does; ideal FTLE keeps the base no-op), fixed here.
+        self._tle_ticks = (
+            getattr(tle.on_party_tick, "__func__", None) is not Functionality.on_party_tick
+        )
 
     # -- wiring --------------------------------------------------------------
 
     def attach(self, party: Party) -> None:
-        """Wire ``party`` into this SBC instance (routes + clock chain)."""
-        party.route[self.ubc.fid] = lambda message, source: self._on_ubc(
-            party, message
-        )
-        if hasattr(self.tle, "attach"):
-            self.tle.attach(party)
+        """Wire ``party`` into this SBC instance (state, routes, clock chain)."""
+        self._state.setdefault(party.pid, _SBCState())
+        party.route[self.ubc.fid] = functools.partial(self._on_ubc, party)
+        self.tle.attach(party)
         if self not in party.clock_recipients:
             party.clock_recipients.append(self)
-
-    def _st(self, pid: str) -> _SBCState:
-        state = self._state.get(pid)
-        if state is None:
-            state = self._state[pid] = _SBCState()
-        return state
 
     # -- broadcast input ---------------------------------------------------------
 
@@ -126,26 +125,30 @@ class SBCProtocolAdapter(Functionality):
         """``Broadcast`` input (Figure 14, first interface)."""
         if party.corrupted:
             raise ValueError("honest interface used by corrupted party")
-        self._input(party, message)
+        self._input(party, self._state[party.pid], message)
 
     def adv_broadcast(self, pid: str, message: Any) -> None:
-        """The adversary runs the sender code of corrupted ``pid``."""
-        self.require_corrupted(pid)
-        self._input(self.session.party(pid), message)
+        """The adversary runs the sender code of corrupted ``pid``.
 
-    def _input(self, party: Party, message: Any) -> None:
+        Any registered party may be corrupted, attached to this instance
+        or not, so its state is made here if it has none.
+        """
+        self.require_corrupted(pid)
+        state = self._state.setdefault(pid, _SBCState())
+        self._input(self.session.party(pid), state, message)
+
+    def _input(self, party: Party, state: _SBCState, message: Any) -> None:
         pad_message(message, self.msg_len)  # validate size early
-        state = self._st(party.pid)
         if state.t_awake is None:
             if not state.pre_wake:
                 self._ubc_broadcast(party, WAKE_UP)
             state.pre_wake.append(message)
             return
-        if self.time >= state.t_end - self.tle.delay:
+        if self.session.clock.time >= state.t_end - self.tle.delay:
             # Too late: a ciphertext could not be ready before t_end.
             self.record("late_input", (party.pid, message))
             return
-        self._lock_and_queue(party, message)
+        self._lock_and_queue(party, state, message)
 
     def _ubc_broadcast(self, party: Party, payload: Any) -> None:
         if party.corrupted:
@@ -153,19 +156,18 @@ class SBCProtocolAdapter(Functionality):
         else:
             self.ubc.broadcast(party, payload)
 
-    def _lock_and_queue(self, party: Party, message: Any) -> None:
-        state = self._st(party.pid)
+    def _lock_and_queue(self, party: Party, state: _SBCState, message: Any) -> None:
         rho = self.session.random_bytes(DIGEST_SIZE)
         state.pending.append((rho, message))
         self.tle.enc(party, rho, state.tau_rel)
 
     # -- UBC deliveries ---------------------------------------------------------------
 
-    def _on_ubc(self, party: Party, message: Any) -> None:
+    def _on_ubc(self, party: Party, message: Any, _source: Functionality) -> None:
         kind, payload, _sender = message
         if kind != "Broadcast":
             return
-        state = self._st(party.pid)
+        state = self._state[party.pid]
         if payload == WAKE_UP:
             self._on_wake_up(party, state)
             return
@@ -186,41 +188,51 @@ class SBCProtocolAdapter(Functionality):
     def _on_wake_up(self, party: Party, state: _SBCState) -> None:
         if state.t_awake is not None:
             return
-        state.t_awake = self.time
+        state.t_awake = self.session.clock.time
         state.t_end = state.t_awake + self.phi
         state.tau_rel = state.t_end + self.delta
         self.record("awake", (party.pid, state.t_awake, state.t_end, state.tau_rel))
         pre_wake, state.pre_wake = state.pre_wake, []
         for message in pre_wake:
-            self._lock_and_queue(party, message)
+            self._lock_and_queue(party, state, message)
 
     # -- round work (Figure 14, Advance_Clock) ----------------------------------------------
 
     def on_party_tick(self, party: Party) -> None:
-        now = self.time
-        state = self._st(party.pid)
+        now = self.session.clock.time
+        state = self._state[party.pid]
         if state.last_tick == now:
             return
         state.last_tick = now
 
         # Drive the TLE layer first so earlier Enc requests have matured
         # by the time we Retrieve.
-        self.tle.on_party_tick(party)
+        if self._tle_ticks:
+            self.tle.on_party_tick(party)
 
-        if state.t_awake is not None and state.t_awake <= now < state.t_end:
-            # Step 2: fetch matured ciphertexts and UBC-broadcast them.
+        # Step 2: fetch matured ciphertexts and UBC-broadcast them.  Only
+        # a party still holding an unmasked ρ asks: every ρ is masked the
+        # first time Retrieve returns it, and FTLE samples a record's
+        # ciphertext on the first Retrieve after it matures, so a party
+        # whose every ρ is masked owns no record left to sample, and
+        # skipping its Retrieve leaves the RNG stream unchanged.  (A ρ is
+        # only ever locked once the party is awake.)
+        pending = state.pending
+        if pending and len(state.masked) < len(pending) and state.t_awake <= now < state.t_end:
             for rho, ciphertext, _tau in self.tle.retrieve(party):
-                match = next(
-                    (pair for pair in state.pending if pair[0] == rho), None
-                )
-                if match is None or rho in state.masked:
+                for pending_rho, message in pending:
+                    if pending_rho == rho:
+                        break
+                else:
+                    continue
+                if rho in state.masked:
                     continue
                 state.masked.add(rho)
                 eta = self.oracle.query(rho, querier=party.pid)
-                mask = xor_bytes(pad_message(match[1], self.msg_len), eta)
+                mask = xor_bytes(pad_message(message, self.msg_len), eta)
                 self._ubc_broadcast(party, (ciphertext, state.tau_rel, mask))
 
-        if state.tau_rel is not None and now == state.tau_rel and not state.delivered:
+        if now == state.tau_rel and not state.delivered:
             # Step 3: open every received ciphertext; deliver the batch.
             state.delivered = True
             opened: List[Any] = []
@@ -252,8 +264,7 @@ class SBCParty(Party):
     def __init__(self, session: "Session", pid: str, sbc: Functionality) -> None:
         super().__init__(session, pid)
         self.sbc = sbc
-        if hasattr(sbc, "attach"):
-            sbc.attach(self)
+        sbc.attach(self)
         self.route[sbc.fid] = lambda message, source: self.output(message)
         if sbc not in self.clock_recipients:
             self.clock_recipients.append(sbc)

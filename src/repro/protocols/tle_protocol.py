@@ -19,6 +19,7 @@ Like ΠUBC/ΠFBC, the per-party machines are folded into one
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -56,6 +57,9 @@ class _Puzzle:
 @dataclass
 class _TLEState:
     records: List[_EncRecord] = field(default_factory=list)  # L^P_rec
+    #: Records still waiting for their ciphertext, in ``records`` order.
+    #: Each gets it, and is broadcast, in the party's next round.
+    fresh: List[_EncRecord] = field(default_factory=list)
     puzzles: Dict[bytes, _Puzzle] = field(default_factory=dict)  # L^P_puzzle
     #: Solvers of ``puzzles`` not yet solved, in registration order (the
     #: order ``puzzles`` iterates), so a query slot visits only live ones.
@@ -116,6 +120,7 @@ class TLEProtocolAdapter(Functionality):
         self.alpha = fbc.alpha
         #: The functionality parameters this protocol realizes (Theorem 1).
         self.delay = self.delta + 1
+        #: Per-party state, created when the party attaches.
         self._state: Dict[str, _TLEState] = {}
 
     def leak_fn(self, cl: int) -> int:
@@ -125,20 +130,12 @@ class TLEProtocolAdapter(Functionality):
     # -- wiring -------------------------------------------------------------
 
     def attach(self, party: Party) -> None:
-        """Wire ``party`` into this TLE instance (routes + clock chain)."""
-        party.route[self.fbc.fid] = lambda message, source: self._on_fbc(
-            party, message
-        )
-        if hasattr(self.fbc, "attach"):
-            self.fbc.attach(party)
+        """Wire ``party`` into this TLE instance (state, routes, clock chain)."""
+        self._state.setdefault(party.pid, _TLEState())
+        party.route[self.fbc.fid] = functools.partial(self._on_fbc, party)
+        self.fbc.attach(party)
         if self not in party.clock_recipients:
             party.clock_recipients.append(self)
-
-    def _st(self, pid: str) -> _TLEState:
-        state = self._state.get(pid)
-        if state is None:
-            state = self._state[pid] = _TLEState()
-        return state
 
     # -- Enc input -------------------------------------------------------------
 
@@ -148,21 +145,22 @@ class TLEProtocolAdapter(Functionality):
             raise ValueError("honest interface used by corrupted party")
         if tau < 0:
             return BOTTOM
-        self._st(party.pid).records.append(
-            _EncRecord(
-                message=message, ciphertext=None, tau=tau, recorded_at=self.time
-            )
+        record = _EncRecord(
+            message=message, ciphertext=None, tau=tau, recorded_at=self.session.clock.time
         )
+        state = self._state[party.pid]
+        state.records.append(record)
+        state.fresh.append(record)
         return "Encrypting"
 
     # -- Retrieve input -----------------------------------------------------------
 
     def retrieve(self, party: Party) -> List[Tuple[Any, WireCiphertext, int]]:
         """Matured (message, ciphertext, τ) triples (age ≥ ∆ + 1)."""
-        now = self.time
+        now = self.session.clock.time
         return [
             (record.message, record.ciphertext, record.tau)
-            for record in self._st(party.pid).records
+            for record in self._state[party.pid].records
             if record.broadcast
             and record.ciphertext is not None
             and now - record.recorded_at >= self.delta + 1
@@ -174,13 +172,12 @@ class TLEProtocolAdapter(Functionality):
         """``Dec`` request, Figure 12's decision tree."""
         if tau < 0 or ciphertext is None:
             return BOTTOM
-        now = self.time
+        now = self.session.clock.time
         if now < tau:
             return MORE_TIME
         if not _is_wire_ciphertext(ciphertext):
             return BOTTOM
-        state = self._st(party.pid)
-        puzzle = state.puzzles.get(_puzzle_key(ciphertext))
+        puzzle = self._state[party.pid].puzzles.get(_puzzle_key(ciphertext))
         if puzzle is None:
             return BOTTOM
         if tau < puzzle.tau <= now:
@@ -204,7 +201,7 @@ class TLEProtocolAdapter(Functionality):
 
     # -- FBC delivery ------------------------------------------------------------------
 
-    def _on_fbc(self, party: Party, message: Any) -> None:
+    def _on_fbc(self, party: Party, message: Any, _source: Functionality) -> None:
         if not (isinstance(message, tuple) and message[0] == "Broadcast"):
             return
         payload = message[1]
@@ -213,21 +210,26 @@ class TLEProtocolAdapter(Functionality):
         ciphertext, tau = payload
         if not _is_wire_ciphertext(ciphertext):
             return
-        self._st(party.pid).inbox.append((ciphertext, tau))
+        self._state[party.pid].inbox.append((ciphertext, tau))
 
     # -- round work (Figure 12, Advance_Clock) ---------------------------------------------
 
     def on_party_tick(self, party: Party) -> None:
-        now = self.time
-        state = self._st(party.pid)
+        now = self.session.clock.time
+        state = self._state[party.pid]
         if state.last_tick == now:
             return
         state.last_tick = now
-        q = self.wrapper.q
 
         # Step 1: Advance_Clock down to FFBC first — its delayed
         # deliveries for this round land in our inbox.
         self.fbc.on_party_tick(party)
+
+        # Nothing received, nothing to solve and nothing to encrypt: the
+        # steps below would query, draw and broadcast nothing.
+        if not (state.inbox or state.unsolved or state.fresh):
+            return
+        q = self.wrapper.q
 
         # Step 2: register received ciphertexts as puzzles.
         inbox, state.inbox = state.inbox, []
@@ -240,7 +242,7 @@ class TLEProtocolAdapter(Functionality):
             state.unsolved.append(solver)
 
         # Step 3: ENCRYPT&SOLVE.
-        fresh = [record for record in state.records if record.ciphertext is None]
+        fresh, state.fresh = state.fresh, []
         randomness: Dict[int, List[bytes]] = {}
         difficulties: Dict[int, int] = {}
         for index, record in enumerate(fresh):
@@ -289,11 +291,10 @@ class TLEProtocolAdapter(Functionality):
             record.ciphertext = (c1, c2, c3)
 
         # Step 4: broadcast freshly-built ciphertexts via FFBC.
-        for record in state.records:
-            if record.ciphertext is not None and not record.broadcast:
-                record.broadcast = True
-                payload = (record.ciphertext, record.tau)
-                if party.corrupted:
-                    self.fbc.adv_broadcast(party.pid, payload)
-                else:
-                    self.fbc.broadcast(party, payload)
+        for record in fresh:
+            record.broadcast = True
+            payload = (record.ciphertext, record.tau)
+            if party.corrupted:
+                self.fbc.adv_broadcast(party.pid, payload)
+            else:
+                self.fbc.broadcast(party, payload)

@@ -213,8 +213,7 @@ class VoterParty(Party):
         #: (RO answer, seed derived from it): the seed is derived once.
         self._seed_cache: Optional[Tuple[bytes, int]] = None
 
-        if hasattr(sbc, "attach"):
-            sbc.attach(self)
+        sbc.attach(self)
         self.route[sbc.fid] = self._on_sbc
         for rbc in authority_rbcs.values():
             self.route[rbc.fid] = self._on_authority

@@ -27,7 +27,27 @@ only work that records nothing:
   for it;
 * corruption is read straight from the session's ``corrupted`` set,
   which corruption mutates in place, so a party corrupted mid-round (by
-  the activation hook or from a leak) is seen at once.
+  the activation hook or from a leak) is seen at once;
+* ``Party.advance_clock`` calls ``end_of_round``, and
+  ``Functionality.deliver`` calls ``on_deliver``, only when the party's
+  class overrides the base no-op or an instance attribute replaces it,
+  compared against the live ``Party`` method at each call; otherwise
+  ``deliver`` calls the ``party.route`` handler itself.  A delivery to a
+  corrupted party still goes to ``adversary.on_leak``;
+* every party attaches to its protocol adapters when it is constructed
+  (``Functionality.attach``, a no-op for ideal functionalities), so
+  ΠSBC, ΠTLE and ΠFBC create its state there and their tick clauses and
+  routed handlers index it directly.  ``adv_broadcast(pid)`` makes the
+  state of a corrupted party that never attached;
+* ΠSBC decides at construction whether its TLE has a tick clause (ideal
+  FTLE keeps the base no-op), and asks it to ``Retrieve`` only while the
+  party holds a ρ it has not masked.  FTLE samples a record's ciphertext
+  on the first ``Retrieve`` after the record matures and ΠSBC masks a ρ
+  the first time ``Retrieve`` returns it, so a party whose every ρ is
+  masked owns no unsampled record and the RNG stream is unchanged;
+* ΠTLE and ΠFBC skip a party's round when it has no inbox, no solver
+  left, no record to encrypt and no waiting entry due (the layer below
+  still ticks).
 
 * :class:`SequentialRoundDriver` — the reference driver, bound by the
   ``sequential``, ``pooled`` and ``batched`` backends.

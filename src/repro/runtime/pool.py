@@ -34,6 +34,7 @@ reference counting frees it on return.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import hashlib
 import os
@@ -44,9 +45,11 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    ContextManager,
     Dict,
     Generator,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -331,6 +334,27 @@ async def _drive_async(body: SessionBody) -> TrialResult:
             body.close()
 
 
+#: The scope of a trial that spends no pool and batches nothing: both
+#: seams stay as they are, so every such trial enters this one no-op.
+_NO_SCOPE = contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def _spending_and_batching(cursor: Optional[Any], batch: Optional[Any]) -> Iterator[None]:
+    from repro.crypto.batch import batching
+    from repro.crypto.randomness import spending
+
+    with spending(cursor), batching(batch):
+        yield
+
+
+def _trial_scope(cursor: Optional[Any], batch: Optional[Any]) -> ContextManager[None]:
+    """The randomness and batching scope a session body runs in."""
+    if cursor is None and batch is None:
+        return _NO_SCOPE
+    return _spending_and_batching(cursor, batch)
+
+
 def _trial_result(
     stack: Any,
     seed: int,
@@ -365,13 +389,11 @@ def _sbc_session(
 ) -> SessionBody:
     """The SBC session body behind :func:`run_sbc_trial`/:func:`async_sbc_session`."""
     from repro.core.stacks import build_sbc_stack, session_timing
-    from repro.crypto.batch import batching
-    from repro.crypto.randomness import spending
 
     phi, delta = session_timing(mode, phi, delta)
     cursor = online.open(seed) if online is not None else None
     start = time.perf_counter()
-    with spending(cursor), batching(batch):
+    with _trial_scope(cursor, batch):
         stack = build_sbc_stack(
             n=n, mode=mode, seed=seed, phi=phi, delta=delta, backend=backend,
             trace=trace,
@@ -381,10 +403,9 @@ def _sbc_session(
         yield Drive(stack.env.driver, stack.honest_outputs_done, stack.delivery_budget())
     online_record = record_online_spend(stack.session, cursor)
     elapsed = time.perf_counter() - start
+    corrupted = stack.session.corrupted
     honest_views = {
-        pid: view
-        for pid, view in stack.delivered().items()
-        if not stack.session.is_corrupted(pid)
+        pid: view for pid, view in stack.delivered().items() if pid not in corrupted
     }
     result = _trial_result(stack, seed, honest_views, elapsed, online_record)
     stack.session.close()
@@ -403,13 +424,11 @@ def _voting_session(
 ) -> SessionBody:
     """The election body behind :func:`run_voting_trial`/:func:`async_voting_session`."""
     from repro.core.stacks import build_voting_stack
-    from repro.crypto.batch import batching
-    from repro.crypto.randomness import spending
 
     candidates = tuple(candidates)
     cursor = online.open(seed) if online is not None else None
     start = time.perf_counter()
-    with spending(cursor), batching(batch):
+    with _trial_scope(cursor, batch):
         stack = build_voting_stack(
             voters=voters, mode=mode, seed=seed, candidates=candidates,
             backend=backend, trace=trace,

@@ -101,14 +101,19 @@ class Party(Entity):
 
         The default dispatches through :attr:`route`; unrouted deliveries
         are silently dropped (subclasses either register routes or
-        override this method wholesale).
+        override this method wholesale).  :meth:`Functionality.deliver`
+        does the same lookup itself for a party that keeps this default.
         """
         handler = self.route.get(source.fid)
         if handler is not None:
             handler(message, source)
 
     def end_of_round(self) -> None:
-        """Round work performed upon ``Advance_Clock`` (override)."""
+        """Round work performed upon ``Advance_Clock`` (override).
+
+        :meth:`advance_clock` skips this base no-op: it calls only a
+        subclass override or an instance-assigned hook.
+        """
 
     # -- the Advance_Clock template --------------------------------------
 
@@ -132,7 +137,10 @@ class Party(Entity):
             # Paper: "if this is the first time P has received
             # Advance_Clock during round Cl" — duplicates are ignored.
             return
-        self.end_of_round()
+        # The base hook is a no-op: call only a subclass override or an
+        # instance-assigned hook, checked against the live base method.
+        if "end_of_round" in self.__dict__ or self.__class__.end_of_round is not Party.end_of_round:
+            self.end_of_round()
         for functionality in self.clock_recipients:
             functionality.on_party_tick(self)
         clock.tick(pid)
@@ -165,8 +173,11 @@ class Functionality(Entity):
         runs *now*; it may corrupt parties or invoke adversarial interfaces
         of this functionality before control returns.
         """
-        self.record("leak", detail)
-        self.session.adversary.on_leak(self, detail)
+        session = self.session
+        log = session.log
+        if log.keeps:
+            log.record(session.clock.time, "leak", self.entity_id, detail)
+        session.adversary.on_leak(self, detail)
 
     def require_corrupted(self, pid: str) -> None:
         """Guard for adversarial interfaces acting on behalf of a party.
@@ -186,14 +197,24 @@ class Functionality(Entity):
 
         Deliveries to corrupted parties route to the adversary (a corrupted
         machine is the adversary's puppet; its inbox is the adversary's).
+        A party that keeps the base :meth:`Party.on_deliver` (checked
+        against the live base method) has its :attr:`Party.route` handler
+        called here directly.
         """
         session = self.session
-        self.record("deliver", (party.pid, message))
+        log = session.log
+        pid = party.pid
+        if log.keeps:
+            log.record(session.clock.time, "deliver", self.entity_id, (pid, message))
         session.metrics.count_message(self.fid)
-        if party.pid in session.corrupted:
-            session.adversary.on_leak(self, ("Deliver", party.pid, message))
-        else:
+        if pid in session.corrupted:
+            session.adversary.on_leak(self, ("Deliver", pid, message))
+        elif "on_deliver" in party.__dict__ or party.__class__.on_deliver is not Party.on_deliver:
             party.on_deliver(message, self)
+        else:
+            handler = party.route.get(self.fid)
+            if handler is not None:
+                handler(message, self)
 
     def deliver_all(self, message: Any, exclude: Optional[Sequence[str]] = None) -> None:
         """Output ``message`` to every registered party (optionally excluding some)."""
@@ -201,6 +222,17 @@ class Functionality(Entity):
         for party in list(self.session.parties.values()):
             if party.pid not in excluded:
                 self.deliver(party, message)
+
+    # -- wiring -------------------------------------------------------------
+
+    def attach(self, party: Party) -> None:
+        """Wire ``party`` into this functionality, once, at construction.
+
+        Ideal functionalities keep no per-party wiring, so the base does
+        nothing.  Protocol adapters override it to create the party's
+        state, its delivery routes and its clock-chain entry; their hot
+        paths then assume every party that reaches them has attached.
+        """
 
     # -- clock hooks --------------------------------------------------------
 

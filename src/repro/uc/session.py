@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Set, Uni
 
 from repro.runtime.backend import ExecutionBackend, get_backend
 from repro.runtime.scheduler import BatchScheduler
+from repro.uc.adversary import Adversary, PassiveAdversary
 from repro.uc.clock import GlobalClock
 from repro.uc.entity import Functionality
 from repro.uc.errors import CorruptionError, UnknownEntity
@@ -26,7 +27,6 @@ from repro.uc.metrics import Metrics
 from repro.uc.trace import EventLog, NullEventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.uc.adversary import Adversary
     from repro.uc.entity import Party
 
 
@@ -87,8 +87,6 @@ class Session:
         self._round_listeners: Optional[List["Functionality"]] = None
         self.clock = GlobalClock(self)
         if adversary is None:
-            from repro.uc.adversary import PassiveAdversary
-
             adversary = PassiveAdversary()
         self.adversary = adversary
         adversary.attach(self)
@@ -156,9 +154,7 @@ class Session:
         """Frozen set of currently honest party ids (cached like
         :attr:`honest_parties`; the clock's advancement condition)."""
         if self._honest_pids is None:
-            self._honest_pids = frozenset(
-                pid for pid in self.parties if pid not in self.corrupted
-            )
+            self._honest_pids = frozenset(self.parties.keys() - self.corrupted)
         return self._honest_pids
 
     @property

@@ -89,7 +89,7 @@ def test_corrupted_sender_state_exposed_but_no_early_plaintexts():
 
         def on_corrupted(self, party):
             # The adversary reads the victim's SBC-layer state.
-            state = party.sbc._st(party.pid)
+            state = party.sbc._state[party.pid]
             self.exposed_pending = list(state.pending)
 
     adversary = InspectOnCorrupt()

@@ -80,7 +80,7 @@ def test_composed_sbc_delivers_honest_messages_past_malformed_ciphertexts():
     stack.parties["P0"].broadcast(b"alpha")
     stack.parties["P1"].broadcast(b"beta")
     stack.run_rounds(1)
-    tau_rel = stack.sbc._st("P0").tau_rel
+    tau_rel = stack.sbc._state["P0"].tau_rel
     assert tau_rel is not None
     for index, ciphertext in enumerate(MALFORMED + _look_alikes()):
         # Distinct masks: a repeated one is dropped as a replay.
@@ -102,7 +102,7 @@ def test_composed_election_tallies_honest_ballots_past_malformed_ciphertexts():
         stack.parties[pid].vote("yes")
     stack.run_rounds(1)
     sbc = stack.service
-    tau_rel = sbc._st("V0").tau_rel
+    tau_rel = sbc._state["V0"].tau_rel
     assert tau_rel is not None
     for index, ciphertext in enumerate(MALFORMED):
         mask = bytes([index + 1]) * sbc.msg_len
