@@ -22,8 +22,8 @@ the trace off); ``async`` runs the same round and yields to the event
 loop between rounds, which keeps ``serve``'s loop responsive while it
 runs its sessions oldest-first.  The
 top-level ``--arith`` flag selects the big-integer arithmetic tier
-(``auto`` picks gmpy2 when installed; results are identical across
-tiers, only speed changes), and ``--batch-verify`` on the
+(``auto`` picks gmpy2 when installed, else libcrypto's ``openssl``;
+results are identical across tiers, only speed changes), and ``--batch-verify`` on the
 sweep/bench/scenario/election commands batches verification rounds
 through random-linear-combination multi-exps.
 
@@ -559,11 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="UC simultaneous broadcast against a dishonest majority",
     )
     parser.add_argument(
-        "--arith", choices=("auto", "gmpy2", "python"), default=None,
+        "--arith", choices=("auto", "gmpy2", "openssl", "python"), default=None,
         help="big-integer arithmetic tier: 'gmpy2' requires the optional "
-             "native extra, 'python' forces the stdlib fallback, 'auto' "
-             "(the default) picks gmpy2 when importable; every tier "
-             "produces identical values and trace digests",
+             "native extra, 'openssl' calls the libcrypto CPython's "
+             "hashlib already loads, 'python' forces the stdlib fallback, "
+             "'auto' (the default) picks the first available of gmpy2, "
+             "openssl and python; every tier produces identical values "
+             "and trace digests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

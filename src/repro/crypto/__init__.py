@@ -13,8 +13,9 @@ Modules
   cipher + MAC), used by the Astrolabous TLE scheme.
 * :mod:`repro.crypto.groups` — Schnorr group (prime-order subgroup of
   :math:`\\mathbb{Z}_p^*`) with safe test/production parameter sets and
-  the pluggable arithmetic tier (pure-python default, gmpy2 when the
-  optional native extra is installed; values identical either way).
+  the pluggable arithmetic tier (gmpy2 when the optional native extra is
+  installed, else libcrypto through ``ctypes``, else pure python; values
+  identical whichever runs).
 * :mod:`repro.crypto.batch` — random-linear-combination batch
   verification: check N Σ-protocol equations with one seeded multi-exp,
   bisect to the exact culprit set on failure.

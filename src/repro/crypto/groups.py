@@ -18,7 +18,11 @@ Acceleration layer
 
 The group carries four caches, all mathematically transparent (every
 accelerated path returns bit-identical values to the naive formulas, so
-seeded executions are unaffected):
+seeded executions are unaffected).  The first three serve arithmetic
+tiers whose ``powmod`` is slower than a Python-level table walk; under
+one whose ``powmod`` is faster (``openssl``), every exponentiation is
+one ``powmod``, and no table is built unless asked for
+(:meth:`warm_up`, :meth:`precompute_fixed_base`, a material attach):
 
 * **fixed-base windows** — ``g``-powers dominate the signing/proving hot
   path, so :meth:`power_of_g` uses a precomputed table of
@@ -30,20 +34,21 @@ seeded executions are unaffected):
   :meth:`multi_exp` consult (through one resolver) before falling back
   to ``pow``.  A base registered with its discrete log (the election's
   ballot seed ``r = g^h``, whose ``h`` is a public hash) is checked once
-  and then served as ``g^{h·e}`` from ``g``'s table, with no table of
-  its own.  A base whose log is secret (FSKG's verification-key base
-  ``w``) gets a table of the same shape as ``g``'s, with window
-  :data:`FIXED_BASE_REGISTERED_WINDOW` (4: at 256 bits a table costs
-  about 4.8 exponentiations to build, and over the ~35 uses of ``w`` in
-  a 5-voter election width 5's larger build outweighs its shorter walks,
-  for 60% more memory).  At most
+  and then served as the ``g`` power ``g^{h·e}``, with no table of its
+  own.  A base whose log is secret (FSKG's verification-key base ``w``)
+  gets a table of the same shape as ``g``'s, built on its first walk,
+  with window :data:`FIXED_BASE_REGISTERED_WINDOW` (4: at 256 bits a
+  table costs about 4.8 exponentiations to build, and over the ~35 uses
+  of ``w`` in a 5-voter election width 5's larger build outweighs its
+  shorter walks, for 60% more memory).  At most
   :data:`FIXED_BASE_REGISTERED_MAX` entries of either kind live per
   group (16); the oldest is evicted first, and an evicted base just goes
   back to ``pow``;
 * **simultaneous multi-exponentiation** — :meth:`multi_exp` evaluates
   :math:`\\prod b_i^{e_i}` sharing the squaring ladder between bases
   (Straus interleaving) when the modulus is large enough for Python-level
-  interleaving to beat repeated C ``pow``; verification equations of the
+  interleaving to beat repeated C ``pow`` (never under ``openssl``, whose
+  ``powmod`` beats the interleaving); verification equations of the
   form ``a · y^e`` route through it;
 * **cached element encodings** — :meth:`element_to_bytes` memoises the
   fixed-width encodings that Fiat–Shamir challenges hash over and over.
@@ -54,16 +59,23 @@ Arithmetic tier
 Underneath the caches sits a swappable :class:`ArithBackend` carrying the
 primitive big-integer operations (modular exponentiation, inversion,
 Jacobi symbols, and the native representation used inside multiplication
-loops).  Two backends ship: :class:`PythonArith` (plain ``int`` — always
-available, the compatibility reference) and :class:`Gmpy2Arith` (GMP via
-``gmpy2`` where installed).  Selection order: an explicit
-:func:`set_arith_backend` call (the CLI's ``--arith``) wins, then the
-``REPRO_ARITH`` environment variable (``auto``/``gmpy2``/``python``,
-read at import with warn-and-fallback), then auto-detection (gmpy2 if
-importable, else python).  Every public :class:`SchnorrGroup` method
-normalizes results to built-in ``int`` whatever the backend, so pickled
-groups, serialized material blobs and trace digests are byte-identical
-across backends.
+loops).  Three backends ship: :class:`PythonArith` (plain ``int`` —
+always available, the compatibility reference), :class:`OpenSSLArith`
+(libcrypto's Montgomery modexp and Kronecker symbol through ``ctypes``,
+reached via the ``_hashlib`` extension CPython already loads, so it
+needs no extra package) and :class:`Gmpy2Arith` (GMP via ``gmpy2`` where
+installed).  Selection order: an explicit :func:`set_arith_backend` call
+(the CLI's ``--arith``) wins, then the ``REPRO_ARITH`` environment
+variable (``auto``/``gmpy2``/``openssl``/``python``, read at import with
+warn-and-fallback), then auto-detection (the first available of gmpy2,
+openssl and python).  A backend whose ``powmod`` beats Python-level
+table walks (:attr:`ArithBackend.powmod_beats_tables`: only ``openssl``,
+18–20 µs per 256-bit power against 38–44 µs for a registered-table walk
+on a 2-vCPU Xeon host with CPython 3.11.7 and OpenSSL 3.0.19) takes
+every exponentiation as one ``powmod``; known-log folding still applies.
+Every public :class:`SchnorrGroup` method normalizes results to built-in
+``int`` whatever the backend, so pickled groups, serialized material
+blobs and trace digests are byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -95,9 +107,11 @@ FIXED_BASE_REGISTERED_WINDOW = 4
 #: concurrent elections (one table per election).
 FIXED_BASE_REGISTERED_MAX = 16
 
-#: Interleaved multi-exponentiation beats repeated C ``pow`` only once the
-#: per-multiplication cost dwarfs interpreter overhead; below this modulus
-#: size :meth:`SchnorrGroup.multi_exp` just multiplies ``pow`` results.
+#: Interleaved multi-exponentiation beats repeated C ``pow`` (built-in
+#: ``pow`` or gmpy2's; libcrypto's beats it at every size, so ``openssl``
+#: never interleaves) only once the per-multiplication cost dwarfs
+#: interpreter overhead; below this modulus size
+#: :meth:`SchnorrGroup.multi_exp` just multiplies ``powmod`` results.
 MULTI_EXP_MIN_BITS = 1024
 
 #: ... unless enough bases share the squaring ladder: from this many
@@ -108,6 +122,11 @@ MULTI_EXP_MIN_BASES = 6
 
 #: Bound on the per-group encoding cache (entries).
 _ENCODING_CACHE_MAX = 4096
+
+#: ``_fb_bases`` entry of a table-registered base whose table is not built
+#: yet: the first walk builds it, and under a backend whose ``powmod``
+#: beats table walks nothing ever walks it.
+_TABLE_PENDING = object()
 
 
 # -- arithmetic backends ---------------------------------------------------
@@ -144,9 +163,15 @@ class ArithBackend:
     wraps a value in the backend's fastest multiplication type for use
     inside tight ``a * b % p`` loops (callers normalize with ``int()``
     before anything crosses an API boundary).
+
+    ``powmod_beats_tables`` says whether one ``powmod`` costs less than a
+    Python-level walk of a fixed-base window table or a Straus ladder;
+    :class:`SchnorrGroup` then sends every exponentiation to ``powmod``
+    and leaves its tables unbuilt.
     """
 
     name: str = "abstract"
+    powmod_beats_tables: bool = False
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
         raise NotImplementedError
@@ -205,14 +230,171 @@ class Gmpy2Arith(ArithBackend):
         return self._mpz(value)
 
 
+#: Odd moduli each thread keeps in BIGNUM form (Montgomery context and
+#: scratch operands), oldest freed first; the shipped groups need two.
+_BN_MODULI_MAX = 8
+
+
+class _BNModulus:
+    """One thread's BIGNUM state for one odd modulus, freed with the object."""
+
+    __slots__ = ("width", "m", "mont", "a", "e", "r", "buf", "_api")
+
+    def __init__(self, api: "OpenSSLArith", modulus: int, ctx: int) -> None:
+        self._api = api
+        self.width = width = (modulus.bit_length() + 7) // 8
+        self.m, self.a, self.e, self.r = (api._bn_new() for _ in range(4))
+        self.mont = api._mont_new()
+        self.buf = api._buffer(width)
+        if not (
+            self.m and self.a and self.e and self.r and self.mont
+            and api._bin2bn(modulus.to_bytes(width, "big"), width, self.m)
+            and api._mont_set(self.mont, self.m, ctx)
+        ):
+            raise MemoryError("libcrypto could not set up a BIGNUM modulus")
+
+    def __del__(self) -> None:
+        api = self._api
+        for bn in (self.m, self.a, self.e, self.r):
+            api._bn_free(bn)
+        api._mont_free(self.mont)
+
+
+class _BNThread:
+    """One thread's ``BN_CTX`` and its moduli (``threading.local`` payload)."""
+
+    def __init__(self, api: "OpenSSLArith") -> None:
+        self._api = api
+        self.ctx = api._ctx_new()
+        if not self.ctx:
+            raise MemoryError("libcrypto could not allocate a BN_CTX")
+        self.moduli: Dict[int, _BNModulus] = {}
+
+    def modulus(self, modulus: int) -> _BNModulus:
+        state = self.moduli.get(modulus)
+        if state is None:
+            if len(self.moduli) >= _BN_MODULI_MAX:
+                self.moduli.pop(next(iter(self.moduli)))
+            state = self.moduli[modulus] = _BNModulus(self._api, modulus, self.ctx)
+        return state
+
+    def __del__(self) -> None:
+        self._api._ctx_free(self.ctx)
+
+
+class OpenSSLArith(ArithBackend):
+    """libcrypto's BIGNUM arithmetic through ``ctypes``: no new dependency.
+
+    CPython's ``_hashlib`` extension links libcrypto, so loading that
+    extension's own file resolves the ``BN_*`` symbols from the library
+    the interpreter already mapped.  ``powmod`` is ``BN_mod_exp_mont``
+    under a Montgomery context cached per modulus, ``jacobi`` is
+    ``BN_kronecker``; ``invert`` stays ``pow(a, -1, m)``.  Each thread
+    keeps its own ``BN_CTX`` and scratch BIGNUMs, so concurrent callers
+    never share one.  The library is loaded as a ``PyDLL``: the calls
+    are microseconds long, and keeping the GIL across them spares every
+    call a GIL hand-off when other threads run.  Like ``pow``, nothing
+    here is constant time.
+    """
+
+    name = "openssl"
+    powmod_beats_tables = True
+
+    def __init__(self, lib) -> None:
+        import ctypes
+
+        pointer, size = ctypes.c_void_p, ctypes.c_int
+
+        def bind(symbol: str, restype, *argtypes):
+            function = getattr(lib, symbol)
+            function.restype = restype
+            function.argtypes = argtypes
+            return function
+
+        self._bn_new = bind("BN_new", pointer)
+        self._bn_free = bind("BN_free", None, pointer)
+        self._ctx_new = bind("BN_CTX_new", pointer)
+        self._ctx_free = bind("BN_CTX_free", None, pointer)
+        self._mont_new = bind("BN_MONT_CTX_new", pointer)
+        self._mont_free = bind("BN_MONT_CTX_free", None, pointer)
+        self._mont_set = bind("BN_MONT_CTX_set", size, pointer, pointer, pointer)
+        self._bin2bn = bind("BN_bin2bn", pointer, ctypes.c_char_p, size, pointer)
+        self._bn2binpad = bind("BN_bn2binpad", size, pointer, pointer, size)
+        self._exp = bind(
+            "BN_mod_exp_mont", size, pointer, pointer, pointer, pointer, pointer, pointer
+        )
+        self._kronecker = bind("BN_kronecker", size, pointer, pointer, pointer)
+        self._buffer = ctypes.create_string_buffer
+        self._local = threading.local()
+
+    def _thread(self) -> _BNThread:
+        try:
+            return self._local.state
+        except AttributeError:
+            state = self._local.state = _BNThread(self)
+            return state
+
+    def powmod(self, base: int, exponent: int, modulus: int) -> int:
+        if exponent < 0 or modulus <= 1 or not modulus & 1:
+            return pow(base, exponent, modulus)
+        thread = self._thread()
+        state = thread.modulus(modulus)
+        if not 0 <= base < modulus:
+            base %= modulus
+        width = state.width
+        length = (exponent.bit_length() + 7) // 8
+        bin2bn = self._bin2bn
+        bin2bn(base.to_bytes(width, "big"), width, state.a)
+        bin2bn(exponent.to_bytes(length, "big"), length, state.e)
+        if not self._exp(state.r, state.a, state.e, state.m, thread.ctx, state.mont):
+            return pow(base, exponent, modulus)
+        self._bn2binpad(state.r, state.buf, width)
+        return int.from_bytes(state.buf.raw, "big")
+
+    def invert(self, a: int, modulus: int) -> int:
+        return pow(a, -1, modulus)
+
+    def jacobi(self, a: int, n: int) -> int:
+        if n <= 1 or not n & 1:
+            return jacobi(a, n)
+        thread = self._thread()
+        state = thread.modulus(n)
+        width = state.width
+        self._bin2bn((a % n).to_bytes(width, "big"), width, state.a)
+        symbol = self._kronecker(state.a, state.m, thread.ctx)
+        return jacobi(a, n) if symbol == -2 else symbol
+
+    def to_native(self, value: int) -> int:
+        return value
+
+
+def _load_openssl() -> Optional[OpenSSLArith]:
+    """The libcrypto backend, or ``None`` where ``ctypes`` or a symbol is missing."""
+    try:
+        import ctypes
+
+        import _hashlib
+
+        return OpenSSLArith(ctypes.PyDLL(_hashlib.__file__))
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
 def _detect_backends() -> Dict[str, ArithBackend]:
     backends: Dict[str, ArithBackend] = {"python": PythonArith()}
+    openssl = _load_openssl()
+    if openssl is not None:
+        backends["openssl"] = openssl
     try:
         import gmpy2  # noqa: F401 — optional accelerator
     except ImportError:
         return backends
     backends["gmpy2"] = Gmpy2Arith(gmpy2)
     return backends
+
+
+#: Auto-detection order: the first importable backend wins.
+_AUTO_ORDER = ("gmpy2", "openssl", "python")
 
 
 _ARITH_BACKENDS: Dict[str, ArithBackend] = _detect_backends()
@@ -232,7 +414,8 @@ def get_arith_backend() -> ArithBackend:
 def set_arith_backend(name: Optional[str]) -> ArithBackend:
     """Select the arithmetic backend by name.
 
-    ``"auto"`` (or ``None``) picks gmpy2 when importable, else python.
+    ``"auto"`` (or ``None``) picks the first available of gmpy2, openssl
+    and python.
     Explicit names must be available — an unknown or uninstalled backend
     raises :class:`ValueError` (the ``REPRO_ARITH`` environment variable
     gets warn-and-fallback instead; see module init).  Values are
@@ -241,7 +424,7 @@ def set_arith_backend(name: Optional[str]) -> ArithBackend:
     """
     global _ARITH
     if name is None or name == "auto":
-        _ARITH = _ARITH_BACKENDS.get("gmpy2", _ARITH_BACKENDS["python"])
+        _ARITH = next(_ARITH_BACKENDS[n] for n in _AUTO_ORDER if n in _ARITH_BACKENDS)
         return _ARITH
     try:
         _ARITH = _ARITH_BACKENDS[name]
@@ -382,20 +565,44 @@ class SchnorrGroup:
 
         ``log`` is ``base``'s discrete log to ``g`` when it is known (1
         for ``g`` itself, the verified log of a log-registered base), so
-        ``base^e = g^{log·e}`` comes from ``g``'s table.  Otherwise
-        ``state`` is the base's registered window table, or ``None`` for
-        a plain ``pow``.
+        ``base^e = g^{log·e}`` is one ``g`` power.  Otherwise ``state`` is
+        the base's registered window table, built here on its first walk,
+        or ``None`` for one ``powmod`` (any base under a backend whose
+        ``powmod`` beats table walks).
         """
         if base == self.g:
             return 1, None
         entry = self._fb_bases.get(base)
-        if type(entry) is int:
+        if entry is None or type(entry) is int:
             return entry, None
+        if _ARITH.powmod_beats_tables:
+            return None, None
+        if entry is _TABLE_PENDING:
+            entry = self._build_registered_table(base)
         return None, entry
+
+    def _build_registered_table(self, base: int) -> Any:
+        """Build and publish a table-registered ``base``'s window table.
+
+        ``None`` (a plain ``powmod``) when ``base`` was evicted since it
+        was resolved.
+        """
+        with self._accel_lock:
+            entry = self._fb_bases.get(base)
+            if entry is _TABLE_PENDING:
+                entry = self._fb_bases[base] = (
+                    FIXED_BASE_REGISTERED_WINDOW,
+                    _window_table(
+                        base, self.p, self.q.bit_length(), FIXED_BASE_REGISTERED_WINDOW
+                    ),
+                )
+        return entry if type(entry) is tuple else None
 
     def power_of_g(self, exponent: int) -> int:
         """``g ** exponent mod p`` (fixed-base windowed once warmed up)."""
         e = exponent % self.q
+        if _ARITH.powmod_beats_tables:
+            return _ARITH.powmod(self.g, e, self.p)
         if self._fb_state is None:
             if self.p.bit_length() > FIXED_BASE_AUTO_BITS and self._fb_calls < FIXED_BASE_AUTO_CALLS:
                 # Racing threads may each bump the counter; the lock makes
@@ -574,11 +781,13 @@ class SchnorrGroup:
     def register_fixed_base(self, base: int, log: Optional[int] = None) -> None:
         """Make a long-lived base other than ``g`` cheap to exponentiate.
 
-        Without ``log``, builds a window table for ``base``: :meth:`exp`
-        and :meth:`multi_exp` then walk it instead of a full-width
-        ``pow``.  With ``log`` (a public discrete log, ``base = g^log``),
+        Without ``log``, gives ``base`` a window table, built on the
+        first walk: :meth:`exp` and :meth:`multi_exp` then walk it instead
+        of a full-width ``pow`` (under a backend whose ``powmod`` beats
+        table walks they keep calling ``powmod``, and the table is never
+        built).  With ``log`` (a public discrete log, ``base = g^log``),
         checks that claim once and builds nothing: the base is served as
-        ``g^{log·e}`` from ``g``'s own table.  Idempotent by value (``g``
+        the ``g`` power ``g^{log·e}``.  Idempotent by value (``g``
         and an already registered base are no-ops once any ``log`` given
         has been checked) and thread-safe.  At
         most :data:`FIXED_BASE_REGISTERED_MAX` entries of either kind are
@@ -600,18 +809,9 @@ class SchnorrGroup:
         with self._accel_lock:
             if base in self._fb_bases:
                 return
-            if log is None:
-                entry: Any = (
-                    FIXED_BASE_REGISTERED_WINDOW,
-                    _window_table(
-                        base, self.p, self.q.bit_length(), FIXED_BASE_REGISTERED_WINDOW
-                    ),
-                )
-            else:
-                entry = log
             if len(self._fb_bases) >= FIXED_BASE_REGISTERED_MAX:
                 self._fb_bases.pop(next(iter(self._fb_bases)))
-            self._fb_bases[base] = entry
+            self._fb_bases[base] = _TABLE_PENDING if log is None else log
 
     # -- simultaneous multi-exponentiation ----------------------------------
 
@@ -658,12 +858,14 @@ class SchnorrGroup:
                 general.append((b, e))
         if g_exponent:
             result = result * self.power_of_g(g_exponent) % p
-        if len(general) >= 2 and (
-            p.bit_length() >= MULTI_EXP_MIN_BITS or len(general) >= MULTI_EXP_MIN_BASES
+        arith = _ARITH
+        if (
+            len(general) >= 2
+            and not arith.powmod_beats_tables
+            and (p.bit_length() >= MULTI_EXP_MIN_BITS or len(general) >= MULTI_EXP_MIN_BASES)
         ):
             result = result * self._interleaved_multi_exp(general) % p
         else:
-            arith = _ARITH
             for b, e in general:
                 result = result * arith.powmod(b, e, p) % p
         return int(result)

@@ -93,7 +93,7 @@ class ExecutionBackend:
                 online-mode cursors can spend them without re-reading
                 the blob per trial.
             arith: Optional arithmetic-backend name to select first
-                (``"gmpy2"``/``"python"``/``"auto"``) — the pool
+                (``"gmpy2"``/``"openssl"``/``"python"``/``"auto"``) — the pool
                 initializer forwards the parent's selection so worker
                 processes run the same tier.  Arithmetic backends are
                 value-identical, so an unavailable name degrades to

@@ -23,6 +23,16 @@ def env(session: Session) -> Environment:
 
 
 @pytest.fixture
+def use_arith():
+    """``set_arith_backend`` for one test; the prior backend is restored after."""
+    from repro.crypto.groups import get_arith_backend, set_arith_backend
+
+    before = get_arith_backend().name
+    yield set_arith_backend
+    set_arith_backend(before)
+
+
+@pytest.fixture
 def rng() -> random.Random:
     """A deterministic RNG independent of any session."""
     return random.Random(99)

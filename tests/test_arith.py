@@ -17,10 +17,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import repro.crypto.groups as groups
 from repro.crypto.groups import (
     GROUP_2048,
     TEST_GROUP,
     Gmpy2Arith,
+    OpenSSLArith,
     PythonArith,
     SchnorrGroup,
     _init_arith_from_env,
@@ -33,6 +35,8 @@ from repro.crypto.preprocessing import build_material, deserialize_material, ser
 
 BACKENDS = available_arith_backends()
 HAVE_GMPY2 = "gmpy2" in BACKENDS
+HAVE_OPENSSL = "openssl" in BACKENDS
+needs_openssl = pytest.mark.skipif(not HAVE_OPENSSL, reason="libcrypto not loadable")
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -60,7 +64,8 @@ def test_python_backend_always_available():
 def test_set_by_name_and_auto():
     assert set_arith_backend("python").name == "python"
     auto = set_arith_backend("auto")
-    assert auto.name == ("gmpy2" if HAVE_GMPY2 else "python")
+    expected = next(name for name in ("gmpy2", "openssl", "python") if name in BACKENDS)
+    assert auto.name == expected
     assert set_arith_backend(None).name == auto.name
 
 
@@ -279,3 +284,169 @@ def test_jacobi_matches_euler_criterion_2048(a):
         assert jacobi(value, p) == 0
     else:
         assert (jacobi(value, p) == 1) == (pow(value, q, p) == 1)
+
+
+# -- the libcrypto backend ------------------------------------------------------
+
+
+def _openssl() -> OpenSSLArith:
+    backend = groups._ARITH_BACKENDS["openssl"]
+    assert isinstance(backend, OpenSSLArith)
+    return backend
+
+
+@needs_openssl
+@pytest.mark.parametrize("group", (TEST_GROUP, GROUP_2048), ids=("256", "2048"))
+def test_openssl_powmod_edge_cases_match_pow(group):
+    native, p, q = _openssl(), group.p, group.q
+    cases = [
+        (5, 0),  # exponent 0
+        (0, 0),
+        (0, 7),  # base 0
+        (p, 3),  # base >= p
+        (p + 5, q - 1),
+        (3 * p + 2, q),
+        (-1, 3),  # negative bases reduce into [0, p)
+        (-p - 7, q + 1),
+        (p - 1, q),  # base p - 1
+        (p - 1, 2),
+        (1, q - 1),
+        (group.g, q - 1),
+        (group.g, (1 << 300) + 1),  # exponent wider than the modulus
+    ]
+    for base, exponent in cases:
+        result = native.powmod(base, exponent, p)
+        assert result == pow(base, exponent, p), (base, exponent)
+        assert type(result) is int
+
+
+@needs_openssl
+def test_openssl_powmod_falls_back_to_pow_where_bn_cannot_serve():
+    native = _openssl()
+    assert native.powmod(5, 3, 1) == pow(5, 3, 1) == 0  # modulus 1
+    for modulus in (2, 10, 1 << 64, TEST_GROUP.p + 1):  # even moduli
+        assert native.powmod(7, 12345, modulus) == pow(7, 12345, modulus)
+    p = TEST_GROUP.p
+    assert native.powmod(3, -1, p) == pow(3, -1, p)  # negative exponent: an inverse
+    assert native.powmod(3, -5, p) == pow(3, -5, p)
+    with pytest.raises(ValueError):
+        native.powmod(0, -1, p)
+    with pytest.raises(ValueError):
+        native.powmod(3, 2, 0)
+    assert native.jacobi(5, 1) == jacobi(5, 1)
+    assert native.jacobi(3, 9) == jacobi(3, 9)  # odd composite: BN_kronecker
+    assert native.invert(7, p) == pow(7, -1, p)
+
+
+@needs_openssl
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    exponent=st.integers(min_value=0, max_value=1 << 260),
+    modulus=st.sampled_from((TEST_GROUP.p, TEST_GROUP.q, 97, 3, (1 << 127) - 1)),
+)
+def test_openssl_powmod_matches_pow(base, exponent, modulus):
+    result = _openssl().powmod(base, exponent, modulus)
+    assert result == pow(base, exponent, modulus)
+    assert type(result) is int
+
+
+@needs_openssl
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    n=st.integers(min_value=1, max_value=1 << 260).map(lambda k: 2 * k + 1),
+)
+def test_openssl_jacobi_matches_python(a, n):
+    native = _openssl()
+    assert native.jacobi(a, n) == jacobi(a, n)
+    assert native.jacobi(a, TEST_GROUP.p) == jacobi(a, TEST_GROUP.p)
+
+
+@needs_openssl
+def test_openssl_powmod_is_exact_under_eight_threads():
+    # Each thread gets its own BN_CTX and scratch BIGNUMs; shared state
+    # would show as one thread reading another's result.  A short switch
+    # interval lets threads interleave between the calls of one powmod.
+    import random
+    import sys
+    import threading
+
+    native = _openssl()
+    barrier = threading.Barrier(8)
+    failures = []
+
+    def worker(seed: int) -> None:
+        rng = random.Random(seed)
+        barrier.wait()
+        for _ in range(150):
+            group = TEST_GROUP if rng.random() < 0.9 else GROUP_2048
+            # 256-bit exponents keep the 2048-bit reference pow cheap.
+            base, exponent = rng.randrange(group.p), rng.randrange(TEST_GROUP.q)
+            if native.powmod(base, exponent, group.p) != pow(base, exponent, group.p):
+                failures.append((seed, base, exponent))
+            if native.jacobi(base, group.p) != jacobi(base, group.p):
+                failures.append(("jacobi", seed, base))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+
+
+@needs_openssl
+def test_openssl_keeps_a_bounded_set_of_moduli_per_thread():
+    native = _openssl()
+    moduli = [(1 << 89) - 1 + 2 * k for k in range(groups._BN_MODULI_MAX + 3)]
+    for modulus in moduli:
+        assert native.powmod(3, 1000, modulus) == pow(3, 1000, modulus)
+    held = native._thread().moduli
+    assert len(held) == groups._BN_MODULI_MAX
+    assert list(held)[-1] == moduli[-1]  # the oldest went first
+    assert native.powmod(3, 1000, moduli[0]) == pow(3, 1000, moduli[0])
+
+
+@needs_openssl
+def test_openssl_process_sweep_matches_inline_digests():
+    from repro.runtime import SessionPool, SweepConfig, run_voting_trial
+
+    set_arith_backend("python")
+    reference = SessionPool(
+        run_voting_trial, config=SweepConfig(executor="inline"), voters=3
+    ).run(range(4))
+    set_arith_backend("openssl")
+    verdict = SessionPool(
+        run_voting_trial,
+        config=SweepConfig(executor="process", workers=2, chunksize=2),
+        voters=3,
+    ).verify(range(4))
+    assert verdict.matched
+    assert verdict.report.executor == "process"
+    digests = [r.digest for r in verdict.report.results]
+    assert digests == [r.digest for r in reference.results]
+    assert [r.outputs for r in verdict.report.results] == [r.outputs for r in reference.results]
+    assert all(digests)
+
+
+def test_loader_oserror_falls_back_to_python_silently(monkeypatch):
+    import ctypes
+
+    def refuse(*_args, **_kwargs):
+        raise OSError("no libcrypto here")
+
+    monkeypatch.setattr(ctypes, "PyDLL", refuse)
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    detected = groups._detect_backends()
+    assert "openssl" not in detected
+    monkeypatch.setattr(groups, "_ARITH_BACKENDS", detected)
+    monkeypatch.delenv("REPRO_ARITH", raising=False)
+    _init_arith_from_env()  # RuntimeWarnings are errors in this module
+    assert get_arith_backend().name == ("gmpy2" if HAVE_GMPY2 else "python")

@@ -135,14 +135,16 @@ def _cold_group() -> SchnorrGroup:
     return SchnorrGroup(p=TEST_GROUP.p, q=TEST_GROUP.q, g=TEST_GROUP.g)
 
 
-def test_lazy_caches_thread_safe_under_stress():
+def test_lazy_caches_thread_safe_under_stress(use_arith):
     # One cold group hammered by 8 threads released simultaneously: the
     # fixed-base table build, the encoding-cache population and the
-    # registered-base map (table and log inserts, FIFO evictions) race on
-    # first use, and every accelerated result must still be exact.
+    # registered-base map (table and log inserts, lazy table builds, FIFO
+    # evictions) race on first use, and every accelerated result must
+    # still be exact.  The python tier is the one that walks tables.
     import random
     import threading
 
+    use_arith("python")
     group = _cold_group()
     # More shared bases than the map holds, so threads also race evictions.
     logs = [1000 + i for i in range(FIXED_BASE_REGISTERED_MAX + 4)]

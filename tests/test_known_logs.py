@@ -16,7 +16,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto.groups import TEST_GROUP, SchnorrGroup
+from repro.crypto.groups import (
+    _TABLE_PENDING,
+    TEST_GROUP,
+    SchnorrGroup,
+    available_arith_backends,
+)
 
 P, Q, G = TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g
 
@@ -53,11 +58,29 @@ def _registered_group():
     return group, log_base, table_base
 
 
-def test_log_registered_base_gets_no_table():
+def test_log_registered_base_gets_no_table(use_arith):
+    use_arith("python")  # the tier that walks tables
     group, log_base, table_base = _registered_group()
     assert group._fb_bases[log_base] == 0x10C
+    assert group._fb_bases[table_base] is _TABLE_PENDING  # built on the first walk
+    assert group.exp(table_base, 5) == pow(table_base, 5, P)
     window, table = group._fb_bases[table_base]
     assert window >= 1 and table
+    assert group._fb_bases[log_base] == 0x10C
+
+
+@pytest.mark.skipif("openssl" not in available_arith_backends(), reason="no libcrypto")
+def test_openssl_walks_no_registered_table(use_arith):
+    use_arith("openssl")
+    group, log_base, table_base = _registered_group()
+    for e in EXPONENTS:
+        assert group.exp(table_base, e) == pow(table_base, e % Q, P)
+        assert group.exp(log_base, e) == pow(log_base, e % Q, P)
+    assert group.multi_exp(((table_base, 7), (log_base, 9), (G, 3))) == _reference_multi_exp(
+        ((table_base, 7), (log_base, 9), (G, 3))
+    )
+    assert group._fb_bases == {log_base: 0x10C, table_base: _TABLE_PENDING}
+    assert group._fb_table is None
 
 
 @pytest.mark.parametrize("kind", ("log", "table", "plain", "g"))
@@ -142,11 +165,14 @@ def test_log_registration_is_idempotent_and_reduces_mod_q():
     assert group._fb_bases == {base: 42}
 
 
-def test_a_log_for_a_table_registered_base_keeps_the_table():
+def test_a_log_for_a_table_registered_base_keeps_the_table(use_arith):
+    use_arith("python")  # the tier that walks tables
     group = _cold_group()
     base = pow(G, 42, P)
     group.register_fixed_base(base)
+    group.exp(base, 3)  # the first walk builds the table
     state = group._fb_bases[base]
+    assert type(state) is tuple
     group.register_fixed_base(base, log=42)
     assert group._fb_bases == {base: state}
     for e in EXPONENTS:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core import build_voting_stack
-from repro.crypto.groups import TEST_GROUP, SchnorrGroup
+from repro.crypto.groups import (
+    _TABLE_PENDING,
+    TEST_GROUP,
+    SchnorrGroup,
+    available_arith_backends,
+)
 from repro.functionalities.voting import VotingSystem, plurality_tally
 from repro.protocols.voting_protocol import Election, decrypt_share, encrypt_share
 from repro.uc.environment import Environment
@@ -78,13 +83,12 @@ def test_setup_verifies_share_consistency():
     assert total == 0
 
 
-def test_hybrid_election_registers_exactly_w_and_r(monkeypatch):
-    """FSKG's ``w`` gets a fixed-base table; the ballot seed ``r`` a verified log.
+def _hybrid_election_registrations(monkeypatch):
+    """Run a 3-voter hybrid election on a cold group; return what it registered.
 
-    Pins the hit paths of ``SchnorrGroup.exp``: digests stay equal whether
-    or not the registrations exist, so only this check notices a lost one.
-    ``r = g^h`` with a public ``h``, so its powers are ``g``-powers and it
-    needs no table; ``w``'s log is FSKG's secret.
+    Checks that exactly ``w`` and the ballot seed ``r`` are registered and
+    that ``r`` carries its verified public log; returns the group, the
+    registry as the election left it and ``w``.
     """
     import repro.core.stacks as stacks
     from repro.crypto.hashing import hash_to_int
@@ -102,12 +106,35 @@ def test_hybrid_election_registers_exactly_w_and_r(monkeypatch):
     assert voter.group is cold
     seed = voter._seed()
     assert set(registered) == {voter.w, seed}
-    window, table = registered[voter.w]
-    assert window >= 1 and table[0][1] == voter.w
     log = registered[seed]
     assert type(log) is int and cold.power_of_g(log) == seed
     digest = voter.oracle.query(b"election-seed:" + stack.session.sid.encode(), voter.pid)
     assert log == hash_to_int(digest, modulus=cold.q, domain=b"seed")
+    return cold, registered, voter.w
+
+
+def test_hybrid_election_registers_exactly_w_and_r(monkeypatch, use_arith):
+    """FSKG's ``w`` gets a fixed-base table; the ballot seed ``r`` a verified log.
+
+    Pins the hit paths of ``SchnorrGroup.exp``: digests stay equal whether
+    or not the registrations exist, so only this check notices a lost one.
+    ``r = g^h`` with a public ``h``, so its powers are ``g``-powers and it
+    needs no table; ``w``'s log is FSKG's secret.  The python tier walks
+    tables, so the election builds ``w``'s.
+    """
+    use_arith("python")
+    _cold, registered, w = _hybrid_election_registrations(monkeypatch)
+    window, table = registered[w]
+    assert window >= 1 and table[0][1] == w
+
+
+@pytest.mark.skipif("openssl" not in available_arith_backends(), reason="no libcrypto")
+def test_hybrid_election_under_openssl_builds_no_table(monkeypatch, use_arith):
+    """Under openssl every power is one ``powmod``: ``w`` stays registered, unbuilt."""
+    use_arith("openssl")
+    cold, registered, w = _hybrid_election_registrations(monkeypatch)
+    assert registered[w] is _TABLE_PENDING
+    assert cold._fb_table is None
 
 
 def test_vote_before_setup_queued():
