@@ -46,7 +46,9 @@ def test_e19_online_signing_beats_per_call(benchmark):
 
     def run():
         group = _fresh_2048()
-        group.precompute_fixed_base()  # warm, as an attached worker would be
+        # Build g's table up front, as a worker has after its first walk,
+        # so the per-call baseline times walks, not the build.
+        group.precompute_fixed_base()
         material = build_material(group, nonces=SIGNATURES, feldman=0)
         keypair = schnorr_keygen(random.Random(7), group=group)
 

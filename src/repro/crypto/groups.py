@@ -21,14 +21,15 @@ accelerated path returns bit-identical values to the naive formulas, so
 seeded executions are unaffected).  The first three serve arithmetic
 tiers whose ``powmod`` is slower than a Python-level table walk; under
 one whose ``powmod`` is faster (``openssl``), every exponentiation is
-one ``powmod``, and no table is built unless asked for
-(:meth:`warm_up`, :meth:`precompute_fixed_base`, a material attach):
+one ``powmod``, and no table is built unless
+:meth:`precompute_fixed_base` is called explicitly.  Every table is a
+per-process cache, built in the process that walks it: none is pickled
+or shipped to workers.
 
 * **fixed-base windows** — ``g``-powers dominate the signing/proving hot
   path, so :meth:`power_of_g` uses a precomputed table of
   :math:`g^{d \\cdot 2^{wi}}` digits (built lazily; small groups build it
-  on first use, large groups after :data:`FIXED_BASE_AUTO_CALLS` uses or
-  via an explicit :meth:`precompute_fixed_base`);
+  on first use, large groups after :data:`FIXED_BASE_AUTO_CALLS` uses);
 * **registered bases** — other long-lived public bases get cheap
   exponentiation via :meth:`register_fixed_base`, which :meth:`exp` and
   :meth:`multi_exp` consult (through one resolver) before falling back
@@ -74,8 +75,8 @@ table walks (:attr:`ArithBackend.powmod_beats_tables`: only ``openssl``,
 on a 2-vCPU Xeon host with CPython 3.11.7 and OpenSSL 3.0.19) takes
 every exponentiation as one ``powmod``; known-log folding still applies.
 Every public :class:`SchnorrGroup` method normalizes results to built-in
-``int`` whatever the backend, so pickled groups, serialized material
-blobs and trace digests are byte-identical across backends.
+``int`` whatever the backend, so serialized material blobs and trace
+digests are byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -459,9 +460,7 @@ def _window_table(base: int, p: int, bits: int, window: int) -> List[List[int]]:
     """Rows ``i`` of :math:`base^{d \\cdot 2^{wi}}` for digits ``d < 2^w``.
 
     Enough rows cover any ``bits``-bit exponent.  Built in the backend's
-    native type, stored as plain ints: table entries feed
-    ``element_to_bytes``-style encoders and the RPM1 material
-    serializer, which require ``int``.
+    native type, stored as plain ints.
     """
     arith = _ARITH
     p = arith.to_native(p)
@@ -539,8 +538,7 @@ class SchnorrGroup:
     def __getstate__(self) -> Dict[str, Any]:
         # Process workers receive groups by value (e.g. inside runner
         # kwargs); ship only the mathematical identity — locks don't
-        # pickle, and each worker rebuilds its caches (or pre-warms them
-        # via :func:`warm_groups` in the pool initializer).
+        # pickle, and each worker builds its caches on first use.
         return {"p": self.p, "q": self.q, "g": self.g}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -599,7 +597,7 @@ class SchnorrGroup:
         return entry if type(entry) is tuple else None
 
     def power_of_g(self, exponent: int) -> int:
-        """``g ** exponent mod p`` (fixed-base windowed once warmed up)."""
+        """``g ** exponent mod p`` (walks ``g``'s window table once built)."""
         e = exponent % self.q
         if _ARITH.powmod_beats_tables:
             return _ARITH.powmod(self.g, e, self.p)
@@ -669,114 +667,26 @@ class SchnorrGroup:
 
     # -- fixed-base acceleration ------------------------------------------
 
-    def warm_up(self) -> "SchnorrGroup":
-        """Eagerly build every lazy cache this group carries.
-
-        Worker initializers call this once per process so pooled sessions
-        never pay table construction mid-trial; safe to call repeatedly
-        and from concurrent threads.
-        """
-        self.precompute_fixed_base()
-        self.element_to_bytes(1)
-        self.element_to_bytes(self.g)
-        return self
-
-    @property
-    def _fb_table(self) -> Optional[List[List[int]]]:
-        """The fixed-base table, or None before the first build/install."""
-        state = self._fb_state
-        return state[1] if state is not None else None
-
-    @property
-    def _fb_window(self) -> int:
-        """Window width of the built table (0 before the first build)."""
-        state = self._fb_state
-        return state[0] if state is not None else 0
-
     @property
     def default_fb_window(self) -> int:
         """Default window width: table-build cost vs per-exp savings."""
         return 6 if self.p.bit_length() <= 1024 else 5
 
-    @property
-    def fb_table_bytes(self) -> int:
-        """Serialized footprint of the fixed-base table (0 when unbuilt).
+    def precompute_fixed_base(self) -> None:
+        """Build ``g``'s window table for :meth:`power_of_g`.
 
-        Every entry is one group element at the group's fixed encoding
-        width; the preprocessing store inspector reports this so operators
-        can see what a cached table costs on disk and in worker memory.
+        :meth:`power_of_g` calls this on its first walk.  Idempotent and
+        thread-safe: the window and table publish together as one
+        ``(window, table)`` reference, so lock-free readers never see a
+        half-built table, and later calls are a cheap no-op.
         """
-        state = self._fb_state
-        if state is None:
-            return 0
-        _w, table = state
-        return len(table) * len(table[0]) * self._width
-
-    def precompute_fixed_base(self, window: Optional[int] = None) -> None:
-        """Build the fixed-base window table for :meth:`power_of_g`.
-
-        Idempotent and thread-safe: repeated calls with the default (or
-        the already-built) window are a cheap no-op — the window and
-        table publish together as one ``(window, table)`` reference, so
-        lock-free readers can never pair a stale table with a fresh
-        window.  An *explicit* ``window`` different from the built one
-        rebuilds at the requested width.  ``window`` is the digit width
-        in bits; the default balances table-build cost against
-        per-exponentiation savings for the group's modulus size.
-        """
-        state = self._fb_state
-        if state is not None and (window is None or window == state[0]):
+        if self._fb_state is not None:
             return
-        w = window if window is not None else self.default_fb_window
-        if w < 1:
-            raise ValueError("window must be >= 1")
         with self._accel_lock:
-            state = self._fb_state
-            if state is not None and w == state[0]:
-                return
-            table = _window_table(self.g, self.p, self.q.bit_length(), w)
-            object.__setattr__(self, "_fb_state", (w, table))
-
-    def install_fixed_base(self, table: List[List[int]], window: int) -> None:
-        """Attach a precomputed fixed-base table instead of rebuilding it.
-
-        The online half of the preprocessing store: workers deserialize
-        the offline-built table and install it here.  The table's shape
-        and a few entries are verified against the group (the store's
-        integrity hash catches bit rot; this catches a well-formed table
-        for the *wrong* parameters), so a bad install can never silently
-        corrupt ``power_of_g``.
-
-        Raises:
-            ValueError: the table does not match this group's parameters.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        rows = (self.q.bit_length() + window - 1) // window
-        if len(table) != rows or any(len(row) != (1 << window) for row in table):
-            raise ValueError(
-                f"fixed-base table shape mismatch: expected {rows} rows of "
-                f"{1 << window} entries"
-            )
-        if table[0][0] != 1 or table[0][1] != self.g:
-            raise ValueError("fixed-base table row 0 does not start at g")
-        # Spot-check row 0's top digit against the direct formula, then
-        # chain-check every row's base: row i+1 is built on
-        # base_{i+1} = base_i^(2^w) = row_i[2^w - 1] * row_i[1].  One
-        # multiplication per row anchors the whole ladder to g without a
-        # single full-width pow (the blob's integrity hash covers bit
-        # rot; this guards a well-formed table for the wrong group).
-        if table[0][-1] != pow(self.g, (1 << window) - 1, self.p):
-            raise ValueError("fixed-base table row 0 is inconsistent")
-        p = self.p
-        for index in range(rows - 1):
-            if table[index + 1][1] != table[index][-1] * table[index][1] % p:
-                raise ValueError(
-                    f"fixed-base table row {index + 1} does not chain from "
-                    f"row {index}"
-                )
-        with self._accel_lock:
-            object.__setattr__(self, "_fb_state", (window, [list(row) for row in table]))
+            if self._fb_state is None:
+                w = self.default_fb_window
+                table = _window_table(self.g, self.p, self.q.bit_length(), w)
+                object.__setattr__(self, "_fb_state", (w, table))
 
     def register_fixed_base(self, base: int, log: Optional[int] = None) -> None:
         """Make a long-lived base other than ``g`` cheap to exponentiate.
@@ -969,18 +879,3 @@ _P_2048 = int(
     16,
 )
 GROUP_2048 = SchnorrGroup(p=_P_2048, q=(_P_2048 - 1) // 2, g=4)
-
-
-def warm_groups(include_large: bool = False) -> None:
-    """Pre-warm the shipped parameter sets' acceleration caches.
-
-    The process-pool worker initializer calls this so every worker starts
-    with the :data:`TEST_GROUP` fixed-base window table and encoding cache
-    already built, instead of each trial paying construction on first use.
-    ``include_large`` also warms :data:`GROUP_2048` (a few thousand
-    2048-bit multiplications — only worth it for production-parameter
-    sweeps).
-    """
-    TEST_GROUP.warm_up()
-    if include_large:
-        GROUP_2048.warm_up()

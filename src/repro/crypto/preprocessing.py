@@ -1,43 +1,38 @@
-"""Offline crypto preprocessing: build, serialize and attach material.
+"""Offline crypto preprocessing: build, serialize and validate material.
 
-The process-fan-out sweep engine used to pay a fixed warm-up tax in every
-worker (and again on every recycle): each process rebuilt the
-:class:`~repro.crypto.groups.SchnorrGroup` fixed-base window tables from
-scratch.  Following the offline/online split of preprocessing-based MPC
-systems (HoneyBadgerMPC ships Beaver triples and shares to its worker
-fleet the same way), this module implements the *offline* phase:
+Following the offline/online split of preprocessing-based MPC systems
+(HoneyBadgerMPC ships Beaver triples and shares to its worker fleet the
+same way), this module implements the *offline* phase:
 
-* :func:`build_material` computes everything a worker would otherwise
-  recompute — the fixed-base window table, plus batched Shamir/ZKP
-  randomness (Feldman-committed random polynomials and Schnorr nonce
-  pairs ``(k, g^k)``) derived from a recorded seed;
+* :func:`build_material` samples batched Shamir/ZKP randomness from a
+  recorded seed: Feldman-committed random polynomials and Schnorr nonce
+  pairs ``(k, g^k)``;
 * :func:`serialize_material` / :func:`deserialize_material` round-trip it
   through a versioned, integrity-hashed binary blob stored as an
-  on-disk cache file;
-* :meth:`CryptoMaterial.attach` is the *online* step: install the table
-  into a live group without recomputation (shape- and spot-checked, so a
-  blob for the wrong parameters can never corrupt ``power_of_g``).
+  on-disk cache file.
 
-Only the mathematically transparent caches (fixed-base table, encoding
-cache) are attached into protocol executions — seeded runs draw their
-own randomness, so trace digests are identical whatever the material
-source.  The randomness pools are *consumable* preprocessing for
-explicit draws (benchmarks, future offline/online protocol phases); they
-never leak into a seeded execution implicitly.  The store is
-trusted-local material for a simulator fleet, not a production secret
-vault: nonce scalars and polynomial coefficients are stored in the
-clear, exactly like HoneyBadgerMPC's offline share files.
+The pools are *consumable* preprocessing for explicit draws (online
+protocol mode, benchmarks); they never leak into a seeded execution
+implicitly, so trace digests are identical whatever the material source.
+The material carries no fixed-base table: :mod:`repro.crypto.groups`
+builds ``g``'s table lazily, in the process that walks it, and only on
+arithmetic tiers that walk tables.  The store is trusted-local material
+for a simulator fleet, not a production secret vault: nonce scalars and
+polynomial coefficients are stored in the clear, exactly like
+HoneyBadgerMPC's offline share files.
 
-Blob layout (version 1)::
+Blob layout (version 2)::
 
     b"RPM1" | sha256(payload) (32 bytes) | payload
     payload = header_len (u32 BE) | header JSON | body
-    body    = fb-table entries, nonce (k, r) pairs, Feldman entries
-              (coefficients then commitments), all fixed-width big-endian
+    body    = nonce (k, r) pairs, Feldman entries (coefficients then
+              commitments), all fixed-width big-endian
 
-The header records the group parameters, the fingerprint, the window
-width and every pool count, so :func:`deserialize_material` can validate
-the body length before touching a single integer.
+The header records the group parameters, the fingerprint and every pool
+count, so :func:`deserialize_material` can validate the body length
+before touching a single integer.  Version 1 blobs also carried ``g``'s
+window table; they are refused as :class:`MaterialFormatError`, which
+the store treats as a cache file to rebuild.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.crypto.groups import SchnorrGroup
 from repro.crypto.shamir import FeldmanCommitment
@@ -67,15 +62,15 @@ __all__ = [
     "serialize_material",
 ]
 
-#: File magic for serialized material blobs ("RePro Material", version 1).
+#: File magic for serialized material blobs ("RePro Material").
 MATERIAL_MAGIC = b"RPM1"
 
 #: Length of a blob's header: the magic plus the payload's SHA-256.  Two
 #: blobs with the same header (and length) hold the same payload.
 MATERIAL_HEADER_BYTES = len(MATERIAL_MAGIC) + 32
 
-#: Serialization format version recorded in every header.
-MATERIAL_VERSION = 1
+#: Serialization format version recorded in every header (2: pools only).
+MATERIAL_VERSION = 2
 
 
 class MaterialError(Exception):
@@ -152,13 +147,11 @@ class FeldmanEntry:
 
 @dataclass
 class CryptoMaterial:
-    """Everything the offline phase precomputes for one parameter set."""
+    """The randomness pools the offline phase precomputes for one parameter set."""
 
     p: int
     q: int
     g: int
-    fb_window: int
-    fb_table: List[List[int]]
     nonces: Tuple[NoncePair, ...] = ()
     feldman: Tuple[FeldmanEntry, ...] = ()
     built_with_seed: int = 0
@@ -173,35 +166,9 @@ class CryptoMaterial:
         """Fixed big-endian width (bytes) of one serialized element."""
         return (self.p.bit_length() + 7) // 8
 
-    @property
-    def fb_table_bytes(self) -> int:
-        """Serialized footprint of the fixed-base table."""
-        if not self.fb_table:
-            return 0
-        return len(self.fb_table) * len(self.fb_table[0]) * self.element_width
-
     def matches(self, group: SchnorrGroup) -> bool:
         """Whether this material was built for ``group``'s parameters."""
         return (self.p, self.q, self.g) == (group.p, group.q, group.g)
-
-    def attach(self, group: SchnorrGroup) -> SchnorrGroup:
-        """Install the precomputed caches into ``group`` (online phase).
-
-        Raises:
-            MaterialError: the material was built for other parameters.
-            ValueError: the table fails the group's consistency checks.
-        """
-        if not self.matches(group):
-            raise MaterialError(
-                f"material fingerprint {self.fingerprint} does not match the "
-                f"target group ({group_fingerprint(group)})"
-            )
-        group.install_fixed_base(self.fb_table, self.fb_window)
-        # Seed the encoding cache with the elements every Fiat–Shamir
-        # transcript starts from.
-        group.element_to_bytes(1)
-        group.element_to_bytes(group.g)
-        return group
 
     def draw_nonce(self) -> NoncePair:
         """Consume one preprocessed nonce pair (never reuse a nonce).
@@ -226,9 +193,6 @@ class CryptoMaterial:
         return {
             "fingerprint": self.fingerprint,
             "bits": self.p.bit_length(),
-            "fb_window": self.fb_window,
-            "fb_rows": len(self.fb_table),
-            "fb_table_bytes": self.fb_table_bytes,
             "nonces": len(self.nonces),
             "feldman": len(self.feldman),
             "feldman_threshold": self.feldman[0].threshold if self.feldman else None,
@@ -242,9 +206,8 @@ def build_material(
     feldman: int = 16,
     feldman_threshold: int = 2,
     seed: int = 0,
-    window: Optional[int] = None,
 ) -> CryptoMaterial:
-    """The offline phase: precompute everything a worker would redo online.
+    """The offline phase: sample the randomness pools online mode spends.
 
     Deterministic in ``seed`` (recorded in the material), so two builds
     of the same parameters produce byte-identical blobs — which makes the
@@ -254,13 +217,11 @@ def build_material(
         raise ValueError("pool sizes must be >= 0")
     if feldman and feldman_threshold < 0:
         raise ValueError("feldman_threshold must be >= 0")
-    scratch = SchnorrGroup(p=group.p, q=group.q, g=group.g)
-    scratch.precompute_fixed_base(window)
     rng = random.Random(f"repro-material|{group_fingerprint(group)}|{seed}")
     nonce_pool = []
     for _ in range(nonces):
         k = rng.randrange(1, group.q)
-        nonce_pool.append(NoncePair(k=k, r=scratch.power_of_g(k)))
+        nonce_pool.append(NoncePair(k=k, r=group.power_of_g(k)))
     feldman_pool = []
     for _ in range(feldman):
         coefficients = tuple(
@@ -269,18 +230,13 @@ def build_material(
         feldman_pool.append(
             FeldmanEntry(
                 coefficients=coefficients,
-                commitments=tuple(scratch.power_of_g(a) for a in coefficients),
+                commitments=tuple(group.power_of_g(a) for a in coefficients),
             )
         )
-    state = scratch._fb_state
-    assert state is not None
-    fb_window, fb_table = state
     return CryptoMaterial(
         p=group.p,
         q=group.q,
         g=group.g,
-        fb_window=fb_window,
-        fb_table=fb_table,
         nonces=tuple(nonce_pool),
         feldman=tuple(feldman_pool),
         built_with_seed=seed,
@@ -307,15 +263,12 @@ def serialize_material(material: CryptoMaterial) -> bytes:
         "q": format(material.q, "x"),
         "g": format(material.g, "x"),
         "width": width,
-        "fb_window": material.fb_window,
-        "fb_rows": len(material.fb_table),
-        "fb_cols": len(material.fb_table[0]) if material.fb_table else 0,
         "nonces": len(material.nonces),
         "feldman": len(material.feldman),
         "feldman_threshold": threshold,
         "seed": material.built_with_seed,
     }
-    flat: List[int] = [entry for row in material.fb_table for entry in row]
+    flat: List[int] = []
     for pair in material.nonces:
         flat.extend((pair.k, pair.r))
     for entry in material.feldman:
@@ -361,9 +314,6 @@ def deserialize_material(blob: bytes) -> CryptoMaterial:
         q = int(header["q"], 16)
         g = int(header["g"], 16)
         width = int(header["width"])
-        fb_window = int(header["fb_window"])
-        fb_rows = int(header["fb_rows"])
-        fb_cols = int(header["fb_cols"])
         nonce_count = int(header["nonces"])
         feldman_count = int(header["feldman"])
         threshold = int(header["feldman_threshold"])
@@ -371,9 +321,7 @@ def deserialize_material(blob: bytes) -> CryptoMaterial:
     except (KeyError, TypeError, ValueError) as exc:
         raise MaterialFormatError(f"malformed material header: {exc}") from None
     body = payload[4 + header_len :]
-    expected = width * (
-        fb_rows * fb_cols + 2 * nonce_count + feldman_count * 2 * (threshold + 1)
-    )
+    expected = width * (2 * nonce_count + feldman_count * 2 * (threshold + 1))
     if len(body) != expected:
         raise MaterialFormatError(
             f"material body is {len(body)} bytes, header promises {expected}"
@@ -390,7 +338,6 @@ def deserialize_material(blob: bytes) -> CryptoMaterial:
         offset += count * width
         return values
 
-    fb_table = [take(fb_cols) for _ in range(fb_rows)]
     nonce_pool = tuple(
         NoncePair(k=pair[0], r=pair[1])
         for pair in (take(2) for _ in range(nonce_count))
@@ -406,8 +353,6 @@ def deserialize_material(blob: bytes) -> CryptoMaterial:
         p=p,
         q=q,
         g=g,
-        fb_window=fb_window,
-        fb_table=fb_table,
         nonces=nonce_pool,
         feldman=tuple(feldman_pool),
         built_with_seed=seed,

@@ -14,7 +14,7 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
   message queues drained in batches instead of per-message callbacks;
 * :class:`~repro.runtime.pool.SessionPool` — N independent sessions
   (seed sweeps, repeated executions) through one driver, inline or via
-  process workers with chunked dispatch and per-worker crypto warm-up;
+  process workers with chunked dispatch and a per-worker initializer;
   each workload's session body is written once there and run either
   blocking (``run_*_trial``) or awaited (``async_*_session``); it
   plans worker/chunk shape for any

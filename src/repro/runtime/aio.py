@@ -15,7 +15,7 @@ executor as coroutines on the one loop
 (:func:`~repro.runtime.pool.async_sbc_session` /
 :func:`~repro.runtime.pool.async_voting_session`, which share their
 session bodies with the sync trial runners), under the ``process``
-executor as sync trials offloaded to warmed process workers — and
+executor as sync trials offloaded to process workers — and
 leases each session a disjoint online-pool slot through
 :class:`~repro.runtime.material.HostSlotAllocator`, so concurrent
 sessions can never double-spend preprocessed randomness.
@@ -29,8 +29,8 @@ follows: a session body must not await another async session on the
 same loop, which would wait forever for the turn its caller holds.
 
 The host writes no orchestration of its own: it resolves its online
-plan, worker count, process-worker warm-up (material published once in
-the parent, then attached by every worker) and spend ledgering through
+plan, worker count, process-worker start-up (material published once
+in the parent, then attached by every worker) and spend ledgering through
 the same steps as :class:`~repro.runtime.pool.SessionPool`, all read
 from one :class:`~repro.runtime.config.SweepConfig`.
 """
@@ -189,12 +189,12 @@ class AsyncSessionHost:
             while a plain coroutine runs wherever it awaits.  It must
             not await another async session on the same loop.  A plain
             function under ``executor="process"`` is
-            offloaded through ``run_in_executor`` to a warmed process
+            offloaded through ``run_in_executor`` to a process
             pool (it must be picklable — the sweep trial runners
             qualify).
         config: A :class:`~repro.runtime.config.SweepConfig`; the host
             reads ``backend`` (defaults to ``async``), ``executor``,
-            ``workers``, ``warmup``, ``material``, ``material_groups``,
+            ``workers``, ``material``, ``material_groups``,
             ``online``, ``batch_verify`` and ``trace``.  The sweep
             fan-out knobs (``chunksize``, ``retry_attempts``,
             ``deadline_cap_s``, ``chaos``, ``journal``, ``resume``)
@@ -288,9 +288,9 @@ class AsyncSessionHost:
                 functools.partial(futures.ProcessPoolExecutor, max_workers=workers),
             )
             return executor
-        if config.warmup:
-            # Inline sessions share this process's caches: warm once, here.
-            self._backend.warm_up(config.material)
+        if config.material != "compute":
+            # Inline sessions share this process's pools: attach once, here.
+            self._backend.warm_up(config.material, groups=config.material_groups)
         return None
 
     async def _session(

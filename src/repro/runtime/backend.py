@@ -70,28 +70,26 @@ class ExecutionBackend:
             raise ValueError(f"trace must be one of {list(TRACE_MODES)}, got {trace!r}")
         return replace(self, trace=trace)
 
-    def warm_up(self, material=None, arith=None) -> "ExecutionBackend":
-        """Pre-build the process-wide caches sessions under this backend use.
+    def warm_up(self, material=None, arith=None, groups=None) -> "ExecutionBackend":
+        """Prepare this process's per-process state for sessions.
 
-        Called once per worker by the pool initializer (and usable inline
-        before timing-sensitive runs): warms the shared crypto
-        acceleration caches so no session pays lazy construction mid-run.
-        Custom backends with extra per-process state can extend this.
+        Called once per worker by the pool initializer, and once inline
+        by a run whose material source is not ``compute``.  It builds no
+        crypto table: each process builds those on first use, and only
+        on arithmetic tiers that walk them.  Custom backends with extra
+        per-process state can extend this.
 
         Args:
-            material: Where the caches come from — ``None``/``"compute"``
-                rebuilds them locally, ``"disk"`` (or its other spelling
-                ``"shared"``) attaches the preprocessing store's
-                serialized tables, and a
+            material: Where online-mode pools come from —
+                ``None``/``"compute"`` attaches nothing, ``"disk"`` (or
+                its other spelling ``"shared"``) attaches the
+                preprocessing store's file for each of ``groups``, and a
                 :class:`~repro.runtime.material.MaterialHandle` attaches
-                the store files the parent validated and published.
-                Every failure degrades to compute with a warning; the
-                installed tables are value-identical either way.  A
-                successful attach also registers the material's
-                randomness pools with this process
+                the store files the parent validated and published.  An
+                attach registers the pools with this process
                 (:func:`~repro.runtime.material.attached_material`), so
                 online-mode cursors can spend them without re-reading
-                the blob per trial.
+                the blob per trial; every failure warns instead.
             arith: Optional arithmetic-backend name to select first
                 (``"gmpy2"``/``"openssl"``/``"python"``/``"auto"``) — the pool
                 initializer forwards the parent's selection so worker
@@ -99,6 +97,8 @@ class ExecutionBackend:
                 value-identical, so an unavailable name degrades to
                 auto-detection with a warning rather than failing the
                 worker.
+            groups: The parameter sets a source name attaches (default:
+                the test group); a handle names its own.
         """
         from repro.runtime.material import warm_with_material
 
@@ -117,7 +117,7 @@ class ExecutionBackend:
                     stacklevel=2,
                 )
                 set_arith_backend("auto")
-        warm_with_material(material)
+        warm_with_material(material, groups=groups)
         return self
 
 

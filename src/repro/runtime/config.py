@@ -55,12 +55,12 @@ class SweepConfig:
             :func:`~repro.runtime.pool.auto_chunksize` and shrink
             toward the end of the sweep
             (:attr:`~repro.runtime.pool.SweepPlan.sizes`).
-        warmup: Run the shared-crypto warm-up initializer in each
-            process worker (False measures cold workers).
-        material: Worker warm-up source — ``"compute"`` (default:
-            rebuild locally), ``"disk"`` or ``"shared"`` (attach the
-            preprocessing store).  All three produce value-identical
-            caches, so trace digests never depend on the source.
+        material: Where online-mode randomness pools come from —
+            ``"compute"`` (default: none, so ``online`` is refused),
+            ``"disk"`` or ``"shared"`` (attach the preprocessing store's
+            file, in every process worker or once inline).  Pools enter
+            only online trials, so other runs' trace digests never
+            depend on the source.
         material_groups: Parameter sets published to process workers,
             the sweep's and the service host's alike (default: the test
             group); the first one also backs ``online=True`` plans.
@@ -68,7 +68,7 @@ class SweepConfig:
             ``True`` partitions the pools across tasks by position; an
             explicit :class:`~repro.runtime.material.OnlinePlan` pins
             custom slot assignments.  Requires a pool-bearing
-            ``material`` source and ``warmup``.
+            ``material`` source.
         batch_verify: Batch verification-heavy rounds through one
             random-linear-combination multi-exp per round.  ``True``
             uses the stock :class:`~repro.crypto.batch.BatchPolicy`;
@@ -94,7 +94,6 @@ class SweepConfig:
     executor: str = "inline"
     workers: Optional[int] = None
     chunksize: Optional[int] = None
-    warmup: bool = True
     material: Optional[str] = None
     material_groups: Optional[Sequence[Any]] = None
     online: Any = False
@@ -123,7 +122,6 @@ class SweepConfig:
         if self.deadline_cap_s is not None and self.deadline_cap_s <= 0:
             raise ValueError(f"deadline_cap_s must be > 0, got {self.deadline_cap_s}")
         get_backend(self.backend)  # unknown names raise here, not mid-sweep
-        object.__setattr__(self, "warmup", bool(self.warmup))
         object.__setattr__(self, "material", resolve_material_source(self.material))
         if self.material_groups is not None:
             object.__setattr__(self, "material_groups", tuple(self.material_groups))
@@ -157,17 +155,11 @@ class SweepConfig:
             raise ValueError(
                 f"trace must be one of {TRACE_MODES} (or None), got {self.trace!r}"
             )
-        if self.online:
-            if self.material == MATERIAL_COMPUTE:
-                raise ValueError(
-                    "online mode spends the preprocessing store: pick "
-                    "material='disk' or 'shared' (compute has no pools)"
-                )
-            if not self.warmup:
-                raise ValueError(
-                    "online mode needs warmup=True (the warm-up attach is "
-                    "what installs the pools)"
-                )
+        if self.online and self.material == MATERIAL_COMPUTE:
+            raise ValueError(
+                "online mode spends the preprocessing store: pick "
+                "material='disk' or 'shared' (compute has no pools)"
+            )
 
     @property
     def batch_policy(self) -> Optional[Any]:
@@ -192,21 +184,19 @@ class SweepConfig:
         """Build a config from an :func:`add_sweep_options` namespace.
 
         Every flag carries its knob's name (``--retry-attempts`` sets
-        ``retry_attempts``; ``--no-warmup`` is the one inversion), so
-        the knobs the namespace holds are copied and the rest keep their
-        defaults: one builder serves ``bench``, ``sweep``, ``scenarios
-        run`` and ``serve`` (which takes no :func:`add_fanout_options`
-        flags).  The ``--chaos`` spec string is parsed by
-        ``__post_init__``.  ``backend`` comes from ``overrides`` only,
-        which win over the namespace: ``--backend`` means different
-        things per command.
+        ``retry_attempts``), so the knobs the namespace holds are copied
+        and the rest keep their defaults: one builder serves ``bench``,
+        ``sweep``, ``scenarios run`` and ``serve`` (which takes no
+        :func:`add_fanout_options` flags).  The ``--chaos`` spec string
+        is parsed by ``__post_init__``.  ``backend`` comes from
+        ``overrides`` only, which win over the namespace: ``--backend``
+        means different things per command.
         """
         kwargs = {
             name: getattr(args, name)
             for name in cls.knob_names()
             if name != "backend" and hasattr(args, name)
         }
-        kwargs["warmup"] = not getattr(args, "no_warmup", False)
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -232,14 +222,10 @@ def add_sweep_options(
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count (default: all cores for processes)")
     parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the per-worker crypto warm-up initializer",
-    )
-    parser.add_argument(
         "--material", choices=("compute", "disk", "shared"), default="compute",
-        help="worker crypto warm-up source: rebuild locally, or attach the "
-             "preprocessing store file ('shared' is another spelling of "
-             "'disk'; see 'repro material build')",
+        help="where --online pools come from: none (compute), or the "
+             "preprocessing store file each worker attaches ('shared' is "
+             "another spelling of 'disk'; see 'repro material build')",
     )
     parser.add_argument(
         "--online", action="store_true",

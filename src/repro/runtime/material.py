@@ -1,26 +1,28 @@
-"""Preprocessing store: ship offline crypto material to the worker fleet.
+"""Preprocessing store: ship offline randomness pools to the worker fleet.
 
-The offline phase (:mod:`repro.crypto.preprocessing`) turns warm-up work
-into bytes; this module owns where those bytes live and how workers get
-them:
+The offline phase (:mod:`repro.crypto.preprocessing`) samples nonce and
+Feldman pools into bytes; this module owns where those bytes live and
+how workers get them:
 
 * :class:`MaterialStore` — a versioned on-disk cache
   (``~/.cache/repro-material/<group-fingerprint>.v1`` by default,
   ``REPRO_MATERIAL_DIR`` overrides), written atomically and validated by
   the blob's integrity hash on every read;
-* :data:`MATERIAL_SOURCES` — the ways a worker can obtain its
-  material: ``compute`` (rebuild locally, the pre-store behavior) or
-  ``disk`` (read the validated store file); ``shared`` is accepted as
-  another spelling of ``disk``;
+* :data:`MATERIAL_SOURCES` — where a process's pools come from:
+  ``compute`` (none: online mode is refused) or ``disk`` (read the
+  validated store file); ``shared`` is accepted as another spelling of
+  ``disk``;
 * :func:`publish_material` / :func:`warm_with_material` — the parent
   validates the store file before forking, each worker reads it in its
-  initializer.
+  initializer and registers its pools.
 
-Every failure path degrades to ``compute`` with a :class:`RuntimeWarning`
-— a missing or corrupt cache file slows a worker down, it never crashes
-one — and attached tables are shape- and spot-checked, so the
-degradation can never silently change results (trace digests are
-identical across all sources by construction).
+The store ships no fixed-base table: each process builds ``g``'s table
+on its first walk (:mod:`repro.crypto.groups`), and only on arithmetic
+tiers that walk tables.  Every failure path degrades with a
+:class:`RuntimeWarning` — a missing or corrupt cache file leaves a
+worker without registered pools, it never crashes one — and pools never
+enter a seeded execution implicitly, so trace digests are identical
+across all sources by construction.
 
 The **online mode** lives here too: :class:`MaterialCursor` implements
 the :class:`~repro.crypto.randomness.RandomnessSource` seam over a
@@ -53,7 +55,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts merge unlocked
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup, warm_groups
+from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
 from repro.crypto.preprocessing import (
     MATERIAL_HEADER_BYTES,
     MATERIAL_MAGIC,
@@ -91,7 +93,7 @@ __all__ = [
     "warm_with_material",
 ]
 
-#: Rebuild caches locally in every worker (the pre-store behavior).
+#: Attach no material: nothing is published, and online mode is refused.
 MATERIAL_COMPUTE = "compute"
 #: Read the serialized material from the on-disk store.
 MATERIAL_DISK = "disk"
@@ -126,8 +128,7 @@ def default_groups() -> Tuple[SchnorrGroup, ...]:
     """The parameter sets the store covers by default.
 
     These are the module singletons protocol stacks resolve at build
-    time, so attaching material to them warms every session in the
-    worker.
+    time; a published blob attaches only to one of them.
     """
     return (TEST_GROUP, GROUP_2048)
 
@@ -250,10 +251,10 @@ class MaterialStore:
     def ensure(self, group: SchnorrGroup, **build_kwargs: Any) -> CryptoMaterial:
         """Load the cached material, building (and persisting) on a miss.
 
-        A corrupt cache file is the offline phase's job to repair: it
-        warns, rebuilds from scratch and overwrites the bad file — the
-        fallback-to-compute contract at the store level.  A hit reads and
-        deserializes the file exactly once.
+        A corrupt cache file, or one in an older blob format, is the
+        offline phase's job to repair: it warns, rebuilds from scratch
+        and overwrites the bad file — the never-crash contract at the
+        store level.  A hit reads and deserializes the file exactly once.
         """
         return self._ensure(group, **build_kwargs)[0]
 
@@ -489,7 +490,7 @@ def publish_material(
     Loads and validates (or lazily builds) each group's store file, then
     returns a handle naming those files; it ships to every worker via the
     pool initializer.  ``compute`` (or a failed publish) yields ``None``
-    — workers then warm up locally.
+    — workers then register no pools.
     """
     source = resolve_material_source(source)
     if groups is None:
@@ -511,7 +512,7 @@ def publish_material(
     except Exception as exc:
         warnings.warn(
             f"could not publish {source} preprocessing material ({exc}); "
-            "workers will fall back to computing their own caches",
+            "workers will attach no pools",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -530,13 +531,14 @@ def _attach_each(
     fingerprint_of: Callable[[Any], str],
     load: Callable[[Any], Tuple[CryptoMaterial, Tuple[str, int]]],
 ) -> None:
-    """Install each item's material into its group singleton.
+    """Register each item's pools for the group singleton it names.
 
     ``load`` returns the material and the :func:`_stamp` of the blob it
-    was validated from, which the registry keeps.
-    Any per-item failure warns and leaves that group to the compute
-    fallback — the initializer must never raise (a raising initializer
-    kills pool workers in a loop instead of running the sweep).
+    was validated from, which the registry keeps.  A blob built for
+    parameters other than the named group's is refused.  Any per-item
+    failure warns and leaves that group without registered pools — the
+    initializer must never raise (a raising initializer kills pool
+    workers in a loop instead of running the sweep).
     """
     targets = {group_fingerprint(group): group for group in default_groups()}
     for item in items:
@@ -552,12 +554,16 @@ def _attach_each(
             continue
         try:
             material, stamp = load(item)
-            material.attach(group)
+            if not material.matches(group):
+                raise MaterialIntegrityError(
+                    f"the blob holds material fingerprinted {material.fingerprint}"
+                )
             register_attached(material, stamp)
         except Exception as exc:
             warnings.warn(
                 f"could not attach preprocessed material {fingerprint} "
-                f"({exc}); falling back to computing caches in this worker",
+                f"({exc}); falling back to the store file or to sampling "
+                "in this process's online trials",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -568,20 +574,17 @@ def warm_with_material(
     store: Optional[MaterialStore] = None,
     groups: Optional[Sequence[SchnorrGroup]] = None,
 ) -> None:
-    """Warm this process's crypto caches from the given material source.
+    """Register this process's randomness pools from a material source.
 
     Accepts a :class:`MaterialHandle` (process workers read the files it
     names), a source name (the inline executor, ``serve()`` and
     direct callers attach what the store's load-and-validate step
-    returns, so each file is read and deserialized once), or
-    ``None``/"compute".  A source name attaches once per process: a
-    group whose store file still holds the blob this process attached
-    (:func:`_holds_attached`) is skipped; any other file — missing,
-    unreadable or rebuilt — takes the full
-    :meth:`MaterialStore.ensure` path.  Always finishes with
-    :func:`~repro.crypto.groups.warm_groups`, which is a cheap no-op for
-    every cache an attach already installed — so whatever happened
-    above, the process ends up warm.
+    returns for ``groups``, default the test group, so each file is read
+    and deserialized once), or ``None``/"compute" (nothing to attach).
+    A source name attaches once per process: a group whose store file
+    still holds the blob this process attached (:func:`_holds_attached`)
+    is skipped; any other file — missing, unreadable or rebuilt — takes
+    the full :meth:`MaterialStore.ensure` path.
     """
     if isinstance(material, MaterialHandle):
         _attach_each(material.refs, lambda ref: ref.fingerprint, _read_ref)
@@ -591,7 +594,6 @@ def warm_with_material(
         store = store or MaterialStore()
         stale = [group for group in groups if not _holds_attached(store, group)]
         _attach_each(stale, group_fingerprint, store._ensure)
-    warm_groups()
 
 
 def _stamp(blob: bytes) -> Tuple[str, int]:
@@ -634,10 +636,10 @@ DEFAULT_FELDMAN_PER_TASK = 2
 
 #: fingerprint -> (material this process attached, :func:`_stamp` of the
 #: blob it was validated from), filled by the worker initializer, the
-#: inline warm-up and :meth:`OnlinePlan.open`'s store fallback.  Cursors
+#: inline attach and :meth:`OnlinePlan.open`'s store fallback.  Cursors
 #: only read the material — per-trial positions live in the cursor, so
 #: one worker's trials can share the object safely.  The stamp lets a
-#: repeated source-name warm-up skip a store file it already attached,
+#: repeated source-name attach skip a store file it already attached,
 #: and lets a plan check in one lookup that this is the blob it pinned.
 _ATTACHED: Dict[str, Tuple[CryptoMaterial, Tuple[str, int]]] = {}
 

@@ -4,7 +4,7 @@ Benchmarks and repeated-execution experiments (the [FKL08] workload) need
 many independent executions — same protocol, different seeds or configs.
 :class:`SessionPool` owns that loop: it maps a picklable *trial runner*
 over a seed list, either inline (one driver, warm interpreter and crypto
-tables) or via supervised process workers, and collects uniform
+caches) or via supervised process workers, and collects uniform
 :class:`TrialResult` records including a deterministic trace digest so
 pooled and sequential runs can be byte-compared.
 
@@ -12,7 +12,7 @@ Every orchestration step is written once, here, and reads the run's
 execution shape from its one :class:`~repro.runtime.config.SweepConfig`:
 :meth:`SweepPlan.resolve` (worker count and chunk size),
 :func:`resolve_online_plan`, :func:`start_warm_workers` (publish
-material, then start warmed process workers) and
+material, then start process workers that attach it) and
 :func:`ledger_online_spend`.  :class:`SessionPool` runs and verifies
 sweeps with them (``ParallelSweep`` is an alias of it), and
 :class:`~repro.runtime.aio.AsyncSessionHost` reuses the steps for
@@ -568,7 +568,7 @@ class PoolReport:
     #: :meth:`SessionPool.plan`.
     workers: Optional[int] = None
     chunksize: Optional[int] = None
-    #: Where worker crypto caches came from (compute/disk/shared).
+    #: Where online-mode pools came from (compute/disk/shared).
     material_source: Optional[str] = None
     #: Aggregate pool consumption for online-mode sweeps (None otherwise).
     online_spend: Optional[Dict[str, int]] = None
@@ -694,20 +694,18 @@ def _warm_worker(
     material: Any = None,
     arith: Optional[str] = None,
 ) -> None:
-    """Process-pool initializer: pre-build shared per-process caches.
+    """Process-pool initializer: select the arith tier and register pools.
 
     Runs once per worker process via the backend's
-    :meth:`~repro.runtime.backend.ExecutionBackend.warm_up` hook, so every
-    trial dispatched to the worker finds the fixed-base window tables and
-    encoding caches already populated instead of paying table construction
-    inside its first session.  With a published
-    :class:`~repro.runtime.material.MaterialHandle` the tables are
-    *attached* (read from the store file) instead of recomputed, which takes
-    cold-start warm-up off the sweep's critical path.  ``arith`` carries
-    the parent's arithmetic-backend selection into the worker (values are
-    identical across backends, so a worker that cannot honour it warns
-    and falls back rather than failing the sweep).  Module-level (hence
-    picklable) by construction.
+    :meth:`~repro.runtime.backend.ExecutionBackend.warm_up` hook.
+    ``arith`` carries the parent's arithmetic-backend selection into the
+    worker (values are identical across backends, so a worker that
+    cannot honour it warns and falls back rather than failing the
+    sweep).  With a published
+    :class:`~repro.runtime.material.MaterialHandle` the worker reads the
+    store files it names and registers their randomness pools for online
+    trials.  Crypto tables are not built here: a worker builds each on
+    its first walk.  Module-level (hence picklable) by construction.
     """
     get_backend(backend).warm_up(material, arith=arith)
 
@@ -721,8 +719,7 @@ class SweepPlan:
     workers: int
     #: The largest chunk; every chunk's size when ``uniform``.
     chunksize: int
-    warmup: bool = True
-    #: Where worker warm-up caches come from (compute/disk/shared).
+    #: Where online-mode pools come from (compute/disk/shared).
     material_source: str = "compute"
     #: Whether trials spend the preprocessed randomness pools (online
     #: protocol mode; digests pinned separately from compute runs).
@@ -749,7 +746,6 @@ class SweepPlan:
             executor=config.executor,
             workers=workers,
             chunksize=chunksize,
-            warmup=config.warmup,
             material_source=config.material,
             online=bool(config.online),
             batch_verify=config.batch_policy is not None,
@@ -795,7 +791,6 @@ class SweepPlan:
             "workers": self.workers,
             "chunksize": self.chunksize,
             "chunks": self.chunks,
-            "warmup": self.warmup,
             "material_source": self.material_source,
             "online": self.online,
             "batch_verify": self.batch_verify,
@@ -895,19 +890,15 @@ def start_warm_workers(
     backend: ExecutionBackend,
     start: Callable[..., Any],
 ) -> Tuple[Any, Any]:
-    """Publish material, then start warmed process workers.
+    """Publish material, then start process workers that attach it.
 
     ``start`` builds the worker pool from ``initializer``/``initargs``
     keywords (a :class:`~repro.runtime.supervisor.Supervisor` for
     sweeps, a ``ProcessPoolExecutor`` for the service host).  The parent
     publishes the validated store files of ``config.material_groups``
-    once and every worker attaches them from the handle.  No warm-up
-    means no attach: publishing material that no worker will read would
-    waste the offline build and misreport the source.  Returns
+    once and every worker attaches them from the handle.  Returns
     ``(workers, handle)``; ``handle`` is None when nothing was published.
     """
-    if not config.warmup:
-        return start(initializer=None, initargs=()), None
     from repro.crypto.groups import get_arith_backend
     from repro.runtime.material import publish_material
 
@@ -995,7 +986,7 @@ class SessionPool:
 
         Returns ``(results, stats, handle)``; quarantined tasks appear
         as ``None`` at their position, and ``handle`` is the published
-        material (None when workers compute their own caches).
+        material (None when nothing was published).
         """
         from repro.runtime.supervisor import Supervisor
 
@@ -1131,21 +1122,23 @@ class SessionPool:
                     if result is not None:
                         results.append(result)
         else:
-            if config.material != "compute" and config.warmup:
-                # Inline trials share this process's caches: attach once
+            if config.material != "compute":
+                # Inline trials share this process's pools: attach once
                 # here.
-                self._backend.warm_up(config.material)
+                self._backend.warm_up(
+                    config.material, groups=config.material_groups
+                )
             results = [self.runner(seed, **kwargs) for seed in seeds]
         elapsed = time.perf_counter() - start
-        # Process reports always say where worker caches came from: the
+        # Process reports always say where worker pools came from: the
         # requested source only when a handle was published, since a
-        # failed or skipped publish leaves workers computing their own.
-        # Inline runs only mention material when they attached any.
+        # failed publish leaves workers with none.  Inline runs only
+        # mention material when they attached any.
         material_source: Optional[str] = config.material
         if plan.executor == "process":
             if handle is None:
                 material_source = "compute"
-        elif not config.warmup or config.material == "compute":
+        elif config.material == "compute":
             material_source = None
         online_spend = (
             ledger_online_spend(online_plan, results, ledgered=fresh_results)
@@ -1172,8 +1165,8 @@ class SessionPool:
 
         Deliberately left on the default ``compute`` material: verify()
         then checks digest equality *across* material sources (attached
-        tables in the run vs locally built ones in the reference), which
-        is exactly the store's correctness contract.
+        pools in the run, none in the reference), which is exactly the
+        store's correctness contract.
 
         Online runs are the exception: the reference must *spend the
         same pool entries*, so it attaches the disk store (same blob the

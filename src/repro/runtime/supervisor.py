@@ -272,7 +272,7 @@ class Supervisor:
 
     Args:
         workers: Worker process count.
-        initializer: Per-worker warm-up callable (module-level).
+        initializer: Per-worker start-up callable (module-level).
         initargs: Arguments for ``initializer``.
         retry_attempts: Dispatches per chunk before bisection (default:
             :data:`DEFAULT_RETRY_ATTEMPTS`).

@@ -179,11 +179,11 @@ def test_results_are_builtin_ints(name, rng):
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_warmed_group_pickle_round_trip(name):
     # Regression: fixed-base tables built under gmpy2 used to hold mpz
-    # entries, which survived into pickles and material blobs.  A warmed
-    # group must pickle to pure ints and rebuild cleanly.
+    # entries, which survived into pickles.  A group whose table is
+    # built must pickle to pure ints and rebuild cleanly.
     set_arith_backend(name)
     group = fresh_group()
-    group.warm_up()
+    group.precompute_fixed_base()
     clone = pickle.loads(pickle.dumps(group))
     assert (clone.p, clone.q, clone.g) == (group.p, group.q, group.g)
     assert clone._fb_state is None  # caches never travel
@@ -198,8 +198,8 @@ def test_material_blob_identical_across_backends(name):
     blob = serialize_material(build_material(TEST_GROUP, nonces=4, feldman=2))
     assert blob == reference
     material = deserialize_material(blob)
-    assert all(type(entry) is int for row in material.fb_table for entry in row)
-    material.attach(fresh_group())
+    assert all(type(value) is int for pair in material.nonces for value in (pair.k, pair.r))
+    assert material.matches(fresh_group())
 
 
 # -- property-based parity ---------------------------------------------------

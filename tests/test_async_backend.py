@@ -47,7 +47,7 @@ async def _toy_session(seed):
 
 
 def _toy_host(**kwargs):
-    config = SweepConfig(backend="async", executor="inline", warmup=False)
+    config = SweepConfig(backend="async", executor="inline")
     return AsyncSessionHost(_toy_session, config=config, **kwargs)
 
 
@@ -163,8 +163,13 @@ def _record_rounds(monkeypatch, fail=None):
     run_round_async = AsyncRoundDriver.run_round_async
     sessions = {}
     rounds_run = []
+    # Holding every session keeps its id from being reused by a later
+    # session once the first is freed.
+    seen = []
 
     async def recording(driver, *args, **kwargs):
+        if id(driver.session) not in sessions:
+            seen.append(driver.session)
         index = sessions.setdefault(id(driver.session), len(sessions))
         rounds_run.append((index, driver.session.clock.time))
         if (index, driver.session.clock.time) == fail:
@@ -367,9 +372,7 @@ def test_session_timeout_bounds_a_hung_process_session():
     # worker instead of waiting for it in the executor's shutdown.
     host = AsyncSessionHost(
         _hung_trial,
-        config=SweepConfig(
-            backend="async", executor="process", workers=1, warmup=False
-        ),
+        config=SweepConfig(backend="async", executor="process", workers=1),
         session_timeout_s=0.5,
     )
     started = time.monotonic()

@@ -182,23 +182,26 @@ def test_lazy_caches_thread_safe_under_stress(use_arith):
     for thread in threads:
         thread.join()
     assert not failures
-    assert group._fb_table is not None  # the table was built exactly once
+    assert group._fb_state is not None  # the table was built exactly once
     assert len(group._fb_bases) == FIXED_BASE_REGISTERED_MAX  # bound held
 
 
-def test_warm_up_idempotent_and_concurrent():
+def test_warm_up_idempotent_and_concurrent(use_arith):
+    # g's table warms up on the first walk: racing first walks build it
+    # once, and later walks reuse it.
     import threading
 
+    use_arith("python")
     group = _cold_group()
-    threads = [threading.Thread(target=group.warm_up) for _ in range(4)]
+    threads = [threading.Thread(target=group.power_of_g, args=(12345,)) for _ in range(4)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    table = group._fb_table
-    assert table is not None
-    group.warm_up()
-    assert group._fb_table is table  # second pass reuses, never rebuilds
+    state = group._fb_state
+    assert state is not None
+    assert group.power_of_g(54321) == pow(group.g, 54321, group.p)
+    assert group._fb_state is state  # second pass reuses, never rebuilds
 
 
 def test_group_pickles_without_acceleration_state():
@@ -207,71 +210,25 @@ def test_group_pickles_without_acceleration_state():
     import pickle
 
     group = _cold_group()
-    group.warm_up()
+    group.precompute_fixed_base()
     group.register_fixed_base(pow(group.g, 7, group.p))
     group.register_fixed_base(pow(group.g, 8, group.p), log=8)
     clone = pickle.loads(pickle.dumps(group))
     assert clone == group
-    assert clone._fb_table is None  # caches did not travel
+    assert clone._fb_state is None  # caches did not travel
     assert clone._fb_bases == {}  # nor did registered tables or logs
     assert clone.power_of_g(12345) == group.power_of_g(12345)
-    clone.warm_up()
-    assert clone._fb_table is not None
+    clone.precompute_fixed_base()
+    assert clone._fb_state is not None
 
 
 def test_precompute_repeated_default_calls_are_cheap_noops():
     group = _cold_group()
     group.precompute_fixed_base()
-    table = group._fb_table
-    # Default and same-window calls must reuse the existing table.
+    state = group._fb_state
+    # Repeated calls must reuse the existing table.
     group.precompute_fixed_base()
-    assert group._fb_table is table
-    group.precompute_fixed_base(group._fb_window)
-    assert group._fb_table is table
-
-
-def test_precompute_explicit_window_rebuilds_consistently():
-    group = _cold_group()
-    group.precompute_fixed_base()
-    default_window = group._fb_window
-    reference = group.power_of_g(123456789)
-    group.precompute_fixed_base(default_window + 2)
-    assert group._fb_window == default_window + 2
-    assert group.power_of_g(123456789) == reference  # values never change
-
-
-def test_fb_table_bytes_tracks_the_serialized_footprint():
-    group = _cold_group()
-    assert group.fb_table_bytes == 0
-    group.precompute_fixed_base()
-    rows = len(group._fb_table)
-    cols = len(group._fb_table[0])
-    width = (group.p.bit_length() + 7) // 8
-    assert group.fb_table_bytes == rows * cols * width
-
-
-def test_install_fixed_base_accepts_only_matching_tables():
-    import pytest
-
-    donor = _cold_group()
-    donor.precompute_fixed_base()
-    table, window = donor._fb_table, donor._fb_window
-    target = _cold_group()
-    target.install_fixed_base(table, window)
-    assert target.power_of_g(54321) == pow(target.g, 54321, target.p)
-
-    with pytest.raises(ValueError, match="shape"):
-        _cold_group().install_fixed_base(table[:-1], window)
-    with pytest.raises(ValueError, match="window"):
-        _cold_group().install_fixed_base(table, 0)
-    doctored = [list(row) for row in table]
-    doctored[0][1] = 12345  # not g
-    with pytest.raises(ValueError, match="row 0"):
-        _cold_group().install_fixed_base(doctored, window)
-    mangled = [list(row) for row in table]
-    mangled[-1][1] = mangled[-1][2]  # break the base ladder in the top row
-    with pytest.raises(ValueError, match="chain"):
-        _cold_group().install_fixed_base(mangled, window)
+    assert group._fb_state is state
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_openssl_walks_no_registered_table(use_arith):
         ((table_base, 7), (log_base, 9), (G, 3))
     )
     assert group._fb_bases == {log_base: 0x10C, table_base: _TABLE_PENDING}
-    assert group._fb_table is None
+    assert group._fb_state is None
 
 
 @pytest.mark.parametrize("kind", ("log", "table", "plain", "g"))

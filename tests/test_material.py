@@ -3,28 +3,34 @@
 The store's contract, end to end:
 
 * the offline phase is deterministic and round-trips through a
-  versioned, integrity-hashed blob;
-* the online phase attaches value-identical tables, so seed-for-seed
-  trace digests never depend on the material source
-  (compute == disk == shared);
-* every corruption (truncated, garbage, bit-flipped) degrades to
-  compute with a warning — it never crashes a worker, and never changes
-  results;
+  versioned, integrity-hashed blob that holds pools only;
+* the online phase attaches and registers pools, never a table: ``g``'s
+  table is built on its first walk, in the process that walks it, so
+  seed-for-seed trace digests never depend on the material source
+  (compute == disk == shared) or the arithmetic tier;
+* every corruption (truncated, garbage, bit-flipped) and every blob in
+  an older format degrades with a warning — it never crashes a worker,
+  and never changes results;
 * the spend-ledger sidecar inherits the same posture: a truncated or
   garbage sidecar reads as zeros and is replaced by the next record,
   never a crashed worker, and sweeps stay ``--verify``-clean
   throughout.
 """
 
+import hashlib
 import json
 import pathlib
 import random
 import threading
+import warnings
 
 import pytest
 
-from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
+import repro.crypto.groups as groups_module
+import repro.runtime.material as material_module
+from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup, available_arith_backends
 from repro.crypto.preprocessing import (
+    MATERIAL_MAGIC,
     MaterialError,
     MaterialFormatError,
     MaterialIntegrityError,
@@ -36,7 +42,14 @@ from repro.crypto.preprocessing import (
 from repro.crypto.randomness import spending
 from repro.crypto.schnorr import schnorr_keygen, schnorr_sign
 from repro.crypto.shamir import Share, _evaluate, feldman_verify
-from repro.runtime import SessionPool, SweepConfig, run_voting_trial
+from repro.runtime import (
+    AsyncSessionHost,
+    SessionPool,
+    SweepConfig,
+    get_backend,
+    run_sbc_trial,
+    run_voting_trial,
+)
 from repro.runtime.material import (
     MaterialHandle,
     MaterialRef,
@@ -85,12 +98,10 @@ def test_build_is_deterministic_in_seed():
 def test_serialization_roundtrip():
     material = build_material(TEST_GROUP, nonces=6, feldman=3, feldman_threshold=2)
     clone = deserialize_material(serialize_material(material))
-    assert clone.fb_table == material.fb_table
-    assert clone.fb_window == material.fb_window
     assert clone.nonces == material.nonces
     assert clone.feldman == material.feldman
     assert clone.fingerprint == material.fingerprint
-    assert clone.fb_table_bytes == material.fb_table_bytes > 0
+    assert clone.built_with_seed == material.built_with_seed
 
 
 def test_nonce_pool_is_valid_and_exhausts():
@@ -111,29 +122,24 @@ def test_feldman_entries_verify_against_their_commitments():
             assert feldman_verify(TEST_GROUP, share, entry.commitment)
 
 
-def test_attach_installs_the_exact_table():
-    material = build_material(TEST_GROUP, nonces=0, feldman=0)
-    group = _fresh_group()
-    material.attach(group)
-    assert group._fb_table == material.fb_table
-    assert group.power_of_g(98765) == pow(group.g, 98765, group.p)
-    assert group.fb_table_bytes == material.fb_table_bytes
-
-
-def test_store_file_attach_installs_the_recomputed_2048_table(store):
-    """What a worker attaches from the store file is the table it would build."""
-    store.build([GROUP_2048], nonces=0, feldman=0)
-    attached = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
-    deserialize_material(store.path_for(GROUP_2048).read_bytes()).attach(attached)
-    recomputed = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
-    recomputed.precompute_fixed_base()
-    assert attached._fb_table == recomputed._fb_table
-
-
-def test_attach_refuses_foreign_parameters():
-    material = build_material(TEST_GROUP, nonces=0, feldman=0)
-    with pytest.raises(MaterialError, match="does not match"):
-        material.attach(GROUP_2048)
+def test_attach_refuses_foreign_parameters(store, monkeypatch):
+    """A published ref whose file holds another group's blob registers
+    nothing for the group the ref names."""
+    monkeypatch.setattr(material_module, "_ATTACHED", {})
+    store.build([GROUP_2048], nonces=1, feldman=0)
+    handle = MaterialHandle(
+        source="disk",
+        refs=(
+            MaterialRef(
+                fingerprint=group_fingerprint(TEST_GROUP),
+                path=str(store.path_for(GROUP_2048)),
+            ),
+        ),
+    )
+    with pytest.warns(RuntimeWarning, match="fingerprinted"):
+        warm_with_material(handle)
+    assert attached_material(group_fingerprint(TEST_GROUP)) is None
+    assert attached_material(group_fingerprint(GROUP_2048)) is None
 
 
 @pytest.mark.parametrize(
@@ -164,10 +170,11 @@ def test_store_save_load_inspect_clear(store):
     assert path.name == f"{material.fingerprint}.v1"
     assert not list(store.root.glob("*.tmp"))  # atomic write left no temp
     loaded = store.load(TEST_GROUP)
-    assert loaded.fb_table == material.fb_table
+    assert loaded.nonces == material.nonces
     records = store.inspect()
     assert len(records) == 1 and records[0]["ok"]
-    assert records[0]["fb_table_bytes"] == material.fb_table_bytes
+    assert (records[0]["nonces"], records[0]["feldman"]) == (4, 2)
+    assert records[0]["file_bytes"] == path.stat().st_size
     assert store.clear() == 1
     assert store.inspect() == []
 
@@ -179,8 +186,8 @@ def test_store_ensure_builds_on_miss_and_repairs_corruption(store):
     store.path_for(TEST_GROUP).write_bytes(b"RPM1 corrupted beyond repair")
     with pytest.warns(RuntimeWarning, match="rebuilding"):
         repaired = store.ensure(TEST_GROUP, nonces=2, feldman=1)
-    assert repaired.fb_table == built.fb_table
-    assert store.load(TEST_GROUP).fb_table == built.fb_table
+    assert repaired.nonces == built.nonces
+    assert store.load(TEST_GROUP).feldman == built.feldman
 
 
 def test_resolve_material_source_validates():
@@ -217,7 +224,6 @@ def deserialized(monkeypatch):
     starting from an empty attach registry (which also keeps these small
     test pools out of the registry later tests read)."""
     import repro.crypto.preprocessing as preprocessing
-    import repro.runtime.material as material_module
 
     calls = []
     real = preprocessing.deserialize_material
@@ -276,7 +282,7 @@ def test_rebuilt_store_is_reattached_and_spent_from(store, deserialized):
 @pytest.mark.parametrize("kind", ["truncated", "garbage"])
 def test_store_corrupted_after_attach_is_repaired(store, deserialized, kind):
     """A file corrupted after this process attached it takes the store's
-    repair path on the next warm-up, warning as before."""
+    repair path on the next attach, warning as before."""
     store.build([TEST_GROUP], nonces=4, feldman=1)
     warm_with_material("disk", store=store)
     _corrupt_file(store.path_for(TEST_GROUP), kind)
@@ -320,9 +326,10 @@ def _corrupt_file(path: pathlib.Path, kind: str) -> None:
 @pytest.mark.parametrize("kind", ["truncated", "garbage", "integrity-mismatch"])
 @pytest.mark.parametrize("source", ["disk", "shared"])
 def test_worker_attach_falls_back_to_compute_on_corruption(
-    store, source, kind
+    store, source, kind, monkeypatch
 ):
-    """A corrupt blob behind a published ref warns and computes instead."""
+    """A corrupt blob behind a published ref warns and registers no pools."""
+    monkeypatch.setattr(material_module, "_ATTACHED", {})
     store.build([TEST_GROUP], nonces=2, feldman=1)
     path = store.path_for(TEST_GROUP)
     _corrupt_file(path, kind)
@@ -332,8 +339,7 @@ def test_worker_attach_falls_back_to_compute_on_corruption(
     )
     with pytest.warns(RuntimeWarning, match="falling back"):
         warm_with_material(handle)
-    # The fallback still leaves the process fully warmed and correct.
-    assert TEST_GROUP._fb_table is not None
+    assert attached_material(group_fingerprint(TEST_GROUP)) is None
     assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
 
 
@@ -534,7 +540,8 @@ def test_cli_material_build_inspect_clear(store, capsys):
     assert group_fingerprint(GROUP_2048) in out
 
     assert main(["material", "inspect"]) == 0
-    assert "fb_table_bytes" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "nonces" in out and "fb_" not in out
 
     assert main(["material", "clear"]) == 0
     assert "removed 2 material file(s)" in capsys.readouterr().out
@@ -592,8 +599,6 @@ def test_host_process_workers_attach_every_published_group(store, monkeypatch):
     """
     from concurrent import futures
 
-    from repro.runtime import AsyncSessionHost, run_sbc_trial
-
     started = {}
 
     def recording(max_workers, initializer=None, initargs=()):
@@ -614,13 +619,181 @@ def test_host_process_workers_attach_every_published_group(store, monkeypatch):
     ]
 
 
-def test_warmup_off_never_publishes_or_claims_material(store):
-    """warmup=False measures cold workers: nothing to publish or attach."""
-    report = SessionPool(
-        config=SweepConfig(
-            executor="process", workers=1, warmup=False, material="shared",
-        ),
-        **PARAMS,
-    ).run(range(2))
-    assert report.material_source == "compute"  # nothing was attached
-    assert not store.path_for(TEST_GROUP).exists()  # no offline build ran
+@pytest.mark.parametrize("entry", ["pool", "host"])
+def test_inline_runs_attach_the_configured_material_groups(store, monkeypatch, entry):
+    """An inline run attaches ``material_groups``, as a process run
+    publishes them, and builds no store file for a group it was not
+    given."""
+    monkeypatch.setattr(material_module, "_ATTACHED", {})
+    store.build([GROUP_2048], nonces=2, feldman=1)
+    config = SweepConfig(material="shared", material_groups=(GROUP_2048,))
+    if entry == "pool":
+        report = SessionPool(config=config, **PARAMS).run([0])
+    else:
+        host = AsyncSessionHost(
+            run_sbc_trial, config=config.replace(backend="async"), **PARAMS
+        )
+        report = host.run([0])
+    assert len(report.results) == 1
+    assert attached_material(group_fingerprint(GROUP_2048)) is not None
+    assert attached_material(group_fingerprint(TEST_GROUP)) is None
+    assert not store.path_for(TEST_GROUP).exists()
+
+
+# ---------------------------------------------------------------------------
+# g's window table: built only in the process that walks it
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def restore_g_table():
+    """Put TEST_GROUP's ``g`` table back after a test that drops it."""
+    before = TEST_GROUP._fb_state
+    yield
+    object.__setattr__(TEST_GROUP, "_fb_state", before)
+
+
+def _drop_g_table() -> None:
+    object.__setattr__(TEST_GROUP, "_fb_state", None)
+
+
+@pytest.mark.parametrize("arith", ["openssl", "python"])
+def test_g_table_is_built_only_where_it_is_walked(
+    store, monkeypatch, use_arith, restore_g_table, arith
+):
+    """Attaching builds no table on any tier.  A 3-voter election then
+    builds ``g``'s table once under ``python``, never under ``openssl``."""
+    from repro.runtime.pool import _warm_worker
+
+    if arith not in available_arith_backends():
+        pytest.skip(f"{arith} tier not available")
+    use_arith(arith)
+    store.build([TEST_GROUP], nonces=4, feldman=1)
+    monkeypatch.setattr(material_module, "_ATTACHED", {})
+    builds = []
+    window_table = groups_module._window_table
+
+    def counting(base, *args):
+        if base == TEST_GROUP.g:
+            builds.append(base)
+        return window_table(base, *args)
+
+    monkeypatch.setattr(groups_module, "_window_table", counting)
+    _drop_g_table()
+    fingerprint = group_fingerprint(TEST_GROUP)
+
+    _warm_worker("pooled", publish_material("shared", store=store), arith)
+    assert attached_material(fingerprint) is not None
+    material_module._ATTACHED.clear()
+    get_backend("pooled").warm_up("shared")
+    assert attached_material(fingerprint) is not None
+    assert TEST_GROUP._fb_state is None and builds == []
+
+    result = run_voting_trial(0, voters=3, mode="hybrid")
+    assert result.outputs
+    if arith == "openssl":
+        assert TEST_GROUP._fb_state is None and builds == []
+    else:
+        state = TEST_GROUP._fb_state
+        assert state is not None and len(builds) == 1
+        assert TEST_GROUP.power_of_g(4242) == pow(TEST_GROUP.g, 4242, TEST_GROUP.p)
+        assert TEST_GROUP._fb_state is state and len(builds) == 1
+
+
+def test_python_workers_build_tables_lazily_with_openssl_digests(
+    store, use_arith, restore_g_table
+):
+    """Forked ``python``-tier workers start with no ``g`` table and build
+    their own; every material source gives the ``openssl`` digests."""
+    if "openssl" not in available_arith_backends():
+        pytest.skip("openssl tier not available")
+    seeds = range(4)
+    use_arith("openssl")
+    store.build([TEST_GROUP], nonces=8, feldman=2)
+    reference = SessionPool(config=SweepConfig(executor="inline"), **VOTING).run(seeds)
+    digests = [result.digest for result in reference.results]
+    use_arith("python")
+    _drop_g_table()
+    for source in ("compute", "disk", "shared"):
+        report = SessionPool(
+            config=SweepConfig(executor="process", workers=2, material=source),
+            **VOTING,
+        ).run(seeds)
+        assert [result.digest for result in report.results] == digests, source
+    assert TEST_GROUP._fb_state is None  # the parent walked no table
+
+
+# ---------------------------------------------------------------------------
+# Format upgrade: version 1 blobs carried g's table
+# ---------------------------------------------------------------------------
+
+
+def _version_1_blob(group: SchnorrGroup) -> bytes:
+    """``build_material(group, nonces=2, feldman=1)`` in the version 1
+    layout: ``g``'s width-6 window table ahead of the pools."""
+    material = build_material(group, nonces=2, feldman=1)
+    width = material.element_width
+    table = groups_module._window_table(group.g, group.p, group.q.bit_length(), 6)
+    header = {
+        "version": 1,
+        "fingerprint": material.fingerprint,
+        "p": format(group.p, "x"),
+        "q": format(group.q, "x"),
+        "g": format(group.g, "x"),
+        "width": width,
+        "fb_window": 6,
+        "fb_rows": len(table),
+        "fb_cols": len(table[0]),
+        "nonces": 2,
+        "feldman": 1,
+        "feldman_threshold": 2,
+        "seed": 0,
+    }
+    flat = [entry for row in table for entry in row]
+    for pair in material.nonces:
+        flat.extend((pair.k, pair.r))
+    for entry in material.feldman:
+        flat.extend(entry.coefficients + entry.commitments)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    payload = (
+        len(header_bytes).to_bytes(4, "big")
+        + header_bytes
+        + b"".join(value.to_bytes(width, "big") for value in flat)
+    )
+    return MATERIAL_MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+def test_version_1_blob_is_refused():
+    with pytest.raises(MaterialFormatError, match="version 1"):
+        deserialize_material(_version_1_blob(TEST_GROUP))
+
+
+@pytest.mark.parametrize("entry", ["ensure", "online-plan"])
+def test_version_1_store_file_is_rebuilt_with_one_warning(store, entry):
+    store.root.mkdir(parents=True, exist_ok=True)
+    path = store.path_for(TEST_GROUP)
+    path.write_bytes(_version_1_blob(TEST_GROUP))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "ensure":
+            store.ensure(TEST_GROUP, nonces=2, feldman=1)
+        else:
+            plan = OnlinePlan.for_tasks([0, 1], store=store)
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(messages) == 1 and "rebuilding from scratch" in messages[0]
+    rebuilt = store.load(TEST_GROUP)
+    assert store.inspect()[0]["ok"]
+    if entry == "online-plan":
+        assert plan.blob_sha256 == path.read_bytes()[4:36].hex()
+        assert plan.pool_nonces == len(rebuilt.nonces) > 0
+
+
+def test_cli_material_inspect_flags_a_version_1_blob(store, capsys):
+    from repro.cli import main
+
+    store.root.mkdir(parents=True, exist_ok=True)
+    store.path_for(TEST_GROUP).write_bytes(_version_1_blob(TEST_GROUP))
+    assert main(["material", "inspect", "--json"]) == 1
+    records = json.loads(capsys.readouterr().out)
+    assert records[0]["ok"] is False
+    assert "version 1" in records[0]["error"]

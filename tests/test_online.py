@@ -248,11 +248,12 @@ def test_plan_open_without_material_degrades_to_counted_sampling(store, monkeypa
 # ---------------------------------------------------------------------------
 
 
-def test_online_requires_pool_bearing_material_and_warmup():
+def test_online_requires_pool_bearing_material():
     with pytest.raises(ValueError, match="material"):
         SweepConfig(online=True)
-    with pytest.raises(ValueError, match="warmup"):
-        SweepConfig(online=True, material="disk", warmup=False)
+    with pytest.raises(ValueError, match="material"):
+        SweepConfig(online=True, material="compute", executor="process")
+    assert SweepConfig(online=True, material="disk").online is True
 
 
 def test_online_run_is_digest_pinned_and_reproducible(store):

@@ -369,9 +369,9 @@ def test_fixed_base_table_bit_identical():
 def test_fixed_base_lazy_for_large_groups():
     group = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
     assert group.power_of_g(12345) == pow(group.g, 12345, group.p)
-    assert group._fb_table is None  # big modulus: no table after one call
+    assert group._fb_state is None  # big modulus: no table after one call
     group.precompute_fixed_base()
-    assert group._fb_table is not None
+    assert group._fb_state is not None
     assert group.power_of_g(12345) == pow(group.g, 12345, group.p)
 
 

@@ -3,7 +3,7 @@
 The sweep driver's contract: any (runner, task list) workload shards
 across process workers with deterministic result ordering and
 seed-for-seed trace-digest equality against the inline executor, with
-per-worker crypto warm-up and workers that live for the whole sweep.
+a per-worker initializer and workers that live for the whole sweep.
 """
 
 import pytest
@@ -29,7 +29,7 @@ def test_plan_resolves_workers_and_chunks():
     sweep = SessionPool(config=SweepConfig(executor="process", workers=4), **PARAMS)
     plan = sweep.plan(64)
     assert plan == SweepPlan(
-        tasks=64, executor="process", workers=4, chunksize=4, warmup=True,
+        tasks=64, executor="process", workers=4, chunksize=4,
     )
     # Ten chunks at the cap of 4, then 3, 3, 3, 2, 2, 2, 2 and seven 1s.
     assert plan.chunks == 24
@@ -168,7 +168,7 @@ def test_scenario_cells_shard_across_processes():
 
 
 def test_sbc_trial_worker_warmup_smoke():
-    # The initializer path itself: one process worker, warmed, running the
+    # The initializer path itself: one initialized process worker running the
     # default SBC trial runner end to end.
     sweep = SessionPool(
         runner=run_sbc_trial,

@@ -40,15 +40,7 @@ from repro.runtime.supervisor import ChaosPlan
         ({"trace": "loud"}, "trace must be one of"),
         ({"online": True, "executor": "process"}, "disk.*shared|pools"),
         ({"chaos": "kill@3"}, "executor='process'"),
-        (
-            {
-                "online": True,
-                "material": "disk",
-                "executor": "process",
-                "warmup": False,
-            },
-            "warmup=True",
-        ),
+        ({"material": "telepathy"}, "material source must be one of"),
         ({"workers": 0}, "workers must be >= 1"),
         ({"workers": -2, "executor": "process"}, "workers must be >= 1"),
         ({"retry_attempts": 0, "executor": "process"}, "retry_attempts must be >= 1"),
@@ -160,7 +152,6 @@ KNOB_VALUES = dict(
     executor="process",
     workers=2,
     chunksize=1,
-    warmup=True,
     material=None,
     material_groups=None,
     online=False,

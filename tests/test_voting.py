@@ -134,7 +134,7 @@ def test_hybrid_election_under_openssl_builds_no_table(monkeypatch, use_arith):
     use_arith("openssl")
     cold, registered, w = _hybrid_election_registrations(monkeypatch)
     assert registered[w] is _TABLE_PENDING
-    assert cold._fb_table is None
+    assert cold._fb_state is None
 
 
 def test_vote_before_setup_queued():
