@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli election  --voters 5 --candidates yes no
     python -m repro.cli auction   --bids 410 365 298
     python -m repro.cli lineage   --n 4 16 64
-    python -m repro.cli bench     --sessions 32 --backend pooled --compare
     python -m repro.cli sweep     --sessions 64 --executor process --workers 4 --verify
     python -m repro.cli material  build --for-sweep 64
     python -m repro.cli sweep     --sessions 64 --material shared
@@ -24,15 +23,15 @@ runs its sessions oldest-first.  The
 top-level ``--arith`` flag selects the big-integer arithmetic tier
 (``auto`` picks gmpy2 when installed, else libcrypto's ``openssl``;
 results are identical across tiers, only speed changes), and ``--batch-verify`` on the
-sweep/bench/scenario/election commands batches verification rounds
+sweep/scenario/election commands batches verification rounds
 through random-linear-combination multi-exps.
 
-The execution knobs on ``bench``/``sweep``/``scenarios run``/``serve``
+The execution knobs on ``sweep``/``scenarios run``/``serve``
 are one shared flag set (:func:`repro.runtime.config.add_sweep_options`)
 feeding one :class:`repro.runtime.config.SweepConfig` — the same object
 the Python entry points take via ``config=``.  The chunked fan-out flags
 (:func:`repro.runtime.config.add_fanout_options`: chunk size, journal,
-chaos, retry attempts, deadline cap) go on the three sweep commands only.
+chaos, retry attempts, deadline cap) go on the two sweep commands only.
 
 Online mode is build, attach, spend, ledger: ``material build`` writes
 the pools, every online run spends its slices from index 0 of the blob
@@ -156,75 +155,6 @@ def _sbc_params_error(params: dict) -> Optional[str]:
     except ValueError as exc:
         return str(exc)
     return None
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runtime import SessionPool, SweepConfig, sequential_loop
-
-    if args.sessions < 1:
-        print("--sessions must be >= 1 (an empty sweep has nothing to report)",
-              file=sys.stderr)
-        return 2
-    params = dict(
-        n=args.n, mode=args.mode, phi=args.phi, delta=args.delta, senders=args.senders
-    )
-    error = _sbc_params_error(params)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        config = SweepConfig.from_args(args, backend=args.backend)
-        pool = SessionPool(config=config, **params)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    seeds = list(range(args.seed, args.seed + args.sessions))
-    try:
-        report = pool.run(seeds)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    error = report.quarantine_error()
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    rows = [report.summary()]
-    if args.compare:
-        if args.batch_verify:
-            # The baseline must batch too, or the verify.batch trace
-            # events would make the digest comparison meaningless.
-            from repro.crypto.batch import BatchPolicy
-
-            params = dict(params, batch=BatchPolicy())
-        baseline = sequential_loop(seeds, **params)
-        rows.append(baseline.summary())
-        speedup = baseline.wall_time_s / report.wall_time_s
-    print(format_table(rows, title=f"SessionPool: {args.sessions} x SBC ({args.mode})"))
-    per_session = report.wall_time_s / max(report.sessions, 1)
-    print(f"per-session: {per_session * 1000:.2f} ms")
-    if args.compare:
-        print(f"speedup vs sequential loop: {speedup:.2f}x")
-        if args.online:
-            # Online runs spend pools, so their digests are pinned apart
-            # from the per-call baseline by design; an equality check
-            # here would always "fail" without meaning anything.
-            print("trace digests: not compared (online runs are "
-                  "digest-pinned separately from per-call runs; use "
-                  "'repro sweep --online --verify' instead)")
-        elif args.trace == "full":
-            from repro.runtime import reports_match
-
-            matched = reports_match(report, baseline)
-            print(f"trace digests match sequential reference: "
-                  f"{'yes' if matched else 'NO'}")
-            if not matched:
-                return 1
-        else:
-            # A trace-off sweep has no digests; saying nothing would look
-            # like a vacuous pass (see runtime.pool.compare_trace_digests).
-            print("trace digests: not compared (sweep ran trace-off; "
-                  "use --trace full to verify determinism)")
-    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -609,25 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_auction)
 
     # One shared execution-flag block (the SweepConfig knob set) for
-    # bench/sweep/scenarios run/serve, plus the chunked fan-out block for
-    # the three sweep commands — defined once in runtime.config so the
+    # sweep/scenarios run/serve, plus the chunked fan-out block for
+    # the two sweep commands — defined once in runtime.config so the
     # subcommands cannot drift apart again.
     from repro.runtime.config import add_fanout_options, add_sweep_options
-
-    p = sub.add_parser("bench", help="run a pooled SBC session sweep")
-    common(p)
-    p.add_argument("--sessions", type=int, default=32, help="number of independent sessions")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--phi", type=int, default=5)
-    p.add_argument("--delta", type=int, default=3)
-    p.add_argument("--senders", type=int, default=2)
-    add_sweep_options(p, executor_default="inline", trace_default="light")
-    add_fanout_options(p)
-    p.add_argument(
-        "--compare", action="store_true",
-        help="also run the sequential reference loop and print the speedup",
-    )
-    p.set_defaults(func=_cmd_bench, backend="pooled")
 
     p = sub.add_parser(
         "sweep",

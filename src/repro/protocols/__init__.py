@@ -3,7 +3,10 @@
 =======================  ====================================================
 Module                   Paper protocol
 =======================  ====================================================
-``dolev_strong``         ΠRBC — Dolev–Strong over ``Fcert`` (Fact 1)
+``dolev_strong``         ΠRBC — Dolev–Strong over ``Fcert`` (Fact 1); each
+                         signature covers ``(sid, run tag, sender, value)``
+``ds_ubc``               ΠUBC with each ``FRBC`` realized by a Dolev–Strong
+                         run (Figure 9 + Fact 1)
 ``ubc_protocol``         ΠUBC over ``FRBC`` instances (Figure 9, Lemma 1)
 ``fbc_protocol``         ΠFBC over ``FUBC`` + ``Wq(F*RO)`` + ``FRO``
                          (Figure 11, Lemma 2: realizes ``F^{2,2}_FBC``)

@@ -1,11 +1,10 @@
 """Unfair broadcast realized by Dolev–Strong runs (FRBC made concrete).
 
 ``ΠUBC`` (Figure 9) composes per-message ``FRBC`` instances; Fact 1 says
-each instance is realizable by Dolev–Strong over ``Fcert``.  This module
-performs that last substitution: every broadcast request starts a
-Dolev–Strong run among all parties over authenticated point-to-point
-channels, so the resulting :class:`DolevStrongUBCAdapter` is an unfair
-broadcast whose agreement rests on *signatures*, not on an ideal box.
+each is realizable by Dolev–Strong over ``Fcert``.  Here every broadcast
+request starts a :class:`~repro.protocols.dolev_strong.DolevStrongRun`
+over authenticated point-to-point channels, so :class:`DolevStrongUBCAdapter`
+is an unfair broadcast whose agreement rests on *signatures*.
 
 The price is latency: a run with corruption bound ``t`` delivers after
 ``t + 1`` relay rounds instead of within the sender's round.  Protocols
@@ -17,30 +16,15 @@ started before ``t_end`` still land before ``τ_rel`` (exercised in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.functionalities.certification import Certification
 from repro.functionalities.network import SyncNetwork
-from repro.uc.encoding import encode
+from repro.protocols.dolev_strong import BOTTOM, DolevStrongRun, wire_tag
 from repro.uc.entity import Functionality, Party
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uc.session import Session
-
-
-@dataclass
-class _Run:
-    """One Dolev–Strong broadcast run (all parties' per-run state)."""
-
-    run_id: int
-    sender: str
-    start_time: int
-    t: int
-    # per party: values accepted so far (list to preserve order, max 2)
-    accepted: Dict[str, List[Any]] = field(default_factory=dict)
-    delivered: set = field(default_factory=set)
-    decided: bool = False
 
 
 class DolevStrongUBCAdapter(Functionality):
@@ -50,47 +34,32 @@ class DolevStrongUBCAdapter(Functionality):
     (modulo latency).  Unfairness is faithful: the initial signed sends
     traverse the rushing network, so the adversary sees each message the
     round it is sent and a corrupted sender's key signs whatever the
-    adversary likes.
+    adversary likes.  A run whose decision is ``⊥`` delivers nothing.
 
     Args:
         session: Owning session.
         pids: The fixed party set of the broadcast network.
         t: Corruption bound (runs last ``t + 1`` relay rounds).
+        fid: Functionality id; run ``i`` is tagged ``(fid, i)``.
     """
 
-    def __init__(
-        self,
-        session: "Session",
-        pids: List[str],
-        t: int,
-        fid: str = "DSUBC",
-    ) -> None:
+    def __init__(self, session: "Session", pids: List[str], t: int, fid: str = "DSUBC") -> None:
         super().__init__(session, fid)
-        self.pids = list(pids)
         self.t = t
         self.latency = t + 2  # t+1 relays + the decision round
         self.network = SyncNetwork(session, fid=f"Net:{fid}")
-        self.certs = {
-            pid: Certification(session, signer=pid, fid=f"Fcert:{fid}:{pid}")
-            for pid in pids
-        }
-        self._runs: Dict[int, _Run] = {}
-        self._next_run = 0
-        self._inboxes: Dict[str, List[Tuple[int, Any, tuple]]] = {}
-        self._outboxes: Dict[str, List[Tuple[int, Any, tuple]]] = {}
-        self._ticked: Dict[str, int] = {}
-
-    # -- wiring -------------------------------------------------------------
+        self.certs = {pid: Certification(session, signer=pid, fid=f"Fcert:{fid}:{pid}") for pid in pids}
+        #: Every run started, by tag ``(fid, index)``.
+        self.runs: Dict[Tuple[str, int], DolevStrongRun] = {}
+        #: Per attached party: the runs it has not decided yet, oldest first.
+        self._open: Dict[str, List[DolevStrongRun]] = {}
 
     def attach(self, party: Party) -> None:
         """Route the network to this adapter and join the clock chain."""
-        party.route[self.network.fid] = lambda message, source: self._on_net(
-            party, message
-        )
+        party.route[self.network.fid] = lambda message, source: self._on_net(party, message)
+        self._open.setdefault(party.pid, [])
         if self not in party.clock_recipients:
             party.clock_recipients.append(self)
-
-    # -- broadcast interface ----------------------------------------------------
 
     def broadcast(self, party: Party, message: Any) -> None:
         """Start a Dolev–Strong run with ``party`` as sender."""
@@ -104,100 +73,34 @@ class DolevStrongUBCAdapter(Functionality):
         self._start_run(pid, message)
 
     def _start_run(self, sender: str, message: Any) -> None:
-        run = _Run(
-            run_id=self._next_run, sender=sender, start_time=self.time, t=self.t
+        tag = (self.fid, len(self.runs))
+        run = self.runs[tag] = DolevStrongRun(
+            self.session, self.network, self.certs, sender, self.t, tag,
+            start_time=self.time,
         )
-        self._next_run += 1
-        self._runs[run.run_id] = run
-        signature = self.certs[sender].sign(
-            sender, self._payload(run.run_id, sender, message)
-        )
-        run.accepted.setdefault(sender, []).append(message)
-        self._outboxes.setdefault(sender, []).append(
-            (run.run_id, message, ((sender, signature),))
-        )
-        # The initial sends leave immediately (rushing adversary sees them
-        # via the network's metadata leak; content leaks on delivery to
-        # corrupted parties).
-        self._flush_outbox(sender)
-
-    def _payload(self, run_id: int, sender: str, message: Any) -> bytes:
-        return encode(("DS-UBC", self.fid, run_id, sender, message))
-
-    # -- network delivery ------------------------------------------------------------
+        run.input(message)
+        for open_runs in self._open.values():
+            open_runs.append(run)
+        # The initial sends leave now: the rushing adversary sees their
+        # metadata at once, their content on delivery to corrupted parties.
+        run.flush(sender)
 
     def _on_net(self, party: Party, message: Any) -> None:
         kind, payload, _wire_sender = message
-        if kind != "P2P":
-            return
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
-        run_id, value, chain = payload
-        if run_id not in self._runs:
-            return
-        self._inboxes.setdefault(party.pid, []).append((run_id, value, tuple(chain)))
-
-    # -- round work --------------------------------------------------------------------
+        if kind == "P2P":
+            run = self.runs.get(wire_tag(payload))
+            if run is not None:
+                run.receive(party.pid, payload)
 
     def on_party_tick(self, party: Party) -> None:
-        now = self.time
-        if self._ticked.get(party.pid) == now:
-            return
-        self._ticked[party.pid] = now
-        self._process_inbox(party.pid, now)
-        self._flush_outbox(party.pid)
-        self._decide_due_runs(party, now)
+        """Step ``party``'s open runs; deliver each non-⊥ decision once.
 
-    def _process_inbox(self, pid: str, now: int) -> None:
-        inbox = self._inboxes.pop(pid, [])
-        for run_id, value, chain in inbox:
-            run = self._runs.get(run_id)
-            if run is None or run.decided:
-                continue
-            k = now - run.start_time
-            accepted = run.accepted.setdefault(pid, [])
-            if len(accepted) >= 2 or value in accepted:
-                continue
-            if not self._valid_chain(run, value, chain, minimum=k):
-                continue
-            accepted.append(value)
-            if k <= run.t and not self.session.is_corrupted(pid):
-                signature = self.certs[pid].sign(
-                    pid, self._payload(run.run_id, run.sender, value)
-                )
-                self._outboxes.setdefault(pid, []).append(
-                    (run_id, value, chain + ((pid, signature),))
-                )
-
-    def _valid_chain(self, run: _Run, value: Any, chain: tuple, minimum: int) -> bool:
-        if len(chain) < max(1, minimum):
-            return False
-        signers = [pid for pid, _sig in chain]
-        if signers[0] != run.sender or len(set(signers)) != len(signers):
-            return False
-        payload = self._payload(run.run_id, run.sender, value)
-        return all(
-            pid in self.certs and self.certs[pid].verify(payload, signature)
-            for pid, signature in chain
-        )
-
-    def _flush_outbox(self, pid: str) -> None:
-        outbox = self._outboxes.pop(pid, [])
-        party = self.session.parties.get(pid)
-        for item in outbox:
-            for recipient in self.pids:
-                if party is not None and not party.corrupted:
-                    self.network.send(party, recipient, item)
-                else:
-                    self.network.adv_send(pid, recipient, item)
-
-    def _decide_due_runs(self, party: Party, now: int) -> None:
-        for run in self._runs.values():
-            if now - run.start_time < run.t + 1:
-                continue
-            if party.pid in run.delivered:
-                continue
-            run.delivered.add(party.pid)
-            accepted = run.accepted.get(party.pid, [])
-            if len(accepted) == 1:
-                self.deliver(party, ("Broadcast", accepted[0], run.sender))
+        A second tick in a round (ΠSBC forwards its ticks here too) is a no-op.
+        """
+        open_runs = self._open[party.pid]
+        for run in list(open_runs):
+            if run.step(party.pid):
+                open_runs.remove(run)
+                value = run.decision(party.pid)
+                if value != BOTTOM:
+                    self.deliver(party, ("Broadcast", value, run.sender))

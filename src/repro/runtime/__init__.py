@@ -95,7 +95,6 @@ from repro.runtime.pool import (
     resolve_workers,
     run_sbc_trial,
     run_voting_trial,
-    sequential_loop,
     trace_digest,
 )
 from repro.runtime.scheduler import BatchScheduler
@@ -165,7 +164,6 @@ __all__ = [
     "resolve_workers",
     "run_sbc_trial",
     "run_voting_trial",
-    "sequential_loop",
     "trace_digest",
     "warm_with_material",
 ]

@@ -8,7 +8,7 @@ the supervision, journal and trace knobs without anyone noticing).
 holding every knob, with *all* validation in
 :meth:`SweepConfig.__post_init__`, and an argparse bridge
 (:func:`add_sweep_options` and :func:`add_fanout_options`, read back by
-:meth:`SweepConfig.from_args`): ``bench``/``sweep``/``scenarios run``
+:meth:`SweepConfig.from_args`): ``sweep`` and ``scenarios run``
 take both flag sets, ``serve`` only the first.  ``config=`` is the only
 way into an entry point: ``SessionPool`` refuses a knob passed as a
 loose keyword, since it would otherwise reach the runner and skip this
@@ -185,8 +185,8 @@ class SweepConfig:
 
         Every flag carries its knob's name (``--retry-attempts`` sets
         ``retry_attempts``), so the knobs the namespace holds are copied
-        and the rest keep their defaults: one builder serves ``bench``,
-        ``sweep``, ``scenarios run`` and ``serve`` (which takes no
+        and the rest keep their defaults: one builder serves ``sweep``,
+        ``scenarios run`` and ``serve`` (which takes no
         :func:`add_fanout_options` flags).  The ``--chaos`` spec string
         is parsed by ``__post_init__``.  ``backend`` comes from
         ``overrides`` only, which win over the namespace: ``--backend``
@@ -208,10 +208,10 @@ def add_sweep_options(
 ) -> None:
     """Install the execution flags every session runner reads on ``parser``.
 
-    One definition for ``bench``/``sweep``/``scenarios run``/``serve``,
-    so subcommands cannot drift apart again.  ``executor_default``/
-    ``trace_default`` carry the per-command defaults (bench and the
-    matrix stay inline, the sweep fans out to processes).  Commands
+    One definition for ``sweep``/``scenarios run``/``serve``, so
+    subcommands cannot drift apart again.  ``executor_default``/
+    ``trace_default`` carry the per-command defaults (the matrix and
+    ``serve`` stay inline, the sweep fans out to processes).  Commands
     that run a chunked sweep add :func:`add_fanout_options` too.
     """
     parser.add_argument(
@@ -254,7 +254,7 @@ def add_fanout_options(parser: argparse.ArgumentParser) -> None:
 
     Chunk size, journal and resume, chaos faults, retry and deadline
     shape a sweep's chunks and their supervision, so only the commands
-    that run a sweep (``bench``/``sweep``/``scenarios run``) take them;
+    that run a sweep (``sweep`` and ``scenarios run``) take them;
     ``serve`` hosts sessions one by one and would ignore them.
     """
     parser.add_argument(

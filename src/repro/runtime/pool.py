@@ -588,8 +588,8 @@ class PoolReport:
     #: instead of executed (``repro sweep --resume``).
     resumed: int = 0
     #: The execution shape the run resolved, over the tasks it dispatched
-    #: (a resume plans only its unjournaled ones); None for the
-    #: sequential loop.  Not part of :meth:`summary`.
+    #: (a resume plans only its unjournaled ones); None for a report
+    #: built by hand.  Not part of :meth:`summary`.
     plan: Optional[SweepPlan] = None
 
     @property
@@ -1219,25 +1219,3 @@ class SessionPool:
 #: The name the multi-core sweep engine went by; the same class.
 ParallelSweep = SessionPool
 
-
-def sequential_loop(
-    seeds: Sequence[int],
-    runner: Callable[..., TrialResult] = run_sbc_trial,
-    **runner_kwargs: Any,
-) -> PoolReport:
-    """The naive baseline: a plain loop on the reference backend.
-
-    This is what benchmarks compare :class:`SessionPool` against — each
-    session cold-started under the ``sequential`` backend with full
-    tracing, exactly as the pre-runtime engine ran them.
-    """
-    runner_kwargs.setdefault("backend", "sequential")
-    start = time.perf_counter()
-    results = [runner(seed, **runner_kwargs) for seed in seeds]
-    elapsed = time.perf_counter() - start
-    return PoolReport(
-        backend="sequential",
-        executor="loop",
-        wall_time_s=elapsed,
-        results=list(results),
-    )

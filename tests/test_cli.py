@@ -97,21 +97,12 @@ def test_sweep_command_process_verify(capsys):
     assert "forcing --trace full" in out  # light default upgraded for --verify
 
 
-def test_bench_command_process_executor(capsys):
-    assert main([
-        "bench", "--sessions", "4", "--n", "3", "--executor", "process",
-        "--workers", "2", "--chunksize", "2", "--trace", "full", "--compare",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "trace digests match sequential reference: yes" in out
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--sessions", "2", "--executor", "process", "--workers", "0"],
-        ["bench", "--sessions", "2", "--executor", "process", "--workers", "-2"],
-        ["bench", "--sessions", "2", "--executor", "process", "--workers", "0"],
+        ["sweep", "--sessions", "2", "--executor", "process", "--workers", "-2"],
+        ["scenarios", "run", "--executor", "process", "--workers", "0"],
         ["serve", "--sessions", "2", "--executor", "process", "--workers", "0"],
     ],
 )
@@ -120,7 +111,7 @@ def test_non_positive_workers_exit_2(argv, capsys):
     assert "workers must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["bench"], ["sweep"], ["serve"], ["scenarios", "run"]])
+@pytest.mark.parametrize("command", [["sweep"], ["serve"], ["scenarios", "run"]])
 def test_unknown_executor_exits_2(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--executor", "thread"])
@@ -135,8 +126,9 @@ def test_unknown_executor_exits_2(command, capsys):
         (["sbc", "--n", "-2"], "--n"),
         (["beacon", "--n", "0"], "--n"),
         (["election", "--voters", "0"], "--voters"),
-        (["bench", "--sessions", "2", "--n", "0"], "--n"),
-        (["bench", "--sessions", "2", "--senders", "0"], "--senders"),
+        (["sweep", "--sessions", "2", "--executor", "inline", "--workload", "voting",
+          "--n", "0"], "--n"),
+        (["sweep", "--sessions", "2", "--executor", "inline", "--senders", "0"], "--senders"),
         (["sweep", "--sessions", "2", "--executor", "inline", "--n", "0"], "--n"),
         (["serve", "--sessions", "2", "--n", "0"], "--n"),
         (["lineage", "--n", "4", "0"], "--n"),
@@ -154,9 +146,9 @@ def test_non_positive_size_flags_exit_2(argv, flag, capsys):
         ("--delta", "delta > max"),
     ],
 )
-def test_bench_theorem_2_bounds_exit_2(flag, message, capsys):
+def test_sweep_inline_theorem_2_bounds_exit_2(flag, message, capsys):
     # The first trial refuses the parameters: one stderr line, no traceback.
-    assert main(["bench", "--sessions", "2", flag, "0"]) == 2
+    assert main(["sweep", "--sessions", "2", "--executor", "inline", flag, "0"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err
@@ -167,10 +159,8 @@ def test_bench_theorem_2_bounds_exit_2(flag, message, capsys):
     "argv",
     [
         ["sweep", "--sessions", "2", "--workers", "2", "--phi", "-1"],
-        ["bench", "--sessions", "2", "--executor", "process", "--workers", "2",
-         "--phi", "0"],
     ],
-    ids=["sweep", "bench-process"],
+    ids=["sweep"],
 )
 def test_process_executor_names_theorem_2_bound(argv, capsys):
     # A worker would quarantine every trial; the parent names the bound.
@@ -188,10 +178,8 @@ def test_process_executor_names_theorem_2_bound(argv, capsys):
         ["sweep", "--sessions", "2", "--replenish"],
         ["material", "replenish"],
         ["sweep", "--sessions", "2", "--adaptive"],
-        ["bench", "--sessions", "2", "--adaptive"],
         ["scenarios", "run", "--cell", "ubc/", "--adaptive"],
         ["sweep", "--sessions", "2", "--max-tasks-per-child", "2"],
-        ["bench", "--sessions", "2", "--max-tasks-per-child", "2"],
         ["scenarios", "run", "--cell", "ubc/", "--max-tasks-per-child", "2"],
         # serve runs no chunked sweep, so it takes no fan-out flags.
         ["serve", "--sessions", "2", "--executor", "process", "--chaos", "kill@0"],
@@ -203,9 +191,8 @@ def test_process_executor_names_theorem_2_bound(argv, capsys):
     ],
     ids=[
         "consume-forward", "replenish", "material-replenish",
-        "sweep-adaptive", "bench-adaptive", "scenarios-adaptive",
-        "sweep-max-tasks-per-child", "bench-max-tasks-per-child",
-        "scenarios-max-tasks-per-child",
+        "sweep-adaptive", "scenarios-adaptive",
+        "sweep-max-tasks-per-child", "scenarios-max-tasks-per-child",
         "serve-chaos", "serve-journal", "serve-chunksize", "serve-deadline-cap-s",
         "sweep-chaos-hang-s",
     ],
@@ -243,9 +230,8 @@ def test_all_quarantined_sweep_names_the_reason(output, capsys):
 )
 @pytest.mark.parametrize(
     "command",
-    [["sweep", "--sessions", "2"], ["bench", "--sessions", "2"],
-     ["scenarios", "run", "--cell", "ubc/"]],
-    ids=["sweep", "bench", "scenarios"],
+    [["sweep", "--sessions", "2"], ["scenarios", "run", "--cell", "ubc/"]],
+    ids=["sweep", "scenarios"],
 )
 def test_bad_supervision_flag_names_its_knob(command, flag, value, knob, capsys):
     argv = command + ["--executor", "process", "--workers", "2", flag, value]
@@ -254,7 +240,7 @@ def test_bad_supervision_flag_names_its_knob(command, flag, value, knob, capsys)
     assert len(err.splitlines()) == 1 and knob in err
 
 
-@pytest.mark.parametrize("command", ["sweep", "bench"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_missing_resume_journal_exits_2(command, tmp_path, capsys):
     argv = [command, "--sessions", "2", "--executor", "process", "--workers", "2",
             "--journal", str(tmp_path / "absent.jsonl"), "--resume"]

@@ -7,7 +7,6 @@ from repro.protocols.dolev_strong import (
     make_dolev_strong_instance,
 )
 from repro.uc.adversary import Adversary
-from repro.uc.encoding import encode
 from repro.uc.environment import Environment
 from repro.uc.session import Session
 
@@ -75,28 +74,20 @@ def test_message_complexity_order_n_squared():
 class EquivocatingSender(Adversary):
     """Corrupted sender sends value A to half the parties, B to the rest."""
 
-    def __init__(self, network, certs, sender, pids, instance="ds0"):
+    def __init__(self, run, pids):
         super().__init__()
-        self.network = network
-        self.certs = certs
-        self.sender = sender
+        self.run = run
         self.pids = pids
-        self.instance = instance
 
     def start(self, session):
-        self.corrupt(self.sender)
-        payload_a, payload_b = b"A", b"B"
-        sid = session.sid
+        run = self.run
+        self.corrupt(run.sender)
         half = len(self.pids) // 2
-        for value, group in ((payload_a, self.pids[:half]), (payload_b, self.pids[half:])):
-            signature = self.certs[self.sender].sign(
-                self.sender, encode(("DS", sid, self.sender, value))
-            )
-            chain = ((self.sender, signature),)
+        for value, group in ((b"A", self.pids[:half]), (b"B", self.pids[half:])):
+            signature = run.certs[run.sender].sign(run.sender, run.payload(value))
+            chain = ((run.sender, signature),)
             for pid in group:
-                self.network.adv_send(
-                    self.sender, pid, (("DS", self.instance), value, chain)
-                )
+                run.network.adv_send(run.sender, pid, (run.tag, value, chain))
 
 
 def test_agreement_under_equivocating_sender():
@@ -104,9 +95,8 @@ def test_agreement_under_equivocating_sender():
     session = Session(seed=1)
     pids = [f"P{i}" for i in range(4)]
     parties = make_dolev_strong_instance(session, pids, "P0", t=1)
-    network = parties["P0"].network
-    certs = parties["P0"].certs
-    adv = EquivocatingSender(network, certs, "P0", pids[1:])
+    run = parties["P0"].run
+    adv = EquivocatingSender(run, pids[1:])
     adv.attach(session)
     session.adversary = adv
     for party in parties.values():
@@ -121,6 +111,10 @@ def test_agreement_under_equivocating_sender():
     assert len(decisions) == 3
     assert len(set(decisions.values())) == 1  # agreement
     assert list(decisions.values())[0] == BOTTOM  # both values accepted -> ⊥
+    # ⊥ for the right reason: every honest party accepted both values.
+    assert {pid: sorted(run.accepted[pid]) for pid in decisions} == {
+        pid: [b"A", b"B"] for pid in decisions
+    }
 
 
 def test_forged_chain_rejected():
@@ -128,12 +122,12 @@ def test_forged_chain_rejected():
     session = Session(seed=1)
     pids = ["P0", "P1", "P2"]
     parties = make_dolev_strong_instance(session, pids, "P0", t=1)
-    network = parties["P0"].network
+    run = parties["P0"].run
     session.corrupt("P2")
     for party in parties.values():
         party.arm(0)
     # P2 injects a value with a bogus sender signature.
-    network.adv_send("P2", "P1", (("DS", "ds0"), b"forged", (("P0", b"junk"),)))
+    run.network.adv_send("P2", "P1", (run.tag, b"forged", (("P0", b"junk"),)))
     Environment(session).run_rounds(3)
     assert parties["P1"].outputs[-1][1] == BOTTOM  # nothing valid accepted
 
@@ -142,24 +136,21 @@ def test_chain_with_duplicate_signers_rejected():
     session = Session(seed=1)
     pids = ["P0", "P1", "P2"]
     parties = make_dolev_strong_instance(session, pids, "P0", t=1)
-    party = parties["P1"]
-    cert = parties["P0"].certs["P0"]
+    run = parties["P1"].run
     # Build a "valid-looking" chain that reuses the sender twice.
-    payload = encode(("DS", session.sid, "P0", b"v"))
     session.corrupt("P0")
-    sig = cert.sign("P0", payload)
+    sig = run.certs["P0"].sign("P0", run.payload(b"v"))
     chain = (("P0", sig), ("P0", sig))
-    assert not party._valid_chain(b"v", chain, minimum=2)
+    assert not run.valid_chain(b"v", chain, 2)
 
 
 def test_wrong_sender_first_rejected():
     session = Session(seed=1)
     pids = ["P0", "P1", "P2"]
     parties = make_dolev_strong_instance(session, pids, "P0", t=1)
-    p1 = parties["P1"]
-    payload = encode(("DS", session.sid, "P0", b"v"))
-    sig = parties["P1"].certs["P1"].sign("P1", payload)
-    assert not p1._valid_chain(b"v", (("P1", sig),), minimum=1)
+    run = parties["P1"].run
+    sig = run.certs["P1"].sign("P1", run.payload(b"v"))
+    assert not run.valid_chain(b"v", (("P1", sig),), 1)
 
 
 def test_non_sender_cannot_broadcast():
@@ -167,3 +158,61 @@ def test_non_sender_cannot_broadcast():
     parties = make_dolev_strong_instance(session, ["P0", "P1"], "P0", t=0)
     with pytest.raises(ValueError):
         parties["P1"].broadcast(b"x")
+
+
+# A corrupted party's malformed wire messages, given the run's tag.
+_SHAPES = {
+    "bytes": lambda tag: b"junk",
+    "2-tuple": lambda tag: (tag, b"w"),
+    "list-tag": lambda tag: ([0], b"w", ()),
+    "int-chain": lambda tag: (tag, b"w", 5),
+    "3-link": lambda tag: (tag, b"w", (("P0", b"s", b"x"),)),
+    "int-link": lambda tag: (tag, b"w", (1,)),
+    "float-value": lambda tag: (tag, 1.5, (("P0", b"s"),)),  # nothing can sign it
+}
+_PARTY_SHAPES = ("bytes", "2-tuple", "int-chain", "3-link", "int-link", "float-value")
+_ADAPTER_SHAPES = ("list-tag", "int-chain", "3-link", "int-link", "float-value")
+
+
+def _party_world(session, pids):
+    parties = make_dolev_strong_instance(session, pids, "P0", t=1)
+    for party in parties.values():
+        party.arm(0)
+    parties["P0"].broadcast(b"v")
+    run = parties["P0"].run
+    return run.network, run.tag, parties
+
+
+def _adapter_world(session, pids):
+    from repro.functionalities.dummy import DummyBroadcastParty
+    from repro.protocols.ds_ubc import DolevStrongUBCAdapter
+
+    ubc = DolevStrongUBCAdapter(session, pids=pids, t=1)
+    parties = {pid: DummyBroadcastParty(session, pid, ubc) for pid in pids}
+    for party in parties.values():
+        ubc.attach(party)
+    parties["P0"].broadcast(b"v")
+    (run,) = ubc.runs.values()
+    return ubc.network, run.tag, parties
+
+
+@pytest.mark.parametrize(
+    "world, shape",
+    [(_party_world, shape) for shape in _PARTY_SHAPES]
+    + [(_adapter_world, shape) for shape in _ADAPTER_SHAPES],
+    ids=[f"party-{shape}" for shape in _PARTY_SHAPES]
+    + [f"adapter-{shape}" for shape in _ADAPTER_SHAPES],
+)
+def test_malformed_payload_is_ignored(world, shape):
+    """A corrupted party's malformed message cannot crash an honest round."""
+    session = Session(seed=1)
+    pids = ["P0", "P1", "P2", "P3"]
+    network, tag, parties = world(session, pids)
+    session.corrupt("P3")
+    honest = pids[:3]
+    for pid in honest:
+        network.adv_send("P3", pid, _SHAPES[shape](tag))
+    Environment(session).run_rounds(4)
+    assert {pid: parties[pid].outputs for pid in honest} == {
+        pid: [("Broadcast", b"v", "P0")] for pid in honest
+    }

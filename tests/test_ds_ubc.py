@@ -69,12 +69,11 @@ def test_corrupted_sender_equivocation_yields_no_delivery():
     # The adversary starts a run, then injects a second signed value into
     # the same run by signing with the corrupted key.
     ubc.adv_broadcast("P0", b"value-A")
-    run_id = 0
-    other = ubc._payload(run_id, "P0", b"value-B")
-    signature = ubc.certs["P0"].sign("P0", other)
+    (run,) = ubc.runs.values()
+    signature = ubc.certs["P0"].sign("P0", run.payload(b"value-B"))
     for recipient in ("P1", "P2"):
         ubc.network.adv_send(
-            "P0", recipient, (run_id, b"value-B", (("P0", signature),))
+            "P0", recipient, (run.tag, b"value-B", (("P0", signature),))
         )
     env.run_rounds(4)
     # P1 and P2 accepted both values -> no delivery for this run; P3 saw

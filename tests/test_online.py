@@ -583,20 +583,6 @@ def test_cli_sweep_online_requires_pool_material(capsys):
     assert "material" in capsys.readouterr().err
 
 
-def test_cli_bench_online_skips_digest_comparison(store, capsys):
-    from repro.cli import main
-
-    store.build([TEST_GROUP], nonces=64, feldman=8)
-    code = main([
-        "bench", "--sessions", "3", "--n", "3", "--executor", "inline",
-        "--material", "disk", "--online", "--trace", "full", "--compare",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "digest-pinned separately" in out
-    assert "match sequential reference" not in out
-
-
 def test_cli_scenarios_online_smoke(store, capsys):
     from repro.cli import main
 

@@ -48,12 +48,12 @@ def test_dolev_strong_over_schnorr_rejects_forged_chain():
     pids = ["P0", "P1", "P2"]
     certs = real_cert_suite(session, pids)
     parties = make_dolev_strong_instance(session, pids, "P0", t=1, certs=certs)
-    network = parties["P0"].network
+    run = parties["P0"].run
     session.corrupt("P2")
     for party in parties.values():
         party.arm(0)
     # Without P0's key, P2 cannot fabricate a chain that verifies:
-    network.adv_send("P2", "P1", (("DS", "ds0"), b"forged", (("P0", b"\x00" * 128),)))
+    run.network.adv_send("P2", "P1", (run.tag, b"forged", (("P0", b"\x00" * 128),)))
     env = Environment(session)
     env.run_rounds(3)
     assert parties["P1"].outputs[-1][1] == BOTTOM

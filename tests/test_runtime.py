@@ -29,7 +29,6 @@ from repro.runtime import (
     available_backends,
     get_backend,
     run_sbc_trial,
-    sequential_loop,
     trace_digest,
 )
 from repro.uc.entity import Party
@@ -207,21 +206,22 @@ def test_session_pool_smoke_32_seeds():
 
 
 def test_session_pool_matches_sequential_loop_digests():
-    # The full-trace pool replays the loop digest for digest, and the
-    # light-trace pool runs it round for round, hybrid and composed.
+    # The full-trace pool replays a plain loop of sequential trials digest
+    # for digest, and the light-trace pool runs it round for round, hybrid
+    # and composed.
     seeds = list(range(6))
     for params in (
         dict(n=3, mode="hybrid", phi=4, delta=2),
         dict(n=4, mode="composed", phi=5, delta=3, senders=2),
     ):
-        baseline = sequential_loop(seeds, **params)
+        baseline = [run_sbc_trial(seed, backend="sequential", **params) for seed in seeds]
         pooled = SessionPool(config=SweepConfig(backend="pooled"), **params).run(seeds)
-        assert [r.digest for r in pooled.results] == [r.digest for r in baseline.results]
+        assert [r.digest for r in pooled.results] == [r.digest for r in baseline]
         light = SessionPool(config=SweepConfig(backend="pooled", trace="light"), **params).run(seeds)
         assert (light.total_rounds, light.total_messages) == (
-            baseline.total_rounds, baseline.total_messages,
+            sum(r.rounds for r in baseline), sum(r.messages for r in baseline),
         )
-        assert [r.outputs for r in light.results] == [r.outputs for r in baseline.results]
+        assert [r.outputs for r in light.results] == [r.outputs for r in baseline]
 
 
 def test_run_sbc_trial_is_self_contained():

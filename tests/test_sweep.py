@@ -189,7 +189,6 @@ def test_cli_sweep_rejects_empty_session_count(capsys):
     from repro.cli import main
 
     assert main(["sweep", "--sessions", "0", "--executor", "inline"]) == 2
-    assert main(["bench", "--sessions", "0"]) == 2
     assert "--sessions must be >= 1" in capsys.readouterr().err
 
 
